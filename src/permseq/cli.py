@@ -3,8 +3,9 @@ sequences, compatibility classification, generating functions, bijection
 checks and the explicit injection.
 
 Results of table computations are cached as JSON keyed on basis, bounds and
-engine version; stale versions are recomputed silently. Cache writes go
-through a temp file and an atomic rename.
+engine version; an entry from another engine version, or one that does not
+match the request in basis, bounds or shape, is recomputed and overwritten
+silently. Cache writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .enumeration import (
+    ENGINE_VERSION,
     CountTable,
     count_table,
     diagonal_limit,
@@ -25,8 +27,9 @@ from .enumeration import (
     monotonicity_scan,
     row_differences,
     second_differences,
+    zero_row_threshold,
 )
-from .perms import format_perm, parse_basis, parse_perm
+from .perms import basis_key, format_perm, parse_basis, parse_perm
 from .tableio import (
     diffs_to_csv,
     table_from_json,
@@ -35,6 +38,7 @@ from .tableio import (
     table_to_markdown,
 )
 
+EXIT_BAD_INPUT = 1
 EXIT_GOLDEN_MISMATCH = 2
 EXIT_BIJECTION_MISMATCH = 3
 EXIT_GF_MISMATCH = 4
@@ -45,6 +49,30 @@ CACHE_ENV = "PERMSEQ_CACHE_DIR"
 def _cache_path(cache_dir: Path, basis_text: str, n_max: int, k_max: int) -> Path:
     key = basis_text.replace(",", "-")
     return cache_dir / f"table_{key}_n{n_max}_k{k_max}.json"
+
+
+def _read_cached(path: Path, canonical: str, basis, n_max: int, k_max: int) -> CountTable | None:
+    """The table stored at path if it answers exactly this request, else None."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or payload.get("engine_version") != ENGINE_VERSION:
+        return None
+    if (payload.get("basis"), payload.get("n_max"), payload.get("k_max")) != (canonical, n_max, k_max):
+        return None
+    table = payload.get("table")
+    if not isinstance(table, dict):
+        return None
+    if (table.get("basis"), table.get("n_max"), table.get("k_max")) != (basis_key(basis), n_max, k_max):
+        return None
+    rows = table.get("rows")
+    if not isinstance(rows, list) or len(rows) != n_max or not all(
+        isinstance(row, list) and len(row) == k_max + 1 and all(type(v) is int for v in row)
+        for row in rows
+    ):
+        return None
+    return table_from_json(json.dumps(table))
 
 
 def cached_count_table(basis_text: str, n_max: int, k_max: int,
@@ -59,15 +87,12 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
     cache.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache, canonical, n_max, k_max)
     if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("engine_version") == __version__:
-                return table_from_json(json.dumps(payload["table"]))
-        except (ValueError, KeyError):
-            pass  # corrupt or stale cache entry: recompute
+        table = _read_cached(path, canonical, basis, n_max, k_max)
+        if table is not None:
+            return table
     table = count_table(basis, n_max, k_max, threads=threads)
     payload = {
-        "engine_version": __version__,
+        "engine_version": ENGINE_VERSION,
         "basis": canonical,
         "n_max": n_max,
         "k_max": k_max,
@@ -134,27 +159,11 @@ def cmd_monotone(args) -> int:
         print(f"no violation up to (n={args.n}, k={args.k})")
     for n, k, a, b in hits:
         print(f"violation at n={n}, k={k}: {a} > {b}")
-    _zero_row_certificate(table)
-    return 0
-
-
-def _zero_row_certificate(table) -> None:
-    """If every positive inversion count dies out, report the observed
-    vanishing threshold n >= k + c."""
-    shifts = []
-    for k in range(1, table.k_max + 1):
-        col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
-        if col[-1] != 0 or not any(col):
-            return
-        first_zero = len(col)
-        while first_zero > 1 and col[first_zero - 2] == 0:
-            first_zero -= 1
-        if any(col[:first_zero - 1]) or first_zero == 1:
-            shifts.append(first_zero - k)
-    if shifts:
-        c = max(shifts)
+    c = zero_row_threshold(table)
+    if c is not None:
         print(f"zero-row certificate: av_n^k = 0 for 1 <= k <= {table.k_max}, "
               f"n >= k + {c} (within n <= {table.n_max})")
+    return 0
 
 
 def cmd_limit(args) -> int:
@@ -222,7 +231,7 @@ def cmd_gf(args) -> int:
         parse_basis(args.name)
     except ValueError:
         print(f"{args.name!r} is not a pattern basis; nothing to compare", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     maxlen = max(len(tok) for tok in args.name.split(","))
     n_needed = args.k + 2 + maxlen
     table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
@@ -269,7 +278,7 @@ def cmd_inject(args) -> int:
     basis = parse_basis(args.basis)
     if basis != parse_basis("1324,231"):
         print("only the basis 1324,231 has an explicit injection", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     p = parse_perm(args.perm)
     res = inject_1324_231_full(p)
     print(format_perm(res.image))
@@ -368,7 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        return args.fn(args)
+    except ValueError as exc:
+        # malformed patterns or out-of-range bounds from the command line
+        print(f"permseq: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

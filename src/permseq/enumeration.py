@@ -3,9 +3,31 @@
 The generator walks the tree whose nodes are exactly the avoiders with at
 most k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
-adds t+1-r inversions. Avoidance only needs to be re-checked against
-occurrences using the new last position, and the whole counting table for
-all lengths up to n_max falls out of a single walk.
+adds t+1-r inversions. The whole counting table for all lengths up to n_max
+falls out of a single walk.
+
+Each node carries its bad ranks as a bit mask: bit r is set when appending
+rank r would complete an occurrence of a forbidden pattern ending at the new
+last position. A child is derived from its parent's mask, not recomputed:
+
+- Inheritance. Let the child append rank r. An occurrence in child + s that
+  avoids the child's last entry is, once that entry is deleted, an
+  occurrence in parent + s' with s' = s for s <= r and s' = s - 1 for
+  s > r, and every such parent occurrence lifts back. So the child's mask
+  starts as the parent's with bit r duplicated (bits >= r move up by one).
+- Anchored fill. The remaining occurrences use the child's last entry, and
+  being the last position before the new one it can only play the last
+  body role q[-2]. The fill places the other body roles right to left from
+  that fixed anchor, each against its nearest placed neighbours in value.
+  The admissible new ranks form one interval fixed by the body roles valued
+  q[-1] - 1 and q[-1] + 1; once those are placed, one completion of the rest
+  suffices.
+- Budget floor. A node of length t with inv inversions only ever appends
+  ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
+  child, so ranks below it are never read in its subtree and the fill
+  skips them. An interval reaching the floor needs the body role valued
+  q[-1] + 1 at or above it, and every role valued q[-1] + 1 + d at least d
+  above it, which prunes the fill on long, nearly sorted permutations.
 """
 
 from __future__ import annotations
@@ -27,176 +49,88 @@ from .perms import (
 MAX_LENGTH = 64
 MAX_BUDGET = 200
 
-
-# -- per-pattern precomputation ------------------------------------------
-
-def _pattern_info(q: Sequence[int]):
-    """Shape data steering the bad-rank scan for one forbidden pattern."""
-    m = len(q)
-    if m == 1:
-        return (1, None, None, None, None)
-    body = q[:-1]
-    increasing = all(body[i] < body[i + 1] for i in range(m - 2))
-    if increasing:
-        # ranks below the appended role among the body = q[-1] - 1
-        return (m, q[-1], None, True, q[-1] - 1)
-    alpha = next(i for i in range(m - 2) if body[i] > body[i + 1])
-    return (m, q[-1], tuple(q), False, alpha)
+# Identifies the counting engine in cache entries; bump it whenever a change
+# could alter a computed table, so that older entries are recomputed.
+ENGINE_VERSION = "2"
 
 
-def _bad_ranks(tau, inv_pairs, infos, t):
-    """Which ranks r in 1..t+1 would complete some forbidden pattern.
+# -- bad ranks ------------------------------------------------------------
 
-    Returns a diff-array accumulated into flags; rank r is bad iff the
-    permutation tau + appended rank r contains a pattern occurrence ending
-    at the new last position.
+def _plan(q: Sequence[int]):
+    """Fill data for a pattern of length >= 2, its body roles placed right to left.
+
+    For role j: the already placed role (index > j) nearest below and above
+    it in value (-1 if none), and its lift above the budget floor (None for
+    roles valued below q[-1]). Then the roles bounding the new entry's value
+    from below and above, and the role after which the interval is fixed.
     """
-    marks = [0] * (t + 3)
-    lis_end = lis_from = None
-    for m, qlast, q, increasing, extra in infos:
-        if m == 1:
-            marks[1] += 1
-            marks[t + 2] -= 1
-            continue
-        if m - 1 > t:
-            continue
-        if increasing:
-            if lis_end is None:
-                lis_end, lis_from = _lis_tables(tau, t)
-            _mark_increasing_body(tau, t, m, extra, lis_end, lis_from, marks)
-        else:
-            _mark_anchored(tau, t, q, extra, inv_pairs, marks)
-    bad = [False] * (t + 2)
-    acc = 0
-    for r in range(1, t + 2):
-        acc += marks[r]
-        bad[r] = acc > 0
+    body = tuple(q[:-1])
+    m1 = len(body)
+    qlast = q[-1]
+    below, above, lift = [], [], []
+    for j in range(m1):
+        later = range(j + 1, m1)
+        below.append(max((i for i in later if body[i] < body[j]),
+                         key=body.__getitem__, default=-1))
+        above.append(min((i for i in later if body[i] > body[j]),
+                         key=body.__getitem__, default=-1))
+        lift.append(body[j] - qlast - 1 if body[j] > qlast else None)
+    lo_role = body.index(qlast - 1) if qlast > 1 else -1
+    hi_role = body.index(qlast + 1) if qlast <= m1 else -1
+    decided = min(i for i in (lo_role, hi_role) if i >= 0)
+    return m1, tuple(below), tuple(above), tuple(lift), lo_role, hi_role, decided
+
+
+def _fill(tau, plan, floor, bad):
+    """OR into the mask `bad` the ranks >= floor completing an occurrence of
+    the planned pattern in which tau's last entry is the last body role."""
+    m1, below, above, lift, lo_role, hi_role, decided = plan
+    t = len(tau)
+    if m1 > t:
+        return bad
+    if lift[-1] is not None and tau[-1] < floor + lift[-1]:
+        return bad
+    pos = [0] * m1
+    val = [0] * m1
+    pos[-1] = t - 1
+    val[-1] = tau[-1]
+    least = [0 if d is None else floor + d - 1 for d in lift]
+
+    def place(j, settle):
+        # Roles j+1.. are placed. Until the interval is fixed, enumerate;
+        # afterwards (settle) report whether roles j..0 can be completed.
+        nonlocal bad
+        if j < decided and not settle:
+            lo = val[lo_role] + 1 if lo_role >= 0 else 1
+            if lo < floor:
+                lo = floor
+            hi = val[hi_role] if hi_role >= 0 else t + 1
+            if lo <= hi:
+                span = (1 << (hi + 1)) - (1 << lo)
+                if bad & span != span and place(j, True):
+                    bad |= span
+            return False
+        if j < 0:
+            return True
+        low = val[below[j]] if below[j] >= 0 else 0
+        if low < least[j]:
+            low = least[j]
+        high = val[above[j]] if above[j] >= 0 else t + 1
+        for p in range(pos[j + 1] - 1, j - 1, -1):
+            v = tau[p]
+            if low < v < high:
+                pos[j] = p
+                val[j] = v
+                if place(j - 1, settle) and settle:
+                    return True
+        return False
+
+    place(m1 - 2, False)
     return bad
 
 
-def _lis_tables(tau, t):
-    lis_end = [1] * t
-    for i in range(t):
-        vi = tau[i]
-        best = 0
-        for j in range(i):
-            if tau[j] < vi and lis_end[j] > best:
-                best = lis_end[j]
-        lis_end[i] = best + 1
-    lis_from = [1] * t
-    for i in range(t - 1, -1, -1):
-        vi = tau[i]
-        best = 0
-        for j in range(i + 1, t):
-            if tau[j] > vi and lis_from[j] > best:
-                best = lis_from[j]
-        lis_from[i] = best + 1
-    return lis_end, lis_from
-
-
-def _mark_increasing_body(tau, t, m, s, lis_end, lis_from, marks):
-    # Body occurrences are increasing (m-1)-subsequences; the appended rank
-    # slots between body values v_s and v_{s+1}.
-    need = m - 1
-    if s == 0:
-        best = 0
-        for i in range(t):
-            if lis_from[i] >= need and tau[i] > best:
-                best = tau[i]
-        if best:
-            marks[1] += 1
-            marks[best + 1] -= 1
-    elif s == need:
-        low = t + 2
-        for i in range(t):
-            if lis_end[i] >= need and tau[i] < low:
-                low = tau[i]
-        if low <= t:
-            marks[low + 1] += 1
-            marks[t + 2] -= 1
-    else:
-        want = need - s
-        # suffix max of tau over positions whose increasing run is long enough
-        suf = [0] * (t + 1)
-        for i in range(t - 1, -1, -1):
-            v = tau[i] if lis_from[i] >= want else 0
-            suf[i] = v if v > suf[i + 1] else suf[i + 1]
-        for i in range(t):
-            if lis_end[i] >= s:
-                hi = suf[i + 1]
-                if hi > tau[i]:
-                    marks[tau[i] + 1] += 1
-                    marks[hi + 1] -= 1
-
-
-def _mark_anchored(tau, t, q, alpha, inv_pairs, marks):
-    # Anchor the body's first adjacent descent (roles alpha, alpha+1) on an
-    # inversion of tau, then fill the remaining body roles outwards.
-    m1 = len(q) - 1
-    qlast = q[-1]
-    if m1 > t:
-        return
-    pos = [0] * m1
-    val = [0] * m1
-    right_total = m1 - alpha - 2
-
-    def fill(left, right):
-        if left < 0 and right == m1:
-            lo = 0
-            hi = t + 1
-            for rr in range(m1):
-                if q[rr] < qlast:
-                    if val[rr] > lo:
-                        lo = val[rr]
-                elif val[rr] <= hi:
-                    hi = val[rr]
-            if lo + 1 <= hi:
-                marks[lo + 1] += 1
-                marks[hi + 1] -= 1
-            return
-        if left >= 0:
-            # left side fills downwards, so roles left+1..alpha+1 are set
-            role = left
-            qrole = q[role]
-            for p in range(pos[role + 1] - 1, role - 1, -1):
-                v = tau[p]
-                ok = True
-                for rr in range(role + 1, alpha + 2):
-                    if (v < val[rr]) != (qrole < q[rr]):
-                        ok = False
-                        break
-                if ok:
-                    pos[role] = p
-                    val[role] = v
-                    fill(left - 1, right)
-            return
-        role = right
-        qrole = q[role]
-        room = m1 - 1 - role
-        for p in range(pos[role - 1] + 1, t - room):
-            v = tau[p]
-            ok = True
-            for rr in range(role):
-                if (v < val[rr]) != (qrole < q[rr]):
-                    ok = False
-                    break
-            if ok:
-                pos[role] = p
-                val[role] = v
-                fill(left, right + 1)
-
-    for i, j in inv_pairs:
-        if i < alpha or j > t - 1 - right_total:
-            continue
-        pos[alpha] = i
-        val[alpha] = tau[i]
-        pos[alpha + 1] = j
-        val[alpha + 1] = tau[j]
-        fill(alpha - 1, alpha + 2)
-
-
 def _bad_ranks_brute(tau, patterns, t):
-    """Reference implementation of _bad_ranks via contains_ending_at."""
+    """Reference for the bad-rank masks via contains_ending_at: bad[r] for r in 1..t+1."""
     bad = [False] * (t + 2)
     for r in range(1, t + 2):
         child = [v + 1 if v >= r else v for v in tau] + [r]
@@ -206,43 +140,56 @@ def _bad_ranks_brute(tau, patterns, t):
 
 # -- the tree walk --------------------------------------------------------
 
-def _walk(tau, inv, inv_pairs, infos, n_max, k_max, counts, sink_n, sink):
-    t = len(tau)
-    bad = _bad_ranks(tau, inv_pairs, infos, t)
-    lo = t + 1 - (k_max - inv)
-    if lo < 1:
-        lo = 1
-    row = counts[t + 1]
-    for r in range(lo, t + 2):
-        if bad[r]:
-            continue
-        added = inv + (t + 1 - r)
-        for i in range(t):
-            if tau[i] >= r:
-                tau[i] += 1
-        tau.append(r)
-        new_pairs = [(i, t) for i in range(t) if tau[i] > r]
-        inv_pairs.extend(new_pairs)
-        row[added] += 1
-        if sink_n == t + 1:
-            sink.append(tuple(tau))
-        if t + 1 < n_max:
-            _walk(tau, added, inv_pairs, infos, n_max, k_max, counts, sink_n, sink)
-        if new_pairs:
-            del inv_pairs[-len(new_pairs):]
-        tau.pop()
-        for i in range(t):
-            if tau[i] >= r:
-                tau[i] -= 1
+def _start(basis):
+    """Fill plans for the basis and the root's mask (rank 1 is bad iff 1 is in the basis)."""
+    plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
+    return plans, 2 if any(len(q) == 1 for q in basis) else 0
 
 
-def _run_tree(basis, n_max, k_max, sink_n=None):
-    infos = [_pattern_info(q) for q in sorted(basis)]
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    sink: list[tuple[int, ...]] = []
-    if n_max >= 1:
-        _walk([], 0, [], infos, n_max, k_max, counts, sink_n, sink)
-    return counts, sink
+def _walk(node, plans, n_max, k_max, counts, out=None, keep=None):
+    """Walk the subtree below node = (values, inv, bad mask) down to length n_max.
+
+    Every child of length t adds one to counts[t][inv]. With `out`, child
+    nodes are appended as (values, inv, bad mask) — the mask is None at
+    length n_max — either all of them or, with `keep`, those of length keep,
+    below which the walk then goes no deeper.
+    """
+
+    def visit(tau, inv, bad):
+        t = len(tau)
+        floor = t + 1 - (k_max - inv)
+        if floor < 1:
+            floor = 1
+        row = counts[t + 1]
+        if t + 1 == n_max and out is None:
+            for r in range(floor, t + 2):
+                if not bad >> r & 1:
+                    row[inv + t + 1 - r] += 1
+            return
+        for r in range(floor, t + 2):
+            if bad >> r & 1:
+                continue
+            added = inv + t + 1 - r
+            row[added] += 1
+            child = [v + 1 if v >= r else v for v in tau]
+            child.append(r)
+            child_bad = None
+            if t + 1 < n_max:
+                # bits >= r move up one; bit r stays clear, as it was in the parent
+                child_bad = (bad & ((1 << r) - 1)) | (bad >> r << (r + 1))
+                child_floor = t + 2 - (k_max - added)
+                if child_floor < 1:
+                    child_floor = 1
+                for plan in plans:
+                    child_bad = _fill(child, plan, child_floor, child_bad)
+            if out is not None and (keep is None or keep == t + 1):
+                out.append((tuple(child), added, child_bad))
+            if t + 1 < n_max and t + 1 != keep:
+                visit(child, added, child_bad)
+
+    tau, inv, bad = node
+    if len(tau) < n_max:
+        visit(list(tau), inv, bad)
 
 
 def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
@@ -259,42 +206,21 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
         raise ValueError("inversion budget must be nonnegative")
     if n == 0:
         return [Perm()]
-    _, sink = _run_tree(basis, n, k_max, sink_n=n)
-    return [Perm(vals) for vals in sorted(sink)]
+    plans, root = _start(basis)
+    counts = [[0] * (k_max + 1) for _ in range(n + 1)]
+    out: list = []
+    _walk(((), 0, root), plans, n, k_max, counts, out, keep=n)
+    return [Perm(vals) for vals in sorted(vals for vals, _, _ in out)]
 
 
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
     """Yield (perm, inv) for every avoider of length 1..n_max with inv <= k_max."""
     basis = pattern_basis(basis)
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def _walk2(tau, inv, inv_pairs, infos):
-        t = len(tau)
-        bad = _bad_ranks(tau, inv_pairs, infos, t)
-        lo = max(1, t + 1 - (k_max - inv))
-        for r in range(lo, t + 2):
-            if bad[r]:
-                continue
-            added = inv + (t + 1 - r)
-            for i in range(t):
-                if tau[i] >= r:
-                    tau[i] += 1
-            tau.append(r)
-            new_pairs = [(i, t) for i in range(t) if tau[i] > r]
-            inv_pairs.extend(new_pairs)
-            out.append((tuple(tau), added))
-            if t + 1 < n_max:
-                _walk2(tau, added, inv_pairs, infos)
-            if new_pairs:
-                del inv_pairs[-len(new_pairs):]
-            tau.pop()
-            for i in range(t):
-                if tau[i] >= r:
-                    tau[i] -= 1
-
-    if n_max >= 1:
-        _walk2([], 0, [], [_pattern_info(q) for q in sorted(basis)])
-    for vals, k in out:
+    plans, root = _start(basis)
+    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    out: list = []
+    _walk(((), 0, root), plans, n_max, k_max, counts, out)
+    for vals, k, _ in out:
         yield Perm(vals), k
 
 
@@ -319,56 +245,14 @@ class CountTable:
         return basis_key(self.basis)
 
 
-def _split_nodes(basis, depth, k_max):
-    """Valid tree nodes at exactly `depth`, as value tuples, plus shallow counts."""
-    infos = [_pattern_info(q) for q in sorted(basis)]
-    shallow = [[0] * (k_max + 1) for _ in range(depth + 1)]
-    nodes: list[tuple[int, ...]] = []
-
-    def _walk3(tau, inv, inv_pairs):
-        t = len(tau)
-        bad = _bad_ranks(tau, inv_pairs, infos, t)
-        lo = max(1, t + 1 - (k_max - inv))
-        for r in range(lo, t + 2):
-            if bad[r]:
-                continue
-            added = inv + (t + 1 - r)
-            for i in range(t):
-                if tau[i] >= r:
-                    tau[i] += 1
-            tau.append(r)
-            new_pairs = [(i, t) for i in range(t) if tau[i] > r]
-            inv_pairs.extend(new_pairs)
-            shallow[t + 1][added] += 1
-            if t + 1 == depth:
-                nodes.append(tuple(tau))
-            else:
-                _walk3(tau, added, inv_pairs)
-            if new_pairs:
-                del inv_pairs[-len(new_pairs):]
-            tau.pop()
-            for i in range(t):
-                if tau[i] >= r:
-                    tau[i] -= 1
-
-    _walk3([], 0, [])
-    return shallow, nodes
+# Pool jobs are the subtrees below this depth; the walk above it runs inline.
+_SPLIT_DEPTH = 4
 
 
 def _count_subtree(args):
-    basis_text, start, n_max, k_max = args
-    from .perms import parse_basis
-
-    basis = parse_basis(basis_text)
-    infos = [_pattern_info(q) for q in sorted(basis)]
-    tau = list(start)
-    t = len(tau)
-    inv_pairs = [
-        (i, j) for j in range(t) for i in range(j) if tau[i] > tau[j]
-    ]
-    inv = len(inv_pairs)
+    node, plans, n_max, k_max = args
     counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    _walk(tau, inv, inv_pairs, infos, n_max, k_max, counts, None, [])
+    _walk(node, plans, n_max, k_max, counts)
     return counts
 
 
@@ -379,22 +263,20 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         raise ValueError(f"n_max must be in 1..{MAX_LENGTH}")
     if not 0 <= k_max <= MAX_BUDGET:
         raise ValueError(f"k_max must be in 0..{MAX_BUDGET}")
-    if threads <= 1 or n_max <= 4:
-        counts, _ = _run_tree(basis, n_max, k_max)
+    plans, root = _start(basis)
+    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    if threads <= 1 or n_max <= _SPLIT_DEPTH:
+        _walk(((), 0, root), plans, n_max, k_max, counts)
     else:
-        depth = 4
-        shallow, nodes = _split_nodes(basis, depth, k_max)
-        counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-        for t in range(1, depth + 1):
-            for k in range(k_max + 1):
-                counts[t][k] += shallow[t][k]
-        key = basis_key(basis)
-        jobs = [(key, node, n_max, k_max) for node in nodes]
+        frontier: list = []
+        _walk(((), 0, root), plans, n_max, k_max, counts, frontier, keep=_SPLIT_DEPTH)
+        jobs = [(node, plans, n_max, k_max) for node in frontier]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_count_subtree, jobs, chunksize=1):
-                for t in range(n_max + 1):
+                for t in range(_SPLIT_DEPTH + 1, n_max + 1):
+                    row = counts[t]
                     for k in range(k_max + 1):
-                        counts[t][k] += part[t][k]
+                        row[k] += part[t][k]
     rows = tuple(tuple(counts[n]) for n in range(1, n_max + 1))
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 
@@ -449,6 +331,24 @@ def monotonicity_scan(table: CountTable) -> list[tuple[int, int, int, int]]:
             if lo > hi:
                 hits.append((n, k, lo, hi))
     return hits
+
+
+def zero_row_threshold(table: CountTable) -> int | None:
+    """The least c with a(n, k) = 0 for all n >= k + c, 1 <= k <= k_max, in the table.
+
+    None when k_max < 1 or some column k >= 1 is all zero or does not end
+    in zero, i.e. when the table certifies no vanishing threshold.
+    """
+    shifts = []
+    for k in range(1, table.k_max + 1):
+        col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
+        if col[-1] != 0 or not any(col):
+            return None
+        first_zero = len(col)
+        while col[first_zero - 2] == 0:
+            first_zero -= 1
+        shifts.append(first_zero - k)
+    return max(shifts) if shifts else None
 
 
 # -- limit sequences ------------------------------------------------------

@@ -1,12 +1,15 @@
 import json
 
+import pytest
+
 from permseq.cli import (
+    EXIT_BAD_INPUT,
     EXIT_BIJECTION_MISMATCH,
     EXIT_GOLDEN_MISMATCH,
     cached_count_table,
     main,
 )
-from permseq.enumeration import count_table, row_differences
+from permseq.enumeration import ENGINE_VERSION, count_table, row_differences
 from permseq.perms import parse_basis
 from permseq.tableio import (
     diffs_to_csv,
@@ -72,6 +75,47 @@ def test_cache_reuse_and_versioning(tmp_path):
     t3 = cached_count_table("1324,1342", 7, 7, str(tmp_path))
     assert t3 == t1
     assert json.loads(files[0].read_text())["engine_version"] != "0.0.0"
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+        return payload
+    return edit
+
+
+def _set_table(key, value):
+    def edit(payload):
+        payload["table"][key] = value
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: [],
+    lambda payload: "rows",
+    _set("basis", "1243,1324"),
+    _set_table("basis", "1243,1324"),
+    _set("n_max", 6),
+    _set_table("n_max", 6),
+    _set("k_max", 4),
+    _set_table("k_max", 4),
+    _set_table("rows", [[9]]),
+    _set_table("rows", [[1, 0, 0, 0, 0]] * 5),
+    _set_table("rows", [[1, 0, 0, 0, 0, 0]] * 4),
+    _set_table("rows", [[1, 0, 0, 0, 0, "0"]] * 5),
+    _set("table", None),
+], ids=["list", "string", "basis", "table-basis", "n_max", "table-n_max", "k_max",
+        "table-k_max", "rows-9", "row-width", "row-count", "cell-type", "no-table"])
+def test_cache_mismatch_is_a_miss(tmp_path, edit):
+    want = count_table(parse_basis("1324,1342"), 5, 5)
+    cached_count_table("1324,1342", 5, 5, str(tmp_path))
+    [path] = tmp_path.glob("table_*.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == want
+    payload = json.loads(path.read_text())
+    assert payload["engine_version"] == ENGINE_VERSION
+    assert table_from_json(json.dumps(payload["table"])) == want
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -178,3 +222,18 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "(n=5, k=3)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--basis", "12a", "--n", "4", "--k", "4"],
+    ["table", "--basis", "1324", "--n", "0", "--k", "4"],
+    ["diff", "--basis", "1324", "--n", "4", "--k", "-1"],
+    ["table", "--basis", "1324", "--n", "4", "--k", "4", "--threads", "0"],
+    ["golden", "--all", "--threads", "-2"],
+])
+def test_bad_input_is_one_line_exit_1(argv, capsys):
+    assert main(argv) == EXIT_BAD_INPUT == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("permseq: error: ")

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
+    _bad_ranks_brute,
+    _start,
+    _walk,
     brute_table,
     count_table,
     diagonal_limit,
@@ -12,6 +16,7 @@ from permseq.enumeration import (
     row_differences,
     second_differences,
     symmetry_representative,
+    zero_row_threshold,
 )
 from permseq.perms import (
     Perm,
@@ -28,6 +33,11 @@ from permseq.perms import (
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+pattern_st = st.integers(1, 5).flatmap(
+    lambda m: st.permutations(list(range(1, m + 1)))
+).map(Perm)
+basis_st = st.lists(pattern_st, min_size=1, max_size=3)
 
 
 def test_generate_avoiders_examples():
@@ -97,6 +107,32 @@ def test_count_table_matches_brute():
         assert count_table(basis, 6, 10).rows == brute_table(basis, 6, 10).rows
 
 
+@settings(max_examples=150, deadline=None)
+@given(basis_st, st.integers(1, 7), st.integers(0, 21))
+def test_count_table_matches_brute_random(patterns, n_max, k_max):
+    assert count_table(patterns, n_max, k_max).rows == brute_table(patterns, n_max, k_max).rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_st, st.integers(2, 7), st.integers(0, 21))
+def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
+    # every node's mask agrees with the brute-force scan at the ranks the
+    # walk can still append, those at or above the node's budget floor
+    basis = frozenset(patterns)
+    plans, root = _start(basis)
+    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    nodes: list = []
+    _walk(((), 0, root), plans, n_max, k_max, counts, nodes)
+    nodes.append(((), 0, root))
+    for tau, inv, bad in nodes:
+        if bad is None:
+            continue
+        t = len(tau)
+        want = _bad_ranks_brute(tau, basis, t)
+        for r in range(max(1, t + 1 - (k_max - inv)), t + 2):
+            assert bool(bad >> r & 1) == want[r], (tau, inv, r)
+
+
 def test_catalan_cross_check():
     for q in all_perms(3):
         t = count_table([q], 8, 28)
@@ -109,6 +145,16 @@ def test_threads_match_sequential():
     seq = count_table(basis, 9, 10)
     par = count_table(basis, 9, 10, threads=2)
     assert seq.rows == par.rows
+
+
+@pytest.mark.parametrize(
+    "basis_text, n_max, k_max",
+    [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4)],
+)
+def test_pool_jobs_carry_node_state(basis_text, n_max, k_max):
+    # pool jobs start from depth-4 nodes with their inherited masks
+    basis = parse_basis(basis_text)
+    assert count_table(basis, n_max, k_max, threads=2).rows == count_table(basis, n_max, k_max).rows
 
 
 def test_row_differences_examples():
@@ -184,6 +230,15 @@ def test_limit_report_unstable_without_low_inversion_pattern():
     assert rep.status[1] == "unstable-within-range"
     # av_n^1 = n-1 keeps growing
     assert [t.value(n, 1) for n in range(2, 13)] == list(range(1, 12))
+
+
+def test_zero_row_threshold():
+    assert zero_row_threshold(count_table(parse_basis("1243,2134"), 9, 4)) == 4
+    # columns k >= 1 that are zero throughout certify nothing
+    assert zero_row_threshold(count_table(parse_basis("12,21"), 6, 3)) is None
+    assert zero_row_threshold(count_table(parse_basis("123,21"), 6, 0)) is None
+    assert zero_row_threshold(count_table(parse_basis("132"), 8, 5)) is None
+    assert zero_row_threshold(count_table(parse_basis("1234"), 10, 6)) == 4
 
 
 def test_has_limit_sequence_criterion():
