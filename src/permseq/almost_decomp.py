@@ -73,8 +73,6 @@ def f_tilde(p: Perm) -> Perm:
 
 # -- almost decomposability ------------------------------------------------
 
-CASES = ("F1", "F2", "F3", "F4")
-
 _PAPER_PRIORITY = ("F1", "F2", "F3", "F4")
 _ALTERNATE_PRIORITY = ("F3", "F4", "F1", "F2")
 
@@ -245,30 +243,9 @@ class CompatVerdict:
     witness: tuple[Perm, Perm] | None = None  # (pi, f(pi)) with f(pi) containing p
 
 
-def _witness_search(p: Perm, length_slack=(-1, 0, 1, 2), alternate_priority=False):
-    """Look for pi avoiding {1324, p} whose image contains p."""
-    from .enumeration import iter_avoiders_upto
-
-    n = len(p)
-    lengths = sorted({n + s for s in length_slack if n + s >= 1})
-    if not lengths:
-        return None
-    m_max = max(lengths)
-    for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
-        if len(pi) not in lengths or not f_domain(pi):
-            continue
-        if contains(pi, p):
-            continue
-        image = f_map(pi, alternate_priority)
-        if contains(image, p):
-            return (pi, image)
-    return None
-
-
-def compat_search(p: Perm, length_slack=(-1, 0, 1, 2),
-                  alternate_priority: bool = False) -> CompatVerdict:
-    """Classify one pattern, combining both theorems with a finite witness
-    search over lengths |p|-1 .. |p|+2.
+def _verdict(p: Perm, witness_of, alternate_priority: bool) -> CompatVerdict:
+    """Combine both theorems with the witness search; witness_of(p) is the
+    (pi, f(pi)) found for p, or None, and is only asked for 1324-avoiders.
 
     The theorems assume the default case priority; with the alternate
     priority only the witness search applies, so verdicts may degrade to
@@ -278,20 +255,42 @@ def compat_search(p: Perm, length_slack=(-1, 0, 1, 2),
         # containment of 1324 is preserved by the map, so such patterns are
         # always compatible
         return CompatVerdict(p, "compatible-by-theorem")
+    witness = witness_of(p)
     if not alternate_priority and classify_sufficient(p):
-        return CompatVerdict(p, "incompatible-by-theorem",
-                             _witness_search(p, length_slack))
-    hit = _witness_search(p, length_slack, alternate_priority)
-    if hit is not None:
-        return CompatVerdict(p, "incompatible-by-witness", hit)
+        return CompatVerdict(p, "incompatible-by-theorem", witness)
+    if witness is not None:
+        return CompatVerdict(p, "incompatible-by-witness", witness)
     if not alternate_priority and not classify_necessary(p):
         return CompatVerdict(p, "compatible-by-theorem")
     return CompatVerdict(p, "unknown")
 
 
+def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
+    """Classify one pattern, combining both theorems with a finite witness
+    search: the first decomposable or almost decomposable pi of length
+    |p|-1 .. |p|+2 in the walk order of Av(1324) that avoids p while f(pi)
+    contains p.
+    """
+    from .enumeration import iter_avoiders_upto
+
+    def first_witness(q: Perm):
+        n = len(q)
+        m_max = n + 2
+        for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
+            if len(pi) < n - 1 or not f_domain(pi) or contains(pi, q):
+                continue
+            image = f_map(pi, alternate_priority)
+            if contains(image, q):
+                return (pi, image)
+        return None
+
+    return _verdict(p, first_witness, alternate_priority)
+
+
 @dataclass(frozen=True)
 class CompatCounts:
-    """The six classification counts over Av_n(1324) for one length."""
+    """The six classification counts over Av_n(1324) for one length, and
+    the verdicts of its patterns in walk order."""
 
     n: int
     total: int
@@ -301,36 +300,39 @@ class CompatCounts:
     necessary_compatible: int
     witness_compatible: int
     sufficient_compatible: int
+    verdicts: tuple[CompatVerdict, ...]
 
 
 def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
-    """Classification counts for all patterns in Av_n(1324).
+    """Classify every pattern in Av_n(1324) in one pass over Av_{<=n+2}(1324).
 
     The witness columns reproduce the computational lower/upper bounds: a
-    pattern counts as witness-incompatible when some decomposable or almost
-    decomposable pi in Av_m(1324, p), |p|-1 <= m <= |p|+2, has f(pi)
-    containing p. Implemented by collecting, for every such pi, the length-n
-    patterns gained by its image. The theorem columns assume the default
-    priority; the reference counts require it.
+    pattern p counts as witness-incompatible when some decomposable or
+    almost decomposable pi in Av_m(1324, p), n-1 <= m <= n+2, has f(pi)
+    containing p. Every such pi records the length-n patterns its image
+    gains; the first pi in walk order is the witness, the one compat_search
+    finds. The theorem columns assume the default priority; the reference
+    counts require it.
     """
     from .enumeration import iter_avoiders_upto
 
-    patterns = [
-        p for p, _ in iter_avoiders_upto([_P1324], n, n * (n - 1) // 2) if len(p) == n
-    ]
-    incompatible: set[Perm] = set()
+    if n < 1:
+        raise ValueError(f"pattern length must be at least 1, got {n}")
+    patterns: list[Perm] = []
+    witnesses: dict[Perm, tuple[Perm, Perm]] = {}
     m_max = n + 2
     for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
         m = len(pi)
+        if m == n:
+            patterns.append(pi)
         if m < n - 1 or not f_domain(pi):
             continue
         image = f_map(pi, alternate_priority)
-        gained = _patterns_of_length(image, n) - _patterns_of_length(pi, n)
-        incompatible.update(gained)
-    incompatible = {p for p in incompatible if avoids(p, [_P1324])}
+        for p in _patterns_of_length(image, n) - _patterns_of_length(pi, n):
+            witnesses.setdefault(p, (pi, image))
     suff = sum(1 for p in patterns if classify_sufficient(p))
     nec = sum(1 for p in patterns if classify_necessary(p))
-    wit = sum(1 for p in patterns if p in incompatible)
+    wit = sum(1 for p in patterns if p in witnesses)
     total = len(patterns)
     return CompatCounts(
         n=n,
@@ -341,6 +343,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         necessary_compatible=total - nec,
         witness_compatible=total - wit,
         sufficient_compatible=total - suff,
+        verdicts=tuple(_verdict(p, witnesses.get, alternate_priority) for p in patterns),
     )
 
 

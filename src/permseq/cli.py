@@ -23,6 +23,7 @@ from .enumeration import (
     CountTable,
     count_table,
     diagonal_limit,
+    limit_depth,
     limit_report,
     monotonicity_scan,
     row_differences,
@@ -184,19 +185,13 @@ def cmd_limit(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    from .almost_decomp import compat_search, compat_table_row
-    from .enumeration import iter_avoiders_upto
+    from .almost_decomp import compat_table_row
 
     n = args.length
-    alternate = args.f_priority == "alternate"
-    anchor = parse_perm("1324")
-    patterns = [
-        p for p, _ in iter_avoiders_upto([anchor], n, n * (n - 1) // 2) if len(p) == n
-    ]
+    row = compat_table_row(n, alternate_priority=args.f_priority == "alternate")
     verdicts = []
-    for p in patterns:
-        v = compat_search(p, alternate_priority=alternate)
-        entry = {"pattern": format_perm(p), "verdict": v.verdict}
+    for v in row.verdicts:
+        entry = {"pattern": format_perm(v.pattern), "verdict": v.verdict}
         if v.witness is not None:
             entry["witness"] = {
                 "pi": format_perm(v.witness[0]),
@@ -207,7 +202,6 @@ def cmd_compat(args) -> int:
         Path(args.out).write_text(json.dumps(verdicts, indent=2) + "\n")
     compatible = [e["pattern"] for e in verdicts if e["verdict"].startswith("compatible")]
     print(f"compatible patterns of length {n}: {' '.join(sorted(compatible))}")
-    row = compat_table_row(n, alternate_priority=alternate)
     print()
     print("| n | suff. incompatible | CLB | nec. incompatible "
           "| nec. compatible | CUB | suff. compatible |")
@@ -221,19 +215,23 @@ def cmd_compat(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    from .series import named_gf
+    from .series import CATALOGUE, named_gf
 
+    if args.name.strip() not in CATALOGUE:
+        raise ValueError(f"unknown generating function {args.name!r}; "
+                         f"known: {', '.join(sorted(CATALOGUE))}")
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     series = named_gf(args.name, args.k)
     print(",".join(str(c) for c in series.coeffs))
     if not args.compare_table:
         return 0
     try:
-        parse_basis(args.name)
+        basis = parse_basis(args.name)
     except ValueError:
         print(f"{args.name!r} is not a pattern basis; nothing to compare", file=sys.stderr)
         return EXIT_BAD_INPUT
-    maxlen = max(len(tok) for tok in args.name.split(","))
-    n_needed = args.k + 2 + maxlen
+    n_needed = limit_depth(basis, args.k)
     table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     report = limit_report(table)
     ok = True
@@ -247,18 +245,14 @@ def cmd_gf(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .partitions import FAMILY_TESTS, indecomposable_avoiders, lambda_map, partitions_of
+    from .partitions import FAMILY_TESTS, family_sides
 
     partner = args.pattern
     if partner not in FAMILY_TESTS:
         print(f"no partition family registered for {partner}", file=sys.stderr)
         return EXIT_BIJECTION_MISMATCH
-    test = FAMILY_TESTS[partner]
-    basis = parse_basis(f"132,{partner}")
     failures = 0
-    for k in range(args.k + 1):
-        left = {lambda_map(p) for p in indecomposable_avoiders(basis, k)}
-        right = {lam for lam in partitions_of(k) if test(lam)}
+    for k, (left, right) in enumerate(family_sides(partner, FAMILY_TESTS[partner], args.k)):
         extra_left = left - right
         extra_right = right - left
         status = "ok" if not extra_left and not extra_right else "MISMATCH"
@@ -380,6 +374,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        # the pool starts every worker at once, so never ask for more than the CPUs
+        args.threads = min(args.threads, os.cpu_count() or 1)
         return args.fn(args)
     except ValueError as exc:
         # malformed patterns or out-of-range bounds from the command line

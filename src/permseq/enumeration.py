@@ -376,14 +376,18 @@ class LimitReport:
         return out
 
 
+def limit_depth(basis, k: int) -> int:
+    """k + 2 + (longest pattern length): a table this deep in n reaches c_k
+    whenever the basis has a limit sequence at all."""
+    return k + 2 + max(len(q) for q in pattern_basis(basis))
+
+
 def limit_report(table: CountTable, tail_window: int = 3) -> LimitReport:
     """Detect per-k stabilization of a(n, k) in n.
 
     A value is declared stabilized only when the last tail_window rows agree
-    and n_max is at least k + 2 + (longest pattern length), a sufficient
-    stabilization depth whenever the basis has a limit sequence at all.
+    and n_max is at least limit_depth(basis, k).
     """
-    maxlen = max(len(q) for q in table.basis)
     cs, ms, st = [], [], []
     for k in range(table.k_max + 1):
         col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
@@ -391,7 +395,7 @@ def limit_report(table: CountTable, tail_window: int = 3) -> LimitReport:
             len(col) >= tail_window
             and all(v == col[-1] for v in col[-tail_window:])
         )
-        deep_enough = table.n_max >= k + 2 + maxlen
+        deep_enough = table.n_max >= limit_depth(table.basis, k)
         if tail_ok and deep_enough:
             c = col[-1]
             m = table.n_max

@@ -293,20 +293,25 @@ FAMILY_TESTS: dict[str, Callable[[Sequence[int]], bool]] = {
 }
 
 
-def verify_family(partner: str, family_test, k_max: int) -> list[tuple[int, bool]]:
-    """Check Lambda(I_k(132, partner)) == {partitions of k passing the test}.
+def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, set]]:
+    """Yield, for k = 0..k_max, Lambda(I_k(132, partner)) and the set of
+    partitions of k passing the test.
 
     Both sides are produced independently: the left by enumerating
     indecomposable avoiders, the right by filtering all partitions of k.
-    Returns per-k results.
     """
     basis = [parse_perm("132"), parse_perm(partner)]
-    results = []
     for k in range(k_max + 1):
         left = {lambda_map(p) for p in indecomposable_avoiders(basis, k)}
         right = {lam for lam in partitions_of(k) if family_test(lam)}
-        results.append((k, left == right))
-    return results
+        yield left, right
+
+
+def verify_family(partner: str, family_test, k_max: int) -> list[tuple[int, bool]]:
+    """Check Lambda(I_k(132, partner)) == {partitions of k passing the test}
+    for every k <= k_max."""
+    return [(k, left == right)
+            for k, (left, right) in enumerate(family_sides(partner, family_test, k_max))]
 
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:

@@ -7,7 +7,6 @@ boundary conventions throughout the package.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -290,14 +289,6 @@ def _match_back(p, q, j, limit, chosen):
 
 def _back_roles(count, m):
     return range(m - 1, m - 1 - count, -1)
-
-
-def occurrences(p: Sequence[int], q: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All position tuples (0-based) carrying an occurrence of q in p."""
-    n, m = len(p), len(q)
-    for idxs in combinations(range(n), m):
-        if standardize([p[i] for i in idxs]) == tuple(q):
-            yield idxs
 
 
 def all_perms(n: int) -> Iterator[Perm]:

@@ -104,10 +104,7 @@ def partition_gf(order: int) -> TruncatedSeries:
 
 def distinct_parts_gf(order: int) -> TruncatedSeries:
     """prod_{i >= 1} (1 + x^i)."""
-    out = one(order)
-    for i in range(1, order + 1):
-        out = out * (one(order) + monomial(i, order))
-    return out
+    return _parts_bounded_distinct(order, order)
 
 
 def overpartition_gf(order: int) -> TruncatedSeries:

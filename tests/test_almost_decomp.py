@@ -196,6 +196,29 @@ def test_table4_rows_small(n):
     assert got == TABLE4[n]
 
 
+@pytest.mark.parametrize("alternate", (False, True))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_one_pass_witnesses(n, alternate):
+    row = compat_table_row(n, alternate_priority=alternate)
+    assert len(row.verdicts) == row.total
+    witnessed = [v for v in row.verdicts if v.witness is not None]
+    assert len(witnessed) == row.witness_incompatible
+    for v in witnessed:
+        pi, image = v.witness
+        assert n - 1 <= len(pi) <= n + 2, v
+        assert avoids(pi, [P1324, v.pattern]), v
+        assert f_map(pi, alternate_priority=alternate) == image, v
+        assert contains(image, v.pattern), v
+
+
+@pytest.mark.parametrize("alternate", (False, True))
+@pytest.mark.parametrize("n", (3, 4))
+def test_one_pass_matches_compat_search(n, alternate):
+    patterns = [p for p, _ in iter_avoiders_upto([P1324], n, n * (n - 1) // 2) if len(p) == n]
+    row = compat_table_row(n, alternate_priority=alternate)
+    assert list(row.verdicts) == [compat_search(p, alternate) for p in patterns]
+
+
 def test_1342_counterexample_structure():
     cex, preserved = check_1342_bound(6)
     assert preserved

@@ -230,6 +230,10 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["diff", "--basis", "1324", "--n", "4", "--k", "-1"],
     ["table", "--basis", "1324", "--n", "4", "--k", "4", "--threads", "0"],
     ["golden", "--all", "--threads", "-2"],
+    ["compat", "--length", "0"],
+    ["compat", "--length", "-2"],
+    ["gf", "--name", "12345"],
+    ["gf", "--name", "1324,1342", "--k", "-1"],
 ])
 def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert main(argv) == EXIT_BAD_INPUT == 1
@@ -237,3 +241,35 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
+    import os
+
+    import permseq.enumeration as enumeration
+
+    asked = []
+
+    class SerialPool:
+        """Runs the pool's jobs in this process and records the worker count."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["table", "--basis", "1324", "--n", "7", "--k", "6"]
+    assert main([*argv, "--threads", "100000"]) == 0
+    pooled = capsys.readouterr().out
+    assert asked == [3]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == pooled
