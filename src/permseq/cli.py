@@ -222,15 +222,15 @@ def cmd_gf(args) -> int:
                          f"known: {', '.join(sorted(CATALOGUE))}")
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
+    if args.compare_table:
+        try:
+            basis = parse_basis(args.name)
+        except ValueError:
+            raise ValueError(f"{args.name!r} is not a pattern basis; nothing to compare") from None
     series = named_gf(args.name, args.k)
     print(",".join(str(c) for c in series.coeffs))
     if not args.compare_table:
         return 0
-    try:
-        basis = parse_basis(args.name)
-    except ValueError:
-        print(f"{args.name!r} is not a pattern basis; nothing to compare", file=sys.stderr)
-        return EXIT_BAD_INPUT
     n_needed = limit_depth(basis, args.k)
     table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     report = limit_report(table)

@@ -15,6 +15,7 @@ from .perms import (
     components,
     from_lehmer,
     inverse,
+    is_decomposable,
     lehmer_code,
     parse_perm,
     reverse_complement,
@@ -95,22 +96,29 @@ def lambda_inverse(parts: Sequence[int]) -> Perm:
     return from_lehmer(code)
 
 
-def indecomposable_avoiders(basis, k: int) -> list[Perm]:
-    """I_k(basis): indecomposable basis-avoiders with exactly k inversions.
+def indecomposable_buckets(basis, k_max: int) -> list[list[Perm]]:
+    """[I_0(basis), ..., I_{k_max}(basis)] from one walk over
+    Av_{<=k_max+1}^{<=k_max}(basis).
 
-    Finite because an indecomposable permutation of length n has at least
-    n - 1 inversions; lengths range over 1..k+1.
+    I_k(basis) holds the indecomposable basis-avoiders with exactly k
+    inversions. An indecomposable permutation of length n has at least n - 1
+    inversions, so lengths up to k_max + 1 cover every bucket. Each bucket is
+    ordered by length, then lexicographically.
     """
-    from .enumeration import generate_avoiders
-    from .perms import inv_count, pattern_basis
+    from .enumeration import iter_avoiders_upto
 
-    basis = pattern_basis(basis)
-    out = []
-    for n in range(1, k + 2):
-        for p in generate_avoiders(basis, n, k):
-            if inv_count(p) == k and len(components(p)) == 1:
-                out.append(p)
-    return out
+    buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
+    for p, k in iter_avoiders_upto(basis, k_max + 1, k_max):
+        if not is_decomposable(p):
+            buckets[k].append(p)
+    for bucket in buckets:
+        bucket.sort(key=lambda p: (len(p), p))
+    return buckets
+
+
+def indecomposable_avoiders(basis, k: int) -> list[Perm]:
+    """I_k(basis): indecomposable basis-avoiders with exactly k inversions."""
+    return indecomposable_buckets(basis, k)[k] if k >= 0 else []
 
 
 # -- partition families ---------------------------------------------------
@@ -297,12 +305,12 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
     """Yield, for k = 0..k_max, Lambda(I_k(132, partner)) and the set of
     partitions of k passing the test.
 
-    Both sides are produced independently: the left by enumerating
-    indecomposable avoiders, the right by filtering all partitions of k.
+    Both sides are produced independently: the left from one walk over the
+    132- and partner-avoiders, the right by filtering all partitions of k.
     """
     basis = [parse_perm("132"), parse_perm(partner)]
-    for k in range(k_max + 1):
-        left = {lambda_map(p) for p in indecomposable_avoiders(basis, k)}
+    for k, bucket in enumerate(indecomposable_buckets(basis, k_max)):
+        left = {lambda_map(p) for p in bucket}
         right = {lam for lam in partitions_of(k) if family_test(lam)}
         yield left, right
 
@@ -316,15 +324,13 @@ def verify_family(partner: str, family_test, k_max: int) -> list[tuple[int, bool
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:
     """The map p -> rc(inverse(p)) carries I_k(213, 2431) onto I_k(132, 3241)."""
-    basis_a = [parse_perm("213"), parse_perm("2431")]
-    basis_b = [parse_perm("132"), parse_perm("3241")]
-    results = []
-    for k in range(k_max + 1):
-        image = {reverse_complement(inverse(p)) for p in indecomposable_avoiders(basis_a, k)}
-        target = set(indecomposable_avoiders(basis_b, k))
-        results.append((k, image == target))
-    return results
+    sources = indecomposable_buckets([parse_perm("213"), parse_perm("2431")], k_max)
+    targets = indecomposable_buckets([parse_perm("132"), parse_perm("3241")], k_max)
+    return [(k, {reverse_complement(inverse(p)) for p in source} == set(target))
+            for k, (source, target) in enumerate(zip(sources, targets))]
 
 
 def family_counts(test, k_max: int) -> list[int]:
+    """Family sizes by filtering every partition of k; a test oracle for the
+    closed forms and DPs in `series`."""
     return [sum(1 for lam in partitions_of(k) if test(lam)) for k in range(k_max + 1)]

@@ -7,6 +7,7 @@ boundary conventions throughout the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -210,38 +211,61 @@ def insert_value(p: Sequence[int], pos: int, value: int) -> Perm:
 # -- pattern containment -------------------------------------------------
 
 def contains(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff some subsequence of p is order-isomorphic to q."""
+    """True iff some subsequence of p is order-isomorphic to q.
+
+    Roles are filled left to right. Role j only has to fall strictly between
+    the values of its nearest earlier roles below and above it in value: the
+    earlier roles are already ordered among themselves, so that window orders
+    the new one against all of them.
+    """
     m = len(q)
     if m == 0:
         return True
-    if m > len(p):
+    n = len(p)
+    if m > n:
         return False
-    return _match(p, q, 0, len(p), [])
-
-
-def _match(p, q, j, limit, chosen):
-    # chosen[i] = (position, value) for pattern role i; roles filled left to
-    # right with a value-window prune against all earlier roles.
-    m = len(q)
-    start = chosen[-1][0] + 1 if chosen else 0
-    need = m - j
-    for pos in range(start, limit - need + 1):
-        v = p[pos]
-        ok = True
-        for (_, w), qi in zip(chosen, q):
-            if (v < w) != (q[j] < qi):
-                ok = False
+    below, above = _windows(q if isinstance(q, tuple) else tuple(q))
+    # val[j] is role j's value; val[m] and val[m + 1] stand for a missing
+    # neighbour below and above. nxt[j] is the next position to try for role j.
+    val = [0] * (m + 2)
+    val[m] = min(p) - 1
+    val[m + 1] = max(p) + 1
+    nxt = [0] * m
+    j = 0
+    while j >= 0:
+        lo = val[below[j]]
+        hi = val[above[j]]
+        i = nxt[j]
+        last = n - m + j
+        while i <= last:
+            v = p[i]
+            if lo < v < hi:
                 break
-        if not ok:
+            i += 1
+        else:
+            j -= 1
             continue
         if j + 1 == m:
             return True
-        chosen.append((pos, v))
-        if _match(p, q, j + 1, limit, chosen):
-            chosen.pop()
-            return True
-        chosen.pop()
+        val[j] = v
+        nxt[j] = i + 1
+        j += 1
+        nxt[j] = i + 1
     return False
+
+
+@lru_cache(maxsize=4096)
+def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each role j of q, the earlier role nearest below and nearest above
+    it in value (m and m + 1 when there is none), as indices into the value
+    list of `contains`."""
+    m = len(q)
+    below, above = [], []
+    for j in range(m):
+        earlier = range(j)
+        below.append(max((i for i in earlier if q[i] < q[j]), key=q.__getitem__, default=m))
+        above.append(min((i for i in earlier if q[i] > q[j]), key=q.__getitem__, default=m + 1))
+    return tuple(below), tuple(above)
 
 
 def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:

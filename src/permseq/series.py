@@ -4,6 +4,20 @@ Coefficients are Python integers, so no overflow is possible; arithmetic is
 closed at the truncation order (mismatched orders truncate to the shorter).
 Infinite products are truncated at factor index K, since factors beyond x^K
 only contribute above the truncation order.
+
+Every catalogue entry is computed without listing partitions:
+
+- products: P, 132 and 1324,1243 (prod 1/(1-x^i)), distinct
+  (prod (1+x^i)), 1324,1342 (overpartitions), 1324 and 1324,2413 (P^2),
+  1324,2143 (2P - 1);
+- closed forms (sums of products): 132,2341 (SPM), 132,3412 (convex
+  penny), 132,3421 (distinct except the smallest part), 132,4231 (convex),
+  132,4321 (at most two part sizes), 1324,1432 (dividers);
+- a transfer DP: 132,3241 (steep partitions);
+- the remaining 1324,p entries are squares or products of the above.
+
+`partitions.family_counts`, which filters every partition of k, is kept
+only as the test oracle for these.
 """
 
 from __future__ import annotations
@@ -187,21 +201,53 @@ def _distinct_except_smallest_gf(order: int) -> TruncatedSeries:
     return out
 
 
-def _enumerated_gf(partner: str, order: int) -> TruncatedSeries:
-    """Coefficients of C_{132,partner} by direct enumeration of the
-    partition family (used where no closed form is known)."""
-    from .partitions import FAMILY_TESTS, family_counts
-
-    test = FAMILY_TESTS[partner]
-    return from_coeffs(family_counts(test, order), order)
-
-
 def _steep_gf(order: int) -> TruncatedSeries:
-    return _enumerated_gf("3241", order)
+    """Steep partitions: each gap between consecutive distinct parts is at
+    least the multiplicity of the smaller part.
+
+    A transfer DP over the runs (value v, multiplicity m), smallest value
+    first. The state is (weight s, least admissible next value u); the empty
+    partition is the state (0, 1), and a run with v >= u moves (s, u) to
+    (s + v*m, v + m). Every state reached counts one partition of its weight.
+    """
+    # ways[s][u] for u <= order + 1, since v*m <= order implies v + m <= order + 1
+    ways = [[0] * (order + 2) for _ in range(order + 1)]
+    ways[0][1] = 1
+    coeffs = [0] * (order + 1)
+    for s, row in enumerate(ways):
+        for u, w in enumerate(row):
+            if not w:
+                continue
+            coeffs[s] += w
+            for v in range(u, order - s + 1):
+                for m in range(1, (order - s) // v + 1):
+                    ways[s + v * m][v + m] += w
+    return TruncatedSeries(tuple(coeffs))
 
 
 def _penny_gf(order: int) -> TruncatedSeries:
-    return _enumerated_gf("3412", order)
+    """Convex-penny partitions: no equal adjacent pair before a drop of two
+    or more, the last part dropping to zero.
+
+    Split by a, the value of the first (largest) repeated part. Without one
+    the parts are distinct: prod_{i>=1} (1 + x^i). Otherwise the parts above
+    a are distinct, and from the plateau at a on every drop is at most one,
+    down to zero. So each of a-1, ..., 1 appears and a appears at least
+    twice: those forced parts weigh a(a+1)/2 + a, and the rest of the parts
+    up to a are free:
+
+        prod(1+x^i) + sum_{a>=1} x^{a + a(a+1)/2} prod_{i<=a} 1/(1-x^i) prod_{i>a} (1+x^i).
+
+    Since (1+x^i)(1-x^i) = 1-x^{2i}, the a-th term is
+    x^{a + a(a+1)/2} prod_{i>=1} (1+x^i) prod_{i<=a} 1/(1-x^{2i}).
+    """
+    out = term = distinct_parts_gf(order)
+    a = 1
+    while a + a * (a + 1) // 2 <= order:
+        term = term * geometric(2 * a, order)
+        out = out + term.shift(a + a * (a + 1) // 2)
+        a += 1
+    return out
 
 
 _BASE: dict[str, Callable[[int], TruncatedSeries]] = {

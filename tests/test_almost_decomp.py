@@ -141,9 +141,9 @@ def test_compatible_patterns_length_5():
         "52341", "52431", "53241", "53421", "54231", "54321",
     }
     got = set()
-    for p in generate_avoiders([P1324], 5, 10):
-        if len(p) == 5 and compat_search(p).verdict.startswith("compatible"):
-            got.add("".join(map(str, p)))
+    for v in compat_table_row(5).verdicts:
+        if v.verdict.startswith("compatible"):
+            got.add("".join(map(str, v.pattern)))
     assert got == want
 
 
@@ -161,10 +161,9 @@ def test_compat_search_1324_containing():
 
 def test_verdict_lattice_consistency():
     for n in (3, 4, 5):
-        for p in generate_avoiders([P1324], n, n * (n - 1) // 2):
-            if len(p) != n:
-                continue
-            v = compat_search(p)
+        for v in compat_table_row(n).verdicts:
+            p = v.pattern
+            assert len(p) == n
             if v.verdict == "incompatible-by-theorem":
                 assert classify_sufficient(p) and classify_necessary(p)
             elif v.verdict == "incompatible-by-witness":
@@ -212,7 +211,7 @@ def test_one_pass_witnesses(n, alternate):
 
 
 @pytest.mark.parametrize("alternate", (False, True))
-@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("n", (3, 4, pytest.param(5, marks=pytest.mark.slow)))
 def test_one_pass_matches_compat_search(n, alternate):
     patterns = [p for p, _ in iter_avoiders_upto([P1324], n, n * (n - 1) // 2) if len(p) == n]
     row = compat_table_row(n, alternate_priority=alternate)

@@ -234,6 +234,7 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["compat", "--length", "-2"],
     ["gf", "--name", "12345"],
     ["gf", "--name", "1324,1342", "--k", "-1"],
+    ["gf", "--name", "P", "--k", "3", "--compare-table"],
 ])
 def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert main(argv) == EXIT_BAD_INPUT == 1

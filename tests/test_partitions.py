@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from permseq.enumeration import count_table, limit_report
+from permseq.enumeration import count_table, generate_avoiders, limit_report
 from permseq.partitions import (
     FAMILY_TESTS,
     family_counts,
     indecomposable_avoiders,
+    indecomposable_buckets,
     is_convex_4231,
     is_convex_penny,
     is_distinct_except_smallest,
@@ -72,6 +73,25 @@ def test_lambda_step_properties():
                 assert (padded[i] == padded[i + 1]) == (p[i] < p[i + 1])
                 if padded[i] > padded[i + 1]:
                     assert p[i + 1] == padded[i + 1] + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))).map(Perm),
+        min_size=1, max_size=3,
+    ),
+    st.integers(0, 8),
+)
+def test_indecomposable_buckets_match_per_length_filter(patterns, k_max):
+    buckets = indecomposable_buckets(patterns, k_max)
+    assert len(buckets) == k_max + 1
+    for k, bucket in enumerate(buckets):
+        # one generate_avoiders walk per length, as the buckets were once built
+        want = [p for n in range(1, k + 2) for p in generate_avoiders(patterns, n, k)
+                if inv_count(p) == k and len(components(p)) == 1]
+        assert bucket == want, (patterns, k)
+        assert indecomposable_avoiders(patterns, k) == want
 
 
 def test_lambda_bijection_counts():

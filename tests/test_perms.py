@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permseq.perms import (
     EMPTY,
@@ -171,6 +171,18 @@ def test_contains_matches_bruteforce(n):
     for p in all_perms(n):
         for q in patterns:
             assert contains(p, q) == brute_contains(p, q), (p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.integers(0, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
+)
+def test_contains_matches_bruteforce_random(p, q):
+    # the value-window fill against every subsequence, on lists and on Perms
+    want = brute_contains(p, q)
+    assert contains(p, q) == want
+    assert contains(Perm(p), Perm(q)) == want
 
 
 @pytest.mark.slow

@@ -99,9 +99,13 @@ def test_enumeration_backed_entries_match_family_counts():
 
 def test_closed_forms_match_enumeration_higher_order():
     # the product/double-sum truncations stay exact well past the table range
-    for partner in ("2341", "3412", "3421", "4231", "4321"):
+    for partner in ("2341", "3241", "3412", "3421", "4231", "4321"):
         gf = named_gf(f"132,{partner}", 20)
         assert list(gf.coeffs) == family_counts(FAMILY_TESTS[partner], 20), partner
+    # the steep DP and the convex-penny closed form, past the benchmark order
+    for partner in ("3241", "3412"):
+        gf = named_gf(f"132,{partner}", 24)
+        assert list(gf.coeffs) == family_counts(FAMILY_TESTS[partner], 24), partner
 
 
 def test_av_1324_1342_values():
