@@ -15,7 +15,8 @@ available behind a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
+
 from .perms import (
     Perm,
     avoids,
@@ -30,7 +31,6 @@ from .perms import (
     is_decomposable,
     parse_perm,
     reverse_complement,
-    standardize,
 )
 
 _P1324 = parse_perm("1324")
@@ -303,6 +303,55 @@ class CompatCounts:
     verdicts: tuple[CompatVerdict, ...]
 
 
+class Subpatterns:
+    """The length-n patterns contained in permutations, as int bitmasks.
+
+    Bit i stands for patterns[i], the i-th length-n pattern met. The mask
+    of p is memoised over one-point deletions: a single bit when
+    len(p) == n, 0 when len(p) < n, and otherwise the OR of the masks of p
+    with one entry deleted (every length-n pattern of p survives in some
+    such deletion, and each deletion's patterns are patterns of p).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.patterns: list[Perm] = []
+        self._masks: dict[tuple[int, ...], int] = {}
+
+    def mask(self, p: Sequence[int]) -> int:
+        got = self._masks.get(p)
+        if got is None:
+            if len(p) < self.n:
+                return 0
+            if len(p) == self.n:
+                got = 1 << len(self.patterns)
+                self.patterns.append(Perm(p))
+            else:
+                got = self._deletions(p)
+            self._masks[p] = got
+        return got
+
+    def _deletions(self, p: Sequence[int]) -> int:
+        """The OR of the masks of p with one entry deleted."""
+        got = 0
+        for i, v in enumerate(p):
+            got |= self.mask(tuple([x - (x > v) for x in p[:i] + p[i + 1:]]))
+        return got
+
+    def gained(self, pi: Sequence[int], image: Sequence[int]) -> list[Perm]:
+        """The length-n patterns of image that pi does not contain."""
+        # f is injective, so no image comes twice: only its deletions' masks
+        # are memoised, which keeps the memo to the lengths pi takes
+        whole = self._deletions(image) if len(image) > self.n else self.mask(image)
+        bits = whole & ~self.mask(pi)
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self.patterns[low.bit_length() - 1])
+            bits ^= low
+        return out
+
+
 def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     """Classify every pattern in Av_n(1324) in one pass over Av_{<=n+2}(1324).
 
@@ -310,8 +359,10 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     pattern p counts as witness-incompatible when some decomposable or
     almost decomposable pi in Av_m(1324, p), n-1 <= m <= n+2, has f(pi)
     containing p. Every such pi records the length-n patterns its image
-    gains; the first pi in walk order is the witness, the one compat_search
-    finds. The theorem columns assume the default priority; the reference
+    gains, read off as mask(f(pi)) & ~mask(pi) from the Subpatterns
+    bitmasks; the first pi in walk order is the witness, the one
+    compat_search finds. The walk streams, so only the masks' memo grows
+    with n. The theorem columns assume the default priority; the reference
     counts require it.
     """
     from .enumeration import iter_avoiders_upto
@@ -320,6 +371,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         raise ValueError(f"pattern length must be at least 1, got {n}")
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
+    subpatterns = Subpatterns(n)
     m_max = n + 2
     for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
         m = len(pi)
@@ -328,7 +380,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         if m < n - 1 or not f_domain(pi):
             continue
         image = f_map(pi, alternate_priority)
-        for p in _patterns_of_length(image, n) - _patterns_of_length(pi, n):
+        for p in subpatterns.gained(pi, image):
             witnesses.setdefault(p, (pi, image))
     suff = sum(1 for p in patterns if classify_sufficient(p))
     nec = sum(1 for p in patterns if classify_necessary(p))
@@ -345,12 +397,6 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         sufficient_compatible=total - suff,
         verdicts=tuple(_verdict(p, witnesses.get, alternate_priority) for p in patterns),
     )
-
-
-def _patterns_of_length(p: Perm, n: int) -> set[Perm]:
-    if n > len(p):
-        return set()
-    return {standardize([p[i] for i in idxs]) for idxs in combinations(range(len(p)), n)}
 
 
 # -- the 1342 companion ------------------------------------------------------

@@ -251,6 +251,8 @@ def cmd_bijection(args) -> int:
     if partner not in FAMILY_TESTS:
         print(f"no partition family registered for {partner}", file=sys.stderr)
         return EXIT_BIJECTION_MISMATCH
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     failures = 0
     for k, (left, right) in enumerate(family_sides(partner, FAMILY_TESTS[partner], args.k)):
         extra_left = left - right

@@ -214,14 +214,27 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
 
 
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
-    """Yield (perm, inv) for every avoider of length 1..n_max with inv <= k_max."""
+    """Yield (perm, inv) for every avoider of length 1..n_max with inv <= k_max.
+
+    The order is the walk's preorder. The walk streams: a node's children
+    are made (one level of _walk) only when the generator reaches that
+    node, so it holds the pending siblings of one path, never the tree.
+    """
     basis = pattern_basis(basis)
     plans, root = _start(basis)
     counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    out: list = []
-    _walk(((), 0, root), plans, n_max, k_max, counts, out)
-    for vals, k, _ in out:
-        yield Perm(vals), k
+    stack = [((), 0, root)]
+    while stack:
+        node = stack.pop()
+        vals, k, _ = node
+        if vals:
+            # a rank insertion keeps 1..t a permutation, so skip Perm's check
+            yield tuple.__new__(Perm, vals), k
+        if len(vals) < n_max:
+            top = len(stack)
+            _walk(node, plans, n_max, k_max, counts, stack, keep=len(vals) + 1)
+            # the first child is popped first
+            stack[top:] = stack[top:][::-1]
 
 
 # -- counting tables ------------------------------------------------------

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from permseq.almost_decomp import (
+    Subpatterns,
     almost_decomposable,
     check_1342_bound,
     classify_necessary,
@@ -24,6 +27,7 @@ from permseq.perms import (
     inverse,
     parse_basis,
     parse_perm,
+    standardize,
 )
 from permseq.series import overpartition_gf
 
@@ -208,6 +212,36 @@ def test_one_pass_witnesses(n, alternate):
         assert avoids(pi, [P1324, v.pattern]), v
         assert f_map(pi, alternate_priority=alternate) == image, v
         assert contains(image, v.pattern), v
+
+
+def _patterns_of_length(p, n):
+    """Oracle: the length-n patterns of p, standardizing every n-subset."""
+    return {standardize([p[i] for i in idxs]) for idxs in combinations(range(len(p)), n)}
+
+
+@pytest.mark.parametrize("alternate", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_subpattern_masks_match_oracle(n, alternate):
+    # every pi the one-pass classification reads: its mask, its image's mask
+    # and the patterns the image gains, against the subset oracle
+    subpatterns = Subpatterns(n)
+
+    def decode(mask):
+        return {p for i, p in enumerate(subpatterns.patterns) if mask >> i & 1}
+
+    m_max = n + 2
+    for pi, _ in iter_avoiders_upto([P1324], m_max, m_max * (m_max - 1) // 2):
+        if not f_domain(pi):
+            continue
+        image = f_map(pi, alternate_priority=alternate)
+        before = _patterns_of_length(pi, n)
+        after = _patterns_of_length(image, n)
+        gained = subpatterns.gained(pi, image)
+        assert decode(subpatterns.mask(pi)) == before, pi
+        assert decode(subpatterns.mask(image)) == after, image
+        assert len(gained) == len(set(gained))
+        assert set(gained) == after - before, pi
+    assert len(subpatterns.patterns) == len(set(subpatterns.patterns))
 
 
 @pytest.mark.parametrize("alternate", (False, True))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,7 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["gf", "--name", "12345"],
     ["gf", "--name", "1324,1342", "--k", "-1"],
     ["gf", "--name", "P", "--k", "3", "--compare-table"],
+    ["bijection", "--pattern", "2341", "--k", "-1"],
 ])
 def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert main(argv) == EXIT_BAD_INPUT == 1
@@ -242,6 +247,17 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    import permseq
+
+    src = str(Path(permseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "permseq", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"permseq {permseq.__version__}\n", "")
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch, capsys):

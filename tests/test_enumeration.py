@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from permseq.enumeration import (
     diagonal_limit,
     generate_avoiders,
     has_limit_sequence,
+    iter_avoiders_upto,
     limit_report,
     monotonicity_scan,
     row_differences,
@@ -131,6 +134,47 @@ def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
         want = _bad_ranks_brute(tau, basis, t)
         for r in range(max(1, t + 1 - (k_max - inv)), t + 2):
             assert bool(bad >> r & 1) == want[r], (tau, inv, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_st, st.integers(0, 7), st.integers(0, 21))
+def test_iter_avoiders_upto_matches_eager_walk(patterns, n_max, k_max):
+    # the streaming walk yields every node of the whole-tree walk, in its order
+    plans, root = _start(frozenset(patterns))
+    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    nodes: list = []
+    _walk(((), 0, root), plans, n_max, k_max, counts, nodes)
+    want = [(Perm(tau), inv) for tau, inv, _ in nodes]
+    got = list(iter_avoiders_upto(patterns, n_max, k_max))
+    assert got == want
+    assert all(type(p) is Perm for p, _ in got)
+
+
+def test_iter_avoiders_upto_streams(monkeypatch):
+    # Av_{<=14}(1324) is far too large to list: the first avoider must come
+    # after one level of the walk, and no call may list more than a level
+    import permseq.enumeration as enumeration
+
+    real_walk = enumeration._walk
+    keeps = []
+
+    class OneLevel(list):
+        def append(self, node):
+            assert len(self) <= 15, "the walk listed more than one level"
+            super().append(node)
+
+    def spy(node, plans, n_max, k_max, counts, out=None, keep=None):
+        keeps.append(keep)
+        nodes = OneLevel()
+        real_walk(node, plans, n_max, k_max, counts, nodes, keep)
+        out.extend(nodes)
+
+    monkeypatch.setattr(enumeration, "_walk", spy)
+    walk = iter_avoiders_upto(["1324"], 14, 91)
+    assert next(walk) == (Perm((1,)), 0)
+    assert keeps == [1]
+    assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
+    assert len(keeps) == 14
 
 
 def test_catalan_cross_check():
