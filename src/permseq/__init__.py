@@ -8,7 +8,6 @@ from .perms import (  # noqa: F401
     Perm,
     avoids,
     contains,
-    contains_ending_at,
     complement,
     components,
     delete,

@@ -4,12 +4,18 @@ companion patterns.
 
 A decomposable 1324-avoider splits as sigma (+) id_m (+) tau with sigma an
 indecomposable 132-avoider and tau an indecomposable 213-avoider; the map
-grows the identity run. An almost decomposable permutation becomes
-decomposable after deleting one boundary entry (first entry, value 1, last
-entry, or value n); the map removes that entry, grows the run, and puts the
-entry back. Case priority follows the original definition (first entry,
-then value 1, then the reverse-complement pair); the alternate priority is
-available behind a flag.
+grows the identity run, which is one new entry right after the first
+component. An almost decomposable permutation becomes decomposable after
+deleting one boundary entry (first entry, value 1, last entry, or value n);
+the map removes that entry, grows the run, and puts the entry back. Case
+priority follows the original definition (first entry, then value 1, then
+the reverse-complement pair); the alternate priority is available behind a
+flag.
+
+`_f` decides a 1324-avoider's case once and returns its image, or None
+outside the domain. The sweeps below walk inside Av(1324) and call it
+directly; `f_map` adds the 1324 check and the error, `f_domain` and
+`almost_decomposable` answer the membership questions on their own.
 """
 
 from __future__ import annotations
@@ -65,10 +71,21 @@ def decomp_form(p: Perm) -> DecompForm:
     return form
 
 
+def _grow(p: Sequence[int]) -> Perm:
+    """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a decomposable
+    p: the new entry goes right after the first component."""
+    high = 0
+    for i, v in enumerate(p):
+        high = max(high, v)
+        if high == i + 1:
+            break
+    return insert_value(p, i + 1, i + 2)
+
+
 def f_tilde(p: Perm) -> Perm:
     """Grow the middle identity run of a decomposable 1324-avoider by one."""
-    form = decomp_form(p)
-    return direct_sum(form.sigma, identity(form.m + 1), form.tau)
+    decomp_form(p)
+    return _grow(p)
 
 
 # -- almost decomposability ------------------------------------------------
@@ -104,35 +121,40 @@ def almost_decomposable(p: Perm, alternate_priority: bool = False) -> FCase | No
     return None
 
 
-def f_map(p: Perm, alternate_priority: bool = False) -> Perm:
-    """The injection on decomposable or almost decomposable 1324-avoiders."""
-    if not avoids(p, [_P1324]):
-        raise ValueError(f"{p!r} contains 1324")
+def _f(p: Sequence[int], alternate_priority: bool = False) -> Perm | None:
+    """f(p) for a 1324-avoider p, or None when p is neither decomposable nor
+    almost decomposable; p's case is decided once."""
     if is_decomposable(p):
-        return f_tilde(p)
+        return _grow(p)
     case = almost_decomposable(p, alternate_priority)
     if case is None:
-        raise ValueError(f"{p!r} is neither decomposable nor almost decomposable")
+        return None
     n = len(p)
+    grown = _grow(delete(p, [case.witness]))
     if case.tag == "F1":
         # keep the first entry, grow the rest
         assert not is_decomposable(delete(p, [1])), \
             "first-entry and value-1 deletions cannot both decompose"
-        grown = f_tilde(delete(p, [p[0]]))
         return insert_value(grown, 0, p[0])
     if case.tag == "F2":
-        grown = f_tilde(delete(p, [1]))
         return insert_value(grown, p.index(1), 1)
     if case.tag == "F3":
         # new last entry one above the old one
         assert not is_decomposable(delete(p, [n])), \
             "last-entry and value-n deletions cannot both decompose"
-        grown = f_tilde(delete(p, [p[-1]]))
         return insert_value(grown, n, p[-1] + 1)
     # F4: new maximum right after the old one
-    grown = f_tilde(delete(p, [n]))
-    pos_of_n = p.index(n)
-    return insert_value(grown, pos_of_n + 1, n + 1)
+    return insert_value(grown, p.index(n) + 1, n + 1)
+
+
+def f_map(p: Perm, alternate_priority: bool = False) -> Perm:
+    """The injection on decomposable or almost decomposable 1324-avoiders."""
+    if not avoids(p, [_P1324]):
+        raise ValueError(f"{p!r} contains 1324")
+    image = _f(p, alternate_priority)
+    if image is None:
+        raise ValueError(f"{p!r} is neither decomposable nor almost decomposable")
+    return image
 
 
 def f_domain(p: Perm) -> bool:
@@ -243,24 +265,21 @@ class CompatVerdict:
     witness: tuple[Perm, Perm] | None = None  # (pi, f(pi)) with f(pi) containing p
 
 
-def _verdict(p: Perm, witness_of, alternate_priority: bool) -> CompatVerdict:
-    """Combine both theorems with the witness search; witness_of(p) is the
-    (pi, f(pi)) found for p, or None, and is only asked for 1324-avoiders.
+def _verdict(p: Perm, witness, sufficient: bool, necessary: bool,
+             alternate_priority: bool) -> CompatVerdict:
+    """Combine both theorems with the witness search for a 1324-avoider p:
+    witness is the (pi, f(pi)) found for p, or None, and sufficient and
+    necessary are classify_sufficient(p) and classify_necessary(p).
 
     The theorems assume the default case priority; with the alternate
     priority only the witness search applies, so verdicts may degrade to
     unknown.
     """
-    if contains(p, _P1324):
-        # containment of 1324 is preserved by the map, so such patterns are
-        # always compatible
-        return CompatVerdict(p, "compatible-by-theorem")
-    witness = witness_of(p)
-    if not alternate_priority and classify_sufficient(p):
+    if not alternate_priority and sufficient:
         return CompatVerdict(p, "incompatible-by-theorem", witness)
     if witness is not None:
         return CompatVerdict(p, "incompatible-by-witness", witness)
-    if not alternate_priority and not classify_necessary(p):
+    if not alternate_priority and not necessary:
         return CompatVerdict(p, "compatible-by-theorem")
     return CompatVerdict(p, "unknown")
 
@@ -273,18 +292,22 @@ def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
     """
     from .enumeration import iter_avoiders_upto
 
-    def first_witness(q: Perm):
-        n = len(q)
-        m_max = n + 2
-        for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
-            if len(pi) < n - 1 or not f_domain(pi) or contains(pi, q):
-                continue
-            image = f_map(pi, alternate_priority)
-            if contains(image, q):
-                return (pi, image)
-        return None
-
-    return _verdict(p, first_witness, alternate_priority)
+    if contains(p, _P1324):
+        # containment of 1324 is preserved by the map, so such patterns are
+        # always compatible
+        return CompatVerdict(p, "compatible-by-theorem")
+    n = len(p)
+    m_max = n + 2
+    witness = None
+    for pi, _k in iter_avoiders_upto([_P1324], m_max, m_max * (m_max - 1) // 2):
+        if len(pi) < n - 1 or not f_domain(pi) or contains(pi, p):
+            continue
+        image = f_map(pi, alternate_priority)
+        if contains(image, p):
+            witness = (pi, image)
+            break
+    return _verdict(p, witness, classify_sufficient(p), classify_necessary(p),
+                    alternate_priority)
 
 
 @dataclass(frozen=True)
@@ -377,25 +400,31 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         m = len(pi)
         if m == n:
             patterns.append(pi)
-        if m < n - 1 or not f_domain(pi):
+        if m < n - 1:
             continue
-        image = f_map(pi, alternate_priority)
+        image = _f(pi, alternate_priority)
+        if image is None:
+            continue
         for p in subpatterns.gained(pi, image):
             witnesses.setdefault(p, (pi, image))
-    suff = sum(1 for p in patterns if classify_sufficient(p))
-    nec = sum(1 for p in patterns if classify_necessary(p))
+    suff = [classify_sufficient(p) for p in patterns]
+    nec = [classify_necessary(p) for p in patterns]
+    n_suff, n_nec = sum(suff), sum(nec)
     wit = sum(1 for p in patterns if p in witnesses)
     total = len(patterns)
     return CompatCounts(
         n=n,
         total=total,
-        sufficient_incompatible=suff,
+        sufficient_incompatible=n_suff,
         witness_incompatible=wit,
-        necessary_incompatible=nec,
-        necessary_compatible=total - nec,
+        necessary_incompatible=n_nec,
+        necessary_compatible=total - n_nec,
         witness_compatible=total - wit,
-        sufficient_compatible=total - suff,
-        verdicts=tuple(_verdict(p, witnesses.get, alternate_priority) for p in patterns),
+        sufficient_compatible=total - n_suff,
+        verdicts=tuple(
+            _verdict(p, witnesses.get(p), s, c, alternate_priority)
+            for p, s, c in zip(patterns, suff, nec)
+        ),
     )
 
 
@@ -415,9 +444,9 @@ def check_1342_bound(n_max: int):
     counterexamples: dict[int, list[tuple[Perm, int]]] = {n: [] for n in range(1, n_max + 1)}
     preserved = True
     for pi, k in iter_avoiders_upto([_P1324], n_max, n_max * (n_max - 1) // 2):
-        if not f_domain(pi):
+        image = _f(pi)
+        if image is None:
             continue
-        image = f_map(pi)
         has_before = contains(pi, _P1342)
         has_after = contains(image, _P1342)
         if has_before and not has_after:
@@ -442,10 +471,8 @@ def difference_sets(n: int, k: int):
 
     basis = [_P1324, _P1342]
     big = [s for s in generate_avoiders(basis, n + 1, k) if inv_count(s) == k]
-    image = set()
-    for pi in generate_avoiders(basis, n, k):
-        if inv_count(pi) == k and f_domain(pi):
-            image.add(f_map(pi))
+    # None, for pi outside f's domain, matches no member of big
+    image = {_f(pi) for pi in generate_avoiders(basis, n, k) if inv_count(pi) == k}
     rest = [s for s in big if s not in image]
     r1, r2, r3 = [], [], []
     for s in rest:

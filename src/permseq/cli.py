@@ -169,17 +169,17 @@ def cmd_monotone(args) -> int:
 
 def cmd_limit(args) -> int:
     table = cached_count_table(args.basis, args.n, args.k, args.cache_dir, args.threads)
-    report = limit_report(table, tail_window=args.tail_window)
+    report = limit_report(table)
     for k in range(report.k_max + 1):
         if report.status[k] == "stabilized":
             print(f"k={k}: c_k={report.c[k]} from n={report.m[k]}")
         else:
             print(f"k={k}: unstable within range (last value {report.c[k]})")
     if args.secondary:
-        rep = diagonal_limit(row_differences(table), tail_window=args.tail_window)
+        rep = diagonal_limit(row_differences(table))
         print("secondary:", " ".join(map(str, rep.stabilized_from_first_nonzero())))
     if args.tertiary:
-        rep = diagonal_limit(second_differences(table), tail_window=args.tail_window)
+        rep = diagonal_limit(second_differences(table))
         print("tertiary:", " ".join(map(str, rep.stabilized_from_first_nonzero())))
     return 0
 
@@ -271,10 +271,6 @@ def cmd_bijection(args) -> int:
 def cmd_inject(args) -> int:
     from .injections import inject_1324_231_full
 
-    basis = parse_basis(args.basis)
-    if basis != parse_basis("1324,231"):
-        print("only the basis 1324,231 has an explicit injection", file=sys.stderr)
-        return EXIT_BAD_INPUT
     p = parse_perm(args.perm)
     res = inject_1324_231_full(p)
     print(format_perm(res.image))
@@ -286,8 +282,16 @@ def cmd_inject(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input (one line, exit 1)
+    instead of argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permseq",
         description="Pattern-avoiding permutations counted by inversions: "
         "tables, limit sequences, injections and partition bijections.",
@@ -295,76 +299,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, basis=True):
-        if basis:
-            p.add_argument("--basis", required=True,
-                           help="comma-separated patterns, e.g. 1324,1342")
-        p.add_argument("--cache-dir", default=None,
-                       help=f"cache directory (or ${CACHE_ENV})")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--f-priority", choices=("paper", "alternate"), default="paper",
-                       help="case priority of the almost-decomposable map")
+    def engine_flags(p, cache=True):
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for the table walk (at most the CPU count)")
+        if cache:
+            p.add_argument("--cache-dir", default=None,
+                           help=f"cache directory (or ${CACHE_ENV})")
+
+    def table_flags(p):
+        p.add_argument("--basis", required=True,
+                       help="comma-separated patterns, e.g. 1324,1342")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        engine_flags(p)
 
     p = sub.add_parser("table", help="compute a counting table")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    table_flags(p)
     p.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("diff", help="row differences of a counting table")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    table_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("golden", help="regression against the embedded tables")
-    common(p, basis=False)
+    engine_flags(p, cache=False)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--partner", help="companion pattern, e.g. 1342")
     p.set_defaults(fn=cmd_golden)
 
     p = sub.add_parser("monotone", help="scan a table for monotonicity violations")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    table_flags(p)
     p.set_defaults(fn=cmd_monotone)
 
     p = sub.add_parser("limit", help="limit sequence detection")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tail-window", type=int, default=3)
+    table_flags(p)
     p.add_argument("--secondary", action="store_true")
     p.add_argument("--tertiary", action="store_true")
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("compat", help="compatibility classification of patterns")
-    common(p, basis=False)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out", help="write verdicts as JSON")
+    p.add_argument("--f-priority", choices=("paper", "alternate"), default="paper",
+                   help="case priority of the almost-decomposable map")
     p.set_defaults(fn=cmd_compat)
 
     p = sub.add_parser("gf", help="limit generating function coefficients")
-    common(p, basis=False)
     p.add_argument("--name", required=True, help="catalogue name, e.g. 1324,1342")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--compare-table", action="store_true")
+    engine_flags(p)
     p.set_defaults(fn=cmd_gf)
 
     p = sub.add_parser("bijection", help="partition-family bijection check")
-    common(p, basis=False)
     p.add_argument("--pattern", required=True, help="companion of 132, e.g. 2341")
     p.add_argument("--k", type=int, default=12)
     p.set_defaults(fn=cmd_bijection)
 
-    p = sub.add_parser("inject", help="apply the explicit injection to one permutation")
-    common(p, basis=False)
-    p.add_argument("--basis", default="1324,231")
+    p = sub.add_parser("inject", help="apply the {1324, 231} injection to one permutation")
     p.add_argument("--perm", required=True)
     p.set_defaults(fn=cmd_inject)
 
@@ -372,15 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        # the pool starts every worker at once, so never ask for more than the CPUs
-        args.threads = min(args.threads, os.cpu_count() or 1)
+        args = build_parser().parse_args(argv)
+        if "threads" in args:
+            if args.threads < 1:
+                raise ValueError(f"--threads must be at least 1, got {args.threads}")
+            # the pool starts every worker at once, so never ask for more than the CPUs
+            args.threads = min(args.threads, os.cpu_count() or 1)
         return args.fn(args)
     except ValueError as exc:
-        # malformed patterns or out-of-range bounds from the command line
+        # usage errors, malformed patterns or out-of-range bounds
         print(f"permseq: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -38,8 +38,9 @@ from typing import Sequence
 
 from .perms import (
     Perm,
+    avoids,
     basis_key,
-    contains_ending_at,
+    contains,
     inv_count,
     inverse,
     pattern_basis,
@@ -130,11 +131,15 @@ def _fill(tau, plan, floor, bad):
 
 
 def _bad_ranks_brute(tau, patterns, t):
-    """Reference for the bad-rank masks via contains_ending_at: bad[r] for r in 1..t+1."""
+    """Reference for the bad-rank masks: bad[r] for r in 1..t+1.
+
+    tau avoids the patterns, so any occurrence in tau + r uses the new entry.
+    """
+    assert avoids(tau, patterns), tau
     bad = [False] * (t + 2)
     for r in range(1, t + 2):
         child = [v + 1 if v >= r else v for v in tau] + [r]
-        bad[r] = any(contains_ending_at(child, q) for q in patterns)
+        bad[r] = any(contains(child, q) for q in patterns)
     return bad
 
 
@@ -296,7 +301,7 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
 
 def brute_table(basis, n_max: int, k_max: int) -> CountTable:
     """Oracle table built by filtering all of S_n; for cross-checks only."""
-    from .perms import all_perms, avoids
+    from .perms import all_perms
 
     basis = pattern_basis(basis)
     rows = []
@@ -380,14 +385,6 @@ class LimitReport:
     m: tuple[int | None, ...]
     status: tuple[str, ...]  # "stabilized" | "unstable-within-range"
 
-    def stabilized_prefix(self) -> list[int]:
-        out = []
-        for k in range(self.k_max + 1):
-            if self.status[k] != "stabilized":
-                break
-            out.append(self.c[k])
-        return out
-
 
 def limit_depth(basis, k: int) -> int:
     """k + 2 + (longest pattern length): a table this deep in n reaches c_k
@@ -395,18 +392,23 @@ def limit_depth(basis, k: int) -> int:
     return k + 2 + max(len(q) for q in pattern_basis(basis))
 
 
-def limit_report(table: CountTable, tail_window: int = 3) -> LimitReport:
+# Rows (or diagonal cells) that must agree at the end of a column before its
+# value counts as stabilized.
+TAIL_WINDOW = 3
+
+
+def limit_report(table: CountTable) -> LimitReport:
     """Detect per-k stabilization of a(n, k) in n.
 
-    A value is declared stabilized only when the last tail_window rows agree
+    A value is declared stabilized only when the last TAIL_WINDOW rows agree
     and n_max is at least limit_depth(basis, k).
     """
     cs, ms, st = [], [], []
     for k in range(table.k_max + 1):
         col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
         tail_ok = (
-            len(col) >= tail_window
-            and all(v == col[-1] for v in col[-tail_window:])
+            len(col) >= TAIL_WINDOW
+            and all(v == col[-1] for v in col[-TAIL_WINDOW:])
         )
         deep_enough = table.n_max >= limit_depth(table.basis, k)
         if tail_ok and deep_enough:
@@ -447,7 +449,7 @@ class DiagonalReport:
         return seq
 
 
-def diagonal_limit(matrix: Sequence[Sequence[int]], tail_window: int = 3) -> DiagonalReport:
+def diagonal_limit(matrix: Sequence[Sequence[int]]) -> DiagonalReport:
     """Stabilization of the diagonals m(n, k) with k - n fixed.
 
     matrix rows are indexed by n = 1.., columns by k = 0..; entries beyond a
@@ -464,9 +466,9 @@ def diagonal_limit(matrix: Sequence[Sequence[int]], tail_window: int = 3) -> Dia
             for n in range(1, n_rows + 1)
             if 0 <= n + off < k_cols
         ]
-        if len(cells) < tail_window:
+        if len(cells) < TAIL_WINDOW:
             continue
-        tail = cells[-tail_window:]
+        tail = cells[-TAIL_WINDOW:]
         offsets.append(off)
         if all(v == tail[-1][1] for _, v in tail):
             values.append(tail[-1][1])

@@ -273,48 +273,6 @@ def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:
     return not any(contains(p, q) for q in basis)
 
 
-def contains_ending_at(prefix: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff some occurrence of q in prefix uses the final position.
-
-    This is the incremental check used when a permutation is built left to
-    right: testing it after every append detects exactly the prefixes that
-    contain q.
-    """
-    m = len(q)
-    n = len(prefix)
-    if m == 0:
-        return True
-    if m > n:
-        return False
-    last = prefix[-1]
-    # Roles are filled backwards from q_m (pinned to the last position).
-    return _match_back(prefix, q, m - 2, n - 1, [(n - 1, last)])
-
-
-def _match_back(p, q, j, limit, chosen):
-    if j < 0:
-        return True
-    for pos in range(limit - 1, j - 1, -1):
-        v = p[pos]
-        ok = True
-        for (_, w), idx in zip(chosen, _back_roles(len(chosen), len(q))):
-            if (v < w) != (q[j] < q[idx]):
-                ok = False
-                break
-        if not ok:
-            continue
-        chosen.append((pos, v))
-        if _match_back(p, q, j - 1, pos, chosen):
-            chosen.pop()
-            return True
-        chosen.pop()
-    return False
-
-
-def _back_roles(count, m):
-    return range(m - 1, m - 1 - count, -1)
-
-
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order (test oracle; n should stay small)."""
     from itertools import permutations

@@ -4,6 +4,8 @@ import pytest
 
 from permseq.almost_decomp import (
     Subpatterns,
+    _f,
+    _grow,
     almost_decomposable,
     check_1342_bound,
     classify_necessary,
@@ -22,7 +24,9 @@ from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_up
 from permseq.perms import (
     avoids,
     contains,
+    direct_sum,
     identity,
+    is_decomposable,
     inv_count,
     inverse,
     parse_basis,
@@ -51,6 +55,30 @@ def test_f_tilde_examples():
     assert f_tilde(parse_perm("132")) == parse_perm("1243")
     assert f_tilde(identity(5)) == identity(6)
     assert f_tilde(parse_perm("2143")) == parse_perm("21354")
+
+
+def test_growth_matches_decomp_form():
+    # one insertion after the first component against the old rebuild
+    # sigma (+) id_{m+1} (+) tau from the decomposition
+    seen = 0
+    for p, _ in iter_avoiders_upto([P1324], 8, 28):
+        if not is_decomposable(p):
+            continue
+        form = decomp_form(p)
+        want = direct_sum(form.sigma, identity(form.m + 1), form.tau)
+        assert _grow(p) == want, p
+        assert f_tilde(p) == want, p
+        seen += 1
+    assert seen > 1000
+
+
+@pytest.mark.parametrize("alternate", (False, True))
+def test_f_core_is_none_exactly_off_domain(alternate):
+    for pi, k in iter_avoiders_upto([P1324], 8, 28):
+        image = _f(pi, alternate)
+        assert (image is None) == (not f_domain(pi)), pi
+        if image is not None:
+            assert len(image) == len(pi) + 1 and inv_count(image) == k, pi
 
 
 def test_almost_decomposable_cases():

@@ -240,6 +240,11 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["gf", "--name", "1324,1342", "--k", "-1"],
     ["gf", "--name", "P", "--k", "3", "--compare-table"],
     ["bijection", "--pattern", "2341", "--k", "-1"],
+    ["golden", "--all", "--bogus"],
+    ["compat"],
+    ["table", "--basis", "1324", "--n", "x", "--k", "3"],
+    ["compat", "--length", "3", "--threads", "2"],
+    ["limit", "--basis", "1324", "--n", "9", "--k", "3", "--tail-window", "3"],
 ])
 def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert main(argv) == EXIT_BAD_INPUT == 1
@@ -247,6 +252,14 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compat", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_python_dash_m_runs_the_cli():

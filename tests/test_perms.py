@@ -12,7 +12,6 @@ from permseq.perms import (
     complement,
     components,
     contains,
-    contains_ending_at,
     delete,
     direct_sum,
     format_perm,
@@ -201,25 +200,6 @@ def test_contains_matches_bruteforce_large(n):
         else:
             for p in all_perms(n):
                 assert contains(p, q) == brute_contains(p, q), (p, q)
-
-
-def test_contains_ending_at_examples():
-    assert contains_ending_at(parse_perm("132"), parse_perm("132"))
-    assert not contains_ending_at(parse_perm("132"), parse_perm("1324"))
-    assert contains_ending_at(parse_perm("31524"), parse_perm("132"))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_contains_ending_at_bruteforce(n):
-    patterns = [q for m in (1, 2, 3, 4) for q in all_perms(m)]
-    for p in all_perms(n):
-        for q in patterns:
-            want = any(
-                idx[-1] == n - 1
-                and standardize([p[i] for i in idx]) == tuple(q)
-                for idx in combinations(range(n), len(q))
-            )
-            assert contains_ending_at(p, q) == want, (p, q)
 
 
 def test_weakly_decreasing_code_iff_avoids_132():
