@@ -3,8 +3,9 @@
 The generator walks the tree whose nodes are exactly the avoiders with at
 most k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
-adds t+1-r inversions. The whole counting table for all lengths up to n_max
-falls out of a single walk.
+adds t+1-r inversions. `generate_avoiders` and `iter_avoiders_upto` list
+its nodes; `count_table` walks only the part of it that leads to
+indecomposable avoiders and counts the rest by direct sums (below).
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -28,10 +29,40 @@ last position. A child is derived from its parent's mask, not recomputed:
   skips them. An interval reaching the floor needs the body role valued
   q[-1] + 1 at or above it, and every role valued q[-1] + 1 + d at least d
   above it, which prunes the fill on long, nearly sorted permutations.
+
+Counting tables by components. Every permutation is a unique direct sum
+c_1 (+) ... (+) c_m of indecomposables, with inv and length additive, and
+an indecomposable with k inversions has length at most k+1. So the table
+needs only the indecomposable avoiders with at most k_max inversions, which
+the pruned walk finds with two more masks per node:
+
+- Split-point mask. Bit s is set when the first s entries are 1..s. A child
+  appending rank r keeps the parent's splits below r and adds its own
+  length t+1; it is indecomposable iff its lowest split is t+1. A
+  decomposable child whose first component has length s1 only becomes
+  indecomposable after some later entry lands at rank <= s1, which costs at
+  least t+2-s1 inversions, so it is skipped when inv + t+2-s1 > k_max.
+- Tracked-pattern masks. An occurrence of an indecomposable pattern lies in
+  one component, so a basis pattern q = q_1 (+) ... (+) q_s can only be
+  spread over several components through its consecutive sums
+  q_j (+) ... (+) q_j'. Each such sum of length >= 2 that is not itself in
+  the basis gets its own bad-rank mask, inherited and filled as above, and
+  each node a "contains" bit for it; once the bit is set the mask is
+  dropped.
+
+Each indecomposable is tallied by (length, inv, contained tracked sums).
+For every decomposable basis pattern, a sequence of components is read by
+the greedy prefix automaton: from state j a component moves to the largest
+j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and reaching s
+means q is contained. A DP over (state, n, k) then sums the sequences of
+components for every row, so the walk never goes deeper than k_max+1 and
+the table costs about the same for any n_max.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +71,9 @@ from .perms import (
     Perm,
     avoids,
     basis_key,
+    components,
     contains,
+    direct_sum,
     inv_count,
     inverse,
     pattern_basis,
@@ -52,7 +85,7 @@ MAX_BUDGET = 200
 
 # Identifies the counting engine in cache entries; bump it whenever a change
 # could alter a computed table, so that older entries are recomputed.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 
 # -- bad ranks ------------------------------------------------------------
@@ -151,50 +184,81 @@ def _start(basis):
     return plans, 2 if any(len(q) == 1 for q in basis) else 0
 
 
-def _walk(node, plans, n_max, k_max, counts, out=None, keep=None):
-    """Walk the subtree below node = (values, inv, bad mask) down to length n_max.
+def _walk(node, plans, n_max, k_max, out=None, keep=None, tracked=None, tally=None):
+    """Walk the subtree below node down to length n_max.
 
-    Every child of length t adds one to counts[t][inv]. With `out`, child
-    nodes are appended as (values, inv, bad mask) — the mask is None at
-    length n_max — either all of them or, with `keep`, those of length keep,
-    below which the walk then goes no deeper.
+    With `out`, child nodes are appended, either all of them or, with
+    `keep`, those of length keep, below which the walk then goes no deeper.
+    A node is (values, inv, bad mask); the mask is None at length n_max.
+
+    With `tracked` (fill plans of the tracked patterns) and a `tally`, the
+    walk is the pruned walk of indecomposables: a node is (values, inv,
+    bad, splits, seen, tracked masks) with bit i of seen set when the node
+    contains tracked pattern i, a decomposable child that has no
+    indecomposable descendant within the budget is skipped, and each
+    indecomposable child adds one to tally[length, inv, seen].
     """
 
-    def visit(tau, inv, bad):
+    every = (1 << len(tracked)) - 1 if tracked is not None else 0
+
+    def visit(tau, inv, bad, splits, seen, masks):
         t = len(tau)
         floor = t + 1 - (k_max - inv)
         if floor < 1:
             floor = 1
-        row = counts[t + 1]
-        if t + 1 == n_max and out is None:
-            for r in range(floor, t + 2):
-                if not bad >> r & 1:
-                    row[inv + t + 1 - r] += 1
-            return
+        last = t + 1 == n_max
+        child_splits = child_seen = 0
         for r in range(floor, t + 2):
             if bad >> r & 1:
                 continue
             added = inv + t + 1 - r
-            row[added] += 1
+            if tracked is not None:
+                # the parent's splits below r survive, and the child is a split
+                child_splits = (splits & ((1 << r) - 1)) | (1 << (t + 1))
+                first = child_splits & -child_splits
+                child_seen = seen
+                if seen != every:
+                    for i, mask in enumerate(masks):
+                        if mask >> r & 1:
+                            child_seen |= 1 << i
+                if first >> (t + 1):
+                    tally[t + 1, added, child_seen] += 1
+                elif added + t + 3 - first.bit_length() > k_max:
+                    # merging the first component needs a later entry below
+                    # it, which costs at least t + 2 - s1 inversions
+                    continue
+                if last and out is None:
+                    continue
             child = [v + 1 if v >= r else v for v in tau]
             child.append(r)
-            child_bad = None
-            if t + 1 < n_max:
+            child_bad = child_masks = None
+            if not last:
                 # bits >= r move up one; bit r stays clear, as it was in the parent
-                child_bad = (bad & ((1 << r) - 1)) | (bad >> r << (r + 1))
+                low = (1 << r) - 1
+                child_bad = (bad & low) | (bad >> r << (r + 1))
                 child_floor = t + 2 - (k_max - added)
                 if child_floor < 1:
                     child_floor = 1
                 for plan in plans:
                     child_bad = _fill(child, plan, child_floor, child_bad)
+                if tracked is not None:
+                    # a tracked pattern the child contains needs no mask
+                    child_masks = masks if child_seen == every else tuple(
+                        0 if child_seen >> i & 1 else
+                        _fill(child, plan, child_floor, (mask & low) | (mask >> r << (r + 1)))
+                        for i, (plan, mask) in enumerate(zip(tracked, masks))
+                    )
             if out is not None and (keep is None or keep == t + 1):
-                out.append((tuple(child), added, child_bad))
-            if t + 1 < n_max and t + 1 != keep:
-                visit(child, added, child_bad)
+                out.append((tuple(child), added, child_bad) if tracked is None else
+                           (tuple(child), added, child_bad, child_splits, child_seen, child_masks))
+            if not last and t + 1 != keep:
+                visit(child, added, child_bad, child_splits, child_seen, child_masks)
 
-    tau, inv, bad = node
-    if len(tau) < n_max:
-        visit(list(tau), inv, bad)
+    if len(node[0]) < n_max:
+        if tracked is None:
+            visit(list(node[0]), node[1], node[2], 0, 0, None)
+        else:
+            visit(list(node[0]), *node[1:])
 
 
 def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
@@ -212,9 +276,8 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     if n == 0:
         return [Perm()]
     plans, root = _start(basis)
-    counts = [[0] * (k_max + 1) for _ in range(n + 1)]
     out: list = []
-    _walk(((), 0, root), plans, n, k_max, counts, out, keep=n)
+    _walk(((), 0, root), plans, n, k_max, out, keep=n)
     return [Perm(vals) for vals in sorted(vals for vals, _, _ in out)]
 
 
@@ -227,7 +290,6 @@ def iter_avoiders_upto(basis, n_max: int, k_max: int):
     """
     basis = pattern_basis(basis)
     plans, root = _start(basis)
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
     stack = [((), 0, root)]
     while stack:
         node = stack.pop()
@@ -237,9 +299,113 @@ def iter_avoiders_upto(basis, n_max: int, k_max: int):
             yield tuple.__new__(Perm, vals), k
         if len(vals) < n_max:
             top = len(stack)
-            _walk(node, plans, n_max, k_max, counts, stack, keep=len(vals) + 1)
+            _walk(node, plans, n_max, k_max, stack, keep=len(vals) + 1)
             # the first child is popped first
             stack[top:] = stack[top:][::-1]
+
+
+def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
+    """(perm, inv) for every indecomposable basis-avoider with inv <= k_max.
+
+    An indecomposable permutation of length n has at least n - 1
+    inversions, so the pruned walk stops at length k_max + 1. The order is
+    the walk's preorder.
+    """
+    plans, root = _start(pattern_basis(basis))
+    nodes: list = []
+    _walk(((), 0, root, 0, 0, ()), plans, k_max + 1, k_max, nodes, tracked=(), tally=Counter())
+    return [(tuple.__new__(Perm, vals), inv) for vals, inv, _, splits, _, _ in nodes
+            if splits == 1 << len(vals)]
+
+
+# -- the component automaton ----------------------------------------------
+
+def _automaton(basis):
+    """(tracked, start, step) for the component sequences of a basis.
+
+    Only a decomposable basis pattern can spread over several components:
+    an occurrence of an indecomposable pattern lies inside one component.
+    For each decomposable q = q_1 (+) ... (+) q_s, a state holds the
+    longest prefix q_1 (+) ... (+) q_j matched so far, and a component takes
+    it greedily to the largest j' with q_{j+1} (+) ... (+) q_{j'} contained
+    in it. `tracked` lists the consecutive sums a component may or may not
+    contain: length >= 2 (it contains every length-1 sum) and not in the
+    basis (it contains none of those). step(state, seen) is the state after
+    a component that contains exactly the tracked patterns with a bit in
+    `seen`, or None once some pattern is complete.
+    """
+    chains = [c for c in map(components, sorted(basis)) if len(c) > 1]
+    sums = {direct_sum(*c[i:j]) for c in chains
+            for i in range(len(c)) for j in range(i + 1, len(c) + 1)}
+    tracked = sorted(q for q in sums - basis if len(q) > 1)
+    index = {q: i for i, q in enumerate(tracked)}
+    never = 1 << len(tracked)  # a bit no component's `seen` has
+    # needs[c][j][j2]: the seen bits meaning q_{j+1} (+) ... (+) q_{j2} is contained
+    needs = []
+    for chain in chains:
+        rows = []
+        for j in range(len(chain)):
+            row = {}
+            for j2 in range(j + 1, len(chain) + 1):
+                q = direct_sum(*chain[j:j2])
+                row[j2] = 0 if len(q) == 1 else never if q in basis else 1 << index[q]
+            rows.append(row)
+        needs.append(rows)
+
+    def step(state, seen):
+        out = []
+        for rows, j in zip(needs, state):
+            row = rows[j]
+            j2 = j
+            while j2 < len(rows) and seen & row[j2 + 1] == row[j2 + 1]:
+                j2 += 1
+            if j2 == len(rows):
+                return None
+            out.append(j2)
+        return tuple(out)
+
+    return tracked, (0,) * len(chains), step
+
+
+def _component_rows(start, step, tally, n_max, k_max):
+    """Rows 1..n_max of the table from the class tally of the indecomposables.
+
+    f[state][n] counts the component sequences of total length n that leave
+    the automaton in `state`, one count per inversion number. A row over k is
+    packed into one integer with `width` bits per inversion number: every
+    slot, also the discarded ones above k_max, counts distinct permutations
+    of length <= n_max, so it stays below n_max! < 2**width and never carries.
+    """
+    width = math.factorial(n_max).bit_length()
+    kept = (1 << (width * (k_max + 1))) - 1
+    moves = {}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        polys = Counter()
+        for (length, inv, seen), count in tally.items():
+            target = step(state, seen)
+            if target is not None:
+                polys[target, length] += count << (width * inv)
+        moves[state] = sorted(polys.items(), key=lambda item: item[0][1])
+        todo.extend({target for target, _ in polys} - moves.keys() - set(todo))
+    f = {state: [0] * (n_max + 1) for state in moves}
+    f[start][0] = 1
+    for n in range(n_max):
+        for state, row in f.items():
+            src = row[n] & kept
+            if not src:
+                continue
+            for (target, length), poly in moves[state]:
+                if n + length > n_max:
+                    break
+                f[target][n + length] += src * poly
+    slot = (1 << width) - 1
+    rows = []
+    for n in range(1, n_max + 1):
+        packed = sum(row[n] & kept for row in f.values())
+        rows.append(tuple(packed >> (width * k) & slot for k in range(k_max + 1)))
+    return tuple(rows)
 
 
 # -- counting tables ------------------------------------------------------
@@ -267,11 +433,11 @@ class CountTable:
 _SPLIT_DEPTH = 4
 
 
-def _count_subtree(args):
-    node, plans, n_max, k_max = args
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    _walk(node, plans, n_max, k_max, counts)
-    return counts
+def _tally_subtree(args):
+    node, plans, depth, k_max, tracked = args
+    tally: Counter = Counter()
+    _walk(node, plans, depth, k_max, tracked=tracked, tally=tally)
+    return tally
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
@@ -282,20 +448,22 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     if not 0 <= k_max <= MAX_BUDGET:
         raise ValueError(f"k_max must be in 0..{MAX_BUDGET}")
     plans, root = _start(basis)
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    if threads <= 1 or n_max <= _SPLIT_DEPTH:
-        _walk(((), 0, root), plans, n_max, k_max, counts)
+    patterns, start, step = _automaton(basis)
+    tracked = tuple(_plan(q) for q in patterns)
+    # an indecomposable with at most k_max inversions has length <= k_max + 1
+    depth = min(n_max, k_max + 1)
+    node = ((), 0, root, 0, 0, (0,) * len(tracked))
+    tally: Counter = Counter()
+    if threads <= 1 or depth <= _SPLIT_DEPTH:
+        _walk(node, plans, depth, k_max, tracked=tracked, tally=tally)
     else:
         frontier: list = []
-        _walk(((), 0, root), plans, n_max, k_max, counts, frontier, keep=_SPLIT_DEPTH)
-        jobs = [(node, plans, n_max, k_max) for node in frontier]
+        _walk(node, plans, depth, k_max, frontier, keep=_SPLIT_DEPTH, tracked=tracked, tally=tally)
+        jobs = [(node, plans, depth, k_max, tracked) for node in frontier]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_count_subtree, jobs, chunksize=1):
-                for t in range(_SPLIT_DEPTH + 1, n_max + 1):
-                    row = counts[t]
-                    for k in range(k_max + 1):
-                        row[k] += part[t][k]
-    rows = tuple(tuple(counts[n]) for n in range(1, n_max + 1))
+            for part in pool.map(_tally_subtree, jobs, chunksize=1):
+                tally.update(part)
+    rows = _component_rows(start, step, tally, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 
 

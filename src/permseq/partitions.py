@@ -15,7 +15,6 @@ from .perms import (
     components,
     from_lehmer,
     inverse,
-    is_decomposable,
     lehmer_code,
     parse_perm,
     reverse_complement,
@@ -97,20 +96,17 @@ def lambda_inverse(parts: Sequence[int]) -> Perm:
 
 
 def indecomposable_buckets(basis, k_max: int) -> list[list[Perm]]:
-    """[I_0(basis), ..., I_{k_max}(basis)] from one walk over
-    Av_{<=k_max+1}^{<=k_max}(basis).
+    """[I_0(basis), ..., I_{k_max}(basis)] from one pruned walk of the
+    indecomposable basis-avoiders with at most k_max inversions.
 
     I_k(basis) holds the indecomposable basis-avoiders with exactly k
-    inversions. An indecomposable permutation of length n has at least n - 1
-    inversions, so lengths up to k_max + 1 cover every bucket. Each bucket is
-    ordered by length, then lexicographically.
+    inversions. Each bucket is ordered by length, then lexicographically.
     """
-    from .enumeration import iter_avoiders_upto
+    from .enumeration import indecomposables_upto
 
     buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
-    for p, k in iter_avoiders_upto(basis, k_max + 1, k_max):
-        if not is_decomposable(p):
-            buckets[k].append(p)
+    for p, k in indecomposables_upto(basis, k_max):
+        buckets[k].append(p)
     for bucket in buckets:
         bucket.sort(key=lambda p: (len(p), p))
     return buckets

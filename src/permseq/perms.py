@@ -39,9 +39,11 @@ def parse_perm(text: str) -> Perm:
     text = text.strip()
     if not text:
         return EMPTY
-    if "," in text:
-        return Perm(int(tok) for tok in text.split(","))
-    return Perm(int(ch) for ch in text)
+    try:
+        values = [int(tok) for tok in (text.split(",") if "," in text else text)]
+    except ValueError:
+        raise ValueError(f"invalid pattern {text!r}") from None
+    return Perm(values)
 
 
 def format_perm(p: Sequence[int]) -> str:

@@ -254,6 +254,18 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
 
 
+@pytest.mark.parametrize("argv, pattern", [
+    (["inject", "--perm", "12a"], "'12a'"),
+    (["table", "--basis", "1324,13a4", "--n", "4", "--k", "4"], "'13a4'"),
+    (["inject", "--perm", "3,1,x2"], "'3,1,x2'"),
+])
+def test_bad_pattern_token_is_named(argv, pattern, capsys):
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"permseq: error: invalid pattern {pattern}\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["compat", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as done:

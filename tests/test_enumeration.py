@@ -1,11 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
+    _automaton,
     _bad_ranks_brute,
+    _plan,
     _start,
     _walk,
     brute_table,
@@ -25,6 +28,7 @@ from permseq.perms import (
     Perm,
     all_perms,
     avoids,
+    contains,
     direct_sum,
     identity,
     inv_count,
@@ -33,6 +37,7 @@ from permseq.perms import (
     parse_perm,
     reverse_complement,
 )
+from permseq.series import av_1324_1342
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -41,6 +46,19 @@ pattern_st = st.integers(1, 5).flatmap(
     lambda m: st.permutations(list(range(1, m + 1)))
 ).map(Perm)
 basis_st = st.lists(pattern_st, min_size=1, max_size=3)
+# decomposable patterns are the ones the component automaton has to track
+DECOMPOSABLE = [parse_perm(q) for q in ("1", "12", "123", "132", "213", "2143", "1324",
+                                         "1243", "3214", "12453", "21354", "13254")]
+component_basis_st = st.lists(st.one_of(pattern_st, st.sampled_from(DECOMPOSABLE)),
+                              min_size=1, max_size=3)
+
+
+def _walk_tallies(patterns, n_max, k_max):
+    """Table rows tallied over every node of the full walk."""
+    rows = [[0] * (k_max + 1) for _ in range(n_max)]
+    for p, k in iter_avoiders_upto(patterns, n_max, k_max):
+        rows[len(p) - 1][k] += 1
+    return tuple(tuple(row) for row in rows)
 
 
 def test_generate_avoiders_examples():
@@ -123,9 +141,8 @@ def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
     # walk can still append, those at or above the node's budget floor
     basis = frozenset(patterns)
     plans, root = _start(basis)
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
     nodes: list = []
-    _walk(((), 0, root), plans, n_max, k_max, counts, nodes)
+    _walk(((), 0, root), plans, n_max, k_max, nodes)
     nodes.append(((), 0, root))
     for tau, inv, bad in nodes:
         if bad is None:
@@ -141,13 +158,42 @@ def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
 def test_iter_avoiders_upto_matches_eager_walk(patterns, n_max, k_max):
     # the streaming walk yields every node of the whole-tree walk, in its order
     plans, root = _start(frozenset(patterns))
-    counts = [[0] * (k_max + 1) for _ in range(n_max + 1)]
     nodes: list = []
-    _walk(((), 0, root), plans, n_max, k_max, counts, nodes)
+    _walk(((), 0, root), plans, n_max, k_max, nodes)
     want = [(Perm(tau), inv) for tau, inv, _ in nodes]
     got = list(iter_avoiders_upto(patterns, n_max, k_max))
     assert got == want
     assert all(type(p) is Perm for p, _ in got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(component_basis_st, st.integers(1, 9), st.integers(0, 10))
+def test_count_table_matches_full_walk_random(patterns, n_max, k_max):
+    # the component DP over the pruned walk against every node of the full walk
+    assert count_table(patterns, n_max, k_max).rows == _walk_tallies(patterns, n_max, k_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_basis_st, st.integers(1, 8), st.integers(0, 12))
+def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
+    # every node of the pruned walk: its direct-sum splits, the tracked
+    # patterns it contains, and the masks of those it does not yet contain
+    basis = frozenset(patterns)
+    plans, root = _start(basis)
+    tracked = _automaton(basis)[0]
+    nodes: list = []
+    _walk(((), 0, root, 0, 0, (0,) * len(tracked)), plans, n_max, k_max, nodes,
+          tracked=tuple(_plan(q) for q in tracked), tally=Counter())
+    for tau, inv, _, splits, seen, masks in nodes:
+        t = len(tau)
+        assert splits == sum(1 << s for s in range(1, t + 1) if max(tau[:s]) == s), tau
+        for i, q in enumerate(tracked):
+            assert bool(seen >> i & 1) == contains(tau, q), (tau, q)
+            if masks is None or seen >> i & 1:
+                continue
+            want = _bad_ranks_brute(tau, [q], t)
+            for r in range(max(1, t + 1 - (k_max - inv)), t + 2):
+                assert bool(masks[i] >> r & 1) == want[r], (tau, q, r)
 
 
 def test_iter_avoiders_upto_streams(monkeypatch):
@@ -163,10 +209,10 @@ def test_iter_avoiders_upto_streams(monkeypatch):
             assert len(self) <= 15, "the walk listed more than one level"
             super().append(node)
 
-    def spy(node, plans, n_max, k_max, counts, out=None, keep=None):
+    def spy(node, plans, n_max, k_max, out=None, keep=None):
         keeps.append(keep)
         nodes = OneLevel()
-        real_walk(node, plans, n_max, k_max, counts, nodes, keep)
+        real_walk(node, plans, n_max, k_max, nodes, keep)
         out.extend(nodes)
 
     monkeypatch.setattr(enumeration, "_walk", spy)
@@ -175,6 +221,21 @@ def test_iter_avoiders_upto_streams(monkeypatch):
     assert keeps == [1]
     assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
     assert len(keeps) == 14
+
+
+def test_count_table_matches_closed_form_to_n64():
+    # only identity components can lengthen a permutation at no cost, so the
+    # DP reaches n = 64 from indecomposables of length <= 15
+    t = count_table(parse_basis("1324,1342"), 64, 14)
+    for n in range(1, 65):
+        for k in range(15):
+            if n >= (k + 7) / 2:
+                assert t.value(n, k) == av_1324_1342(n, k), (n, k)
+
+
+@pytest.mark.slow
+def test_count_table_matches_full_walk_1324():
+    assert count_table(parse_basis("1324"), 26, 17).rows == _walk_tallies(["1324"], 26, 17)
 
 
 def test_catalan_cross_check():
@@ -193,7 +254,7 @@ def test_threads_match_sequential():
 
 @pytest.mark.parametrize(
     "basis_text, n_max, k_max",
-    [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4)],
+    [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4), ("2143,123,1324", 20, 11)],
 )
 def test_pool_jobs_carry_node_state(basis_text, n_max, k_max):
     # pool jobs start from depth-4 nodes with their inherited masks

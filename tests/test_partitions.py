@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permseq.enumeration import count_table, generate_avoiders, limit_report
+from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, limit_report
+from permseq.golden import GOLDEN_PARTNERS
 from permseq.partitions import (
     FAMILY_TESTS,
     family_counts,
@@ -25,7 +26,7 @@ from permseq.partitions import (
     verify_family,
     verify_transfer_213_2431,
 )
-from permseq.perms import Perm, components, inv_count, parse_basis, parse_perm
+from permseq.perms import Perm, components, inv_count, is_decomposable, parse_basis, parse_perm
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -92,6 +93,20 @@ def test_indecomposable_buckets_match_per_length_filter(patterns, k_max):
                 if inv_count(p) == k and len(components(p)) == 1]
         assert bucket == want, (patterns, k)
         assert indecomposable_avoiders(patterns, k) == want
+
+
+@pytest.mark.parametrize("basis_text", [f"1324,{p}" for p in GOLDEN_PARTNERS] + ["1324,231"])
+def test_indecomposable_buckets_match_full_walk_filter(basis_text):
+    # the pruned walk skips a decomposable prefix only when no indecomposable
+    # extension fits the budget; checked exhaustively at every budget k <= 9
+    basis = parse_basis(basis_text)
+    for k_max in range(10):
+        want: list[list[Perm]] = [[] for _ in range(k_max + 1)]
+        for p, k in iter_avoiders_upto(basis, k_max + 1, k_max):
+            if not is_decomposable(p):
+                want[k].append(p)
+        want = [sorted(bucket, key=lambda p: (len(p), p)) for bucket in want]
+        assert indecomposable_buckets(basis, k_max) == want
 
 
 def test_lambda_bijection_counts():
