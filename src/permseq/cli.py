@@ -21,6 +21,7 @@ from . import __version__
 from .enumeration import (
     ENGINE_VERSION,
     CountTable,
+    check_table_bounds,
     count_table,
     diagonal_limit,
     limit_depth,
@@ -47,12 +48,11 @@ EXIT_GF_MISMATCH = 4
 CACHE_ENV = "PERMSEQ_CACHE_DIR"
 
 
-def _cache_path(cache_dir: Path, basis_text: str, n_max: int, k_max: int) -> Path:
-    key = basis_text.replace(",", "-")
-    return cache_dir / f"table_{key}_n{n_max}_k{k_max}.json"
+def _cache_path(cache_dir: Path, key: str, n_max: int, k_max: int) -> Path:
+    return cache_dir / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}.json"
 
 
-def _read_cached(path: Path, canonical: str, basis, n_max: int, k_max: int) -> CountTable | None:
+def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | None:
     """The table stored at path if it answers exactly this request, else None."""
     try:
         payload = json.loads(path.read_text())
@@ -60,12 +60,12 @@ def _read_cached(path: Path, canonical: str, basis, n_max: int, k_max: int) -> C
         return None
     if not isinstance(payload, dict) or payload.get("engine_version") != ENGINE_VERSION:
         return None
-    if (payload.get("basis"), payload.get("n_max"), payload.get("k_max")) != (canonical, n_max, k_max):
+    if (payload.get("basis"), payload.get("n_max"), payload.get("k_max")) != (key, n_max, k_max):
         return None
     table = payload.get("table")
     if not isinstance(table, dict):
         return None
-    if (table.get("basis"), table.get("n_max"), table.get("k_max")) != (basis_key(basis), n_max, k_max):
+    if (table.get("basis"), table.get("n_max"), table.get("k_max")) != (key, n_max, k_max):
         return None
     rows = table.get("rows")
     if not isinstance(rows, list) or len(rows) != n_max or not all(
@@ -79,22 +79,22 @@ def _read_cached(path: Path, canonical: str, basis, n_max: int, k_max: int) -> C
 def cached_count_table(basis_text: str, n_max: int, k_max: int,
                        cache_dir: str | None, threads: int = 1) -> CountTable:
     basis = parse_basis(basis_text)
-    canonical = ",".join(sorted(format_perm(p) for p in basis))
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir is None:
         return count_table(basis, n_max, k_max, threads=threads)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(cache, canonical, n_max, k_max)
+    key = basis_key(basis)
+    path = _cache_path(cache, key, n_max, k_max)
     if path.exists():
-        table = _read_cached(path, canonical, basis, n_max, k_max)
+        table = _read_cached(path, key, n_max, k_max)
         if table is not None:
             return table
     table = count_table(basis, n_max, k_max, threads=threads)
     payload = {
         "engine_version": ENGINE_VERSION,
-        "basis": canonical,
+        "basis": key,
         "n_max": n_max,
         "k_max": k_max,
         "table": json.loads(table_to_json(table)),
@@ -227,11 +227,12 @@ def cmd_gf(args) -> int:
             basis = parse_basis(args.name)
         except ValueError:
             raise ValueError(f"{args.name!r} is not a pattern basis; nothing to compare") from None
+        n_needed = limit_depth(basis, args.k)
+        check_table_bounds(n_needed, args.k)
     series = named_gf(args.name, args.k)
     print(",".join(str(c) for c in series.coeffs))
     if not args.compare_table:
         return 0
-    n_needed = limit_depth(basis, args.k)
     table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     report = limit_report(table)
     ok = True

@@ -1,11 +1,16 @@
 """Enumeration of pattern avoiders under an inversion budget.
 
-The generator walks the tree whose nodes are exactly the avoiders with at
-most k_max inversions: the children of a length-t avoider are obtained by
+The engine walks the tree whose nodes are exactly the avoiders with at most
+k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
-adds t+1-r inversions. `generate_avoiders` and `iter_avoiders_upto` list
-its nodes; `count_table` walks only the part of it that leads to
-indecomposable avoiders and counts the rest by direct sums (below).
+adds t+1-r inversions. `_walk` is the one walker, a generator over an
+explicit stack: it yields the nodes below a given node in preorder,
+children in ascending rank order, each as (values, inv, bad, splits, seen,
+masks). `iter_avoiders_upto` streams that preorder and `generate_avoiders`
+keeps one length of it. `count_table` and `indecomposables_upto` read the
+pruned walk, which yields only the part of the tree that leads to
+indecomposable avoiders; `count_table` counts the rest by direct sums
+(below).
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -41,7 +46,8 @@ the pruned walk finds with two more masks per node:
   length t+1; it is indecomposable iff its lowest split is t+1. A
   decomposable child whose first component has length s1 only becomes
   indecomposable after some later entry lands at rank <= s1, which costs at
-  least t+2-s1 inversions, so it is skipped when inv + t+2-s1 > k_max.
+  least t+2-s1 inversions, so it is skipped when inv + t+2-s1 > k_max, and
+  always at the walk's last length.
 - Tracked-pattern masks. An occurrence of an indecomposable pattern lies in
   one component, so a basis pattern q = q_1 (+) ... (+) q_s can only be
   spread over several components through its consecutive sums
@@ -69,10 +75,8 @@ from typing import Sequence
 
 from .perms import (
     Perm,
-    avoids,
     basis_key,
     components,
-    contains,
     direct_sum,
     inv_count,
     inverse,
@@ -86,6 +90,14 @@ MAX_BUDGET = 200
 # Identifies the counting engine in cache entries; bump it whenever a change
 # could alter a computed table, so that older entries are recomputed.
 ENGINE_VERSION = "3"
+
+
+def check_table_bounds(n_max: int, k_max: int) -> None:
+    """Raise ValueError unless count_table supports a table of this size."""
+    if not 1 <= n_max <= MAX_LENGTH:
+        raise ValueError(f"n_max must be in 1..{MAX_LENGTH}")
+    if not 0 <= k_max <= MAX_BUDGET:
+        raise ValueError(f"k_max must be in 0..{MAX_BUDGET}")
 
 
 # -- bad ranks ------------------------------------------------------------
@@ -163,102 +175,107 @@ def _fill(tau, plan, floor, bad):
     return bad
 
 
-def _bad_ranks_brute(tau, patterns, t):
-    """Reference for the bad-rank masks: bad[r] for r in 1..t+1.
-
-    tau avoids the patterns, so any occurrence in tau + r uses the new entry.
-    """
-    assert avoids(tau, patterns), tau
-    bad = [False] * (t + 2)
-    for r in range(1, t + 2):
-        child = [v + 1 if v >= r else v for v in tau] + [r]
-        bad[r] = any(contains(child, q) for q in patterns)
-    return bad
-
-
 # -- the tree walk --------------------------------------------------------
 
-def _start(basis):
-    """Fill plans for the basis and the root's mask (rank 1 is bad iff 1 is in the basis)."""
-    plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
-    return plans, 2 if any(len(q) == 1 for q in basis) else 0
+def _start(basis, tracked=None):
+    """Fill plans for the basis and the root node of a walk.
 
-
-def _walk(node, plans, n_max, k_max, out=None, keep=None, tracked=None, tally=None):
-    """Walk the subtree below node down to length n_max.
-
-    With `out`, child nodes are appended, either all of them or, with
-    `keep`, those of length keep, below which the walk then goes no deeper.
-    A node is (values, inv, bad mask); the mask is None at length n_max.
-
-    With `tracked` (fill plans of the tracked patterns) and a `tally`, the
-    walk is the pruned walk of indecomposables: a node is (values, inv,
-    bad, splits, seen, tracked masks) with bit i of seen set when the node
-    contains tracked pattern i, a decomposable child that has no
-    indecomposable descendant within the budget is skipped, and each
-    indecomposable child adds one to tally[length, inv, seen].
+    Rank 1 is bad at the root iff 1 is in the basis. With `tracked` (fill
+    plans) the root starts one empty mask per tracked pattern.
     """
+    plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
+    bad = 2 if any(len(q) == 1 for q in basis) else 0
+    return plans, ((), 0, bad, 0, 0, None if tracked is None else (0,) * len(tracked))
 
+
+def _children(node, plans, n_max, k_max, tracked=None):
+    """The children of a node shorter than n_max, in ascending rank order.
+
+    A node is (values, inv, bad, splits, seen, masks); bad and masks are
+    None at length n_max, where nothing reads them. Without `tracked` every
+    avoider within the budget is a child, with splits = seen = 0 and masks
+    None. With `tracked` (fill plans of the tracked patterns) the walk is
+    pruned to the nodes that lead to indecomposable avoiders: splits is the
+    split-point mask, bit i of seen is set when the node contains tracked
+    pattern i, masks holds the bad-rank masks of the tracked patterns, and a
+    decomposable child is skipped when no indecomposable descendant of it
+    fits the budget or the length.
+    """
+    tau, inv, bad, splits, seen, masks = node
+    t = len(tau)
+    floor = t + 1 - (k_max - inv)
+    if floor < 1:
+        floor = 1
+    last = t + 1 == n_max
     every = (1 << len(tracked)) - 1 if tracked is not None else 0
-
-    def visit(tau, inv, bad, splits, seen, masks):
-        t = len(tau)
-        floor = t + 1 - (k_max - inv)
-        if floor < 1:
-            floor = 1
-        last = t + 1 == n_max
-        child_splits = child_seen = 0
-        for r in range(floor, t + 2):
-            if bad >> r & 1:
-                continue
-            added = inv + t + 1 - r
+    top = t + 1
+    if last and splits:
+        # the pruned walk keeps only indecomposables at the last length, and
+        # appending a rank above the first split gives a decomposable child
+        top = (splits & -splits).bit_length() - 1
+    child_splits = child_seen = 0
+    child_bad = child_masks = None
+    kids = []
+    for r in range(floor, top + 1):
+        if bad >> r & 1:
+            continue
+        added = inv + t + 1 - r
+        if tracked is not None:
+            # the parent's splits below r survive, and the child is a split
+            child_splits = splits & ((1 << r) - 1)
+            if child_splits:
+                # a decomposable child becomes indecomposable only once a
+                # later entry lands below its first component (length s1),
+                # which costs at least t + 2 - s1 inversions
+                if added + t + 3 - (child_splits & -child_splits).bit_length() > k_max:
+                    continue
+            child_splits |= 1 << (t + 1)
+            child_seen = seen
+            if seen != every:
+                for i, mask in enumerate(masks):
+                    if mask >> r & 1:
+                        child_seen |= 1 << i
+        child = [v + 1 if v >= r else v for v in tau]
+        child.append(r)
+        if not last:
+            # bits >= r move up one; bit r stays clear, as it was in the parent
+            low = (1 << r) - 1
+            child_bad = (bad & low) | (bad >> r << (r + 1))
+            child_floor = t + 2 - (k_max - added)
+            if child_floor < 1:
+                child_floor = 1
+            for plan in plans:
+                child_bad = _fill(child, plan, child_floor, child_bad)
             if tracked is not None:
-                # the parent's splits below r survive, and the child is a split
-                child_splits = (splits & ((1 << r) - 1)) | (1 << (t + 1))
-                first = child_splits & -child_splits
-                child_seen = seen
-                if seen != every:
-                    for i, mask in enumerate(masks):
-                        if mask >> r & 1:
-                            child_seen |= 1 << i
-                if first >> (t + 1):
-                    tally[t + 1, added, child_seen] += 1
-                elif added + t + 3 - first.bit_length() > k_max:
-                    # merging the first component needs a later entry below
-                    # it, which costs at least t + 2 - s1 inversions
-                    continue
-                if last and out is None:
-                    continue
-            child = [v + 1 if v >= r else v for v in tau]
-            child.append(r)
-            child_bad = child_masks = None
-            if not last:
-                # bits >= r move up one; bit r stays clear, as it was in the parent
-                low = (1 << r) - 1
-                child_bad = (bad & low) | (bad >> r << (r + 1))
-                child_floor = t + 2 - (k_max - added)
-                if child_floor < 1:
-                    child_floor = 1
-                for plan in plans:
-                    child_bad = _fill(child, plan, child_floor, child_bad)
-                if tracked is not None:
-                    # a tracked pattern the child contains needs no mask
-                    child_masks = masks if child_seen == every else tuple(
-                        0 if child_seen >> i & 1 else
-                        _fill(child, plan, child_floor, (mask & low) | (mask >> r << (r + 1)))
-                        for i, (plan, mask) in enumerate(zip(tracked, masks))
-                    )
-            if out is not None and (keep is None or keep == t + 1):
-                out.append((tuple(child), added, child_bad) if tracked is None else
-                           (tuple(child), added, child_bad, child_splits, child_seen, child_masks))
-            if not last and t + 1 != keep:
-                visit(child, added, child_bad, child_splits, child_seen, child_masks)
+                # a tracked pattern the child contains needs no mask
+                child_masks = masks if child_seen == every else tuple(
+                    0 if child_seen >> i & 1 else
+                    _fill(child, plan, child_floor, (mask & low) | (mask >> r << (r + 1)))
+                    for i, (plan, mask) in enumerate(zip(tracked, masks))
+                )
+        kids.append((tuple(child), added, child_bad, child_splits, child_seen, child_masks))
+    return kids
 
+
+def _walk(node, plans, n_max, k_max, tracked=None):
+    """Yield every node below `node`, down to length n_max, in preorder.
+
+    Children come in ascending rank order (see _children for the node
+    shape). The stack holds one iterator over the pending siblings per
+    level of the current path, never the tree, so the first node arrives at
+    once however large the tree is.
+    """
+    stack = []
     if len(node[0]) < n_max:
-        if tracked is None:
-            visit(list(node[0]), node[1], node[2], 0, 0, None)
+        stack.append(iter(_children(node, plans, n_max, k_max, tracked)))
+    while stack:
+        for node in stack[-1]:
+            yield node
+            if len(node[0]) < n_max:
+                stack.append(iter(_children(node, plans, n_max, k_max, tracked)))
+                break
         else:
-            visit(list(node[0]), *node[1:])
+            stack.pop()
 
 
 def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
@@ -276,32 +293,19 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     if n == 0:
         return [Perm()]
     plans, root = _start(basis)
-    out: list = []
-    _walk(((), 0, root), plans, n, k_max, out, keep=n)
-    return [Perm(vals) for vals in sorted(vals for vals, _, _ in out)]
+    nodes = _walk(root, plans, n, k_max)
+    return [Perm(vals) for vals in sorted(node[0] for node in nodes if len(node[0]) == n)]
 
 
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
     """Yield (perm, inv) for every avoider of length 1..n_max with inv <= k_max.
 
-    The order is the walk's preorder. The walk streams: a node's children
-    are made (one level of _walk) only when the generator reaches that
-    node, so it holds the pending siblings of one path, never the tree.
+    The order is the walk's preorder, and the walk streams (see _walk).
     """
-    basis = pattern_basis(basis)
-    plans, root = _start(basis)
-    stack = [((), 0, root)]
-    while stack:
-        node = stack.pop()
-        vals, k, _ = node
-        if vals:
-            # a rank insertion keeps 1..t a permutation, so skip Perm's check
-            yield tuple.__new__(Perm, vals), k
-        if len(vals) < n_max:
-            top = len(stack)
-            _walk(node, plans, n_max, k_max, stack, keep=len(vals) + 1)
-            # the first child is popped first
-            stack[top:] = stack[top:][::-1]
+    plans, root = _start(pattern_basis(basis))
+    for vals, inv, _, _, _, _ in _walk(root, plans, n_max, k_max):
+        # a rank insertion keeps 1..t a permutation, so skip Perm's check
+        yield tuple.__new__(Perm, vals), inv
 
 
 def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
@@ -311,10 +315,9 @@ def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
     inversions, so the pruned walk stops at length k_max + 1. The order is
     the walk's preorder.
     """
-    plans, root = _start(pattern_basis(basis))
-    nodes: list = []
-    _walk(((), 0, root, 0, 0, ()), plans, k_max + 1, k_max, nodes, tracked=(), tally=Counter())
-    return [(tuple.__new__(Perm, vals), inv) for vals, inv, _, splits, _, _ in nodes
+    plans, root = _start(pattern_basis(basis), ())
+    return [(tuple.__new__(Perm, vals), inv)
+            for vals, inv, _, splits, _, _ in _walk(root, plans, k_max + 1, k_max, ())
             if splits == 1 << len(vals)]
 
 
@@ -433,54 +436,42 @@ class CountTable:
 _SPLIT_DEPTH = 4
 
 
+def _tally(nodes):
+    """Count the indecomposables among pruned-walk nodes by (length, inv, seen)."""
+    return Counter((len(vals), inv, seen) for vals, inv, _, splits, seen, _ in nodes
+                   if splits == 1 << len(vals))
+
+
 def _tally_subtree(args):
     node, plans, depth, k_max, tracked = args
-    tally: Counter = Counter()
-    _walk(node, plans, depth, k_max, tracked=tracked, tally=tally)
-    return tally
+    return _tally(_walk(node, plans, depth, k_max, tracked))
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     """Exact table of av_n^k(basis) for n <= n_max, k <= k_max."""
     basis = pattern_basis(basis)
-    if not 1 <= n_max <= MAX_LENGTH:
-        raise ValueError(f"n_max must be in 1..{MAX_LENGTH}")
-    if not 0 <= k_max <= MAX_BUDGET:
-        raise ValueError(f"k_max must be in 0..{MAX_BUDGET}")
-    plans, root = _start(basis)
+    check_table_bounds(n_max, k_max)
     patterns, start, step = _automaton(basis)
     tracked = tuple(_plan(q) for q in patterns)
+    plans, node = _start(basis, tracked)
     # an indecomposable with at most k_max inversions has length <= k_max + 1
     depth = min(n_max, k_max + 1)
-    node = ((), 0, root, 0, 0, (0,) * len(tracked))
-    tally: Counter = Counter()
     if threads <= 1 or depth <= _SPLIT_DEPTH:
-        _walk(node, plans, depth, k_max, tracked=tracked, tally=tally)
+        tally = _tally_subtree((node, plans, depth, k_max, tracked))
     else:
-        frontier: list = []
-        _walk(node, plans, depth, k_max, frontier, keep=_SPLIT_DEPTH, tracked=tracked, tally=tally)
+        # the levels above the split depth run inline; the pool walks below
+        tally = Counter()
+        frontier = [node]
+        for _ in range(_SPLIT_DEPTH):
+            frontier = [child for parent in frontier
+                        for child in _children(parent, plans, depth, k_max, tracked)]
+            tally.update(_tally(frontier))
         jobs = [(node, plans, depth, k_max, tracked) for node in frontier]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_tally_subtree, jobs, chunksize=1):
                 tally.update(part)
     rows = _component_rows(start, step, tally, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
-
-
-def brute_table(basis, n_max: int, k_max: int) -> CountTable:
-    """Oracle table built by filtering all of S_n; for cross-checks only."""
-    from .perms import all_perms
-
-    basis = pattern_basis(basis)
-    rows = []
-    for n in range(1, n_max + 1):
-        row = [0] * (k_max + 1)
-        for p in all_perms(n):
-            k = inv_count(p)
-            if k <= k_max and avoids(p, basis):
-                row[k] += 1
-        rows.append(tuple(row))
-    return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=tuple(rows))
 
 
 def row_differences(table: CountTable) -> list[list[int]]:

@@ -55,6 +55,9 @@ def load_golden(partner: str, kind: str) -> GoldenTable:
 
 def check_partner(partner: str, threads: int = 1) -> list[GoldenResult]:
     """Recompute the pair's tables and diff them against the golden data."""
+    if partner not in GOLDEN_PARTNERS:
+        raise ValueError(f"no golden data for partner {partner!r}; "
+                         f"known: {', '.join(GOLDEN_PARTNERS)}")
     table = count_table(parse_basis(f"1324,{partner}"), N_MAX, K_MAX, threads=threads)
     diffs = row_differences(table)
     results = []

@@ -239,6 +239,8 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["gf", "--name", "12345"],
     ["gf", "--name", "1324,1342", "--k", "-1"],
     ["gf", "--name", "P", "--k", "3", "--compare-table"],
+    ["gf", "--name", "1324,1342", "--k", "61", "--compare-table"],
+    ["golden", "--partner", "1234"],
     ["bijection", "--pattern", "2341", "--k", "-1"],
     ["golden", "--all", "--bogus"],
     ["compat"],

@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
     _automaton,
-    _bad_ranks_brute,
     _plan,
     _start,
     _walk,
-    brute_table,
     count_table,
     diagonal_limit,
     generate_avoiders,
@@ -51,6 +48,32 @@ DECOMPOSABLE = [parse_perm(q) for q in ("1", "12", "123", "132", "213", "2143", 
                                          "1243", "3214", "12453", "21354", "13254")]
 component_basis_st = st.lists(st.one_of(pattern_st, st.sampled_from(DECOMPOSABLE)),
                               min_size=1, max_size=3)
+
+
+def brute_rows(patterns, n_max, k_max):
+    """Table rows built by filtering all of S_n."""
+    rows = []
+    for n in range(1, n_max + 1):
+        row = [0] * (k_max + 1)
+        for p in all_perms(n):
+            k = inv_count(p)
+            if k <= k_max and avoids(p, patterns):
+                row[k] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _bad_ranks_brute(tau, patterns, t):
+    """Reference for the bad-rank masks: bad[r] for r in 1..t+1.
+
+    tau avoids the patterns, so any occurrence in tau + r uses the new entry.
+    """
+    assert avoids(tau, patterns), tau
+    bad = [False] * (t + 2)
+    for r in range(1, t + 2):
+        child = [v + 1 if v >= r else v for v in tau] + [r]
+        bad[r] = any(contains(child, q) for q in patterns)
+    return bad
 
 
 def _walk_tallies(patterns, n_max, k_max):
@@ -125,13 +148,13 @@ def test_count_table_row_invariants():
 def test_count_table_matches_brute():
     for basis_text in ("1324,4231", "132,3412", "213,2431"):
         basis = parse_basis(basis_text)
-        assert count_table(basis, 6, 10).rows == brute_table(basis, 6, 10).rows
+        assert count_table(basis, 6, 10).rows == brute_rows(basis, 6, 10)
 
 
 @settings(max_examples=150, deadline=None)
 @given(basis_st, st.integers(1, 7), st.integers(0, 21))
 def test_count_table_matches_brute_random(patterns, n_max, k_max):
-    assert count_table(patterns, n_max, k_max).rows == brute_table(patterns, n_max, k_max).rows
+    assert count_table(patterns, n_max, k_max).rows == brute_rows(patterns, n_max, k_max)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,10 +164,7 @@ def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
     # walk can still append, those at or above the node's budget floor
     basis = frozenset(patterns)
     plans, root = _start(basis)
-    nodes: list = []
-    _walk(((), 0, root), plans, n_max, k_max, nodes)
-    nodes.append(((), 0, root))
-    for tau, inv, bad in nodes:
+    for tau, inv, bad, _, _, _ in [root, *_walk(root, plans, n_max, k_max)]:
         if bad is None:
             continue
         t = len(tau)
@@ -153,16 +173,31 @@ def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
             assert bool(bad >> r & 1) == want[r], (tau, inv, r)
 
 
+def _preorder_oracle(patterns, n_max, k_max):
+    """(perm, inv) for every avoider of length 1..n_max within the budget, a
+    node before its children and the children by ascending appended rank."""
+    out = []
+
+    def visit(tau):
+        for r in range(1, len(tau) + 2):
+            child = tuple(v + 1 if v >= r else v for v in tau) + (r,)
+            inv = inv_count(child)
+            if inv <= k_max and avoids(child, patterns):
+                out.append((Perm(child), inv))
+                if len(child) < n_max:
+                    visit(child)
+
+    if n_max > 0:
+        visit(())
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(basis_st, st.integers(0, 7), st.integers(0, 21))
-def test_iter_avoiders_upto_matches_eager_walk(patterns, n_max, k_max):
-    # the streaming walk yields every node of the whole-tree walk, in its order
-    plans, root = _start(frozenset(patterns))
-    nodes: list = []
-    _walk(((), 0, root), plans, n_max, k_max, nodes)
-    want = [(Perm(tau), inv) for tau, inv, _ in nodes]
+def test_iter_avoiders_upto_matches_preorder_oracle(patterns, n_max, k_max):
+    # compat witnesses are the first found in walk order, so the order is pinned
     got = list(iter_avoiders_upto(patterns, n_max, k_max))
-    assert got == want
+    assert got == _preorder_oracle(patterns, n_max, k_max)
     assert all(type(p) is Perm for p, _ in got)
 
 
@@ -179,14 +214,14 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
     # every node of the pruned walk: its direct-sum splits, the tracked
     # patterns it contains, and the masks of those it does not yet contain
     basis = frozenset(patterns)
-    plans, root = _start(basis)
     tracked = _automaton(basis)[0]
-    nodes: list = []
-    _walk(((), 0, root, 0, 0, (0,) * len(tracked)), plans, n_max, k_max, nodes,
-          tracked=tuple(_plan(q) for q in tracked), tally=Counter())
-    for tau, inv, _, splits, seen, masks in nodes:
+    plans_tracked = tuple(_plan(q) for q in tracked)
+    plans, root = _start(basis, plans_tracked)
+    for tau, inv, _, splits, seen, masks in _walk(root, plans, n_max, k_max, plans_tracked):
         t = len(tau)
         assert splits == sum(1 << s for s in range(1, t + 1) if max(tau[:s]) == s), tau
+        # the pruned walk yields only indecomposables at the last length
+        assert t < n_max or splits == 1 << t, tau
         for i, q in enumerate(tracked):
             assert bool(seen >> i & 1) == contains(tau, q), (tau, q)
             if masks is None or seen >> i & 1:
@@ -198,29 +233,25 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
 
 def test_iter_avoiders_upto_streams(monkeypatch):
     # Av_{<=14}(1324) is far too large to list: the first avoider must come
-    # after one level of the walk, and no call may list more than a level
+    # after the root's one child is filled, and reaching length 14 may fill
+    # only the children of the nodes on the path there, one level each
     import permseq.enumeration as enumeration
 
-    real_walk = enumeration._walk
-    keeps = []
+    real_fill = enumeration._fill
+    calls = 0
 
-    class OneLevel(list):
-        def append(self, node):
-            assert len(self) <= 15, "the walk listed more than one level"
-            super().append(node)
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real_fill(*args)
 
-    def spy(node, plans, n_max, k_max, out=None, keep=None):
-        keeps.append(keep)
-        nodes = OneLevel()
-        real_walk(node, plans, n_max, k_max, nodes, keep)
-        out.extend(nodes)
-
-    monkeypatch.setattr(enumeration, "_walk", spy)
+    monkeypatch.setattr(enumeration, "_fill", spy)
     walk = iter_avoiders_upto(["1324"], 14, 91)
     assert next(walk) == (Perm((1,)), 0)
-    assert keeps == [1]
+    assert calls == 1
     assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
-    assert len(keeps) == 14
+    # a length-t node has at most t + 1 children; those at length 14 need no fill
+    assert calls <= sum(t + 1 for t in range(13))
 
 
 def test_count_table_matches_closed_form_to_n64():
