@@ -12,6 +12,7 @@ from .perms import (  # noqa: F401
     components,
     delete,
     direct_sum,
+    first_split,
     format_perm,
     from_lehmer,
     identity,

@@ -1,21 +1,23 @@
-"""The length-increasing, inversion-preserving map on decomposable and
+"""The length-increasing, inversion-preserving map f on decomposable and
 almost decomposable 1324-avoiders, and the compatibility classification of
 companion patterns.
 
 A decomposable 1324-avoider splits as sigma (+) id_m (+) tau with sigma an
-indecomposable 132-avoider and tau an indecomposable 213-avoider; the map
-grows the identity run, which is one new entry right after the first
-component. An almost decomposable permutation becomes decomposable after
-deleting one boundary entry (first entry, value 1, last entry, or value n);
-the map removes that entry, grows the run, and puts the entry back. Case
-priority follows the original definition (first entry, then value 1, then
-the reverse-complement pair); the alternate priority is available behind a
-flag.
+indecomposable 132-avoider and tau an indecomposable 213-avoider; f grows
+the identity run by one entry right after the first component. An almost
+decomposable permutation becomes decomposable after deleting one boundary
+entry (first entry, value 1, last entry, or value n); f removes that entry,
+grows the run and puts the entry back. Case priority follows the original
+definition (first entry, then value 1, then the reverse-complement pair);
+the alternate priority is available behind a flag.
 
-`_f` decides a 1324-avoider's case once and returns its image, or None
-outside the domain. The sweeps below walk inside Av(1324) and call it
-directly; `f_map` adds the 1324 check and the error, `f_domain` and
-`almost_decomposable` answer the membership questions on their own.
+Every split question, boundary deletions included, is one
+`perms.first_split` scan that builds no deletion. `_case` picks a
+permutation's case once; `_f` applies f, or returns None outside the
+domain, and is what the sweeps call; `f_map`, `f_domain` and
+`almost_decomposable` are the checked entry points. Both classification
+theorems are read off one pass over a pattern's symmetry orbit
+(`_classify`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .perms import (
     contains,
     delete,
     direct_sum,
+    first_split,
     identity,
     insert_value,
     inv_count,
@@ -74,12 +77,8 @@ def decomp_form(p: Perm) -> DecompForm:
 def _grow(p: Sequence[int]) -> Perm:
     """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a decomposable
     p: the new entry goes right after the first component."""
-    high = 0
-    for i, v in enumerate(p):
-        high = max(high, v)
-        if high == i + 1:
-            break
-    return insert_value(p, i + 1, i + 2)
+    split = first_split(p)
+    return insert_value(p, split, split + 1)
 
 
 def f_tilde(p: Perm) -> Perm:
@@ -90,10 +89,6 @@ def f_tilde(p: Perm) -> Perm:
 
 # -- almost decomposability ------------------------------------------------
 
-_PAPER_PRIORITY = ("F1", "F2", "F3", "F4")
-_ALTERNATE_PRIORITY = ("F3", "F4", "F1", "F2")
-
-
 @dataclass(frozen=True)
 class FCase:
     """Which boundary deletion makes the permutation decomposable."""
@@ -102,23 +97,25 @@ class FCase:
     witness: int  # the deleted value
 
 
-def _case_witness(p: Perm, tag: str) -> int:
+def _case(p: Sequence[int], alternate_priority: bool = False) -> FCase | None:
+    """The highest-priority case of an indecomposable p: the first boundary
+    deletion in priority order that leaves a direct sum, or None."""
     n = len(p)
-    return {"F1": p[0], "F2": 1, "F3": p[-1], "F4": n}[tag]
+    if n < 2:
+        return None
+    cases = (("F1", p[0]), ("F2", 1), ("F3", p[-1]), ("F4", n))
+    if alternate_priority:
+        cases = cases[2:] + cases[:2]
+    for tag, e in cases:
+        if first_split(p, e) < n - 1:
+            return FCase(tag=tag, witness=e)
+    return None
 
 
 def almost_decomposable(p: Perm, alternate_priority: bool = False) -> FCase | None:
     """The highest-priority applicable case, or None if p is decomposable
     or not almost decomposable."""
-    n = len(p)
-    if n <= 1 or is_decomposable(p):
-        return None
-    order = _ALTERNATE_PRIORITY if alternate_priority else _PAPER_PRIORITY
-    for tag in order:
-        e = _case_witness(p, tag)
-        if is_decomposable(delete(p, [e])):
-            return FCase(tag=tag, witness=e)
-    return None
+    return None if is_decomposable(p) else _case(p, alternate_priority)
 
 
 def _f(p: Sequence[int], alternate_priority: bool = False) -> Perm | None:
@@ -126,21 +123,21 @@ def _f(p: Sequence[int], alternate_priority: bool = False) -> Perm | None:
     almost decomposable; p's case is decided once."""
     if is_decomposable(p):
         return _grow(p)
-    case = almost_decomposable(p, alternate_priority)
+    case = _case(p, alternate_priority)
     if case is None:
         return None
     n = len(p)
     grown = _grow(delete(p, [case.witness]))
     if case.tag == "F1":
         # keep the first entry, grow the rest
-        assert not is_decomposable(delete(p, [1])), \
+        assert not first_split(p, 1) < n - 1, \
             "first-entry and value-1 deletions cannot both decompose"
         return insert_value(grown, 0, p[0])
     if case.tag == "F2":
         return insert_value(grown, p.index(1), 1)
     if case.tag == "F3":
         # new last entry one above the old one
-        assert not is_decomposable(delete(p, [n])), \
+        assert not first_split(p, n) < n - 1, \
             "last-entry and value-n deletions cannot both decompose"
         return insert_value(grown, n, p[-1] + 1)
     # F4: new maximum right after the old one
@@ -159,7 +156,7 @@ def f_map(p: Perm, alternate_priority: bool = False) -> Perm:
 
 def f_domain(p: Perm) -> bool:
     """True iff f_map is defined on p (inside Av(1324))."""
-    return is_decomposable(p) or almost_decomposable(p) is not None
+    return is_decomposable(p) or _case(p) is not None
 
 
 def theorem_almost_decomp_check(n_max: int):
@@ -181,19 +178,29 @@ def theorem_almost_decomp_check(n_max: int):
 
 # -- compatibility classification -------------------------------------------
 
-def _symmetry_orbit(p: Perm):
+def _classify(p: Perm) -> tuple[bool, bool]:
+    """(classify_sufficient(p), classify_necessary(p)) from one pass over
+    p's symmetry orbit."""
+    n = len(p)
     rc = reverse_complement(p)
-    return (
-        (p, False),
-        (inverse(p), False),
-        (rc, True),
-        (inverse(rc), True),
-    )
-
-
-def _first_component_starts_with_max(q: Perm) -> bool:
-    first = components(q)[0]
-    return first[0] == len(first)
+    sufficient = necessary = False
+    for q, is_rc_side in ((p, False), (inverse(p), False), (rc, True), (inverse(rc), True)):
+        comp_q = len(components(q))
+        if comp_q >= 3:
+            return True, True
+        split = first_split(q)
+        # deleting q[0] splits its component iff the body has more components
+        body_splits = first_split(q, q[0]) < split - 1
+        # q[1:] is the body: containment ignores standardization
+        shaped = (q[0] > 1 and comp_q == 2 and q[0] == split) or (
+            1 < q[0] < n and avoids(q[1:], [_P213]))
+        # on the reverse-complement side the two theorems bound different ends
+        sufficient = sufficient or ((not is_rc_side or q[0] < n - 1)
+                                    and (shaped or (q[0] < n and body_splits)))
+        necessary = necessary or body_splits or ((not is_rc_side or q[-1] < n) and shaped)
+        if sufficient and necessary:
+            break
+    return sufficient, necessary
 
 
 def classify_necessary(p: Perm) -> bool:
@@ -205,39 +212,13 @@ def classify_necessary(p: Perm) -> bool:
     below the maximum; this is what the reference classification counts
     use.
     """
-    n = len(p)
-    for q, is_rc_side in _symmetry_orbit(p):
-        comp_q = len(components(q))
-        if comp_q >= 3:
-            return True
-        body = delete(q, [q[0]])
-        if len(components(body)) > comp_q:
-            return True
-        rc_ok = not is_rc_side or q[-1] < n
-        if q[0] > 1 and comp_q == 2 and _first_component_starts_with_max(q) and rc_ok:
-            return True
-        if 1 < q[0] < n and avoids(body, [_P213]) and rc_ok:
-            return True
-    return False
+    return _classify(p)[1]
 
 
 def classify_sufficient(p: Perm) -> bool:
     """Sufficient condition for f-incompatibility: True certifies that f
     breaks p-avoidance somewhere."""
-    n = len(p)
-    for q, is_rc_side in _symmetry_orbit(p):
-        comp_q = len(components(q))
-        if comp_q >= 3:
-            return True
-        rc_ok = (not is_rc_side) or q[0] < n - 1
-        body = delete(q, [q[0]])
-        if q[0] < n and len(components(body)) > comp_q and rc_ok:
-            return True
-        if q[0] > 1 and comp_q == 2 and _first_component_starts_with_max(q) and rc_ok:
-            return True
-        if 1 < q[0] < n and avoids(body, [_P213]) and rc_ok:
-            return True
-    return False
+    return _classify(p)[0]
 
 
 def corollary_families(p: Perm) -> bool:
@@ -248,10 +229,11 @@ def corollary_families(p: Perm) -> bool:
         return True
     if n >= 4 and p[0] == 1:
         tau = delete(p, [1])
+        m = len(tau)
         if (
             not is_decomposable(tau)
-            and not is_decomposable(delete(tau, [tau[-1]]))
-            and not is_decomposable(delete(tau, [len(tau)]))
+            and not first_split(tau, tau[-1]) < m - 1
+            and not first_split(tau, m) < m - 1
         ):
             return True
     return False
@@ -306,8 +288,7 @@ def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
         if contains(image, p):
             witness = (pi, image)
             break
-    return _verdict(p, witness, classify_sufficient(p), classify_necessary(p),
-                    alternate_priority)
+    return _verdict(p, witness, *_classify(p), alternate_priority)
 
 
 @dataclass(frozen=True)
@@ -407,9 +388,9 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
             continue
         for p in subpatterns.gained(pi, image):
             witnesses.setdefault(p, (pi, image))
-    suff = [classify_sufficient(p) for p in patterns]
-    nec = [classify_necessary(p) for p in patterns]
-    n_suff, n_nec = sum(suff), sum(nec)
+    theorems = [_classify(p) for p in patterns]
+    n_suff = sum(s for s, _ in theorems)
+    n_nec = sum(c for _, c in theorems)
     wit = sum(1 for p in patterns if p in witnesses)
     total = len(patterns)
     return CompatCounts(
@@ -423,7 +404,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         sufficient_compatible=total - n_suff,
         verdicts=tuple(
             _verdict(p, witnesses.get(p), s, c, alternate_priority)
-            for p, s, c in zip(patterns, suff, nec)
+            for p, (s, c) in zip(patterns, theorems)
         ),
     )
 
@@ -494,10 +475,10 @@ def _r3_shape(s: Perm) -> bool:
         trimmed = delete(tau, [tau[0], tau[-1]])
         if not trimmed:
             continue
-        ell = len(components(trimmed)[0])
+        ell = first_split(trimmed)
         if tau[0] != ell + 1 or tau[-1] != ell + 2:
             continue
-        if len(components(delete(tau, [tau[0]]))) < 2:
+        if not first_split(tau, tau[0]) < len(tau) - 1:
             continue
         if tau == s:
             raise AssertionError(

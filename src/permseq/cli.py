@@ -229,11 +229,12 @@ def cmd_gf(args) -> int:
             raise ValueError(f"{args.name!r} is not a pattern basis; nothing to compare") from None
         n_needed = limit_depth(basis, args.k)
         check_table_bounds(n_needed, args.k)
+        # the table comes before any output, so a bad cache path leaves stdout empty
+        table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     series = named_gf(args.name, args.k)
     print(",".join(str(c) for c in series.coeffs))
     if not args.compare_table:
         return 0
-    table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     report = limit_report(table)
     ok = True
     for k in range(args.k + 1):
@@ -378,8 +379,8 @@ def main(argv=None) -> int:
             # the pool starts every worker at once, so never ask for more than the CPUs
             args.threads = min(args.threads, os.cpu_count() or 1)
         return args.fn(args)
-    except ValueError as exc:
-        # usage errors, malformed patterns or out-of-range bounds
+    except (OSError, ValueError) as exc:
+        # usage errors, malformed patterns, out-of-range bounds or unusable paths
         print(f"permseq: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

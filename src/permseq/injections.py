@@ -19,6 +19,7 @@ from .perms import (
     delete,
     descending,
     direct_sum,
+    first_split,
     insert_value,
     inv_count,
     is_decomposable,
@@ -219,9 +220,10 @@ def inject_1324_231_full(p: Perm) -> InjectionResult:
     n = len(p)
     if p == descending(n):  # includes the empty permutation
         return InjectionResult(direct_sum(p, Perm((1,))), branch=1)
-    comps = components(p)
-    if len(comps) >= 2:
-        return InjectionResult(_insert_middle_point(comps), branch=2)
+    split = first_split(p)
+    if split < n:
+        # one identity point right after the first component
+        return InjectionResult(insert_value(p, split, split + 1), branch=2)
     ell = _leading_descent(p)
     assert 1 <= ell < n
     tail = standardize(p[ell:])
@@ -251,12 +253,6 @@ def _attach_descent(tail: Perm, ell: int, total: int) -> Perm:
     """Prepend the descent total, total-1, ..., total-ell+1 to the tail."""
     assert len(tail) + ell == total
     return Perm(list(range(total, total - ell, -1)) + list(tail))
-
-
-def _insert_middle_point(comps: Sequence[Perm]) -> Perm:
-    """Insert one identity point between the first and last components."""
-    first, rest = comps[0], comps[1:]
-    return direct_sum(first, Perm((1,)), *rest)
 
 
 def inject_1324_231(p: Perm) -> Perm:

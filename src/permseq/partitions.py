@@ -12,9 +12,9 @@ from typing import Callable, Iterator, Sequence
 from .perms import (
     Perm,
     avoids,
-    components,
     from_lehmer,
     inverse,
+    is_decomposable,
     lehmer_code,
     parse_perm,
     reverse_complement,
@@ -75,7 +75,7 @@ def partition_count(k: int) -> int:
 def lambda_map(p: Perm) -> Partition:
     """Lehmer code with trailing zeros removed; defined on indecomposable
     132-avoiders, where it is a partition of inv(p)."""
-    if len(components(p)) > 1:
+    if is_decomposable(p):
         raise ValueError("permutation must be indecomposable")
     if not avoids(p, [parse_perm("132")]):
         raise ValueError("permutation must avoid 132")

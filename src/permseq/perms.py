@@ -165,14 +165,33 @@ def components(p: Sequence[int]) -> list[Perm]:
     return out
 
 
+def first_split(p: Sequence[int], drop: int | None = None) -> int:
+    """The length of p's first direct-sum component (len(p) if p is
+    indecomposable, 0 if empty). With drop=e, the same for p with the value e
+    deleted and the rest standardized, read in one prefix-maximum scan
+    without building the deletion: e is skipped, entries above it count one
+    lower."""
+    if drop is None:
+        drop = len(p) + 1
+    elif not 1 <= drop <= len(p):
+        raise ValueError(f"value {drop} not in 1..{len(p)}")
+    high = length = 0
+    for v in p:
+        if v > drop:
+            v -= 1
+        elif v == drop:
+            continue
+        length += 1
+        if v > high:
+            high = v
+        if high == length:
+            break
+    return length
+
+
 def is_decomposable(p: Sequence[int]) -> bool:
     """True iff p is a direct sum of two nonempty permutations."""
-    high = 0
-    for i, v in enumerate(p[:-1]):
-        high = max(high, v)
-        if high == i + 1:
-            return True
-    return False
+    return first_split(p) < len(p)
 
 
 def standardize(seq: Sequence[int]) -> Perm:

@@ -4,6 +4,7 @@ import pytest
 
 from permseq.almost_decomp import (
     Subpatterns,
+    _classify,
     _f,
     _grow,
     almost_decomposable,
@@ -22,8 +23,11 @@ from permseq.almost_decomp import (
 )
 from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, row_differences
 from permseq.perms import (
+    all_perms,
     avoids,
+    components,
     contains,
+    delete,
     direct_sum,
     identity,
     is_decomposable,
@@ -31,12 +35,14 @@ from permseq.perms import (
     inverse,
     parse_basis,
     parse_perm,
+    reverse_complement,
     standardize,
 )
 from permseq.series import overpartition_gf
 
 P1324 = parse_perm("1324")
 P1342 = parse_perm("1342")
+P213 = parse_perm("213")
 
 
 def test_decomp_form():
@@ -156,6 +162,62 @@ def test_classification_examples():
         for p in generate_avoiders([P1324], n, n * (n - 1) // 2):
             if len(p) == n and classify_sufficient(p):
                 assert classify_necessary(p)
+
+
+def _symmetry_orbit(p):
+    rc = reverse_complement(p)
+    return ((p, False), (inverse(p), False), (rc, True), (inverse(rc), True))
+
+
+def _first_component_starts_with_max(q):
+    first = components(q)[0]
+    return first[0] == len(first)
+
+
+def necessary_reference(p):
+    """Oracle: the necessary condition as one loop of its own over the orbit,
+    reading the body's components off the built deletion."""
+    n = len(p)
+    for q, is_rc_side in _symmetry_orbit(p):
+        comp_q = len(components(q))
+        if comp_q >= 3:
+            return True
+        body = delete(q, [q[0]])
+        if len(components(body)) > comp_q:
+            return True
+        rc_ok = not is_rc_side or q[-1] < n
+        if q[0] > 1 and comp_q == 2 and _first_component_starts_with_max(q) and rc_ok:
+            return True
+        if 1 < q[0] < n and avoids(body, [P213]) and rc_ok:
+            return True
+    return False
+
+
+def sufficient_reference(p):
+    """Oracle: the sufficient condition as one loop of its own over the orbit."""
+    n = len(p)
+    for q, is_rc_side in _symmetry_orbit(p):
+        comp_q = len(components(q))
+        if comp_q >= 3:
+            return True
+        rc_ok = (not is_rc_side) or q[0] < n - 1
+        body = delete(q, [q[0]])
+        if q[0] < n and len(components(body)) > comp_q and rc_ok:
+            return True
+        if q[0] > 1 and comp_q == 2 and _first_component_starts_with_max(q) and rc_ok:
+            return True
+        if 1 < q[0] < n and avoids(body, [P213]) and rc_ok:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_orbit_pass_matches_reference_theorems(n):
+    # every pattern, not only the 1324-avoiders the Table 4 rows sum over
+    for p in all_perms(n):
+        want = (sufficient_reference(p), necessary_reference(p))
+        assert _classify(p) == want, p
+        assert (classify_sufficient(p), classify_necessary(p)) == want, p
 
 
 def test_corollary_families():

@@ -268,6 +268,34 @@ def test_bad_pattern_token_is_named(argv, pattern, capsys):
     assert captured.err == f"permseq: error: invalid pattern {pattern}\n"
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["table", "--basis", "1324", "--n", "3", "--k", "3", "--out", "{missing}"], False),
+    (["diff", "--basis", "1324", "--n", "3", "--k", "3", "--out", "{dir}"], False),
+    (["compat", "--length", "3", "--out", "{missing}"], False),
+    (["table", "--basis", "1324", "--n", "3", "--k", "3", "--cache-dir", "{file}"], False),
+    (["table", "--basis", "1324", "--n", "3", "--k", "3"], True),
+    (["gf", "--name", "1324,1342", "--k", "5", "--compare-table", "--cache-dir", "{file}"],
+     False),
+])
+def test_bad_paths_are_one_line_exit_1(argv, env, tmp_path, monkeypatch, capsys):
+    # an output under a missing directory, an output that is a directory, and
+    # a cache directory (flag or environment) that is a regular file
+    paths = {"missing": tmp_path / "missing" / "x.out", "dir": tmp_path, "file": tmp_path / "f"}
+    paths["file"].write_text("")
+    if env:
+        monkeypatch.setenv("PERMSEQ_CACHE_DIR", str(paths["file"]))
+    else:
+        monkeypatch.delenv("PERMSEQ_CACHE_DIR", raising=False)
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == EXIT_BAD_INPUT == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
+    named = paths["file"] if env else next(p for p in paths.values() if str(p) in argv)
+    assert str(named) in lines[0]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["compat", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as done:

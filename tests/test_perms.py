@@ -14,6 +14,7 @@ from permseq.perms import (
     contains,
     delete,
     direct_sum,
+    first_split,
     format_perm,
     from_lehmer,
     identity,
@@ -139,6 +140,42 @@ def test_components_reassemble(p):
     comps = components(p)
     assert direct_sum(*comps) == p
     assert inv_count(p) + len(comps) >= len(p)
+
+
+def _first_split_oracle(p, drop=None):
+    """The first component's length, read off components() of the built deletion."""
+    q = p if drop is None else delete(p, [drop])
+    return len(components(q)[0]) if q else 0
+
+
+def _check_first_split(p):
+    assert first_split(p) == _first_split_oracle(p), p
+    for e in range(1, len(p) + 1):
+        assert first_split(p, e) == _first_split_oracle(p, e), (p, e)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_first_split_matches_components_exhaustive(n):
+    for p in all_perms(n):
+        _check_first_split(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(Perm))
+def test_first_split_matches_components_random(p):
+    _check_first_split(p)
+
+
+def test_first_split_examples():
+    p = parse_perm("21453")
+    assert first_split(p) == 2
+    assert first_split(p, 2) == 1  # 1342
+    assert first_split(p, 4) == 2  # 2143
+    assert first_split(parse_perm("3142")) == 4
+    assert first_split(parse_perm("1")) == 1 and first_split(parse_perm("1"), 1) == 0
+    assert first_split(EMPTY) == 0
+    with pytest.raises(ValueError):
+        first_split(p, 6)
 
 
 def test_delete():
