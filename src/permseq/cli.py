@@ -84,6 +84,8 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
     if cache_dir is None:
         return count_table(basis, n_max, k_max, threads=threads)
     cache = Path(cache_dir)
+    if cache.exists() and not cache.is_dir():
+        raise ValueError(f"cache directory expected, but {cache_dir} is not a directory")
     cache.mkdir(parents=True, exist_ok=True)
     key = basis_key(basis)
     path = _cache_path(cache, key, n_max, k_max)
@@ -251,8 +253,8 @@ def cmd_bijection(args) -> int:
 
     partner = args.pattern
     if partner not in FAMILY_TESTS:
-        print(f"no partition family registered for {partner}", file=sys.stderr)
-        return EXIT_BIJECTION_MISMATCH
+        raise ValueError(f"no partition family registered for {partner}; "
+                         f"known: {', '.join(sorted(FAMILY_TESTS))}")
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     failures = 0

@@ -24,16 +24,20 @@ last position. A child is derived from its parent's mask, not recomputed:
 - Anchored fill. The remaining occurrences use the child's last entry, and
   being the last position before the new one it can only play the last
   body role q[-2]. The fill places the other body roles right to left from
-  that fixed anchor, each against its nearest placed neighbours in value.
-  The admissible new ranks form one interval fixed by the body roles valued
-  q[-1] - 1 and q[-1] + 1; once those are placed, one completion of the rest
-  suffices.
+  that fixed anchor, each against its nearest placed neighbours in value,
+  in one iterative backtracking loop over a value array whose two sentinel
+  slots stand for "no neighbour below" (0) and "none above" (t+1). The
+  admissible new ranks form one interval fixed by the body roles valued
+  q[-1] - 1 and q[-1] + 1; once those are placed, a second loop over the
+  same arrays only asks whether the rest has one completion. The fill
+  returns as soon as every rank it could set already is bad.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
   child, so ranks below it are never read in its subtree and the fill
   skips them. An interval reaching the floor needs the body role valued
   q[-1] + 1 at or above it, and every role valued q[-1] + 1 + d at least d
-  above it, which prunes the fill on long, nearly sorted permutations.
+  above it (the plan keeps these lifts as offsets to add to the floor),
+  which prunes the fill on long, nearly sorted permutations.
 
 Counting tables by components. Every permutation is a unique direct sum
 c_1 (+) ... (+) c_m of indecomposables, with inv and length additive, and
@@ -102,13 +106,21 @@ def check_table_bounds(n_max: int, k_max: int) -> None:
 
 # -- bad ranks ------------------------------------------------------------
 
+# The floor lift of a role valued below q[-1]: a floor is at most a length
+# plus one, so floor + _UNLIFTED is below every value and never binds.
+_UNLIFTED = -(1 << 29)
+
+
 def _plan(q: Sequence[int]):
     """Fill data for a pattern of length >= 2, its body roles placed right to left.
 
-    For role j: the already placed role (index > j) nearest below and above
-    it in value (-1 if none), and its lift above the budget floor (None for
-    roles valued below q[-1]). Then the roles bounding the new entry's value
-    from below and above, and the role after which the interval is fixed.
+    The fill keeps one value per body role plus two sentinel slots: index m1
+    holds 0 ("none below") and m1 + 1 holds t + 1 ("none above"). For role
+    j: the slots of the already placed roles (index > j) nearest below and
+    above it in value, and its floor lift, an offset such that floor + lift
+    is a strict lower bound on its value (_UNLIFTED for roles valued below
+    q[-1]). Then the slots bounding the new entry's value from below and
+    above, and the role after which that interval is fixed.
     """
     body = tuple(q[:-1])
     m1 = len(body)
@@ -117,62 +129,103 @@ def _plan(q: Sequence[int]):
     for j in range(m1):
         later = range(j + 1, m1)
         below.append(max((i for i in later if body[i] < body[j]),
-                         key=body.__getitem__, default=-1))
+                         key=body.__getitem__, default=m1))
         above.append(min((i for i in later if body[i] > body[j]),
-                         key=body.__getitem__, default=-1))
-        lift.append(body[j] - qlast - 1 if body[j] > qlast else None)
-    lo_role = body.index(qlast - 1) if qlast > 1 else -1
-    hi_role = body.index(qlast + 1) if qlast <= m1 else -1
-    decided = min(i for i in (lo_role, hi_role) if i >= 0)
+                         key=body.__getitem__, default=m1 + 1))
+        # the role valued q[-1] + 1 + d needs a value >= floor + d
+        lift.append(body[j] - qlast - 2 if body[j] > qlast else _UNLIFTED)
+    lo_role = body.index(qlast - 1) if qlast > 1 else m1
+    hi_role = body.index(qlast + 1) if qlast <= m1 else m1 + 1
+    decided = min(lo_role, hi_role)
     return m1, tuple(below), tuple(above), tuple(lift), lo_role, hi_role, decided
 
 
 def _fill(tau, plan, floor, bad):
     """OR into the mask `bad` the ranks >= floor completing an occurrence of
-    the planned pattern in which tau's last entry is the last body role."""
+    the planned pattern in which tau's last entry is the last body role.
+
+    One backtracking loop places roles m1-2 .. decided right to left, each
+    at the positions left of its successor; once they are placed the new
+    entry's interval is fixed, and an inner loop over the same arrays only
+    asks whether roles decided-1 .. 0 can be completed before the interval
+    is ORed in. Only ranks floor .. t+1 are ever set, so the fill returns
+    as soon as they all are.
+    """
     m1, below, above, lift, lo_role, hi_role, decided = plan
     t = len(tau)
-    if m1 > t:
+    if m1 > t or tau[-1] <= floor + lift[-1]:
         return bad
-    if lift[-1] is not None and tau[-1] < floor + lift[-1]:
+    full = (1 << (t + 2)) - (1 << floor)
+    if bad & full == full:
         return bad
-    pos = [0] * m1
-    val = [0] * m1
-    pos[-1] = t - 1
-    val[-1] = tau[-1]
-    least = [0 if d is None else floor + d - 1 for d in lift]
-
-    def place(j, settle):
-        # Roles j+1.. are placed. Until the interval is fixed, enumerate;
-        # afterwards (settle) report whether roles j..0 can be completed.
-        nonlocal bad
-        if j < decided and not settle:
-            lo = val[lo_role] + 1 if lo_role >= 0 else 1
+    # val[j] is role j's value, with the two sentinel slots; nxt[j] is the
+    # next position to try for role j, scanning leftwards. The anchor's slot
+    # nxt[-1] is never read, so stepping below role 0 may write it.
+    val = [0] * (m1 + 2)
+    val[m1 - 1] = tau[-1]
+    val[m1 + 1] = t + 1
+    nxt = [t - 2] * m1
+    last = m1 - 1
+    j = m1 - 2
+    while True:
+        if j < decided:
+            lo = val[lo_role] + 1
             if lo < floor:
                 lo = floor
-            hi = val[hi_role] if hi_role >= 0 else t + 1
+            hi = val[hi_role]
             if lo <= hi:
                 span = (1 << (hi + 1)) - (1 << lo)
-                if bad & span != span and place(j, True):
-                    bad |= span
-            return False
-        if j < 0:
-            return True
-        low = val[below[j]] if below[j] >= 0 else 0
-        if low < least[j]:
-            low = least[j]
-        high = val[above[j]] if above[j] >= 0 else t + 1
-        for p in range(pos[j + 1] - 1, j - 1, -1):
+                if bad & span != span:
+                    # settle: does some placement of roles j .. 0 exist?
+                    i = j
+                    while i >= 0:
+                        low = val[below[i]]
+                        least = floor + lift[i]
+                        if low < least:
+                            low = least
+                        high = val[above[i]]
+                        p = nxt[i]
+                        while p >= i:
+                            v = tau[p]
+                            if low < v < high:
+                                break
+                            p -= 1
+                        else:
+                            i += 1
+                            if i == decided:
+                                break
+                            continue
+                        val[i] = v
+                        nxt[i] = p - 1
+                        i -= 1
+                        nxt[i] = p - 1
+                    if i < 0:
+                        bad |= span
+                        if bad & full == full:
+                            return bad
+            j = decided
+            if j == last:
+                return bad
+        low = val[below[j]]
+        least = floor + lift[j]
+        if low < least:
+            low = least
+        high = val[above[j]]
+        p = nxt[j]
+        while p >= j:
             v = tau[p]
             if low < v < high:
-                pos[j] = p
-                val[j] = v
-                if place(j - 1, settle) and settle:
-                    return True
-        return False
-
-    place(m1 - 2, False)
-    return bad
+                break
+            p -= 1
+        else:
+            j += 1
+            if j == last:
+                return bad
+            continue
+        val[j] = v
+        nxt[j] = p - 1
+        j -= 1
+        nxt[j] = p - 1
 
 
 # -- the tree walk --------------------------------------------------------

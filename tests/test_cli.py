@@ -8,7 +8,6 @@ import pytest
 
 from permseq.cli import (
     EXIT_BAD_INPUT,
-    EXIT_BIJECTION_MISMATCH,
     EXIT_GOLDEN_MISMATCH,
     cached_count_table,
     main,
@@ -177,7 +176,7 @@ def test_cmd_bijection(capsys):
     assert rc == 0
     assert "MISMATCH" not in capsys.readouterr().out
     rc = main(["bijection", "--pattern", "9999", "--k", "3"])
-    assert rc == EXIT_BIJECTION_MISMATCH
+    assert rc == EXIT_BAD_INPUT
 
 
 def test_cmd_inject(capsys):
@@ -242,6 +241,7 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     ["gf", "--name", "1324,1342", "--k", "61", "--compare-table"],
     ["golden", "--partner", "1234"],
     ["bijection", "--pattern", "2341", "--k", "-1"],
+    ["bijection", "--pattern", "1234", "--k", "3"],
     ["golden", "--all", "--bogus"],
     ["compat"],
     ["table", "--basis", "1324", "--n", "x", "--k", "3"],
@@ -294,6 +294,8 @@ def test_bad_paths_are_one_line_exit_1(argv, env, tmp_path, monkeypatch, capsys)
     assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
     named = paths["file"] if env else next(p for p in paths.values() if str(p) in argv)
     assert str(named) in lines[0]
+    if named == paths["file"]:
+        assert "cache directory expected" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["compat", "--help"]])

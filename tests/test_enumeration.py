@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
     _automaton,
+    _fill,
     _plan,
     _start,
     _walk,
@@ -33,6 +34,7 @@ from permseq.perms import (
     parse_basis,
     parse_perm,
     reverse_complement,
+    standardize,
 )
 from permseq.series import av_1324_1342
 
@@ -74,6 +76,20 @@ def _bad_ranks_brute(tau, patterns, t):
         child = [v + 1 if v >= r else v for v in tau] + [r]
         bad[r] = any(contains(child, q) for q in patterns)
     return bad
+
+
+def _anchored_brute(tau, q, floor):
+    """Reference for one fill: the mask of ranks r >= floor such that tau + r
+    has an occurrence of q with tau's last entry and the new one as q[-2], q[-1]."""
+    t = len(tau)
+    ranks = 0
+    for r in range(floor, t + 2):
+        child = [v + 1 if v >= r else v for v in tau] + [r]
+        for rest in itertools.combinations(range(t - 1), len(q) - 2):
+            if standardize([child[i] for i in rest] + child[-2:]) == q:
+                ranks |= 1 << r
+                break
+    return ranks
 
 
 def _walk_tallies(patterns, n_max, k_max):
@@ -206,6 +222,41 @@ def test_iter_avoiders_upto_matches_preorder_oracle(patterns, n_max, k_max):
 def test_count_table_matches_full_walk_random(patterns, n_max, k_max):
     # the component DP over the pruned walk against every node of the full walk
     assert count_table(patterns, n_max, k_max).rows == _walk_tallies(patterns, n_max, k_max)
+
+
+@st.composite
+def fill_case_st(draw):
+    """(q, tau, floor, bad) for one fill: patterns longer than the walk tests
+    reach, and masks holding no, random, all or all but one rank >= floor."""
+    q = draw(st.integers(2, 7).flatmap(lambda m: st.permutations(range(1, m + 1))).map(Perm))
+    # from one entry too short to hold q's body up to length 9
+    t = draw(st.integers(max(1, len(q) - 2), 9))
+    tau = tuple(draw(st.permutations(range(1, t + 1))))
+    floor = draw(st.one_of(st.just(1), st.integers(1, t + 1)))
+    above = (1 << (t + 2)) - (1 << floor)
+    bad = draw(st.integers(0, (1 << (t + 2)) - 1))
+    kind = draw(st.sampled_from(["empty", "random", "full", "one short"]))
+    if kind == "empty":
+        bad &= ~above
+    elif kind != "random":
+        bad |= above
+        if kind == "one short":
+            bad &= ~(1 << draw(st.integers(floor, t + 1)))
+    return q, tau, floor, bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(fill_case_st())
+# role 1 of 1324 fixes the interval; each settle of role 0 starts left of it
+@example((Perm((1, 3, 2, 4)), (1, 3, 4, 2), 1, 0))
+# roles 1 and 0 of 15243 are settled only after role 2 fixes the interval
+@example((Perm((1, 5, 2, 4, 3)), (1, 2, 3, 5, 4), 1, 0))
+def test_fill_matches_anchored_oracle(case):
+    q, tau, floor, bad = case
+    got = _fill(tau, _plan(q), floor, bad)
+    below = (1 << floor) - 1
+    assert got & below == bad & below
+    assert got >> floor == (bad | _anchored_brute(tau, q, floor)) >> floor
 
 
 @settings(max_examples=100, deadline=None)
