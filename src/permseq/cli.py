@@ -11,6 +11,7 @@ silently. Cache writes go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .enumeration import (
     ENGINE_VERSION,
+    MAX_LENGTH,
     CountTable,
-    check_table_bounds,
     count_table,
     diagonal_limit,
     limit_depth,
@@ -178,11 +179,9 @@ def cmd_limit(args) -> int:
         else:
             print(f"k={k}: unstable within range (last value {report.c[k]})")
     if args.secondary:
-        rep = diagonal_limit(row_differences(table))
-        print("secondary:", " ".join(map(str, rep.stabilized_from_first_nonzero())))
+        print("secondary:", " ".join(map(str, diagonal_limit(row_differences(table)))))
     if args.tertiary:
-        rep = diagonal_limit(second_differences(table))
-        print("tertiary:", " ".join(map(str, rep.stabilized_from_first_nonzero())))
+        print("tertiary:", " ".join(map(str, diagonal_limit(second_differences(table)))))
     return 0
 
 
@@ -230,7 +229,9 @@ def cmd_gf(args) -> int:
         except ValueError:
             raise ValueError(f"{args.name!r} is not a pattern basis; nothing to compare") from None
         n_needed = limit_depth(basis, args.k)
-        check_table_bounds(n_needed, args.k)
+        if n_needed > MAX_LENGTH:
+            raise ValueError(f"--compare-table needs rows up to k + 2 + longest pattern "
+                             f"({n_needed}), above the maximum of {MAX_LENGTH}")
         # the table comes before any output, so a bad cache path leaves stdout empty
         table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     series = named_gf(args.name, args.k)
@@ -294,7 +295,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared for the process (each
+    build leaves several hundred objects of cyclic garbage)."""
     parser = _Parser(
         prog="permseq",
         description="Pattern-avoiding permutations counted by inversions: "

@@ -536,20 +536,15 @@ def row_differences(table: CountTable) -> list[list[int]]:
 
 
 def second_differences(table: CountTable) -> list[list[int]]:
-    """b(n, k) = (a(n+2, k+1) - a(n+1, k+1)) - (a(n+1, k) - a(n, k)).
+    """b(n, k) = d(n+1, k+1) - d(n, k) with d the row differences, that is
+    (a(n+2, k+1) - a(n+1, k+1)) - (a(n+1, k) - a(n, k)).
 
     The combination whose diagonals b(n+i, k+i) stabilize when the row
     differences themselves do not.
     """
-    out = []
-    for n in range(1, table.n_max - 1):
-        row = []
-        for k in range(table.k_max):
-            d_hi = table.rows[n + 1][k + 1] - table.rows[n][k + 1]
-            d_lo = table.rows[n][k] - table.rows[n - 1][k]
-            row.append(d_hi - d_lo)
-        out.append(row)
-    return out
+    d = row_differences(table)
+    return [[hi - lo for lo, hi in zip(lo_row, hi_row[1:])]
+            for lo_row, hi_row in zip(d, d[1:])]
 
 
 def monotonicity_scan(table: CountTable) -> list[tuple[int, int, int, int]]:
@@ -563,6 +558,14 @@ def monotonicity_scan(table: CountTable) -> list[tuple[int, int, int, int]]:
     return hits
 
 
+def _run_start(seq: Sequence[int]) -> int:
+    """Index where the final constant run of seq starts (0 when seq is empty)."""
+    start = max(len(seq) - 1, 0)
+    while start > 0 and seq[start - 1] == seq[-1]:
+        start -= 1
+    return start
+
+
 def zero_row_threshold(table: CountTable) -> int | None:
     """The least c with a(n, k) = 0 for all n >= k + c, 1 <= k <= k_max, in the table.
 
@@ -571,13 +574,11 @@ def zero_row_threshold(table: CountTable) -> int | None:
     """
     shifts = []
     for k in range(1, table.k_max + 1):
-        col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
-        if col[-1] != 0 or not any(col):
+        col = [row[k] for row in table.rows]
+        start = _run_start(col)
+        if col[-1] != 0 or start == 0:
             return None
-        first_zero = len(col)
-        while col[first_zero - 2] == 0:
-            first_zero -= 1
-        shifts.append(first_zero - k)
+        shifts.append(start + 1 - k)
     return max(shifts) if shifts else None
 
 
@@ -590,12 +591,17 @@ def has_limit_sequence(basis) -> bool:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Stabilized values c_k with thresholds m_k, per inversion count k."""
+    """Last values c_k per inversion count k, with the threshold m_k from
+    which column k is stabilized, or None where it is not."""
 
     k_max: int
     c: tuple[int, ...]
     m: tuple[int | None, ...]
-    status: tuple[str, ...]  # "stabilized" | "unstable-within-range"
+
+    @property
+    def status(self) -> tuple[str, ...]:
+        return tuple("unstable-within-range" if m is None else "stabilized"
+                     for m in self.m)
 
 
 def limit_depth(basis, k: int) -> int:
@@ -615,83 +621,38 @@ def limit_report(table: CountTable) -> LimitReport:
     A value is declared stabilized only when the last TAIL_WINDOW rows agree
     and n_max is at least limit_depth(basis, k).
     """
-    cs, ms, st = [], [], []
+    cs, ms = [], []
     for k in range(table.k_max + 1):
-        col = [table.rows[n - 1][k] for n in range(1, table.n_max + 1)]
-        tail_ok = (
-            len(col) >= TAIL_WINDOW
-            and all(v == col[-1] for v in col[-TAIL_WINDOW:])
-        )
-        deep_enough = table.n_max >= limit_depth(table.basis, k)
-        if tail_ok and deep_enough:
-            c = col[-1]
-            m = table.n_max
-            while m > 1 and col[m - 2] == c:
-                m -= 1
-            cs.append(c)
-            ms.append(m)
-            st.append("stabilized")
-        else:
-            cs.append(col[-1])
-            ms.append(None)
-            st.append("unstable-within-range")
-    return LimitReport(k_max=table.k_max, c=tuple(cs), m=tuple(ms), status=tuple(st))
+        col = [row[k] for row in table.rows]
+        start = _run_start(col)
+        stable = (len(col) - start >= TAIL_WINDOW
+                  and table.n_max >= limit_depth(table.basis, k))
+        cs.append(col[-1])
+        ms.append(start + 1 if stable else None)
+    return LimitReport(k_max=table.k_max, c=tuple(cs), m=tuple(ms))
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
-    """Stabilized values of matrix diagonals (n, n + offset)."""
-
-    offsets: tuple[int, ...]
-    values: tuple[int | None, ...]
-    thresholds: tuple[int | None, ...]
-
-    def stabilized_from_first_nonzero(self) -> list[int]:
-        seq: list[int] = []
-        started = False
-        for off, v in zip(self.offsets, self.values):
-            if v is None:
-                if started:
-                    break
-                continue
-            if not started and v == 0:
-                continue
-            started = True
-            seq.append(v)
-        return seq
-
-
-def diagonal_limit(matrix: Sequence[Sequence[int]]) -> DiagonalReport:
-    """Stabilization of the diagonals m(n, k) with k - n fixed.
+def diagonal_limit(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """The stabilized values of the diagonals m(n, k) with k - n fixed.
 
     matrix rows are indexed by n = 1.., columns by k = 0..; entries beyond a
-    row's nonzero support should simply be present (zeros are fine).
+    row's nonzero support should simply be present (zeros are fine). A
+    diagonal is stabilized when its last TAIL_WINDOW cells agree. Returns
+    the values of the stabilized diagonals by ascending k - n, from the
+    first nonzero one up to the first diagonal after it that is not
+    stabilized (diagonals shorter than TAIL_WINDOW are passed over).
     """
-    n_rows = len(matrix)
-    if n_rows == 0:
-        return DiagonalReport((), (), ())
-    k_cols = len(matrix[0])
-    offsets, values, thresholds = [], [], []
-    for off in range(-n_rows + 1, k_cols - 1 + 1):
-        cells = [
-            (n, matrix[n - 1][n + off])
-            for n in range(1, n_rows + 1)
-            if 0 <= n + off < k_cols
-        ]
-        if len(cells) < TAIL_WINDOW:
-            continue
-        tail = cells[-TAIL_WINDOW:]
-        offsets.append(off)
-        if all(v == tail[-1][1] for _, v in tail):
-            values.append(tail[-1][1])
-            idx = len(cells) - 1
-            while idx > 0 and cells[idx - 1][1] == tail[-1][1]:
-                idx -= 1
-            thresholds.append(cells[idx][0])
-        else:
-            values.append(None)
-            thresholds.append(None)
-    return DiagonalReport(tuple(offsets), tuple(values), tuple(thresholds))
+    width = len(matrix[0]) if matrix else 0
+    seq: list[int] = []
+    for off in range(1 - len(matrix), width):
+        cells = [row[n + off] for n, row in enumerate(matrix, 1) if 0 <= n + off < width]
+        if len(cells) - _run_start(cells) < TAIL_WINDOW:
+            # short diagonals lie only at the two ends, so ending early is safe
+            if seq:
+                break
+        elif seq or cells[-1]:
+            seq.append(cells[-1])
+    return seq
 
 
 # -- inv-Wilf symmetry representatives ------------------------------------

@@ -14,31 +14,33 @@ from .enumeration import CountTable
 from .perms import parse_basis
 
 
-def _count_cap(n: int) -> int:
+def count_cap(n: int) -> int:
+    """The most inversions a permutation of length n has; cells of row n
+    with a larger k are blank."""
     return n * (n - 1) // 2
 
 
+def _grid(rows: Sequence[Sequence[int]], n_rows: int, k_max: int, shift: int = 0):
+    """The header and the first n_rows rows as text cells, each row led by its
+    n; a cell is blank where k exceeds the cap of length n + shift."""
+    ks = range(k_max + 1)
+    grid = [["n\\k", *map(str, ks)]]
+    for n in range(1, n_rows + 1):
+        cap = count_cap(n + shift)
+        grid.append([str(n), *("" if k > cap else str(rows[n - 1][k]) for k in ks)])
+    return grid
+
+
+def _csv(grid) -> str:
+    return "".join(",".join(cells) + "\n" for cells in grid)
+
+
 def table_to_csv(table: CountTable) -> str:
-    lines = ["n\\k," + ",".join(str(k) for k in range(table.k_max + 1))]
-    for n in range(1, table.n_max + 1):
-        cap = _count_cap(n)
-        cells = [
-            "" if k > cap else str(table.rows[n - 1][k])
-            for k in range(table.k_max + 1)
-        ]
-        lines.append(f"{n}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(_grid(table.rows, table.n_max, table.k_max))
 
 
 def diffs_to_csv(table: CountTable, diffs: Sequence[Sequence[int]]) -> str:
-    lines = ["n\\k," + ",".join(str(k) for k in range(table.k_max + 1))]
-    for n in range(1, table.n_max):
-        cap = _count_cap(n + 1)
-        cells = [
-            "" if k > cap else str(diffs[n - 1][k]) for k in range(table.k_max + 1)
-        ]
-        lines.append(f"{n}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(_grid(diffs, table.n_max - 1, table.k_max, shift=1))
 
 
 def csv_to_cells(text: str) -> dict[int, list[int | None]]:
@@ -62,16 +64,9 @@ def table_from_csv(text: str, basis_text: str) -> CountTable:
 
 
 def table_to_markdown(table: CountTable) -> str:
-    header = ["n\\k"] + [str(k) for k in range(table.k_max + 1)]
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "---|" * len(header))
-    for n in range(1, table.n_max + 1):
-        cap = _count_cap(n)
-        cells = [str(n)] + [
-            "" if k > cap else str(table.rows[n - 1][k])
-            for k in range(table.k_max + 1)
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
+    grid = _grid(table.rows, table.n_max, table.k_max)
+    lines = ["| " + " | ".join(cells) + " |" for cells in grid]
+    lines.insert(1, "|" + "---|" * len(grid[0]))
     return "\n".join(lines) + "\n"
 
 

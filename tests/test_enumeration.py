@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
+    TAIL_WINDOW,
+    CountTable,
     _automaton,
     _fill,
     _plan,
@@ -15,6 +17,7 @@ from permseq.enumeration import (
     generate_avoiders,
     has_limit_sequence,
     iter_avoiders_upto,
+    limit_depth,
     limit_report,
     monotonicity_scan,
     row_differences,
@@ -37,6 +40,7 @@ from permseq.perms import (
     standardize,
 )
 from permseq.series import av_1324_1342
+from permseq.tableio import diffs_to_csv, table_to_csv, table_to_markdown
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -365,8 +369,6 @@ def test_second_differences_formula():
 
 
 def test_second_differences_constant_table():
-    from permseq.enumeration import CountTable
-
     rows = tuple(tuple([3] * 5) for _ in range(6))
     tbl = CountTable(basis=parse_basis("21"), n_max=6, k_max=4, rows=rows)
     assert all(v == 0 for row in second_differences(tbl) for v in row)
@@ -374,14 +376,12 @@ def test_second_differences_constant_table():
 
 def test_tertiary_2143():
     t = count_table(parse_basis("1324,2143"), 15, 15)
-    rep = diagonal_limit(second_differences(t))
-    assert rep.stabilized_from_first_nonzero()[:5] == [-2, 0, 0, 0, 0]
+    assert diagonal_limit(second_differences(t))[:5] == [-2, 0, 0, 0, 0]
 
 
 def test_tertiary_2413():
     t = count_table(parse_basis("1324,2413"), 15, 17)
-    rep = diagonal_limit(second_differences(t))
-    assert rep.stabilized_from_first_nonzero()[:5] == [3, 6, 15, 30, 60]
+    assert diagonal_limit(second_differences(t))[:5] == [3, 6, 15, 30, 60]
 
 
 def test_monotonicity_scan():
@@ -436,23 +436,118 @@ def test_has_limit_sequence_criterion():
 
 def test_secondary_diagonal_1342():
     t = count_table(parse_basis("1324,1342"), 15, 20)
-    rep = diagonal_limit(row_differences(t))
-    assert rep.stabilized_from_first_nonzero()[:7] == [2, 6, 12, 24, 44, 76, 128]
+    assert diagonal_limit(row_differences(t))[:7] == [2, 6, 12, 24, 44, 76, 128]
 
 
 def test_secondary_diagonal_1324_exists():
     t = count_table(parse_basis("1324"), 15, 16)
-    rep = diagonal_limit(row_differences(t))
-    got = rep.stabilized_from_first_nonzero()
+    got = diagonal_limit(row_differences(t))
     # (4 + 2x) P(x)^2: two removal families of degree n-1 and one of degree n
     assert got[:5] == [4, 10, 24, 50, 100]
 
 
 def test_diagonal_limit_zero_matrix():
-    rep = diagonal_limit([[0] * 6 for _ in range(6)])
-    vals = rep.stabilized_from_first_nonzero()
-    assert vals == []
-    assert all(v == 0 for v in rep.values)
+    assert diagonal_limit([[0] * 6 for _ in range(6)]) == []
+    # every diagonal of at least TAIL_WINDOW cells stabilizes
+    assert diagonal_limit([[1] * 6 for _ in range(6)]) == [1] * 7
+
+
+# Reference restatements of the table rules, each written from its definition.
+
+def _column(table, k):
+    return [table.value(n, k) for n in range(1, table.n_max + 1)]
+
+
+def _ref_run_from(seq):
+    """The least 1-based position from which seq is constant."""
+    return min(i for i in range(1, len(seq) + 1) if len(set(seq[i - 1:])) == 1)
+
+
+def _ref_limit(table):
+    cs, ms = [], []
+    for k in range(table.k_max + 1):
+        col = _column(table, k)
+        stable = (len(col) >= TAIL_WINDOW and len(set(col[-TAIL_WINDOW:])) == 1
+                  and table.n_max >= limit_depth(table.basis, k))
+        cs.append(col[-1])
+        ms.append(_ref_run_from(col) if stable else None)
+    status = ["stabilized" if m is not None else "unstable-within-range" for m in ms]
+    return cs, ms, status
+
+
+def _ref_zero_rows(table):
+    shifts = []
+    for k in range(1, table.k_max + 1):
+        col = _column(table, k)
+        if col[-1] != 0 or not any(col):
+            return None
+        shifts.append(_ref_run_from(col) - k)
+    return max(shifts, default=None)
+
+
+def _ref_second_differences(table):
+    a = table.value
+    return [[(a(n + 2, k + 1) - a(n + 1, k + 1)) - (a(n + 1, k) - a(n, k))
+             for k in range(table.k_max)] for n in range(1, table.n_max - 1)]
+
+
+def _ref_diagonal(matrix):
+    """Stabilized diagonal values (None where not stabilized) by ascending
+    k - n, cut to the stretch from the first nonzero value to the next None."""
+    values = []
+    width = len(matrix[0]) if matrix else 0
+    for off in range(-len(matrix), width):
+        cells = [matrix[n - 1][n + off] for n in range(1, len(matrix) + 1)
+                 if 0 <= n + off < width]
+        if len(cells) >= TAIL_WINDOW:
+            values.append(cells[-1] if len(set(cells[-TAIL_WINDOW:])) == 1 else None)
+    while values and not values[0]:  # leading None and 0 alike
+        values.pop(0)
+    return values[:values.index(None)] if None in values else values
+
+
+def _ref_grid(rows, n_rows, k_max, longest):
+    """Cells of rows 1..n_rows, blank where k exceeds the inversions of a
+    permutation of length longest(n)."""
+    head = ["n\\k"] + [str(k) for k in range(k_max + 1)]
+    body = [[str(n)] + ["" if k > longest(n) * (longest(n) - 1) // 2 else str(rows[n - 1][k])
+                        for k in range(k_max + 1)] for n in range(1, n_rows + 1)]
+    return [head] + body
+
+
+@st.composite
+def _tables(draw):
+    """Tables whose columns are a random prefix and a constant tail."""
+    n_max, k_max = draw(st.integers(1, 9)), draw(st.integers(0, 8))
+    cell = st.integers(0, 2) | st.integers(-4, 30)
+    cols = []
+    for _ in range(k_max + 1):
+        tail = draw(st.integers(1, n_max))
+        prefix = draw(st.lists(cell, min_size=n_max - tail, max_size=n_max - tail))
+        cols.append(prefix + [draw(cell)] * tail)
+    basis = parse_basis(draw(st.sampled_from(["12", "21,123", "132", "1324", "1324,1342"])))
+    return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=tuple(zip(*cols)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_table_rules_match_reference(table):
+    rep = limit_report(table)
+    assert (list(rep.c), list(rep.m), list(rep.status)) == _ref_limit(table)
+    assert zero_row_threshold(table) == _ref_zero_rows(table)
+    diffs, second = row_differences(table), second_differences(table)
+    assert second == _ref_second_differences(table)
+    assert diagonal_limit(diffs) == _ref_diagonal(diffs)
+    assert diagonal_limit(second) == _ref_diagonal(second)
+    assert diagonal_limit(table.rows) == _ref_diagonal(table.rows)
+    counts = _ref_grid(table.rows, table.n_max, table.k_max, lambda n: n)
+    assert table_to_csv(table) == "".join(",".join(r) + "\n" for r in counts)
+    assert table_to_markdown(table).splitlines() == (
+        ["| " + " | ".join(counts[0]) + " |", "|" + "---|" * (table.k_max + 2)]
+        + ["| " + " | ".join(r) + " |" for r in counts[1:]])
+    # a difference row n spans lengths n and n + 1
+    deltas = _ref_grid(diffs, table.n_max - 1, table.k_max, lambda n: n + 1)
+    assert diffs_to_csv(table, diffs) == "".join(",".join(r) + "\n" for r in deltas)
 
 
 def test_prop_identity_flank_zero():
