@@ -63,18 +63,13 @@ def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | N
         return None
     if (payload.get("basis"), payload.get("n_max"), payload.get("k_max")) != (key, n_max, k_max):
         return None
-    table = payload.get("table")
-    if not isinstance(table, dict):
+    try:
+        table = table_from_json(json.dumps(payload.get("table")))
+    except ValueError:
         return None
-    if (table.get("basis"), table.get("n_max"), table.get("k_max")) != (key, n_max, k_max):
+    if (table.basis_text, table.n_max, table.k_max) != (key, n_max, k_max):
         return None
-    rows = table.get("rows")
-    if not isinstance(rows, list) or len(rows) != n_max or not all(
-        isinstance(row, list) and len(row) == k_max + 1 and all(type(v) is int for v in row)
-        for row in rows
-    ):
-        return None
-    return table_from_json(json.dumps(table))
+    return table
 
 
 def cached_count_table(basis_text: str, n_max: int, k_max: int,

@@ -28,8 +28,8 @@ last position. A child is derived from its parent's mask, not recomputed:
   in one iterative backtracking loop over a value array whose two sentinel
   slots stand for "no neighbour below" (0) and "none above" (t+1). The
   admissible new ranks form one interval fixed by the body roles valued
-  q[-1] - 1 and q[-1] + 1; once those are placed, a second loop over the
-  same arrays only asks whether the rest has one completion. The fill
+  q[-1] - 1 and q[-1] + 1; each complete placement ORs it in and
+  backtracks to the lowest role that can still change it. The fill
   returns as soon as every rank it could set already is bad.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
@@ -144,12 +144,11 @@ def _fill(tau, plan, floor, bad):
     """OR into the mask `bad` the ranks >= floor completing an occurrence of
     the planned pattern in which tau's last entry is the last body role.
 
-    One backtracking loop places roles m1-2 .. decided right to left, each
-    at the positions left of its successor; once they are placed the new
-    entry's interval is fixed, and an inner loop over the same arrays only
-    asks whether roles decided-1 .. 0 can be completed before the interval
-    is ORed in. Only ranks floor .. t+1 are ever set, so the fill returns
-    as soon as they all are.
+    One backtracking loop places roles m1-2 .. 0 right to left, each at the
+    positions left of its successor. A complete placement ORs in the new
+    entry's interval, fixed by roles lo_role and hi_role, and backtracks to
+    role `decided`: no role below it can change that interval. Only ranks
+    floor .. t+1 are ever set, so the fill returns as soon as they all are.
     """
     m1, below, above, lift, lo_role, hi_role, decided = plan
     t = len(tau)
@@ -168,41 +167,15 @@ def _fill(tau, plan, floor, bad):
     last = m1 - 1
     j = m1 - 2
     while True:
-        if j < decided:
+        if j < 0:
             lo = val[lo_role] + 1
             if lo < floor:
                 lo = floor
             hi = val[hi_role]
             if lo <= hi:
-                span = (1 << (hi + 1)) - (1 << lo)
-                if bad & span != span:
-                    # settle: does some placement of roles j .. 0 exist?
-                    i = j
-                    while i >= 0:
-                        low = val[below[i]]
-                        least = floor + lift[i]
-                        if low < least:
-                            low = least
-                        high = val[above[i]]
-                        p = nxt[i]
-                        while p >= i:
-                            v = tau[p]
-                            if low < v < high:
-                                break
-                            p -= 1
-                        else:
-                            i += 1
-                            if i == decided:
-                                break
-                            continue
-                        val[i] = v
-                        nxt[i] = p - 1
-                        i -= 1
-                        nxt[i] = p - 1
-                    if i < 0:
-                        bad |= span
-                        if bad & full == full:
-                            return bad
+                bad |= (1 << (hi + 1)) - (1 << lo)
+                if bad & full == full:
+                    return bad
             j = decided
             if j == last:
                 return bad

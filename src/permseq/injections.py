@@ -139,16 +139,7 @@ def shift_down(p: Perm, value: int, steps: int) -> Perm:
         raise ValueError("steps must be nonnegative")
     if not 1 <= value <= n or value - steps < 1:
         raise ValueError(f"shifting {value} down {steps} leaves 1..{n}")
-    lo = value - steps
-    out = []
-    for v in p:
-        if v == value:
-            out.append(lo)
-        elif lo <= v < value:
-            out.append(v + 1)
-        else:
-            out.append(v)
-    return Perm(out)
+    return insert_value(delete(p, [value]), p.index(value), value - steps)
 
 
 def shift_up(p: Perm, value: int, steps: int) -> Perm:
@@ -157,16 +148,7 @@ def shift_up(p: Perm, value: int, steps: int) -> Perm:
         raise ValueError("steps must be nonnegative")
     if not 1 <= value <= n or value + steps > n:
         raise ValueError(f"shifting {value} up {steps} leaves 1..{n}")
-    hi = value + steps
-    out = []
-    for v in p:
-        if v == value:
-            out.append(hi)
-        elif value < v <= hi:
-            out.append(v - 1)
-        else:
-            out.append(v)
-    return Perm(out)
+    return insert_value(delete(p, [value]), p.index(value), value + steps)
 
 
 def shift_down_many(p: Perm, values: Sequence[int], steps: int) -> Perm:
@@ -353,24 +335,15 @@ def basis_extend(basis: Iterable[Perm], direction: str) -> frozenset[Perm]:
     from .perms import pattern_basis
 
     basis = pattern_basis(basis)
-    out = set()
-    for p in basis:
-        n = len(p)
-        for value in range(1, n + 2):
-            if direction == "left":
-                out.add(insert_value(p, 0, value))
-            elif direction == "right":
-                out.add(insert_value(p, n, value))
-            else:
-                break
-        for pos in range(0, n + 1):
-            if direction == "up":
-                out.add(insert_value(p, pos, n + 1))
-            elif direction == "down":
-                out.add(insert_value(p, pos, 1))
-    if not out:
-        raise ValueError(f"unknown direction {direction!r}")
-    return frozenset(out)
+    if direction == "left":
+        return frozenset(insert_value(p, 0, v) for p in basis for v in range(1, len(p) + 2))
+    if direction == "right":
+        return frozenset(insert_value(p, len(p), v) for p in basis for v in range(1, len(p) + 2))
+    if direction == "up":
+        return frozenset(insert_value(p, i, len(p) + 1) for p in basis for i in range(len(p) + 1))
+    if direction == "down":
+        return frozenset(insert_value(p, i, 1) for p in basis for i in range(len(p) + 1))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def prepend_min_injection(p: Perm) -> Perm:

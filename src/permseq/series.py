@@ -71,7 +71,7 @@ class TruncatedSeries:
         if m < 0:
             raise ValueError("shift must be nonnegative")
         k = self.order
-        return TruncatedSeries(tuple([0] * min(m, k + 1) + list(self.coeffs[: k + 1 - m])))
+        return TruncatedSeries(tuple([0] * min(m, k + 1) + list(self.coeffs[: max(0, k + 1 - m)])))
 
     def square(self) -> "TruncatedSeries":
         return self * self

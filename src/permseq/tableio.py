@@ -81,10 +81,23 @@ def table_to_json(table: CountTable) -> str:
 
 
 def table_from_json(text: str) -> CountTable:
+    """The table written by table_to_json. Raises ValueError unless the text
+    holds a basis string and n_max rows of k_max + 1 integer cells."""
     payload = json.loads(text)
+    if not isinstance(payload, dict) or not isinstance(payload.get("basis"), str):
+        raise ValueError("a stored table needs a basis string")
+    n_max, k_max, rows = payload.get("n_max"), payload.get("k_max"), payload.get("rows")
+    if type(n_max) is not int or type(k_max) is not int:
+        raise ValueError("a stored table needs integer n_max and k_max")
+    # bool is an int subclass, so cells are checked by exact type
+    if not isinstance(rows, list) or len(rows) != n_max or not all(
+        isinstance(row, list) and len(row) == k_max + 1 and all(type(v) is int for v in row)
+        for row in rows
+    ):
+        raise ValueError(f"a stored table needs {n_max} rows of {k_max + 1} integers")
     return CountTable(
         basis=parse_basis(payload["basis"]),
-        n_max=payload["n_max"],
-        k_max=payload["k_max"],
-        rows=tuple(tuple(row) for row in payload["rows"]),
+        n_max=n_max,
+        k_max=k_max,
+        rows=tuple(tuple(row) for row in rows),
     )

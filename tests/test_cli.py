@@ -47,6 +47,26 @@ def test_json_roundtrip():
     assert again == t
 
 
+@pytest.mark.parametrize("text", [
+    '[]',
+    '{"n_max": 1, "k_max": 0, "rows": [[1]]}',
+    '{"basis": 12, "n_max": 1, "k_max": 0, "rows": [[1]]}',
+    '{"basis": "12", "n_max": "1", "k_max": 0, "rows": [[1]]}',
+    '{"basis": "12", "n_max": 1, "k_max": null, "rows": [[1]]}',
+    '{"basis": "12", "n_max": 1, "k_max": 0}',
+    '{"basis": "12", "n_max": 1, "k_max": 0, "rows": [1]}',
+    '{"basis": "12", "n_max": 3, "k_max": 2, "rows": [[1], [true, "x"]]}',
+    '{"basis": "12", "n_max": 2, "k_max": 1, "rows": [[1, 0]]}',
+    '{"basis": "12", "n_max": 2, "k_max": 1, "rows": [[1, 0], [1]]}',
+    '{"basis": "12", "n_max": 2, "k_max": 1, "rows": [[1, 0], [1, true]]}',
+    '{"basis": "12", "n_max": 2, "k_max": 1, "rows": [[1, 0], [1, 0.0]]}',
+], ids=["list", "no-basis", "basis-int", "n_max-str", "k_max-null", "no-rows",
+        "row-int", "short-rows", "row-count", "row-width", "cell-bool", "cell-float"])
+def test_table_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        table_from_json(text)
+
+
 def test_markdown_shape():
     t = count_table(parse_basis("132"), 4, 4)
     md = table_to_markdown(t)

@@ -251,10 +251,15 @@ def fill_case_st(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(fill_case_st())
-# role 1 of 1324 fixes the interval; each settle of role 0 starts left of it
+# role 1 of 1324 fixes the interval; each complete placement backtracks to
+# it, so role 0 is never tried again under the same role 1
 @example((Perm((1, 3, 2, 4)), (1, 3, 4, 2), 1, 0))
-# roles 1 and 0 of 15243 are settled only after role 2 fixes the interval
+# role 2 of 15243 fixes the interval; roles 1 and 0 only decide whether it
+# is ORed in
 @example((Perm((1, 5, 2, 4, 3)), (1, 2, 3, 5, 4), 1, 0))
+# the anchor of 123 fixes the interval alone, so the first complete
+# placement returns
+@example((Perm((1, 2, 3)), (1, 2, 4, 3), 1, 0))
 def test_fill_matches_anchored_oracle(case):
     q, tau, floor, bad = case
     got = _fill(tau, _plan(q), floor, bad)

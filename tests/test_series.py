@@ -53,6 +53,8 @@ def test_arithmetic_basics():
     assert (g - g).coeffs == zero(8).coeffs
     assert (one(8) + monomial(3, 8)).coeffs[3] == 1
     assert g.shift(2).coeffs[:3] == (0, 0, 1)
+    # a shift past the order leaves only zeros, at the same order
+    assert from_coeffs([1, 2, 3, 4], 3).shift(5).coeffs == (0, 0, 0, 0)
     assert g.scalar_mul(5).coeffs[4] == 5
 
 
@@ -120,6 +122,8 @@ def test_secondary_gf_1342():
     s = secondary_gf_1342(10, 16)
     assert all(s[k] == 0 for k in range(9))
     assert list(s.coeffs[9:16]) == [2, 6, 12, 24, 44, 76, 128]
+    # the row's first term x^9 lies past order 5
+    assert secondary_gf_1342(10, 5).coeffs == (0,) * 6
 
 
 def test_default_order():
