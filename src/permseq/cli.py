@@ -75,9 +75,9 @@ def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | N
 def cached_count_table(basis_text: str, n_max: int, k_max: int,
                        cache_dir: str | None, threads: int = 1) -> CountTable:
     basis = parse_basis(basis_text)
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir is None:
+    # an empty flag falls through to the environment; an empty value there means no cache
+    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
+    if not cache_dir:
         return count_table(basis, n_max, k_max, threads=threads)
     cache = Path(cache_dir)
     if cache.exists() and not cache.is_dir():

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -485,6 +484,8 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     if threads <= 1 or depth <= _SPLIT_DEPTH:
         tally = _tally_subtree((node, plans, depth, k_max, tracked))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # the levels above the split depth run inline; the pool walks below
         tally = Counter()
         frontier = [node]

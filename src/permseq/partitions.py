@@ -2,11 +2,14 @@
 132-avoiders, and the partition families matching pattern restrictions.
 
 A partition is a tuple of weakly decreasing positive integers; parts beyond
-the length count as zero.
+the length count as zero. The family tests all read one run decomposition
+of the parts: each distinct value, largest first, with its multiplicity and
+its drop to the next smaller value (to zero after the last).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
 from .perms import (
@@ -119,23 +122,23 @@ def indecomposable_avoiders(basis, k: int) -> list[Perm]:
 
 # -- partition families ---------------------------------------------------
 
+def _runs(parts: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(value, multiplicity, drop) for each distinct part, largest first;
+    the drop is the gap to the next smaller part, or to zero after the last."""
+    runs = [(v, len(list(group))) for v, group in groupby(check_partition(parts))]
+    lows = [v for v, _ in runs[1:]] + [0]
+    return [(v, mult, v - low) for (v, mult), low in zip(runs, lows)]
+
+
 def is_spm(parts: Sequence[int]) -> bool:
     """Sand pile model membership: no three equal parts, and between any two
     plateaus there is a drop of at least two."""
-    parts = check_partition(parts)
-    ell = len(parts)
-    for i in range(ell - 2):
-        if parts[i] == parts[i + 1] == parts[i + 2]:
+    pending = False  # a plateau not yet followed by a drop of two
+    for _, mult, drop in _runs(parts):
+        if mult > 2 or (mult == 2 and pending):
             return False
-    plateaus = [i for i in range(ell) if _at(parts, i) == _at(parts, i + 1) and _at(parts, i) > 0]
-    for a, b in zip(plateaus, plateaus[1:]):
-        if not any(_at(parts, i) - _at(parts, i + 1) >= 2 for i in range(a + 1, b)):
-            return False
+        pending = (pending or mult == 2) and drop < 2
     return True
-
-
-def _at(parts, i):
-    return parts[i] if i < len(parts) else 0
 
 
 def spm_generate(k: int) -> set[Partition]:
@@ -161,62 +164,39 @@ def spm_generate(k: int) -> set[Partition]:
 def is_steep(parts: Sequence[int]) -> bool:
     """Each gap between consecutive distinct parts is at least the
     multiplicity of the smaller part."""
-    parts = check_partition(parts)
-    runs: list[tuple[int, int]] = []
-    for v in parts:
-        if runs and runs[-1][0] == v:
-            runs[-1] = (v, runs[-1][1] + 1)
-        else:
-            runs.append((v, 1))
-    for (hi, _), (lo, mult) in zip(runs, runs[1:]):
-        if hi - lo < mult:
-            return False
-    return True
+    runs = _runs(parts)
+    return all(drop >= mult for (_, _, drop), (_, mult, _) in zip(runs, runs[1:]))
 
 
 def is_convex_penny(parts: Sequence[int]) -> bool:
     """No equal adjacent pair strictly before a drop of two or more
     (zero-padded beyond the last part)."""
-    parts = check_partition(parts)
-    ell = len(parts)
-    seen_plateau = False
-    for i in range(ell):
-        if seen_plateau and _at(parts, i) - _at(parts, i + 1) >= 2:
+    plateau = False
+    for _, mult, drop in _runs(parts):
+        plateau = plateau or mult > 1
+        if plateau and drop >= 2:
             return False
-        if _at(parts, i) == _at(parts, i + 1) and _at(parts, i) > 0:
-            seen_plateau = True
     return True
 
 
 def is_distinct_except_smallest(parts: Sequence[int]) -> bool:
     """All parts except possibly the smallest value have multiplicity one."""
-    parts = check_partition(parts)
-    if not parts:
-        return True
-    smallest = parts[-1]
-    seen = set()
-    for v in parts:
-        if v in seen and v != smallest:
-            return False
-        seen.add(v)
-    return True
+    return all(mult == 1 for _, mult, _ in _runs(parts)[:-1])
 
 
 def is_convex_4231(parts: Sequence[int]) -> bool:
     """After any drop of two or more, the remaining parts are strictly
     decreasing (down to the final zero)."""
-    parts = check_partition(parts)
-    ell = len(parts)
-    for i in range(ell):
-        if _at(parts, i) - _at(parts, i + 1) >= 2:
-            return all(
-                _at(parts, j) > _at(parts, j + 1) for j in range(i + 1, ell)
-            )
+    dropped = False
+    for _, mult, drop in _runs(parts):
+        if dropped and mult > 1:
+            return False
+        dropped = dropped or drop >= 2
     return True
 
 
 def distinct_part_count(parts: Sequence[int]) -> int:
-    return len(set(check_partition(parts)))
+    return len(_runs(parts))
 
 
 def max_distinct_parts(m: int) -> Callable[[Sequence[int]], bool]:
@@ -270,17 +250,11 @@ def overpartitions_of(k: int) -> list[Overpartition]:
     at its first occurrence."""
     out = []
     for lam in partitions_of(k):
-        values = sorted(set(lam), reverse=True)
-        for mask in range(1 << len(values)):
-            lined = {values[i] for i in range(len(values)) if mask >> i & 1}
-            over = []
-            seen = set()
-            for v in lam:
-                if v in lined and v not in seen:
-                    over.append((v, True))
-                else:
-                    over.append((v, False))
-                seen.add(v)
+        runs = _runs(lam)
+        for mask in range(1 << len(runs)):
+            over: list[tuple[int, bool]] = []
+            for i, (v, mult, _) in enumerate(runs):
+                over += [(v, bool(mask >> i & 1))] + [(v, False)] * (mult - 1)
             out.append(tuple(over))
     return out
 

@@ -40,10 +40,9 @@ def parse_perm(text: str) -> Perm:
     if not text:
         return EMPTY
     try:
-        values = [int(tok) for tok in (text.split(",") if "," in text else text)]
+        return Perm(int(tok) for tok in (text.split(",") if "," in text else text))
     except ValueError:
         raise ValueError(f"invalid pattern {text!r}") from None
-    return Perm(values)
 
 
 def format_perm(p: Sequence[int]) -> str:

@@ -5,7 +5,8 @@ closed at the truncation order (mismatched orders truncate to the shorter).
 Infinite products are truncated at factor index K, since factors beyond x^K
 only contribute above the truncation order.
 
-Every catalogue entry is computed without listing partitions:
+Every catalogue entry is computed without listing partitions, and every
+sum extends its partial products rather than rebuild them per term:
 
 - products: P, 132 and 1324,1243 (prod 1/(1-x^i)), distinct
   (prod (1+x^i)), 1324,1342 (overpartitions), 1324 and 1324,2413 (P^2),
@@ -85,10 +86,10 @@ def one(order: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * order)
 
 
-def monomial(m: int, order: int, coeff: int = 1) -> TruncatedSeries:
+def monomial(m: int, order: int) -> TruncatedSeries:
     c = [0] * (order + 1)
     if m <= order:
-        c[m] = coeff
+        c[m] = 1
     return TruncatedSeries(tuple(c))
 
 
@@ -118,7 +119,15 @@ def partition_gf(order: int) -> TruncatedSeries:
 
 def distinct_parts_gf(order: int) -> TruncatedSeries:
     """prod_{i >= 1} (1 + x^i)."""
-    return _parts_bounded_distinct(order, order)
+    return _distinct_prefixes(order)[-1]
+
+
+def _distinct_prefixes(order: int) -> list[TruncatedSeries]:
+    """[prod_{i=1..a} (1 + x^i) for a = 0..order], each extending the last."""
+    out = [one(order)]
+    for i in range(1, order + 1):
+        out.append(out[-1] + out[-1].shift(i))
+    return out
 
 
 def overpartition_gf(order: int) -> TruncatedSeries:
@@ -126,21 +135,11 @@ def overpartition_gf(order: int) -> TruncatedSeries:
     return distinct_parts_gf(order) * partition_gf(order)
 
 
-def _parts_bounded_distinct(a: int, order: int) -> TruncatedSeries:
-    """prod_{i=1..a} (1 + x^i)."""
-    out = one(order)
-    for i in range(1, a + 1):
-        out = out * (one(order) + monomial(i, order))
-    return out
-
-
 def _divider_gf(order: int) -> TruncatedSeries:
     """sum_{k >= 0} (k+1) x^k prod_{i=1..k} 1/(1 - x^i)."""
-    out = zero(order)
-    prod = one(order)
-    for k in range(0, order + 1):
-        if k > 0:
-            prod = prod * geometric(k, order)
+    out = prod = one(order)
+    for k in range(1, order + 1):
+        prod = prod * geometric(k, order)
         out = out + prod.shift(k).scalar_mul(k + 1)
     return out
 
@@ -148,16 +147,13 @@ def _divider_gf(order: int) -> TruncatedSeries:
 def _convex_partition_gf(order: int) -> TruncatedSeries:
     """Partitions where any drop of two or more is followed by strictly
     decreasing parts: prod(1+x^i) + sum_{a,b} x^{(a+2)(b+1)} prod_{i<=a}(1+x^i) prod_{i<=b}(1+x^i)."""
-    out = distinct_parts_gf(order)
-    for a in range(0, order + 1):
-        if (a + 2) > order:
-            break
-        pa = _parts_bounded_distinct(a, order)
-        for b in range(0, order + 1):
-            e = (a + 2) * (b + 1)
-            if e > order:
-                break
-            out = out + (pa * _parts_bounded_distinct(b, order)).shift(e)
+    prefixes = _distinct_prefixes(order)
+    out = prefixes[-1]
+    for a in range(0, order - 1):
+        inner = zero(order)
+        for b in range(0, order // (a + 2)):
+            inner = inner + prefixes[b].shift((a + 2) * (b + 1))
+        out = out + prefixes[a] * inner
     return out
 
 
@@ -165,39 +161,31 @@ def _two_sizes_gf(order: int) -> TruncatedSeries:
     """Partitions with at most two distinct part sizes:
     1 + sum_k x^k/(1-x^k) + sum_{k} sum_{i>k} x^{k+i}/((1-x^k)(1-x^i))."""
     out = one(order)
-    for k in range(1, order + 1):
-        out = out + geometric(k, order).shift(k)
-    for k in range(1, order + 1):
-        gk = geometric(k, order)
-        for i in range(k + 1, order + 1):
-            if k + i > order:
-                break
-            out = out + (gk * geometric(i, order)).shift(k + i)
+    above = zero(order)  # sum_{i>k} x^i/(1-x^i)
+    for k in range(order, 0, -1):
+        term = geometric(k, order).shift(k)
+        out = out + term * (one(order) + above)
+        above = above + term
     return out
 
 
 def _spm_gf(order: int) -> TruncatedSeries:
     """1 + sum_{k >= 1} x^{k(k+1)/2} prod_{i=1..k} (x + 1/(1-x^i))."""
-    out = one(order)
-    for k in range(1, order + 1):
-        tri = k * (k + 1) // 2
-        if tri > order:
-            break
-        prod = one(order)
-        for i in range(1, k + 1):
-            prod = prod * (monomial(1, order) + geometric(i, order))
-        out = out + prod.shift(tri)
+    out = prod = one(order)
+    k = 1
+    while k * (k + 1) // 2 <= order:
+        prod = prod * (monomial(1, order) + geometric(k, order))
+        out = out + prod.shift(k * (k + 1) // 2)
+        k += 1
     return out
 
 
 def _distinct_except_smallest_gf(order: int) -> TruncatedSeries:
     """1 + sum_{k >= 1} x^k/(1-x^k) prod_{i >= k+1} (1 + x^i)."""
-    out = one(order)
-    for k in range(1, order + 1):
-        prod = geometric(k, order)
-        for i in range(k + 1, order + 1):
-            prod = prod * (one(order) + monomial(i, order))
-        out = out + prod.shift(k)
+    out = suffix = one(order)  # suffix = prod_{i>k} (1 + x^i)
+    for k in range(order, 0, -1):
+        out = out + (geometric(k, order) * suffix).shift(k)
+        suffix = suffix + suffix.shift(k)
     return out
 
 

@@ -148,6 +148,19 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert list(tmp_path.glob("table_*.json"))
 
 
+@pytest.mark.parametrize("flag, env", [(None, ""), ("", ""), ("", "env-cache")])
+def test_empty_cache_setting_is_unset(flag, env, tmp_path, monkeypatch, capsys):
+    # an empty flag falls through to the environment, an empty variable means
+    # no cache; neither writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PERMSEQ_CACHE_DIR", env)
+    argv = ["table", "--basis", "1324", "--n", "3", "--k", "1"]
+    assert main(argv if flag is None else [*argv, "--cache-dir", flag]) == 0
+    assert capsys.readouterr().out
+    assert not list(tmp_path.glob("table_*.json"))
+    assert bool(list(tmp_path.glob("env-cache/table_*.json"))) == bool(env)
+
+
 def test_cmd_table_csv(capsys):
     rc = main(["table", "--basis", "1324,1243", "--n", "4", "--k", "4"])
     assert rc == 0
@@ -291,6 +304,8 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
     (["inject", "--perm", "12a"], "'12a'"),
     (["table", "--basis", "1324,13a4", "--n", "4", "--k", "4"], "'13a4'"),
     (["inject", "--perm", "3,1,x2"], "'3,1,x2'"),
+    (["table", "--basis", "1324,135", "--n", "4", "--k", "4"], "'135'"),
+    (["inject", "--perm", "0"], "'0'"),
 ])
 def test_bad_pattern_token_is_named(argv, pattern, capsys):
     assert main(argv) == EXIT_BAD_INPUT
@@ -361,10 +376,21 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, f"permseq {permseq.__version__}\n", "")
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
-    import os
+def test_cli_import_leaves_out_the_process_pool():
+    import permseq
 
-    import permseq.enumeration as enumeration
+    src = str(Path(permseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, permseq.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
+    import concurrent.futures
+    import os
 
     asked = []
 
@@ -383,7 +409,8 @@ def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    # count_table imports the pool class when a table uses workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["table", "--basis", "1324", "--n", "7", "--k", "6"]
     assert main([*argv, "--threads", "100000"]) == 0

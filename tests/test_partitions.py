@@ -240,6 +240,75 @@ def test_2413_limit_equals_1324_limit():
     assert rep.c == rep0.c
 
 
+# -- the family tests as index scans over the zero-padded parts ---------
+
+def _at(parts, i):
+    return parts[i] if i < len(parts) else 0
+
+
+def _scan_spm(parts):
+    ell = len(parts)
+    if any(parts[i] == parts[i + 1] == parts[i + 2] for i in range(ell - 2)):
+        return False
+    plateaus = [i for i in range(ell) if _at(parts, i) == _at(parts, i + 1)]
+    return all(any(_at(parts, i) - _at(parts, i + 1) >= 2 for i in range(a + 1, b))
+               for a, b in zip(plateaus, plateaus[1:]))
+
+
+def _scan_steep(parts):
+    values = sorted(set(parts), reverse=True)
+    return all(hi - lo >= parts.count(lo) for hi, lo in zip(values, values[1:]))
+
+
+def _scan_convex_penny(parts):
+    seen_plateau = False
+    for i in range(len(parts)):
+        if seen_plateau and _at(parts, i) - _at(parts, i + 1) >= 2:
+            return False
+        seen_plateau = seen_plateau or _at(parts, i) == _at(parts, i + 1)
+    return True
+
+
+def _scan_distinct_except_smallest(parts):
+    return all(parts.count(v) == 1 for v in parts if v != parts[-1])
+
+
+def _scan_convex_4231(parts):
+    ell = len(parts)
+    for i in range(ell):
+        if _at(parts, i) - _at(parts, i + 1) >= 2:
+            return all(_at(parts, j) > _at(parts, j + 1) for j in range(i + 1, ell))
+    return True
+
+
+def _scan_overpartitions(k):
+    out = []
+    for lam in partitions_of(k):
+        values = sorted(set(lam), reverse=True)
+        for mask in range(1 << len(values)):
+            lined = {values[i] for i in range(len(values)) if mask >> i & 1}
+            out.append(tuple((v, v in lined and v not in lam[:i]) for i, v in enumerate(lam)))
+    return out
+
+
+def test_family_tests_match_index_scans():
+    # every partition of k <= 20, against the definitions read index by index
+    scans = {
+        is_spm: _scan_spm,
+        is_steep: _scan_steep,
+        is_convex_penny: _scan_convex_penny,
+        is_distinct_except_smallest: _scan_distinct_except_smallest,
+        is_convex_4231: _scan_convex_4231,
+    }
+    for k in range(21):
+        for lam in partitions_of(k):
+            for test, scan in scans.items():
+                assert test(lam) == scan(lam), (test.__name__, lam)
+            assert distinct_part_count(lam) == len(set(lam))
+            assert max_distinct_parts(4)(lam) == (len(set(lam)) <= 2)
+        assert overpartitions_of(k) == _scan_overpartitions(k), k
+
+
 @given(partitions_st)
 def test_family_tests_accept_padded_zero_convention(lam):
     # one linear pass; never raises on any valid partition
