@@ -98,9 +98,14 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
         "table": json.loads(table_to_json(table)),
     }
     fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file behind
+        os.unlink(tmp)
+        raise
     return table
 
 

@@ -10,7 +10,8 @@ masks). `iter_avoiders_upto` streams that preorder and `generate_avoiders`
 keeps one length of it. `count_table` and `indecomposables_upto` read the
 pruned walk, which yields only the part of the tree that leads to
 indecomposable avoiders; `count_table` counts the rest by direct sums
-(below).
+(below). bad and masks are None at the leaves, where the walk does not
+descend: at the last length and, in the pruned walk, at the budget.
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -51,14 +52,19 @@ the pruned walk finds with two more masks per node:
   decomposable child whose first component has length s1 only becomes
   indecomposable after some later entry lands at rank <= s1, which costs at
   least t+2-s1 inversions, so it is skipped when inv + t+2-s1 > k_max, and
-  always at the walk's last length.
+  always at the walk's last length. A node at the budget can then only
+  append rank t+2, which gives a skipped decomposable child, so it is a
+  leaf: it gets no masks and no fill. It is indecomposable too, since a
+  decomposable child at the budget is skipped.
 - Tracked-pattern masks. An occurrence of an indecomposable pattern lies in
   one component, so a basis pattern q = q_1 (+) ... (+) q_s can only be
   spread over several components through its consecutive sums
   q_j (+) ... (+) q_j'. Each such sum of length >= 2 that is not itself in
   the basis gets its own bad-rank mask, inherited and filled as above, and
   each node a "contains" bit for it; once the bit is set the mask is
-  dropped.
+  dropped. A node lists (i, plan, mask) for the sums it does not contain
+  yet, so its children read their new bits and fill their masks from that
+  list alone.
 
 Each indecomposable is tallied by (length, inv, contained tracked sums).
 For every decomposable basis pattern, a sequence of components is read by
@@ -206,25 +212,29 @@ def _start(basis, tracked=None):
     """Fill plans for the basis and the root node of a walk.
 
     Rank 1 is bad at the root iff 1 is in the basis. With `tracked` (fill
-    plans) the root starts one empty mask per tracked pattern.
+    plans) the root starts the pruned walk, with an empty mask for every
+    tracked pattern.
     """
     plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
     bad = 2 if any(len(q) == 1 for q in basis) else 0
-    return plans, ((), 0, bad, 0, 0, None if tracked is None else (0,) * len(tracked))
+    masks = None if tracked is None else tuple((i, plan, 0) for i, plan in enumerate(tracked))
+    return plans, ((), 0, bad, 0, 0, masks)
 
 
-def _children(node, plans, n_max, k_max, tracked=None):
-    """The children of a node shorter than n_max, in ascending rank order.
+def _children(node, plans, n_max, k_max):
+    """The children of a node that has a bad mask, in ascending rank order.
 
-    A node is (values, inv, bad, splits, seen, masks); bad and masks are
-    None at length n_max, where nothing reads them. Without `tracked` every
-    avoider within the budget is a child, with splits = seen = 0 and masks
-    None. With `tracked` (fill plans of the tracked patterns) the walk is
-    pruned to the nodes that lead to indecomposable avoiders: splits is the
-    split-point mask, bit i of seen is set when the node contains tracked
-    pattern i, masks holds the bad-rank masks of the tracked patterns, and a
-    decomposable child is skipped when no indecomposable descendant of it
-    fits the budget or the length.
+    A node is (values, inv, bad, splits, seen, masks). In the full walk,
+    where masks is None, every avoider within the budget is a child, with
+    splits = seen = 0. The pruned walk yields only the nodes that lead to
+    indecomposable avoiders: splits is the split-point mask, bit i of seen is
+    set when the node contains tracked pattern i, masks lists (i, plan, mask)
+    with its bad-rank mask for every tracked pattern i it does not contain,
+    and a decomposable child is skipped when no indecomposable descendant of
+    it fits the budget or the length. A child is a leaf, with bad = masks =
+    None and no fill, at length n_max and, in the pruned walk, at the
+    budget: a leaf there can only append rank t+2, which gives a
+    decomposable child that is always skipped.
     """
     tau, inv, bad, splits, seen, masks = node
     t = len(tau)
@@ -232,20 +242,19 @@ def _children(node, plans, n_max, k_max, tracked=None):
     if floor < 1:
         floor = 1
     last = t + 1 == n_max
-    every = (1 << len(tracked)) - 1 if tracked is not None else 0
+    pruned = masks is not None
     top = t + 1
     if last and splits:
         # the pruned walk keeps only indecomposables at the last length, and
         # appending a rank above the first split gives a decomposable child
         top = (splits & -splits).bit_length() - 1
     child_splits = child_seen = 0
-    child_bad = child_masks = None
     kids = []
     for r in range(floor, top + 1):
         if bad >> r & 1:
             continue
         added = inv + t + 1 - r
-        if tracked is not None:
+        if pruned:
             # the parent's splits below r survive, and the child is a split
             child_splits = splits & ((1 << r) - 1)
             if child_splits:
@@ -256,13 +265,13 @@ def _children(node, plans, n_max, k_max, tracked=None):
                     continue
             child_splits |= 1 << (t + 1)
             child_seen = seen
-            if seen != every:
-                for i, mask in enumerate(masks):
-                    if mask >> r & 1:
-                        child_seen |= 1 << i
+            for i, _, mask in masks:
+                if mask >> r & 1:
+                    child_seen |= 1 << i
         child = [v + 1 if v >= r else v for v in tau]
         child.append(r)
-        if not last:
+        child_bad = child_masks = None
+        if not last and not (pruned and added == k_max):
             # bits >= r move up one; bit r stays clear, as it was in the parent
             low = (1 << r) - 1
             child_bad = (bad & low) | (bad >> r << (r + 1))
@@ -271,33 +280,35 @@ def _children(node, plans, n_max, k_max, tracked=None):
                 child_floor = 1
             for plan in plans:
                 child_bad = _fill(child, plan, child_floor, child_bad)
-            if tracked is not None:
+            if pruned:
                 # a tracked pattern the child contains needs no mask
-                child_masks = masks if child_seen == every else tuple(
-                    0 if child_seen >> i & 1 else
-                    _fill(child, plan, child_floor, (mask & low) | (mask >> r << (r + 1)))
-                    for i, (plan, mask) in enumerate(zip(tracked, masks))
-                )
+                child_masks = []
+                for i, plan, mask in masks:
+                    if not child_seen >> i & 1:
+                        mask = (mask & low) | (mask >> r << (r + 1))
+                        child_masks.append((i, plan, _fill(child, plan, child_floor, mask)))
         kids.append((tuple(child), added, child_bad, child_splits, child_seen, child_masks))
     return kids
 
 
-def _walk(node, plans, n_max, k_max, tracked=None):
+def _walk(node, plans, n_max, k_max):
     """Yield every node below `node`, down to length n_max, in preorder.
 
     Children come in ascending rank order (see _children for the node
-    shape). The stack holds one iterator over the pending siblings per
-    level of the current path, never the tree, so the first node arrives at
-    once however large the tree is.
+    shape), and the walk descends into every node that has a bad mask: all
+    but the leaves at length n_max and, in the pruned walk, at the budget.
+    The stack holds one iterator over the pending siblings per level of the
+    current path, never the tree, so the first node arrives at once however
+    large the tree is.
     """
     stack = []
     if len(node[0]) < n_max:
-        stack.append(iter(_children(node, plans, n_max, k_max, tracked)))
+        stack.append(iter(_children(node, plans, n_max, k_max)))
     while stack:
         for node in stack[-1]:
             yield node
-            if len(node[0]) < n_max:
-                stack.append(iter(_children(node, plans, n_max, k_max, tracked)))
+            if node[2] is not None:
+                stack.append(iter(_children(node, plans, n_max, k_max)))
                 break
         else:
             stack.pop()
@@ -342,7 +353,7 @@ def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
     """
     plans, root = _start(pattern_basis(basis), ())
     return [(tuple.__new__(Perm, vals), inv)
-            for vals, inv, _, splits, _, _ in _walk(root, plans, k_max + 1, k_max, ())
+            for vals, inv, _, splits, _, _ in _walk(root, plans, k_max + 1, k_max)
             if splits == 1 << len(vals)]
 
 
@@ -468,8 +479,8 @@ def _tally(nodes):
 
 
 def _tally_subtree(args):
-    node, plans, depth, k_max, tracked = args
-    return _tally(_walk(node, plans, depth, k_max, tracked))
+    node, plans, depth, k_max = args
+    return _tally(_walk(node, plans, depth, k_max))
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
@@ -482,18 +493,20 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     # an indecomposable with at most k_max inversions has length <= k_max + 1
     depth = min(n_max, k_max + 1)
     if threads <= 1 or depth <= _SPLIT_DEPTH:
-        tally = _tally_subtree((node, plans, depth, k_max, tracked))
+        tally = _tally_subtree((node, plans, depth, k_max))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the levels above the split depth run inline; the pool walks below
+        # the levels above the split depth run inline, where the leaves at
+        # the budget are tallied and dropped; the pool walks below the rest
         tally = Counter()
         frontier = [node]
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
-                        for child in _children(parent, plans, depth, k_max, tracked)]
+                        for child in _children(parent, plans, depth, k_max)]
             tally.update(_tally(frontier))
-        jobs = [(node, plans, depth, k_max, tracked) for node in frontier]
+            frontier = [node for node in frontier if node[2] is not None]
+        jobs = [(node, plans, depth, k_max) for node in frontier]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_tally_subtree, jobs, chunksize=1):
                 tally.update(part)

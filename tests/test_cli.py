@@ -344,6 +344,19 @@ def test_bad_paths_are_one_line_exit_1(argv, env, tmp_path, monkeypatch, capsys)
         assert "cache directory expected" in lines[0]
 
 
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
+    # a directory at the entry's path makes the final rename fail on every run
+    (tmp_path / "table_1324-1342_n5_k3.json").mkdir()
+    argv = ["table", "--basis", "1324,1342", "--n", "5", "--k", "3", "--cache-dir", str(tmp_path)]
+    for _ in range(2):
+        assert main(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["table_1324-1342_n5_k3.json"]
+
+
 def test_warm_main_leaves_little_cyclic_garbage(capsys):
     # the parser is built once per process; a fresh one per call left ~450 objects
     argv = ["table", "--basis", "1324", "--n", "5", "--k", "4"]

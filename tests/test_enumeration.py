@@ -221,6 +221,13 @@ def test_iter_avoiders_upto_matches_preorder_oracle(patterns, n_max, k_max):
     assert all(type(p) is Perm for p, _ in got)
 
 
+@pytest.mark.parametrize("basis_text, k_max", [("1324", 0), ("1324", 5), ("12", 3)])
+def test_iter_avoiders_upto_zero_length_is_empty(basis_text, k_max):
+    # the walk descends into every node with a bad mask, and the root has
+    # one, so the root's length check alone must stop n_max = 0
+    assert next(iter_avoiders_upto(parse_basis(basis_text), 0, k_max), None) is None
+
+
 @settings(max_examples=120, deadline=None)
 @given(component_basis_st, st.integers(1, 9), st.integers(0, 10))
 def test_count_table_matches_full_walk_random(patterns, n_max, k_max):
@@ -272,23 +279,35 @@ def test_fill_matches_anchored_oracle(case):
 @given(component_basis_st, st.integers(1, 8), st.integers(0, 12))
 def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
     # every node of the pruned walk: its direct-sum splits, the tracked
-    # patterns it contains, and the masks of those it does not yet contain
+    # patterns it contains, and the masks of the basis and of the tracked
+    # patterns it does not yet contain, which only the leaves lack
     basis = frozenset(patterns)
     tracked = _automaton(basis)[0]
     plans_tracked = tuple(_plan(q) for q in tracked)
     plans, root = _start(basis, plans_tracked)
-    for tau, inv, _, splits, seen, masks in _walk(root, plans, n_max, k_max, plans_tracked):
+    for tau, inv, bad, splits, seen, masks in _walk(root, plans, n_max, k_max):
         t = len(tau)
         assert splits == sum(1 << s for s in range(1, t + 1) if max(tau[:s]) == s), tau
         # the pruned walk yields only indecomposables at the last length
-        assert t < n_max or splits == 1 << t, tau
+        # and at the budget
+        assert t < n_max and inv < k_max or splits == 1 << t, tau
         for i, q in enumerate(tracked):
             assert bool(seen >> i & 1) == contains(tau, q), (tau, q)
-            if masks is None or seen >> i & 1:
-                continue
-            want = _bad_ranks_brute(tau, [q], t)
-            for r in range(max(1, t + 1 - (k_max - inv)), t + 2):
-                assert bool(masks[i] >> r & 1) == want[r], (tau, q, r)
+        # a leaf, at the last length or at the budget, gets no masks
+        leaf = t == n_max or inv == k_max
+        assert (bad is None) is (masks is None) is leaf, (tau, inv)
+        if leaf:
+            continue
+        floor = max(1, t + 1 - (k_max - inv))
+        want = _bad_ranks_brute(tau, basis, t)
+        for r in range(floor, t + 2):
+            assert bool(bad >> r & 1) == want[r], (tau, r)
+        assert [i for i, _, _ in masks] == [i for i in range(len(tracked)) if not seen >> i & 1]
+        for i, plan, mask in masks:
+            assert plan == plans_tracked[i]
+            want = _bad_ranks_brute(tau, [tracked[i]], t)
+            for r in range(floor, t + 2):
+                assert bool(mask >> r & 1) == want[r], (tau, tracked[i], r)
 
 
 def test_iter_avoiders_upto_streams(monkeypatch):
@@ -312,6 +331,26 @@ def test_iter_avoiders_upto_streams(monkeypatch):
     assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
     # a length-t node has at most t + 1 children; those at length 14 need no fill
     assert calls <= sum(t + 1 for t in range(13))
+
+
+@pytest.mark.parametrize("basis_text, n_max, k_max",
+                         [("1324", 16, 12), ("1324,2143", 10, 10), ("12453,321", 12, 9)])
+def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch):
+    # a child at the budget has floor len(child) + 1 and is a leaf of the
+    # pruned walk, so count_table never fills it
+    import permseq.enumeration as enumeration
+
+    real_fill = enumeration._fill
+    fills = []
+
+    def spy(tau, plan, floor, bad):
+        fills.append((len(tau), floor))
+        return real_fill(tau, plan, floor, bad)
+
+    monkeypatch.setattr(enumeration, "_fill", spy)
+    count_table(parse_basis(basis_text), n_max, k_max)
+    assert fills
+    assert all(floor <= t for t, floor in fills), max(fills, key=lambda f: f[1] - f[0])
 
 
 def test_count_table_matches_closed_form_to_n64():
@@ -345,10 +384,12 @@ def test_threads_match_sequential():
 
 @pytest.mark.parametrize(
     "basis_text, n_max, k_max",
-    [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4), ("2143,123,1324", 20, 11)],
+    [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4), ("2143,123,1324", 20, 11),
+     ("1324", 10, 5), ("1324", 10, 6), ("1324,2143", 9, 6)],
 )
 def test_pool_jobs_carry_node_state(basis_text, n_max, k_max):
-    # pool jobs start from depth-4 nodes with their inherited masks
+    # pool jobs start from depth-4 nodes with their inherited masks; with
+    # k_max <= 6 some frontier nodes are leaves at the budget, tallied inline
     basis = parse_basis(basis_text)
     assert count_table(basis, n_max, k_max, threads=2).rows == count_table(basis, n_max, k_max).rows
 
