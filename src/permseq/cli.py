@@ -23,6 +23,7 @@ from .enumeration import (
     ENGINE_VERSION,
     MAX_LENGTH,
     CountTable,
+    check_table_bounds,
     count_table,
     diagonal_limit,
     limit_depth,
@@ -79,6 +80,7 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     if not cache_dir:
         return count_table(basis, n_max, k_max, threads=threads)
+    check_table_bounds(n_max, k_max)  # before anything is made on disk
     cache = Path(cache_dir)
     if cache.exists() and not cache.is_dir():
         raise ValueError(f"cache directory expected, but {cache_dir} is not a directory")

@@ -3,14 +3,18 @@
 The centrepiece maps Av_n^k(1324, 231) into Av_{n+1}^k(1324, 231): append a
 point after the reverse identity, insert an identity point into a
 decomposable avoider, and otherwise trade the leading descent against an
-insertion into the last component. Also: the basis-extension operator that
-manufactures new inversion-monotone collections from old ones.
+insertion into the last component. The inverse reads the branch-3 split off
+the image (at most two candidates for q), tries one candidate per other
+branch, keeps the candidate the forward map sends back to the image, and
+raises ValueError on anything that is not an image. Also: the
+basis-extension operator that manufactures new inversion-monotone
+collections from old ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .perms import (
     Perm,
@@ -24,6 +28,7 @@ from .perms import (
     inv_count,
     is_decomposable,
     parse_perm,
+    pattern_basis,
     standardize,
 )
 
@@ -77,37 +82,19 @@ def lemma_insert(p: Perm, r: int) -> Perm:
     if not 0 <= r <= n:
         raise ValueError(f"r must be in 0..{n}")
     cut = p[-1]
-    prof = arm_profile(p)
-    if r <= prof.upper:
-        # lower-arm point right after the r-th upper point
-        uppers_seen = 0
-        pos = 0
-        for i, v in enumerate(p):
-            if v > cut:
-                uppers_seen += 1
-                if uppers_seen == r:
-                    pos = i + 1
-                    break
-        if r == 0:
-            pos = 0
-        # value: just above the last lower-arm value before pos
-        below = [v for v in p[:pos] if v <= cut]
-        value = (max(below) + 1) if below else 1
-        return insert_value(p, pos, value)
-    # upper-arm point with (r - upper) lower points after it
-    want_after = r - prof.upper
-    lowers_after = 0
-    pos = n
-    for i in range(n - 1, -1, -1):
-        if p[i] <= cut:
-            lowers_after += 1
-            if lowers_after == want_after:
-                pos = i
-                break
-    # value: the upper arm must stay decreasing, so slot in just above the
-    # largest upper that remains to the right (above all lowers otherwise)
-    uppers_after = [v for v in p[pos:] if v > cut]
-    value = (max(uppers_after) if uppers_after else cut) + 1
+    uppers = [i for i, v in enumerate(p) if v > cut]
+    lowers = [i for i, v in enumerate(p) if v <= cut]
+    if r <= len(uppers):
+        # lower-arm point right after the r-th upper point, just above the
+        # lower-arm values before it
+        pos = uppers[r - 1] + 1 if r else 0
+        value = max((p[i] for i in lowers if i < pos), default=0) + 1
+    else:
+        # upper-arm point with r - a lower points from pos on; the upper arm
+        # must stay decreasing, so it slots in just above the largest upper
+        # to its right (above all lowers otherwise)
+        pos = lowers[len(uppers) - r]
+        value = max((p[i] for i in uppers if i > pos), default=cut) + 1
     return insert_value(p, pos, value)
 
 
@@ -129,41 +116,6 @@ def lemma_delete(p: Perm, r: int) -> Perm:
     if found is None:
         raise ValueError(f"no deletion of {p!r} loses exactly {r} inversions")
     return found
-
-
-def shift_down(p: Perm, value: int, steps: int) -> Perm:
-    """Slide a value down `steps` positions in value order: value e goes to
-    e - steps, and e-steps..e-1 each move up one."""
-    n = len(p)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if not 1 <= value <= n or value - steps < 1:
-        raise ValueError(f"shifting {value} down {steps} leaves 1..{n}")
-    return insert_value(delete(p, [value]), p.index(value), value - steps)
-
-
-def shift_up(p: Perm, value: int, steps: int) -> Perm:
-    n = len(p)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if not 1 <= value <= n or value + steps > n:
-        raise ValueError(f"shifting {value} up {steps} leaves 1..{n}")
-    return insert_value(delete(p, [value]), p.index(value), value + steps)
-
-
-def shift_down_many(p: Perm, values: Sequence[int], steps: int) -> Perm:
-    """Shift several values down, smallest first."""
-    for v in sorted(values):
-        p = shift_down(p, v, steps)
-        # subsequent values are unaffected: they sit above the shifted range
-    return p
-
-
-def shift_up_many(p: Perm, values: Sequence[int], steps: int) -> Perm:
-    """Shift several values up, largest first."""
-    for v in sorted(values, reverse=True):
-        p = shift_up(p, v, steps)
-    return p
 
 
 # -- the {1324, 231} injection --------------------------------------------
@@ -196,7 +148,16 @@ def _leading_descent(p: Perm) -> int:
 
 
 def inject_1324_231_full(p: Perm) -> InjectionResult:
-    """Inversion- and avoidance-preserving injection into length n+1."""
+    """Inversion- and avoidance-preserving injection into length n+1.
+
+    Branch 3 (p indecomposable, not the reverse identity): p is a leading
+    descent of length ell over a tail c_1 (+) ... (+) c_s with |c_s| = m.
+    With q = ceil(ell/(m+1)) and r = q(m+1) - ell, the tail becomes
+    rebuilt = c_1 (+) ... (+) lemma_insert(c_s, r); below base =
+    |rebuilt| - m - 1 sit c_1..c_{s-1}. The image is the top ell - q values
+    descending, then base+q, ..., base+1, then rebuilt with every value
+    above base raised by q.
+    """
     if not avoids(p, _BASIS_1324_231):
         raise ValueError(f"{p!r} does not avoid {{1324, 231}}")
     n = len(p)
@@ -207,34 +168,18 @@ def inject_1324_231_full(p: Perm) -> InjectionResult:
         # one identity point right after the first component
         return InjectionResult(insert_value(p, split, split + 1), branch=2)
     ell = _leading_descent(p)
-    assert 1 <= ell < n
-    tail = standardize(p[ell:])
-    tail_comps = components(tail)
-    assert len(tail_comps) >= 2
-    last = tail_comps[-1]
+    *head, last = components(standardize(p[ell:]))
     m = len(last)
-    q, rem = divmod(ell, m + 1)
-    if rem:
-        q, r = q + 1, m + 1 - rem
-    else:
-        r = 0
-    data = Branch3Data(ell=ell, m=m, q=q, r=r)
-    grown = lemma_insert(last, r)
-    rebuilt = direct_sum(*tail_comps[:-1], grown)
-    image = _attach_descent(rebuilt, ell, n + 1)
-    # the last q of the leading descent points are its q smallest values
-    shifted = shift_down_many(
-        image,
-        [n - ell + 2 + i for i in range(q)],
-        m + 1,
-    )
-    return InjectionResult(shifted, branch=3, data=data)
-
-
-def _attach_descent(tail: Perm, ell: int, total: int) -> Perm:
-    """Prepend the descent total, total-1, ..., total-ell+1 to the tail."""
-    assert len(tail) + ell == total
-    return Perm(list(range(total, total - ell, -1)) + list(tail))
+    q = -(-ell // (m + 1))
+    r = q * (m + 1) - ell
+    rebuilt = direct_sum(*head, lemma_insert(last, r))
+    base = len(rebuilt) - m - 1
+    image = Perm([
+        *range(n + 1, n + 1 - ell + q, -1),
+        *range(base + q, base, -1),
+        *(v + q if v > base else v for v in rebuilt),
+    ])
+    return InjectionResult(image, branch=3, data=Branch3Data(ell=ell, m=m, q=q, r=r))
 
 
 def inject_1324_231(p: Perm) -> Perm:
@@ -242,88 +187,47 @@ def inject_1324_231(p: Perm) -> Perm:
 
 
 def inject_1324_231_inverse(sigma: Perm) -> Perm:
-    """Invert the injection on any point of its image."""
+    """Invert the injection on any point of its image; raise ValueError on
+    every other permutation."""
+    for p in _preimage_candidates(sigma):
+        if avoids(p, _BASIS_1324_231) and inject_1324_231(p) == sigma:
+            return p
+    raise ValueError(f"{sigma!r} is not an image of the {{1324, 231}} injection")
+
+
+def _preimage_candidates(sigma: Perm) -> Iterator[Perm]:
+    """Every permutation that the forward map could send to sigma: one per
+    branch 1 and 2, then one per branch-3 split q read off sigma."""
     n1 = len(sigma)
     if n1 == 0:
-        raise ValueError("the image of the injection is never empty")
+        return
     n = n1 - 1
-    if sigma == direct_sum(descending(n), Perm((1,))):
-        return descending(n)
-    comps = components(sigma)
-    if len(comps) >= 3:
-        # remove the single identity point inserted between first and last
-        mid = comps[1:-1]
-        assert all(c == (1,) for c in mid), "branch-2 image must have an identity run"
-        return direct_sum(comps[0], *[Perm((1,))] * (len(mid) - 1), comps[-1])
-    return _invert_branch3(sigma)
-
-
-def _invert_branch3(sigma: Perm) -> Perm:
-    n1 = len(sigma)
-    k = inv_count(sigma)
-    # ell' = ell - q: least prefix length whose removal leaves a decomposable tail
-    ell1 = next(
-        e for e in range(n1 - 1)
-        if is_decomposable(standardize(sigma[e:]))
-    )
-    prev = sigma[ell1 - 1] if ell1 > 0 else n1 + 1
-    m_plus_1 = n1 - sigma[ell1] - ell1
-    m = m_plus_1 - 1
-    # the descent is consecutive, so the first shifted entry sits m+2 below
-    # its unshifted neighbour
-    assert sigma[ell1] == prev - m_plus_1 - 1, "eligible run must start m+2 below the descent"
-    # eligible entries: consecutive decreasing run starting at position ell'+1
-    q_cap = 1
-    while (
-        ell1 + q_cap < n1
-        and sigma[ell1 + q_cap] == sigma[ell1] - q_cap
-    ):
-        q_cap += 1
-    # The inversion window admits q and q+1 simultaneously when the true
-    # insertion had r = 0 (then q+1 poses as r = m); settle the tie by
-    # completing each decode and keeping the one the forward map confirms.
-    found = None
-    for q in range(1, q_cap + 1):
-        values = [sigma[ell1 + i] for i in range(q)]
-        try:
-            lifted = shift_up_many(sigma, values, m_plus_1)
-        except ValueError:
+    yield delete(sigma, [sigma[-1]])  # branch 1 appends a last point
+    split = first_split(sigma)
+    if split < n1:
+        yield delete(sigma, [split + 1])  # branch 2 inserts split + 1
+    # branch 3: sigma is the top ell - q values, then base+q, ..., base+1
+    # with base + q = sigma[top], then the raised rebuilt tail
+    top = _leading_descent(sigma)
+    m = n - top - sigma[top] if top < n1 else 0
+    if m < 1:
+        return
+    # r = q*m - top must lie in 0..m: one q, or two when m divides top (the
+    # smaller one with r = 0). Only the last q can reach lemma_delete, so a
+    # ValueError from it never hides a later candidate.
+    for q in range(max(1, -(-top // m)), top // m + 2):
+        rest = sigma[top + q:]
+        if len(rest) <= m + 1:
+            continue  # the tail has no room for a head and a chunk of m + 1
+        if sigma[top:top + q] != tuple(range(sigma[top], sigma[top] - q, -1)):
             continue
-        gain = inv_count(lifted) - k
-        if not ell1 + q <= gain <= ell1 + q + m:
-            continue
-        try:
-            candidate = _decode_branch3(lifted, ell1 + q, gain - ell1 - q, m_plus_1)
-        except (ValueError, AssertionError):
-            continue
-        if inject_1324_231_full(candidate).image == sigma:
-            assert found is None, f"two preimages for {sigma!r}"
-            found = candidate
-    if found is None:
-        raise ValueError(f"{sigma!r} is not a branch-3 image")
-    return found
-
-
-def _decode_branch3(lifted: Perm, ell: int, r: int, m_plus_1: int) -> Perm:
-    tail = standardize(lifted[ell:])
-    # the inserted point sits among the last m+1 entries of the tail
-    cut = len(tail) - m_plus_1
-    head = standardize(tail[:cut])
-    chunk = standardize(tail[cut:])
-    shrunk = lemma_delete(chunk, r) if r else _delete_zero_gain(chunk)
-    rebuilt = direct_sum(head, shrunk)
-    return _attach_descent(rebuilt, ell, len(lifted) - 1)
-
-
-def _delete_zero_gain(chunk: Perm) -> Perm:
-    """Remove the unique point whose deletion loses no inversions and leaves
-    a {213,231}-avoider (the r = 0 insertion made the chunk decomposable)."""
-    k = inv_count(chunk)
-    for v in range(1, len(chunk) + 1):
-        out = delete(chunk, [v])
-        if inv_count(out) == k and avoids(out, _CLASS_213_231) and not is_decomposable(out):
-            return out
-    raise AssertionError(f"no zero-gain deletion in {chunk!r}")
+        rebuilt = standardize(rest)
+        chunk = standardize(rebuilt[-m - 1:])
+        r = q * m - top
+        # lemma_insert(c, 0) puts a new minimum in front of c
+        last = delete(chunk, [1]) if r == 0 else lemma_delete(chunk, r)
+        tail = direct_sum(standardize(rebuilt[:-m - 1]), last)
+        yield Perm([*range(n, n - top - q, -1), *tail])
 
 
 # -- basis extension -------------------------------------------------------
@@ -332,8 +236,6 @@ def basis_extend(basis: Iterable[Perm], direction: str) -> frozenset[Perm]:
     """All one-point extensions of the basis patterns in a fixed spot:
     left/right insert a new first/last entry, up/down a new maximum/minimum.
     """
-    from .perms import pattern_basis
-
     basis = pattern_basis(basis)
     if direction == "left":
         return frozenset(insert_value(p, 0, v) for p in basis for v in range(1, len(p) + 2))
@@ -352,9 +254,7 @@ def prepend_min_injection(p: Perm) -> Perm:
     return insert_value(p, 0, 1)
 
 
-def induced_injection(
-    basis: Iterable[Perm], fn: Callable[[Perm], Perm]
-) -> Callable[[Perm], Perm]:
+def induced_injection(fn: Callable[[Perm], Perm]) -> Callable[[Perm], Perm]:
     """Lift an injection for Av(basis) to one for Av(basis^left): keep the
     first entry, apply fn to the rest."""
 
@@ -391,8 +291,6 @@ def verify_injection(
 ) -> InjectionCheck:
     """Check length+1, inversion preservation, avoidance preservation and
     injectivity (per inversion count and length) over the given domain."""
-    from .perms import pattern_basis
-
     basis = pattern_basis(basis)
     seen: dict[tuple[int, int], set[Perm]] = {}
     check = InjectionCheck()

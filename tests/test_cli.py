@@ -344,6 +344,16 @@ def test_bad_paths_are_one_line_exit_1(argv, env, tmp_path, monkeypatch, capsys)
         assert "cache directory expected" in lines[0]
 
 
+@pytest.mark.parametrize("bounds", [["--n", "5", "--k", "999"], ["--n", "0", "--k", "3"]])
+def test_bad_bounds_make_no_cache_directory(bounds, tmp_path, capsys):
+    cache = tmp_path / "a" / "b" / "c"
+    argv = ["table", "--basis", "1324", *bounds, "--cache-dir", str(cache)]
+    assert main(argv) == EXIT_BAD_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "must be in" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
     # a directory at the entry's path makes the final rename fail on every run
     (tmp_path / "table_1324-1342_n5_k3.json").mkdir()

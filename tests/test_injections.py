@@ -12,13 +12,11 @@ from permseq.injections import (
     lemma_delete,
     lemma_insert,
     prepend_min_injection,
-    shift_down,
-    shift_down_many,
-    shift_up,
     verify_injection,
 )
 from permseq.perms import (
     Perm,
+    all_perms,
     avoids,
     components,
     delete,
@@ -102,22 +100,6 @@ def test_lemma_roundtrip(n):
                 assert lemma_delete(sigma, r) == p
 
 
-def test_shift_examples():
-    assert shift_down(parse_perm("231"), 3, 1) == parse_perm("321")
-    assert shift_down(parse_perm("231"), 3, 0) == parse_perm("231")
-    assert shift_up(shift_down(parse_perm("4321"), 4, 2), 2, 2) == parse_perm("4321")
-    with pytest.raises(ValueError):
-        shift_down(parse_perm("231"), 2, 2)
-
-
-def test_shift_many_order():
-    # shifting two values down: smallest first keeps intermediate states legal
-    p = parse_perm("54321")
-    out = shift_down_many(p, [4, 5], 3)
-    assert sorted(out) == [1, 2, 3, 4, 5]
-    assert out == Perm((2, 1, 5, 4, 3))
-
-
 def test_injection_branches():
     res = inject_1324_231_full(descending(4))
     assert res.branch == 1
@@ -137,12 +119,48 @@ def test_injection_branches():
     assert inv_count(res.image) == inv_count(pi) == 52
 
 
+@pytest.mark.parametrize("p, image, data", [
+    ("4312", "52134", (2, 1, 1, 0)),  # r = 0: the image admits two q
+    ("54312", "632154", (3, 1, 2, 1)),
+    ("7654312", "87432165", (5, 1, 3, 1)),
+    ("312", "2143", (1, 1, 1, 1)),  # a decomposable branch-3 image
+])
+def test_branch3_images_pinned(p, image, data):
+    res = inject_1324_231_full(parse_perm(p))
+    assert res.branch == 3
+    assert res.image == parse_perm(image)
+    assert (res.data.ell, res.data.m, res.data.q, res.data.r) == data
+    assert inject_1324_231_inverse(res.image) == parse_perm(p)
+
+
+@pytest.mark.parametrize("sigma", ["23145", "21", "1324", ""])
+def test_inverse_rejects_named_non_images(sigma):
+    with pytest.raises(ValueError):
+        inject_1324_231_inverse(parse_perm(sigma) if sigma else Perm(()))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inverse_is_exact_on_all_perms(n):
+    # every permutation is either an image that round-trips or a ValueError
+    images = 0
+    for sigma in all_perms(n):
+        try:
+            p = inject_1324_231_inverse(sigma)
+        except ValueError:
+            continue
+        assert inject_1324_231(p) == sigma
+        images += 1
+    dom = generate_avoiders(INJ_BASIS, n - 1, max(0, (n - 1) * (n - 2) // 2))
+    assert images == len(dom)
+
+
 def test_injection_rejects_non_members():
     with pytest.raises(ValueError):
         inject_1324_231(parse_perm("231"))
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", [
+    *range(0, 9), *(pytest.param(n, marks=pytest.mark.slow) for n in range(9, 13))])
 def test_injection_verified_small(n):
     dom = generate_avoiders(INJ_BASIS, n, max(0, n * (n - 1) // 2))
     check = verify_injection(dom, inject_1324_231, INJ_BASIS)
@@ -196,7 +214,7 @@ def test_extension_members_shed_first_entry():
 def test_induced_injection_properties():
     base = parse_basis("213")
     bl = basis_extend(base, "left")
-    g = induced_injection(base, prepend_min_injection)
+    g = induced_injection(prepend_min_injection)
     for n in range(0, 8):
         dom = generate_avoiders(bl, n, max(0, n * (n - 1) // 2))
         check = verify_injection(dom, g, bl)
