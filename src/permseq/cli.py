@@ -2,10 +2,14 @@
 sequences, compatibility classification, generating functions, bijection
 checks and the explicit injection.
 
-Results of table computations are cached as JSON keyed on basis, bounds and
-engine version; an entry from another engine version, or one that does not
-match the request in basis, bounds or shape, is recomputed and overwritten
-silently. Cache writes go through a temp file and an atomic rename.
+Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH and
+`--k` in 0..MAX_BUDGET on the table commands, `--threads` and `--length` at
+least 1, `--k` at least 0 on gf and bijection), so a value out of range is a
+usage error naming the flag. A cache entry is `table --format json` output
+plus `engine_version`, in a file named by basis and bounds; an entry that
+`tableio.table_from_json` rejects, or whose version, basis or bounds differ
+from the request, is recomputed and overwritten silently. Cache writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .enumeration import (
     ENGINE_VERSION,
+    MAX_BUDGET,
     MAX_LENGTH,
     CountTable,
     check_table_bounds,
@@ -50,27 +55,17 @@ EXIT_GF_MISMATCH = 4
 CACHE_ENV = "PERMSEQ_CACHE_DIR"
 
 
-def _cache_path(cache_dir: Path, key: str, n_max: int, k_max: int) -> Path:
-    return cache_dir / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}.json"
-
-
 def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | None:
-    """The table stored at path if it answers exactly this request, else None."""
+    """The table stored at path if it answers exactly this request, else None
+    (a missing or unreadable file is a miss)."""
     try:
-        payload = json.loads(path.read_text())
+        text = path.read_text()
+        table = table_from_json(text)
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict) or payload.get("engine_version") != ENGINE_VERSION:
+    if json.loads(text).get("engine_version") != ENGINE_VERSION:
         return None
-    if (payload.get("basis"), payload.get("n_max"), payload.get("k_max")) != (key, n_max, k_max):
-        return None
-    try:
-        table = table_from_json(json.dumps(payload.get("table")))
-    except ValueError:
-        return None
-    if (table.basis_text, table.n_max, table.k_max) != (key, n_max, k_max):
-        return None
-    return table
+    return table if (table.basis_text, table.n_max, table.k_max) == (key, n_max, k_max) else None
 
 
 def cached_count_table(basis_text: str, n_max: int, k_max: int,
@@ -86,19 +81,13 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
         raise ValueError(f"cache directory expected, but {cache_dir} is not a directory")
     cache.mkdir(parents=True, exist_ok=True)
     key = basis_key(basis)
-    path = _cache_path(cache, key, n_max, k_max)
-    if path.exists():
-        table = _read_cached(path, key, n_max, k_max)
-        if table is not None:
-            return table
+    path = cache / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}.json"
+    table = _read_cached(path, key, n_max, k_max)
+    if table is not None:
+        return table
     table = count_table(basis, n_max, k_max, threads=threads)
-    payload = {
-        "engine_version": ENGINE_VERSION,
-        "basis": key,
-        "n_max": n_max,
-        "k_max": k_max,
-        "table": json.loads(table_to_json(table)),
-    }
+    payload = json.loads(table_to_json(table))
+    payload["engine_version"] = ENGINE_VERSION
     fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -120,12 +109,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_table(args) -> int:
     table = cached_count_table(args.basis, args.n, args.k, args.cache_dir, args.threads)
-    if args.format == "csv":
-        _emit(table_to_csv(table), args.out)
-    elif args.format == "md":
-        _emit(table_to_markdown(table), args.out)
-    else:
-        _emit(table_to_json(table), args.out)
+    write = {"csv": table_to_csv, "md": table_to_markdown, "json": table_to_json}[args.format]
+    _emit(write(table), args.out)
     return 0
 
 
@@ -196,10 +181,8 @@ def cmd_compat(args) -> int:
     for v in row.verdicts:
         entry = {"pattern": format_perm(v.pattern), "verdict": v.verdict}
         if v.witness is not None:
-            entry["witness"] = {
-                "pi": format_perm(v.witness[0]),
-                "image": format_perm(v.witness[1]),
-            }
+            pi, image = map(format_perm, v.witness)
+            entry["witness"] = {"pi": pi, "image": image}
         verdicts.append(entry)
     if args.out:
         Path(args.out).write_text(json.dumps(verdicts, indent=2) + "\n")
@@ -223,8 +206,6 @@ def cmd_gf(args) -> int:
     if args.name.strip() not in CATALOGUE:
         raise ValueError(f"unknown generating function {args.name!r}; "
                          f"known: {', '.join(sorted(CATALOGUE))}")
-    if args.k < 0:
-        raise ValueError(f"--k must be nonnegative, got {args.k}")
     if args.compare_table:
         try:
             basis = parse_basis(args.name)
@@ -258,18 +239,14 @@ def cmd_bijection(args) -> int:
     if partner not in FAMILY_TESTS:
         raise ValueError(f"no partition family registered for {partner}; "
                          f"known: {', '.join(sorted(FAMILY_TESTS))}")
-    if args.k < 0:
-        raise ValueError(f"--k must be nonnegative, got {args.k}")
     failures = 0
     for k, (left, right) in enumerate(family_sides(partner, FAMILY_TESTS[partner], args.k)):
-        extra_left = left - right
-        extra_right = right - left
-        status = "ok" if not extra_left and not extra_right else "MISMATCH"
+        status = "ok" if left == right else "MISMATCH"
         print(f"k={k}: permutation side {len(left)}, partition side {len(right)} [{status}]")
-        for lam in sorted(extra_left):
+        for lam in sorted(left - right):
             print(f"  only from permutations: {lam}")
             failures += 1
-        for lam in sorted(extra_right):
+        for lam in sorted(right - left):
             print(f"  only from partitions:   {lam}")
             failures += 1
     return EXIT_BIJECTION_MISMATCH if failures else 0
@@ -287,6 +264,19 @@ def cmd_inject(args) -> int:
         d = res.data
         print(f"# branch 3: ell={d.ell} m={d.m} q={d.q} r={d.r}")
     return 0
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for an integer in lo..hi, or at least lo when hi is
+    None; a non-integer keeps argparse's `invalid int value` message."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    parse.__name__ = "int"  # the type argparse names for a non-integer
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def engine_flags(p, cache=True):
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_int_in(1), default=1,
                        help="worker processes for the table walk (at most the CPU count)")
         if cache:
             p.add_argument("--cache-dir", default=None,
@@ -319,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     def table_flags(p):
         p.add_argument("--basis", required=True,
                        help="comma-separated patterns, e.g. 1324,1342")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=_int_in(1, MAX_LENGTH), required=True)
+        p.add_argument("--k", type=_int_in(0, MAX_BUDGET), required=True)
         engine_flags(p)
 
     p = sub.add_parser("table", help="compute a counting table")
@@ -353,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("compat", help="compatibility classification of patterns")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_int_in(1), required=True)
     p.add_argument("--out", help="write verdicts as JSON")
     p.add_argument("--f-priority", choices=("paper", "alternate"), default="paper",
                    help="case priority of the almost-decomposable map")
@@ -361,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="limit generating function coefficients")
     p.add_argument("--name", required=True, help="catalogue name, e.g. 1324,1342")
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=_int_in(0), default=20)
     p.add_argument("--compare-table", action="store_true")
     engine_flags(p)
     p.set_defaults(fn=cmd_gf)
 
     p = sub.add_parser("bijection", help="partition-family bijection check")
     p.add_argument("--pattern", required=True, help="companion of 132, e.g. 2341")
-    p.add_argument("--k", type=int, default=12)
+    p.add_argument("--k", type=_int_in(0), default=12)
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("inject", help="apply the {1324, 231} injection to one permutation")
@@ -382,8 +372,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if "threads" in args:
-            if args.threads < 1:
-                raise ValueError(f"--threads must be at least 1, got {args.threads}")
             # the pool starts every worker at once, so never ask for more than the CPUs
             args.threads = min(args.threads, os.cpu_count() or 1)
         return args.fn(args)

@@ -83,14 +83,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import (
+    SYMMETRIES,
     Perm,
     basis_key,
     components,
     direct_sum,
     inv_count,
-    inverse,
+    parse_perm,
     pattern_basis,
-    reverse_complement,
 )
 
 MAX_LENGTH = 64
@@ -649,22 +649,13 @@ REPRESENTATIVE_PARTNERS = (
     "2413", "2431", "3412", "3421", "4231", "4321",
 )
 
-_SYMMETRIES = (
-    ("identity", lambda p: Perm(p)),
-    ("inverse", inverse),
-    ("reverse-complement", reverse_complement),
-    ("inverse-reverse-complement", lambda p: reverse_complement(inverse(p))),
-)
-
 
 def symmetry_representative(pair) -> tuple[frozenset[Perm], str]:
     """Map a pair {1324, p} with p in S_4 to its canonical representative.
 
     The twelve representatives cover all such pairs up to the inversion
-    preserving symmetries, each of which fixes 1324.
+    preserving symmetries (perms.SYMMETRIES), each of which fixes 1324.
     """
-    from .perms import parse_perm
-
     pair = pattern_basis(pair)
     anchor = parse_perm("1324")
     if anchor not in pair or len(pair) != 2:
@@ -673,9 +664,8 @@ def symmetry_representative(pair) -> tuple[frozenset[Perm], str]:
     if len(other) != 4:
         raise ValueError("the partner pattern must have length 4")
     reps = {parse_perm(s) for s in REPRESENTATIVE_PARTNERS}
-    for name, fn in _SYMMETRIES:
+    for name, fn in SYMMETRIES:
         image = fn(other)
         if image in reps:
-            assert fn(anchor) == anchor
             return frozenset({anchor, image}), name
     raise AssertionError(f"no symmetry maps {other} to a representative")

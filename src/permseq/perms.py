@@ -125,6 +125,17 @@ def reverse_complement(p: Sequence[int]) -> Perm:
     return Perm(n + 1 - v for v in reversed(p))
 
 
+# The inversion-preserving symmetries, each fixing 1324, as (name, map). The
+# maps are commuting involutions; in this order they carry p's first entry
+# to the first entry, to the value 1, to the last entry and to the value n.
+SYMMETRIES = (
+    ("identity", Perm),
+    ("inverse", inverse),
+    ("reverse-complement", reverse_complement),
+    ("inverse-reverse-complement", lambda p: inverse(reverse_complement(p))),
+)
+
+
 # -- sums and components ------------------------------------------------
 
 def direct_sum(*parts: Sequence[int]) -> Perm:

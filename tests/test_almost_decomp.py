@@ -23,13 +23,16 @@ from permseq.almost_decomp import (
 )
 from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, row_differences
 from permseq.perms import (
+    SYMMETRIES,
     all_perms,
     avoids,
     components,
     contains,
     delete,
     direct_sum,
+    first_split,
     identity,
+    insert_value,
     is_decomposable,
     inv_count,
     inverse,
@@ -85,6 +88,32 @@ def test_f_core_is_none_exactly_off_domain(alternate):
         assert (image is None) == (not f_domain(pi)), pi
         if image is not None:
             assert len(image) == len(pi) + 1 and inv_count(image) == k, pi
+
+
+def _f1(q):
+    """Case F1 by its definition: delete the first entry, grow the rest,
+    put the entry back in front."""
+    return insert_value(_grow(delete(q, [q[0]])), 0, q[0])
+
+
+@pytest.mark.parametrize("alternate", (False, True))
+def test_f_cases_are_f1_under_the_symmetries(alternate):
+    # f's case Fi is F1 conjugated by the i-th symmetry, which carries the
+    # deleted boundary entry to the first entry; and neither boundary pair
+    # (first entry and value 1, last entry and value n) decomposes twice
+    sigma = dict(zip(("F1", "F2", "F3", "F4"), (fn for _, fn in SYMMETRIES)))
+    seen = 0
+    for p, _ in iter_avoiders_upto([P1324], 8, 28):
+        case = almost_decomposable(p, alternate)
+        if case is None:
+            continue
+        n = len(p)
+        s = sigma[case.tag]
+        assert _f(p, alternate) == s(_f1(s(p))), p
+        assert not (first_split(p, p[0]) < n - 1 and first_split(p, 1) < n - 1), p
+        assert not (first_split(p, p[-1]) < n - 1 and first_split(p, n) < n - 1), p
+        seen += 1
+    assert seen == 5104
 
 
 def test_almost_decomposable_cases():
@@ -147,6 +176,7 @@ def test_f_map_preserves_class(n):
 
 def test_theorem_almost_decomp():
     report = theorem_almost_decomp_check(8)
+    assert [n for n, _ in report] == list(range(1, 9))
     for n, bad in report:
         assert bad == [], n
 

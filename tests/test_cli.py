@@ -92,6 +92,8 @@ def test_cache_reuse_and_versioning(tmp_path):
     t2 = cached_count_table("1324,1342", 7, 7, str(tmp_path))
     assert t2 == t1
     assert files[0].read_bytes() == stamp
+    # an entry is a stored table plus its engine version
+    assert table_from_json(stamp) == t1
     # stale engine version forces a silent recompute
     payload = json.loads(stamp)
     payload["engine_version"] = "0.0.0"
@@ -108,38 +110,27 @@ def _set(key, value):
     return edit
 
 
-def _set_table(key, value):
-    def edit(payload):
-        payload["table"][key] = value
-        return payload
-    return edit
-
-
 @pytest.mark.parametrize("edit", [
     lambda payload: [],
     lambda payload: "rows",
     _set("basis", "1243,1324"),
-    _set_table("basis", "1243,1324"),
     _set("n_max", 6),
-    _set_table("n_max", 6),
     _set("k_max", 4),
-    _set_table("k_max", 4),
-    _set_table("rows", [[9]]),
-    _set_table("rows", [[1, 0, 0, 0, 0]] * 5),
-    _set_table("rows", [[1, 0, 0, 0, 0, 0]] * 4),
-    _set_table("rows", [[1, 0, 0, 0, 0, "0"]] * 5),
-    _set("table", None),
-], ids=["list", "string", "basis", "table-basis", "n_max", "table-n_max", "k_max",
-        "table-k_max", "rows-9", "row-width", "row-count", "cell-type", "no-table"])
+    _set("rows", [[9]]),
+    _set("rows", [[1, 0, 0, 0, 0]] * 5),
+    _set("rows", [[1, 0, 0, 0, 0, 0]] * 4),
+    _set("rows", [[1, 0, 0, 0, 0, "0"]] * 5),
+    _set("rows", None),
+], ids=["list", "string", "basis", "n_max", "k_max", "rows-9", "row-width", "row-count",
+        "cell-type", "no-rows"])
 def test_cache_mismatch_is_a_miss(tmp_path, edit):
     want = count_table(parse_basis("1324,1342"), 5, 5)
     cached_count_table("1324,1342", 5, 5, str(tmp_path))
     [path] = tmp_path.glob("table_*.json")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == want
-    payload = json.loads(path.read_text())
-    assert payload["engine_version"] == ENGINE_VERSION
-    assert table_from_json(json.dumps(payload["table"])) == want
+    assert json.loads(path.read_text())["engine_version"] == ENGINE_VERSION
+    assert table_from_json(path.read_text()) == want
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -351,6 +342,36 @@ def test_bad_bounds_make_no_cache_directory(bounds, tmp_path, capsys):
     assert main(argv) == EXIT_BAD_INPUT
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "must be in" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+TABLE_BOUNDS = [
+    (["--n", "0", "--k", "3"], "--n: must be in 1..64, got 0"),
+    (["--n", "65", "--k", "3"], "--n: must be in 1..64, got 65"),
+    (["--n", "5", "--k", "-1"], "--k: must be in 0..200, got -1"),
+    (["--n", "5", "--k", "201"], "--k: must be in 0..200, got 201"),
+]
+
+
+BAD_BOUNDS = [
+    *(([cmd, "--basis", "1324", *bounds], message)
+      for cmd in ("table", "diff", "monotone", "limit") for bounds, message in TABLE_BOUNDS),
+    (["table", "--basis", "1324", "--n", "5", "--k", "3", "--threads", "0"],
+     "--threads: must be at least 1, got 0"),
+    (["compat", "--length", "0"], "--length: must be at least 1, got 0"),
+    (["gf", "--name", "1324,1342", "--k", "-1"], "--k: must be at least 0, got -1"),
+    (["bijection", "--pattern", "2341", "--k", "-1"], "--k: must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_BOUNDS,
+                         ids=[" ".join(argv) for argv, _ in BAD_BOUNDS])
+def test_bad_bound_names_its_flag(argv, message, tmp_path, monkeypatch, capsys):
+    # every integer bound is checked on its flag, before a cache is touched
+    monkeypatch.setenv("PERMSEQ_CACHE_DIR", str(tmp_path / "a" / "b"))
+    assert main(argv) == EXIT_BAD_INPUT == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"permseq: error: argument {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

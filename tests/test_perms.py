@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from permseq.enumeration import generate_avoiders
 from permseq.perms import (
     EMPTY,
+    SYMMETRIES,
     Perm,
     all_perms,
     avoids,
@@ -112,6 +113,29 @@ def test_symmetries_preserve_inversions(p):
     k = inv_count(p)
     assert inv_count(inverse(p)) == k
     assert inv_count(reverse_complement(p)) == k
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetries_are_commuting_involutions(n):
+    assert [name for name, _ in SYMMETRIES] == [
+        "identity", "inverse", "reverse-complement", "inverse-reverse-complement"]
+    for _, fn in SYMMETRIES:
+        assert fn(parse_perm("1324")) == parse_perm("1324")
+    for p in all_perms(n):
+        images = [fn(p) for _, fn in SYMMETRIES]
+        for (_, fn), q in zip(SYMMETRIES, images):
+            assert fn(q) == p and inv_count(q) == inv_count(p)
+            for (_, g), r in zip(SYMMETRIES, images):
+                assert fn(r) == g(q)
+        if n:
+            # the entry (1, p[0]) lands at (1, p[0]), (p[0], 1), (n, n+1-p[0])
+            # and (n+1-p[0], n): the first entry, value 1, last entry, value n
+            same, inv, rc, inv_rc = images
+            first = p[0]
+            assert same[0] == first
+            assert inv[first - 1] == 1
+            assert rc[-1] == n + 1 - first
+            assert inv_rc[n - first] == n
 
 
 @given(perms_st)
