@@ -5,11 +5,12 @@ checks and the explicit injection.
 Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH and
 `--k` in 0..MAX_BUDGET on the table commands, `--threads` and `--length` at
 least 1, `--k` at least 0 on gf and bijection), so a value out of range is a
-usage error naming the flag. A cache entry is `table --format json` output
-plus `engine_version`, in a file named by basis and bounds; an entry that
-`tableio.table_from_json` rejects, or whose version, basis or bounds differ
-from the request, is recomputed and overwritten silently. Cache writes go
-through a temp file and an atomic rename.
+usage error naming the flag; `count_table`, not the CLI, caps `--threads`.
+A cache entry is `table --format json` output plus `engine_version`, in a
+file named by basis and bounds; an entry that `tableio.table_from_json`
+rejects, or whose version, basis or bounds differ from the request, is
+recomputed and overwritten silently. Cache writes go through a temp file
+and an atomic rename.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .enumeration import (
 from .perms import basis_key, format_perm, parse_basis, parse_perm
 from .tableio import (
     diffs_to_csv,
+    diffs_to_json,
     table_from_json,
     table_to_csv,
     table_to_json,
@@ -116,12 +118,8 @@ def cmd_table(args) -> int:
 
 def cmd_diff(args) -> int:
     table = cached_count_table(args.basis, args.n, args.k, args.cache_dir, args.threads)
-    diffs = row_differences(table)
-    if args.format == "json":
-        payload = {"basis": table.basis_text, "rows": diffs}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(diffs_to_csv(table, diffs), args.out)
+    write = {"csv": diffs_to_csv, "json": diffs_to_json}[args.format]
+    _emit(write(table, row_differences(table)), args.out)
     return 0
 
 
@@ -201,11 +199,9 @@ def cmd_compat(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    from .series import CATALOGUE, named_gf
+    from .series import named_gf
 
-    if args.name.strip() not in CATALOGUE:
-        raise ValueError(f"unknown generating function {args.name!r}; "
-                         f"known: {', '.join(sorted(CATALOGUE))}")
+    series = named_gf(args.name, args.k)
     if args.compare_table:
         try:
             basis = parse_basis(args.name)
@@ -217,7 +213,6 @@ def cmd_gf(args) -> int:
                              f"({n_needed}), above the maximum of {MAX_LENGTH}")
         # the table comes before any output, so a bad cache path leaves stdout empty
         table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
-    series = named_gf(args.name, args.k)
     print(",".join(str(c) for c in series.coeffs))
     if not args.compare_table:
         return 0
@@ -371,9 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "threads" in args:
-            # the pool starts every worker at once, so never ask for more than the CPUs
-            args.threads = min(args.threads, os.cpu_count() or 1)
         return args.fn(args)
     except (OSError, ValueError) as exc:
         # usage errors, malformed patterns, out-of-range bounds or unusable paths

@@ -72,12 +72,14 @@ the greedy prefix automaton: from state j a component moves to the largest
 j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and reaching s
 means q is contained. A DP over (state, n, k) then sums the sequences of
 components for every row, so the walk never goes deeper than k_max+1 and
-the table costs about the same for any n_max.
+the table costs about the same for any n_max. count_table's process pool
+gets min(threads, CPU count, jobs) workers (see _SPLIT_DEPTH).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -468,7 +470,7 @@ class CountTable:
         return basis_key(self.basis)
 
 
-# Pool jobs are the subtrees below this depth; the walk above it runs inline.
+# Pool jobs are the subtrees below this depth; one worker walks from the root.
 _SPLIT_DEPTH = 4
 
 
@@ -492,11 +494,11 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     plans, node = _start(basis, tracked)
     # an indecomposable with at most k_max inversions has length <= k_max + 1
     depth = min(n_max, k_max + 1)
-    if threads <= 1 or depth <= _SPLIT_DEPTH:
+    # the pool starts every worker at once, so never ask for more than the CPUs
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or depth <= _SPLIT_DEPTH:
         tally = _tally_subtree((node, plans, depth, k_max))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
         # the levels above the split depth run inline, where the leaves at
         # the budget are tallied and dropped; the pool walks below the rest
         tally = Counter()
@@ -507,9 +509,15 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
             tally.update(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
         jobs = [(node, plans, depth, k_max) for node in frontier]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_tally_subtree, jobs, chunksize=1):
-                tally.update(part)
+        workers = min(workers, len(jobs))
+        parts = map(_tally_subtree, jobs)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_tally_subtree, jobs, chunksize=1))
+        for part in parts:
+            tally.update(part)
     rows = _component_rows(start, step, tally, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 
@@ -644,9 +652,10 @@ def diagonal_limit(matrix: Sequence[Sequence[int]]) -> list[int]:
 
 # -- inv-Wilf symmetry representatives ------------------------------------
 
+# 1234 and the eleven partners of the golden tables, in their order.
 REPRESENTATIVE_PARTNERS = (
-    "1234", "1243", "1342", "1432", "2143", "2341",
-    "2413", "2431", "3412", "3421", "4231", "4321",
+    "1234", "1243", "2143", "1342", "1432", "4231", "4321",
+    "2341", "2413", "2431", "3412", "3421",
 )
 
 

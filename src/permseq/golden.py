@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .enumeration import count_table, row_differences
-from .perms import parse_basis
-from .tableio import count_cap, csv_to_cells
+from .enumeration import REPRESENTATIVE_PARTNERS, count_table, row_differences
+from .perms import max_inversions, parse_basis
+from .tableio import csv_to_cells
 
-GOLDEN_PARTNERS = (
-    "1243", "2143", "1342", "1432", "4231", "4321",
-    "2341", "2413", "2431", "3412", "3421",
-)
+GOLDEN_PARTNERS = REPRESENTATIVE_PARTNERS[1:]
 
 N_MAX = 15
 K_MAX = 15
@@ -45,9 +42,10 @@ class GoldenResult:
 
 def load_golden(partner: str, kind: str) -> GoldenTable:
     if partner not in GOLDEN_PARTNERS:
-        raise KeyError(f"no golden data for partner {partner!r}")
+        raise ValueError(f"no golden data for partner {partner!r}; "
+                         f"known: {', '.join(GOLDEN_PARTNERS)}")
     if kind not in ("counts", "diffs"):
-        raise KeyError(f"kind must be counts or diffs, not {kind!r}")
+        raise ValueError(f"kind must be counts or diffs, not {kind!r}")
     name = f"av_1324_{partner}_{kind}.csv"
     text = resources.files("permseq").joinpath("golden", name).read_text()
     return GoldenTable(partner=partner, kind=kind, cells=csv_to_cells(text))
@@ -55,25 +53,20 @@ def load_golden(partner: str, kind: str) -> GoldenTable:
 
 def check_partner(partner: str, threads: int = 1) -> list[GoldenResult]:
     """Recompute the pair's tables and diff them against the golden data."""
-    if partner not in GOLDEN_PARTNERS:
-        raise ValueError(f"no golden data for partner {partner!r}; "
-                         f"known: {', '.join(GOLDEN_PARTNERS)}")
+    # loaded first, so an unknown partner fails before the walk
+    goldens = [load_golden(partner, kind) for kind in ("counts", "diffs")]
     table = count_table(parse_basis(f"1324,{partner}"), N_MAX, K_MAX, threads=threads)
-    diffs = row_differences(table)
     results = []
     # a difference row n spans lengths n and n + 1, so the longer one caps it
-    for kind, got_rows, shift in (("counts", table.rows, 0), ("diffs", diffs, 1)):
-        golden = load_golden(partner, kind)
+    for golden, got_rows, shift in zip(goldens, (table.rows, row_differences(table)), (0, 1)):
         mism: list[tuple[int, int, int | None, int | None]] = []
         for n, want_row in sorted(golden.cells.items()):
             for k, want in enumerate(want_row):
                 got = got_rows[n - 1][k]
-                if want is None:
-                    if k <= count_cap(n + shift) or got != 0:
-                        mism.append((n, k, want, got))
-                elif got != want:
+                blank = want is None and k > max_inversions(n + shift)
+                if got != (0 if blank else want):
                     mism.append((n, k, want, got))
-        results.append(GoldenResult(partner=partner, kind=kind, mismatches=mism))
+        results.append(GoldenResult(partner=partner, kind=golden.kind, mismatches=mism))
     return results
 
 

@@ -52,27 +52,6 @@ def partitions_of(k: int) -> Iterator[Partition]:
     yield from rec(k, k)
 
 
-def partition_count(k: int) -> int:
-    """p(k), by the pentagonal-number recurrence."""
-    p = [1] + [0] * k
-    for n in range(1, k + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            j += 1
-        p[n] = total
-    return p[k]
-
-
 # -- the Lambda bijection -------------------------------------------------
 
 def lambda_map(p: Perm) -> Partition:
@@ -302,5 +281,6 @@ def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:
 
 def family_counts(test, k_max: int) -> list[int]:
     """Family sizes by filtering every partition of k; a test oracle for the
-    closed forms and DPs in `series`."""
+    closed forms and DPs in `series`, kept here because the benchmark's
+    tracing (perfbench/tracing.py) wraps it by name."""
     return [sum(1 for lam in partitions_of(k) if test(lam)) for k in range(k_max + 1)]

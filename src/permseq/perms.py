@@ -8,7 +8,7 @@ boundary conventions throughout the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class Perm(tuple):
@@ -81,6 +81,11 @@ def inv_count(p: Sequence[int]) -> int:
     """Number of pairs i < j with p_i > p_j."""
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def max_inversions(n: int) -> int:
+    """The most inversions a permutation of length n has, n(n-1)/2."""
+    return n * (n - 1) // 2
 
 
 def lehmer_code(p: Sequence[int]) -> tuple[int, ...]:
@@ -302,11 +307,3 @@ def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:
     """True iff p contains no pattern of the basis."""
     return not any(contains(p, q) for q in basis)
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic order (test oracle; n should stay small)."""
-    from itertools import permutations
-
-    for vals in permutations(range(1, n + 1)):
-        yield Perm(vals)

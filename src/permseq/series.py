@@ -269,11 +269,11 @@ CATALOGUE = {**_BASE, **_PAIRS}
 
 
 def named_gf(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Limit generating function by basis name, e.g. "1324,1342"."""
+    """Limit generating function by catalogue name, e.g. "1324,1342"."""
     key = name.strip()
     if key not in CATALOGUE:
         known = ", ".join(sorted(CATALOGUE))
-        raise KeyError(f"unknown generating function {name!r}; known: {known}")
+        raise ValueError(f"unknown generating function {name!r}; known: {known}")
     return CATALOGUE[key](order)
 
 

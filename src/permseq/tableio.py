@@ -1,4 +1,4 @@
-"""CSV / Markdown / JSON serialization of counting tables.
+"""CSV / Markdown / JSON serialization of counting tables and row differences.
 
 The CSV shape mirrors the reference tables: header ``n\\k,0,1,...,K``, one
 row per n, and an empty cell wherever k exceeds the maximal inversion count
@@ -11,13 +11,7 @@ import json
 from typing import Sequence
 
 from .enumeration import CountTable
-from .perms import parse_basis
-
-
-def count_cap(n: int) -> int:
-    """The most inversions a permutation of length n has; cells of row n
-    with a larger k are blank."""
-    return n * (n - 1) // 2
+from .perms import max_inversions, parse_basis
 
 
 def _grid(rows: Sequence[Sequence[int]], n_rows: int, k_max: int, shift: int = 0):
@@ -26,7 +20,7 @@ def _grid(rows: Sequence[Sequence[int]], n_rows: int, k_max: int, shift: int = 0
     ks = range(k_max + 1)
     grid = [["n\\k", *map(str, ks)]]
     for n in range(1, n_rows + 1):
-        cap = count_cap(n + shift)
+        cap = max_inversions(n + shift)
         grid.append([str(n), *("" if k > cap else str(rows[n - 1][k]) for k in ks)])
     return grid
 
@@ -41,6 +35,10 @@ def table_to_csv(table: CountTable) -> str:
 
 def diffs_to_csv(table: CountTable, diffs: Sequence[Sequence[int]]) -> str:
     return _csv(_grid(diffs, table.n_max - 1, table.k_max, shift=1))
+
+
+def diffs_to_json(table: CountTable, diffs: Sequence[Sequence[int]]) -> str:
+    return json.dumps({"basis": table.basis_text, "rows": diffs}, indent=2) + "\n"
 
 
 def csv_to_cells(text: str) -> dict[int, list[int | None]]:

@@ -30,7 +30,6 @@ from permseq.partitions import (
 )
 from permseq.perms import (
     Perm,
-    all_perms,
     avoids,
     contains,
     direct_sum,
@@ -40,6 +39,8 @@ from permseq.perms import (
     parse_perm,
 )
 from permseq.series import av_1324_1342, named_gf
+
+from oracles import all_perms
 
 P1324 = parse_perm("1324")
 P1342 = parse_perm("1342")

@@ -24,7 +24,6 @@ from permseq.almost_decomp import (
 from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, row_differences
 from permseq.perms import (
     SYMMETRIES,
-    all_perms,
     avoids,
     components,
     contains,
@@ -42,6 +41,8 @@ from permseq.perms import (
     standardize,
 )
 from permseq.series import overpartition_gf
+
+from oracles import all_perms
 
 P1324 = parse_perm("1324")
 P1342 = parse_perm("1342")

@@ -167,6 +167,21 @@ def test_cmd_diff(capsys):
     assert lines[3].split(",")[:3] == ["3", "0", "-1"]
 
 
+def test_cmd_diff_json(capsys):
+    # signed differences of rows 1..3, their basis in canonical order, and a newline
+    rc = main(["diff", "--basis", "1324,1243", "--n", "3", "--k", "2", "--format", "json"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        '{\n  "basis": "1243,1324",\n  "rows": [\n'
+        '    [\n      0,\n      1,\n      0\n    ],\n'
+        '    [\n      0,\n      1,\n      2\n    ]\n  ]\n}\n'
+    )
+    table = count_table(parse_basis("1324,1342"), 9, 8)
+    assert main(["diff", "--basis", "1324,1342", "--n", "9", "--k", "8", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "basis": "1324,1342", "rows": row_differences(table)}
+
+
 def test_cmd_monotone(capsys):
     rc = main(["monotone", "--basis", "1324,321", "--n", "11", "--k", "15"])
     assert rc == 0
@@ -432,17 +447,17 @@ def test_cli_import_leaves_out_the_process_pool():
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the process pool with one that runs its jobs in this process;
+    returns one [workers asked for, jobs mapped] entry per pool constructed."""
     import concurrent.futures
-    import os
 
-    asked = []
+    pools = []
 
     class SerialPool:
-        """Runs the pool's jobs in this process and records the worker count."""
-
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            pools.append([max_workers, None])
 
         def __enter__(self):
             return self
@@ -451,14 +466,41 @@ def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
             return False
 
         def map(self, fn, jobs, chunksize=1):
+            jobs = list(jobs)
+            pools[-1][1] = len(jobs)
             return map(fn, jobs)
 
     # count_table imports the pool class when a table uses workers
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_threads_clamped_to_cpu_count(serial_pool, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["table", "--basis", "1324", "--n", "7", "--k", "6"]
     assert main([*argv, "--threads", "100000"]) == 0
     pooled = capsys.readouterr().out
-    assert asked == [3]
+    assert [workers for workers, _ in serial_pool] == [3]
     assert main(argv) == 0
     assert capsys.readouterr().out == pooled
+    # the engine, not the CLI, caps the pool, so a library call asks for 3 too
+    basis = parse_basis("1324")
+    assert count_table(basis, 7, 6, threads=100000) == count_table(basis, 7, 6)
+    assert [workers for workers, _ in serial_pool] == [3, 3]
+
+
+def test_library_threads_clamped_to_jobs(serial_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    basis = parse_basis("1324,1342")
+    table = count_table(basis, 9, 8, threads=1000)
+    [(workers, jobs)] = serial_pool
+    assert 1 < workers == jobs < 1000
+    assert table == count_table(basis, 9, 8)
+
+
+def test_one_cpu_builds_no_pool(serial_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    basis = parse_basis("1324")
+    assert count_table(basis, 7, 6, threads=2) == count_table(basis, 7, 6)
+    assert main(["golden", "--partner", "1342", "--threads", "2"]) == 0
+    assert serial_pool == []

@@ -27,7 +27,6 @@ from permseq.enumeration import (
 )
 from permseq.perms import (
     Perm,
-    all_perms,
     avoids,
     contains,
     direct_sum,
@@ -41,6 +40,8 @@ from permseq.perms import (
 )
 from permseq.series import av_1324_1342
 from permseq.tableio import diffs_to_csv, table_to_csv, table_to_markdown
+
+from oracles import all_perms
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]

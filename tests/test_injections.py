@@ -16,7 +16,6 @@ from permseq.injections import (
 )
 from permseq.perms import (
     Perm,
-    all_perms,
     avoids,
     components,
     delete,
@@ -28,6 +27,8 @@ from permseq.perms import (
     parse_basis,
     parse_perm,
 )
+
+from oracles import all_perms
 
 ARM_BASIS = parse_basis("213,231")
 INJ_BASIS = parse_basis("1324,231")

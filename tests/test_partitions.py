@@ -20,13 +20,14 @@ from permseq.partitions import (
     overpartition_merge,
     overpartition_split,
     overpartitions_of,
-    partition_count,
     partitions_of,
     spm_generate,
     verify_family,
     verify_transfer_213_2431,
 )
 from permseq.perms import Perm, components, inv_count, is_decomposable, parse_basis, parse_perm
+
+from oracles import partition_count
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))

@@ -8,7 +8,6 @@ from permseq.perms import (
     EMPTY,
     SYMMETRIES,
     Perm,
-    all_perms,
     avoids,
     complement,
     components,
@@ -31,6 +30,8 @@ from permseq.perms import (
     skew_sum,
     standardize,
 )
+
+from oracles import all_perms
 
 perms_st = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
