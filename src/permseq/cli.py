@@ -2,10 +2,11 @@
 sequences, compatibility classification, generating functions, bijection
 checks and the explicit injection.
 
-Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH and
-`--k` in 0..MAX_BUDGET on the table commands, `--threads` and `--length` at
-least 1, `--k` at least 0 on gf and bijection), so a value out of range is a
-usage error naming the flag; `count_table`, not the CLI, caps `--threads`.
+Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH on the
+table commands, `--k` in 0..MAX_BUDGET on them and on gf, `--threads` and
+`--length` at least 1, `--k` at least 0 on bijection), so a value out of
+range is a usage error naming the flag; `count_table`, not the CLI, caps
+`--threads`.
 A cache entry is `table --format json` output plus `engine_version`, in a
 file named by basis and bounds; an entry that `tableio.table_from_json`
 rejects, or whose version, basis or bounds differ from the request, is
@@ -201,8 +202,8 @@ def cmd_compat(args) -> int:
 def cmd_gf(args) -> int:
     from .series import named_gf
 
-    series = named_gf(args.name, args.k)
     if args.compare_table:
+        # the row cap is checked before the series is built
         try:
             basis = parse_basis(args.name)
         except ValueError:
@@ -211,6 +212,9 @@ def cmd_gf(args) -> int:
         if n_needed > MAX_LENGTH:
             raise ValueError(f"--compare-table needs rows up to k + 2 + longest pattern "
                              f"({n_needed}), above the maximum of {MAX_LENGTH}")
+    # an unknown name fails here, before any table or cache write
+    series = named_gf(args.name, args.k)
+    if args.compare_table:
         # the table comes before any output, so a bad cache path leaves stdout empty
         table = cached_count_table(args.name, n_needed, args.k, args.cache_dir, args.threads)
     print(",".join(str(c) for c in series.coeffs))
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="limit generating function coefficients")
     p.add_argument("--name", required=True, help="catalogue name, e.g. 1324,1342")
-    p.add_argument("--k", type=_int_in(0), default=20)
+    p.add_argument("--k", type=_int_in(0, MAX_BUDGET), default=20)
     p.add_argument("--compare-table", action="store_true")
     engine_flags(p)
     p.set_defaults(fn=cmd_gf)

@@ -3,10 +3,17 @@
 Permutations use one-line notation over 1..n. The empty permutation is a
 valid value (length 0); it is the identity for direct sums and shows up in
 boundary conventions throughout the package.
+
+`contains` is one backtracking search over the pattern's roles, pruned by
+dominance: after a placement of a role fails, it retries only candidates
+whose value the later roles read less strictly (see `_windows`'s kinds).
+`inv_count` is one bisect pass that counts, for each entry, the earlier
+entries above it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -78,9 +85,15 @@ def basis_key(basis: Iterable[Sequence[int]]) -> str:
 # -- statistics ---------------------------------------------------------
 
 def inv_count(p: Sequence[int]) -> int:
-    """Number of pairs i < j with p_i > p_j."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    """Number of pairs i < j with p_i > p_j, counted in one bisect pass: each
+    value adds the number of earlier entries above it."""
+    seen: list[int] = []
+    total = 0
+    for v in p:
+        r = bisect(seen, v)
+        total += len(seen) - r
+        seen.insert(r, v)
+    return total
 
 
 def max_inversions(n: int) -> int:
@@ -253,6 +266,15 @@ def contains(p: Sequence[int], q: Sequence[int]) -> bool:
     the values of its nearest earlier roles below and above it in value: the
     earlier roles are already ordered among themselves, so that window orders
     the new one against all of them.
+
+    Retries are pruned by dominance. When every completion from role j at
+    (position i, value v) has failed, a later position leaves the later
+    roles fewer places, so a candidate there can only help if they read its
+    value less strictly than v. A role that no later role reads (kind 0)
+    gives up at once; one read only as a lower bound (kind 1) retries only
+    values below v; one read only as an upper bound (kind 2) only values
+    above v; one read both ways (kind 3) every candidate. For 1324, role 0
+    walks only the left-to-right minima and role 2 stops at its first fit.
     """
     m = len(q)
     if m == 0:
@@ -260,26 +282,37 @@ def contains(p: Sequence[int], q: Sequence[int]) -> bool:
     n = len(p)
     if m > n:
         return False
-    below, above = _windows(q if isinstance(q, tuple) else tuple(q))
+    below, above, kinds, back = _windows(q if isinstance(q, tuple) else tuple(q))
     # val[j] is role j's value; val[m] and val[m + 1] stand for a missing
-    # neighbour below and above. nxt[j] is the next position to try for role j.
+    # neighbour below and above. lo[j] < v < hi[j] is role j's window, which
+    # narrows on each retry, and nxt[j] the next position to try for it.
     val = [0] * (m + 2)
-    val[m] = min(p) - 1
-    val[m + 1] = max(p) + 1
+    val[m] = lo0 = min(p) - 1
+    val[m + 1] = hi0 = max(p) + 1
+    lo = [lo0] * m
+    hi = [hi0] * m
     nxt = [0] * m
     j = 0
-    while j >= 0:
-        lo = val[below[j]]
-        hi = val[above[j]]
+    while True:
+        a = lo[j]
+        b = hi[j]
         i = nxt[j]
         last = n - m + j
         while i <= last:
             v = p[i]
-            if lo < v < hi:
+            if a < v < b:
                 break
             i += 1
         else:
-            j -= 1
+            # back to the nearest earlier role that can still retry
+            j = back[j]
+            if j < 0:
+                return False
+            kind = kinds[j]
+            if kind == 1:
+                hi[j] = val[j]
+            elif kind == 2:
+                lo[j] = val[j]
             continue
         if j + 1 == m:
             return True
@@ -287,21 +320,27 @@ def contains(p: Sequence[int], q: Sequence[int]) -> bool:
         nxt[j] = i + 1
         j += 1
         nxt[j] = i + 1
-    return False
+        lo[j] = val[below[j]]
+        hi[j] = val[above[j]]
 
 
 @lru_cache(maxsize=4096)
-def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each role j of q, the earlier role nearest below and nearest above
+def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each role j of q: the earlier role nearest below and nearest above
     it in value (m and m + 1 when there is none), as indices into the value
-    list of `contains`."""
+    list of `contains`; how later roles read j's value, never (0), only as a
+    lower bound (1), only as an upper bound (2) or both (3); and the role to
+    retry when j runs out of candidates, the nearest earlier one of nonzero
+    kind (-1 when there is none)."""
     m = len(q)
     below, above = [], []
     for j in range(m):
         earlier = range(j)
         below.append(max((i for i in earlier if q[i] < q[j]), key=q.__getitem__, default=m))
         above.append(min((i for i in earlier if q[i] > q[j]), key=q.__getitem__, default=m + 1))
-    return tuple(below), tuple(above)
+    kinds = tuple((j in below) + 2 * (j in above) for j in range(m))
+    back = tuple(max((i for i in range(j) if kinds[i]), default=-1) for j in range(m))
+    return tuple(below), tuple(above), kinds, back
 
 
 def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:

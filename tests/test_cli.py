@@ -306,6 +306,18 @@ def test_bad_input_is_one_line_exit_1(argv, capsys):
         assert "--compare-table" in lines[0]
 
 
+@pytest.mark.parametrize("argv", OVER_ROW_CAP)
+def test_row_cap_error_comes_before_the_series(argv, monkeypatch, capsys):
+    # the cap depends only on --name and --k, so no series is built first
+    import permseq.series
+
+    calls = []
+    monkeypatch.setattr(permseq.series, "named_gf", lambda *a: calls.append(a))
+    assert main(argv) == EXIT_BAD_INPUT
+    assert calls == []
+    assert "--compare-table" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, pattern", [
     (["inject", "--perm", "12a"], "'12a'"),
     (["table", "--basis", "1324,13a4", "--n", "4", "--k", "4"], "'13a4'"),
@@ -374,7 +386,8 @@ BAD_BOUNDS = [
     (["table", "--basis", "1324", "--n", "5", "--k", "3", "--threads", "0"],
      "--threads: must be at least 1, got 0"),
     (["compat", "--length", "0"], "--length: must be at least 1, got 0"),
-    (["gf", "--name", "1324,1342", "--k", "-1"], "--k: must be at least 0, got -1"),
+    (["gf", "--name", "1324,1342", "--k", "-1"], "--k: must be in 0..200, got -1"),
+    (["gf", "--name", "1324,1342", "--k", "201"], "--k: must be in 0..200, got 201"),
     (["bijection", "--pattern", "2341", "--k", "-1"], "--k: must be at least 0, got -1"),
 ]
 

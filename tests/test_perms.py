@@ -1,7 +1,8 @@
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permseq.enumeration import generate_avoiders
 from permseq.perms import (
@@ -29,6 +30,7 @@ from permseq.perms import (
     reverse_complement,
     skew_sum,
     standardize,
+    _windows,
 )
 
 from oracles import all_perms
@@ -79,6 +81,14 @@ def test_inv_count_examples():
     assert inv_count(parse_perm("21453")) == 3
     assert inv_count(parse_perm("1324")) == 1
     assert inv_count(parse_perm("34152")) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), unique=True, max_size=14))
+@example([])
+def test_inv_count_matches_pair_count(seq):
+    # any distinct integers, not only permutations
+    assert inv_count(seq) == sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
 def test_lehmer_examples():
@@ -262,6 +272,95 @@ def test_contains_matches_bruteforce_large(n):
         else:
             for p in all_perms(n):
                 assert contains(p, q) == brute_contains(p, q), (p, q)
+
+
+def test_windows_kinds():
+    # how later roles read each role's value: 0 never, 1 only as a lower
+    # bound, 2 only as an upper bound, 3 both
+    assert _windows((1, 3, 2, 4))[2] == (1, 3, 0, 0)
+    assert _windows((2, 3, 1))[2] == (3, 0, 0)
+    assert _windows((1, 3, 4, 2))[2] == (1, 3, 0, 0)
+    assert _windows((3, 2, 1))[2] == (2, 2, 0)
+    assert _windows((1, 3, 2, 4))[3] == (-1, 0, 1, 1)
+
+
+def _walk_verdicts(q, budget):
+    """The avoiders of q of lengths 9 and 10 within the budget, and the
+    one-rank extensions of the length-9 ones that the walk rejected: both
+    read off the avoider walk, whose bad ranks come from the anchored fill,
+    not from contains."""
+    short = generate_avoiders([q], 9, budget)
+    long = set(generate_avoiders([q], 10, budget))
+    # appending rank r to a length-9 p adds 10 - r inversions
+    rejected = [ext for p in short for r in range(max(1, 10 - budget + inv_count(p)), 11)
+                if (ext := insert_value(p, 9, r)) not in long]
+    return [*short, *long], rejected
+
+
+_SAMPLE_S5 = random.Random(18).sample(list(all_perms(5)), 6)
+
+
+@pytest.mark.parametrize("q", [*all_perms(3), *all_perms(4), *_SAMPLE_S5], ids=format_perm)
+def test_contains_exhausts_on_avoiders(q):
+    # the search runs dry on every avoider and finds q in every rejected
+    # extension; the walk of q's complement, complemented back, covers the
+    # avoiders with many inversions (no 123-avoider of length 9 or 10 has
+    # 6 or fewer)
+    seen = [0, 0]
+    for pattern, back in ((q, Perm), (complement(q), complement)):
+        avoiders, rejected = _walk_verdicts(pattern, 6)
+        for p in avoiders:
+            assert not contains(back(p), q), (p, q)
+        for p in rejected:
+            assert contains(back(p), q), (p, q)
+        seen[0] += len(avoiders)
+        seen[1] += len(rejected)
+    assert min(seen) > 0
+
+
+def _strip_to_avoider(p, q, picks):
+    """Delete an entry of the first occurrence of q until p avoids q (found by
+    the subsequence scan), with picks choosing which entry."""
+    m = len(q)
+    while True:
+        hit = next((idx for idx in combinations(range(len(p)), m)
+                    if standardize([p[i] for i in idx]) == q), None)
+        if hit is None:
+            return p
+        p = delete(p, [p[hit[picks.draw(st.integers(0, m - 1))]]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
+    st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
+    st.data(),
+)
+def test_contains_on_random_avoiders(p, q, other, picks):
+    # random avoiders of length <= 10, where the search exhausts, against the
+    # subsequence scan; a second pattern mixes in contained answers
+    q, other = Perm(q), Perm(other)
+    p = _strip_to_avoider(Perm(p), q, picks)
+    assert not contains(p, q)
+    assert contains(p, other) == brute_contains(p, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
+    st.integers(-20, 20),
+    st.integers(1, 4),
+    st.integers(0, 2),
+)
+def test_contains_on_unstandardized_sequences(p, q, shift, scale, cut):
+    # slices and shifted or spread values, as almost_decomp passes q[1:]
+    want = brute_contains(standardize(p[cut:]), standardize(q[cut:]))
+    seq = [scale * v + shift for v in p[cut:]]
+    pat = [v - shift for v in q[cut:]]
+    assert contains(seq, pat) == want
+    assert contains(tuple(p[cut:]), tuple(q[cut:])) == want
 
 
 def test_weakly_decreasing_code_iff_avoids_132():
