@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .enumeration import iter_avoiders_upto
 from .perms import (
     SYMMETRIES,
     Perm,
@@ -41,7 +42,6 @@ from .perms import (
     first_split,
     identity,
     insert_value,
-    inv_count,
     inverse,
     is_decomposable,
     max_inversions,
@@ -166,8 +166,6 @@ def theorem_almost_decomp_check(n_max: int):
     """Every 1324-avoider with inv <= 2n-7 is decomposable or almost
     decomposable; returns (n, sorted violations) per length, read off one
     walk to the largest bound."""
-    from .enumeration import iter_avoiders_upto
-
     bad: dict[int, list[Perm]] = {n: [] for n in range(1, n_max + 1)}
     for p, k in iter_avoiders_upto([_P1324], n_max, max(2 * n_max - 7, 0)):
         if k <= 2 * len(p) - 7 and not f_domain(p):
@@ -267,6 +265,12 @@ def _verdict(p: Perm, witness, sufficient: bool, necessary: bool,
     return CompatVerdict(p, "unknown")
 
 
+def _check_length(n: int) -> None:
+    """The pattern length check shared by compat_search and compat_table_row."""
+    if n < 1:
+        raise ValueError(f"pattern length must be at least 1, got {n}")
+
+
 def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
     """Classify one pattern, combining both theorems with a finite witness
     search: the first decomposable or almost decomposable pi of length
@@ -274,8 +278,7 @@ def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
     contains p. The tests' reference for compat_table_row, kept here because
     the benchmark's tracing (perfbench/tracing.py) wraps it by name.
     """
-    from .enumeration import iter_avoiders_upto
-
+    _check_length(len(p))
     if contains(p, _P1324):
         # containment of 1324 is preserved by the map, so such patterns are
         # always compatible
@@ -307,6 +310,13 @@ class CompatCounts:
     witness_compatible: int
     sufficient_compatible: int
     verdicts: tuple[CompatVerdict, ...]
+
+    @property
+    def columns(self) -> tuple[int, int, int, int, int, int]:
+        """The six counts in the paper's Table 4 column order."""
+        return (self.sufficient_incompatible, self.witness_incompatible,
+                self.necessary_incompatible, self.necessary_compatible,
+                self.witness_compatible, self.sufficient_compatible)
 
 
 class Subpatterns:
@@ -371,10 +381,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     with n. The theorem columns assume the default priority; the reference
     counts require it.
     """
-    from .enumeration import iter_avoiders_upto
-
-    if n < 1:
-        raise ValueError(f"pattern length must be at least 1, got {n}")
+    _check_length(n)
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
     subpatterns = Subpatterns(n)
@@ -422,8 +429,6 @@ def check_1342_bound(n_max: int):
     1342-containment is preserved by the map on (almost) decomposable
     1324-avoiders.
     """
-    from .enumeration import iter_avoiders_upto
-
     counterexamples: dict[int, list[tuple[Perm, int]]] = {n: [] for n in range(1, n_max + 1)}
     preserved = True
     for pi, k in iter_avoiders_upto([_P1324], n_max, max_inversions(n_max)):
@@ -441,50 +446,50 @@ def check_1342_bound(n_max: int):
 
 def difference_sets(n: int, k: int):
     """The members of Av_{n+1}^k(1324, 1342) outside the image of f,
-    split into the three syntactic families R1, R2, R3.
+    split into the three syntactic families R1, R2, R3, for n >= (k+7)/2.
 
     R1: first entry n+1 or last entry 1. R2: second entry n+1 (the mirrored
     last-entry-2 case is impossible under 1342-avoidance). R3: inverse of a
     permutation whose body after the first entry has three or more
     components, with first entry ell+1 and last entry ell+2 for ell the
     length of the body's first component (the uninverted case is again
-    impossible under 1342-avoidance).
+    impossible under 1342-avoidance). Both lengths come from one walk of
+    Av_{<=n+1}^{<=k}(1324, 1342); each family is sorted.
     """
-    from .enumeration import generate_avoiders
-
-    basis = [_P1324, _P1342]
-    big = [s for s in generate_avoiders(basis, n + 1, k) if inv_count(s) == k]
-    # None, for pi outside f's domain, matches no member of big
-    image = {_f(pi) for pi in generate_avoiders(basis, n, k) if inv_count(pi) == k}
-    rest = [s for s in big if s not in image]
+    if 2 * n < k + 7:
+        raise ValueError(f"difference sets require n >= (k+7)/2; got n={n}, k={k}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    at_k: dict[int, list[Perm]] = {n: [], n + 1: []}
+    for p, inv in iter_avoiders_upto([_P1324, _P1342], n + 1, k):
+        if inv == k and len(p) >= n:
+            at_k[len(p)].append(p)
+    # None, for pi outside f's domain, matches no member of length n + 1
+    image = {_f(pi) for pi in at_k[n]}
     r1, r2, r3 = [], [], []
-    for s in rest:
+    for s in sorted(at_k[n + 1]):
+        if s in image:
+            continue
         if s[0] == n + 1 or s[-1] == 1:
             r1.append(s)
         elif s[1] == n + 1:
             r2.append(s)
-        else:
-            assert s[-1] != 2, "last entry 2 is impossible under 1342-avoidance"
-            assert _r3_shape(s), f"{s!r} escaped the three difference families"
+        elif s[-1] == 2:
+            raise ValueError(f"{s!r} ends in 2, which 1342-avoidance rules out")
+        elif _r3_shape(s):
+            raise ValueError(f"{s!r} has the uninverted R3 shape, "
+                             "which 1342-avoidance rules out")
+        elif _r3_shape(inverse(s)):
             r3.append(s)
+        else:
+            raise ValueError(f"{s!r} escaped the three difference families")
     return r1, r2, r3
 
 
-def _r3_shape(s: Perm) -> bool:
-    # first entry one above, last entry two above the length of the leading
-    # component of the doubly-trimmed permutation, with the body splitting
-    for tau in (s, inverse(s)):
-        trimmed = delete(tau, [tau[0], tau[-1]])
-        if not trimmed:
-            continue
-        ell = first_split(trimmed)
-        if tau[0] != ell + 1 or tau[-1] != ell + 2:
-            continue
-        if not first_split(tau, tau[0]) < len(tau) - 1:
-            continue
-        if tau == s:
-            raise AssertionError(
-                "uninverted R3 shape is impossible under 1342-avoidance"
-            )
-        return True
-    return False
+def _r3_shape(tau: Perm) -> bool:
+    """First entry one above, last entry two above the length of the leading
+    component of tau with both ends deleted, and the body after the first
+    entry splitting."""
+    trimmed = delete(tau, [tau[0], tau[-1]])
+    return (bool(trimmed) and tau[0] == first_split(trimmed) + 1
+            and tau[-1] == tau[0] + 1 and first_split(tau, tau[0]) < len(tau) - 1)

@@ -70,6 +70,6 @@ def check_partner(partner: str, threads: int = 1) -> list[GoldenResult]:
     return results
 
 
-def check_all(threads: int = 1):
-    for partner in GOLDEN_PARTNERS:
-        yield from check_partner(partner, threads=threads)
+def check_all(threads: int = 1) -> list[GoldenResult]:
+    """check_partner for every golden partner, in GOLDEN_PARTNERS order."""
+    return [r for partner in GOLDEN_PARTNERS for r in check_partner(partner, threads)]

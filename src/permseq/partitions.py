@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
+from .enumeration import indecomposables_upto
 from .perms import (
     Perm,
     avoids,
@@ -84,8 +85,6 @@ def indecomposable_buckets(basis, k_max: int) -> list[list[Perm]]:
     I_k(basis) holds the indecomposable basis-avoiders with exactly k
     inversions. Each bucket is ordered by length, then lexicographically.
     """
-    from .enumeration import indecomposables_upto
-
     buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
     for p, k in indecomposables_upto(basis, k_max):
         buckets[k].append(p)
@@ -262,13 +261,6 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
         left = {lambda_map(p) for p in bucket}
         right = {lam for lam in partitions_of(k) if family_test(lam)}
         yield left, right
-
-
-def verify_family(partner: str, family_test, k_max: int) -> list[tuple[int, bool]]:
-    """Check Lambda(I_k(132, partner)) == {partitions of k passing the test}
-    for every k <= k_max."""
-    return [(k, left == right)
-            for k, (left, right) in enumerate(family_sides(partner, family_test, k_max))]
 
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:

@@ -274,6 +274,8 @@ def named_gf(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if key not in CATALOGUE:
         known = ", ".join(sorted(CATALOGUE))
         raise ValueError(f"unknown generating function {name!r}; known: {known}")
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
     return CATALOGUE[key](order)
 
 

@@ -24,6 +24,7 @@ from permseq.almost_decomp import (
 from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, row_differences
 from permseq.perms import (
     SYMMETRIES,
+    Perm,
     avoids,
     components,
     contains,
@@ -308,16 +309,18 @@ TABLE4 = {
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_table4_rows_small(n):
-    row = compat_table_row(n)
-    got = (
-        row.sufficient_incompatible,
-        row.witness_incompatible,
-        row.necessary_incompatible,
-        row.necessary_compatible,
-        row.witness_compatible,
-        row.sufficient_compatible,
-    )
-    assert got == TABLE4[n]
+    assert compat_table_row(n).columns == TABLE4[n]
+
+
+def test_empty_pattern_is_rejected_before_any_walk(monkeypatch):
+    import permseq.almost_decomp as ad
+
+    monkeypatch.setattr(ad, "iter_avoiders_upto", None)
+    message = "pattern length must be at least 1, got 0"
+    with pytest.raises(ValueError, match=message):
+        compat_search(Perm())
+    with pytest.raises(ValueError, match=message):
+        compat_table_row(0)
 
 
 @pytest.mark.parametrize("alternate", (False, True))
@@ -419,6 +422,27 @@ def test_difference_sets_empty_below_minimum():
     assert r1 == [] and r2 == [] and r3 == []
 
 
+IN_RANGE = [(n, k) for n in range(11) for k in range(14) if 2 * n >= k + 7]
+OUT_OF_RANGE = [(n, k) for n in range(11) for k in range(14) if 2 * n < k + 7]
+
+
+def test_difference_set_sizes_in_range():
+    assert len(IN_RANGE) == 56
+    C = overpartition_gf(14)
+    for n, k in IN_RANGE:
+        sizes = tuple(map(len, difference_sets(n, k)))
+        want23 = C[k - n + 1] if k >= n - 1 else 0
+        assert sizes == (2 * C[k - n] if k >= n else 0, want23, want23), (n, k)
+
+
+def test_difference_sets_out_of_range():
+    for n, k in OUT_OF_RANGE:
+        with pytest.raises(ValueError, match=r"require n >= \(k\+7\)/2"):
+            difference_sets(n, k)
+    with pytest.raises(ValueError, match="nonnegative"):
+        difference_sets(3, -1)
+
+
 def test_difference_total_matches_row_difference():
     t = count_table(parse_basis("1324,1342"), 11, 10)
     d = row_differences(t)
@@ -429,16 +453,7 @@ def test_difference_total_matches_row_difference():
 
 @pytest.mark.slow
 def test_table4_row_6():
-    row = compat_table_row(6)
-    got = (
-        row.sufficient_incompatible,
-        row.witness_incompatible,
-        row.necessary_incompatible,
-        row.necessary_compatible,
-        row.witness_compatible,
-        row.sufficient_compatible,
-    )
-    assert got == TABLE4[6]
+    assert compat_table_row(6).columns == TABLE4[6]
 
 
 @pytest.mark.slow

@@ -248,6 +248,34 @@ def test_cmd_golden_single(capsys):
     assert "2/2 tables match" in out
 
 
+PINNED_OUTPUTS = [
+    (["golden", "--partner", "1243"],
+     "PASS 1324,1243 counts\n"
+     "PASS 1324,1243 diffs\n"
+     "2/2 tables match\n"),
+    (["bijection", "--pattern", "2341", "--k", "5"],
+     "k=0: permutation side 1, partition side 1 [ok]\n"
+     "k=1: permutation side 1, partition side 1 [ok]\n"
+     "k=2: permutation side 2, partition side 2 [ok]\n"
+     "k=3: permutation side 2, partition side 2 [ok]\n"
+     "k=4: permutation side 4, partition side 4 [ok]\n"
+     "k=5: permutation side 5, partition side 5 [ok]\n"),
+    (["compat", "--length", "4"],
+     "compatible patterns of length 4: 1432 4231 4321\n"
+     "\n"
+     "| n | suff. incompatible | CLB | nec. incompatible | nec. compatible "
+     "| CUB | suff. compatible |\n"
+     "|---|---|---|---|---|---|---|\n"
+     "| 4 | 18 | 20 | 20 | 3 | 3 | 5 |\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_OUTPUTS, ids=[a[0] for a, _ in PINNED_OUTPUTS])
+def test_whole_output_is_pinned(argv, stdout, capsys):
+    rc = main(argv)
+    assert (rc, capsys.readouterr()) == (0, (stdout, ""))
+
+
 def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     import permseq.golden as gold
 

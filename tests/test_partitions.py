@@ -6,6 +6,7 @@ from permseq.golden import GOLDEN_PARTNERS
 from permseq.partitions import (
     FAMILY_TESTS,
     family_counts,
+    family_sides,
     indecomposable_avoiders,
     indecomposable_buckets,
     is_convex_4231,
@@ -22,7 +23,6 @@ from permseq.partitions import (
     overpartitions_of,
     partitions_of,
     spm_generate,
-    verify_family,
     verify_transfer_213_2431,
 )
 from permseq.perms import Perm, components, inv_count, is_decomposable, parse_basis, parse_perm
@@ -194,8 +194,8 @@ def test_overpartition_counts():
 
 @pytest.mark.parametrize("partner", sorted(FAMILY_TESTS))
 def test_verify_family(partner):
-    results = verify_family(partner, FAMILY_TESTS[partner], 10)
-    assert all(ok for _, ok in results)
+    for left, right in family_sides(partner, FAMILY_TESTS[partner], 10):
+        assert left == right
 
 
 def test_verify_transfer():
@@ -204,8 +204,8 @@ def test_verify_transfer():
 
 def test_verify_family_descending_length_5():
     # the descending pattern of length m corresponds to at most m-2 distinct parts
-    results = verify_family("54321", max_distinct_parts(5), 8)
-    assert all(ok for _, ok in results)
+    for left, right in family_sides("54321", max_distinct_parts(5), 8):
+        assert left == right
 
 
 @pytest.mark.parametrize("partner", ("2341", "3412", "3421", "4231", "4321"))

@@ -8,6 +8,7 @@ from permseq.partitions import (
     partitions_of,
 )
 from permseq.series import (
+    CATALOGUE,
     DEFAULT_ORDER,
     av_1324_1342,
     distinct_parts_gf,
@@ -92,6 +93,12 @@ def test_named_gf_catalogue(name, want):
 def test_named_gf_unknown():
     with pytest.raises(ValueError, match="unknown generating function 'nope'; known: 132, "):
         named_gf("nope", 10)
+
+
+def test_named_gf_negative_order():
+    for name in CATALOGUE:
+        with pytest.raises(ValueError, match="series order must be nonnegative, got -1"):
+            named_gf(name, -1)
 
 
 def test_enumeration_backed_entries_match_family_counts():
