@@ -348,9 +348,15 @@ class Subpatterns:
         return got
 
     def _deletions(self, p: Sequence[int]) -> int:
-        """The OR of the masks of p with one entry deleted."""
+        """The OR of the masks of p with one entry deleted.
+
+        Deleting p[i] gives the same permutation as deleting p[i-1] when the
+        two are adjacent in value, so each distinct deletion is built once.
+        """
         got = 0
         for i, v in enumerate(p):
+            if i and abs(v - p[i - 1]) == 1:
+                continue
             got |= self.mask(tuple([x - (x > v) for x in p[:i] + p[i + 1:]]))
         return got
 

@@ -72,8 +72,10 @@ the greedy prefix automaton: from state j a component moves to the largest
 j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and reaching s
 means q is contained. A DP over (state, n, k) then sums the sequences of
 components for every row, so the walk never goes deeper than k_max+1 and
-the table costs about the same for any n_max. count_table's process pool
-gets min(threads, CPU count, jobs) workers (see _SPLIT_DEPTH).
+the table costs about the same for any n_max. With threads > 1, count_table
+walks its subtree jobs inline while their tallies project a small table,
+and only then starts a process pool of min(threads, CPU count, jobs left)
+workers for the rest (see _POOL_MIN_TALLY).
 """
 
 from __future__ import annotations
@@ -473,6 +475,14 @@ class CountTable:
 # Pool jobs are the subtrees below this depth; one worker walks from the root.
 _SPLIT_DEPTH = 4
 
+# A table whose jobs project at most this many indecomposables is walked
+# inline (see count_table). The pool's workers take 15-20 ms to start on a
+# 2-core VM, which the split walk repays only from a few thousand on: {1324}
+# at (18, 12) (5,544) takes 0.047 s inline and 0.055 s pooled, at (20, 13)
+# (9,456) 0.086 s and 0.080 s. Tallies, unlike the clock, send a table the
+# same way on every machine, and job shares are stable across sizes.
+_POOL_MIN_TALLY = 5000
+
 
 def _tally(nodes):
     """Count the indecomposables among pruned-walk nodes by (length, inv, seen)."""
@@ -486,7 +496,14 @@ def _tally_subtree(args):
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
-    """Exact table of av_n^k(basis) for n <= n_max, k <= k_max."""
+    """Exact table of av_n^k(basis) for n <= n_max, k <= k_max.
+
+    With threads > 1 the subtrees below depth _SPLIT_DEPTH are jobs. They
+    are walked inline, in order, until the indecomposables found so far,
+    times the number of jobs over the jobs walked, exceed _POOL_MIN_TALLY;
+    the jobs left go to a process pool of min(threads, CPU count, jobs
+    left) workers. The table is the same either way.
+    """
     basis = pattern_basis(basis)
     check_table_bounds(n_max, k_max)
     patterns, start, step = _automaton(basis)
@@ -500,7 +517,7 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         tally = _tally_subtree((node, plans, depth, k_max))
     else:
         # the levels above the split depth run inline, where the leaves at
-        # the budget are tallied and dropped; the pool walks below the rest
+        # the budget are tallied and dropped; the rest are the jobs
         tally = Counter()
         frontier = [node]
         for _ in range(_SPLIT_DEPTH):
@@ -509,6 +526,13 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
             tally.update(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
         jobs = [(node, plans, depth, k_max) for node in frontier]
+        found = walked = 0
+        while walked < len(jobs) and found * len(jobs) <= _POOL_MIN_TALLY * walked:
+            part = _tally_subtree(jobs[walked])
+            tally.update(part)
+            found += part.total()
+            walked += 1
+        jobs = jobs[walked:]
         workers = min(workers, len(jobs))
         parts = map(_tally_subtree, jobs)
         if workers > 1:

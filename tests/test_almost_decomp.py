@@ -406,22 +406,6 @@ def test_half_monotonicity_from_tables(partner):
                 assert d[n - 1][k] >= 0, (partner, n, k)
 
 
-def test_difference_sets_examples():
-    C = overpartition_gf(16)
-    for n, k in ((8, 9), (9, 8), (10, 11)):
-        r1, r2, r3 = difference_sets(n, k)
-        want1 = 2 * C[k - n] if k >= n else 0
-        want23 = C[k - n + 1] if k >= n - 1 else 0
-        assert len(r1) == want1
-        assert len(r2) == want23
-        assert len(r3) == want23
-
-
-def test_difference_sets_empty_below_minimum():
-    r1, r2, r3 = difference_sets(8, 5)  # k < n-1
-    assert r1 == [] and r2 == [] and r3 == []
-
-
 IN_RANGE = [(n, k) for n in range(11) for k in range(14) if 2 * n >= k + 7]
 OUT_OF_RANGE = [(n, k) for n in range(11) for k in range(14) if 2 * n < k + 7]
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import permseq.enumeration as enumeration
 from permseq.enumeration import (
     REPRESENTATIVE_PARTNERS,
     TAIL_WINDOW,
@@ -315,8 +316,6 @@ def test_iter_avoiders_upto_streams(monkeypatch):
     # Av_{<=14}(1324) is far too large to list: the first avoider must come
     # after the root's one child is filled, and reaching length 14 may fill
     # only the children of the nodes on the path there, one level each
-    import permseq.enumeration as enumeration
-
     real_fill = enumeration._fill
     calls = 0
 
@@ -339,8 +338,6 @@ def test_iter_avoiders_upto_streams(monkeypatch):
 def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch):
     # a child at the budget has floor len(child) + 1 and is a leaf of the
     # pruned walk, so count_table never fills it
-    import permseq.enumeration as enumeration
-
     real_fill = enumeration._fill
     fills = []
 
@@ -376,7 +373,10 @@ def test_catalan_cross_check():
             assert sum(t.rows[n - 1]) == CATALAN[n], q
 
 
-def test_threads_match_sequential():
+def test_threads_match_sequential(monkeypatch):
+    # at a threshold of 0 the jobs after the first one that tallies anything
+    # go to the pool
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     basis = parse_basis("1324,1243")
     seq = count_table(basis, 9, 10)
     par = count_table(basis, 9, 10, threads=2)
@@ -388,11 +388,14 @@ def test_threads_match_sequential():
     [("1324,1342", 12, 10), ("12,2413", 9, 36), ("21,1324", 7, 4), ("2143,123,1324", 20, 11),
      ("1324", 10, 5), ("1324", 10, 6), ("1324,2143", 9, 6)],
 )
-def test_pool_jobs_carry_node_state(basis_text, n_max, k_max):
+def test_pool_jobs_carry_node_state(basis_text, n_max, k_max, monkeypatch):
     # pool jobs start from depth-4 nodes with their inherited masks; with
     # k_max <= 6 some frontier nodes are leaves at the budget, tallied inline
     basis = parse_basis(basis_text)
-    assert count_table(basis, n_max, k_max, threads=2).rows == count_table(basis, n_max, k_max).rows
+    rows = count_table(basis, n_max, k_max).rows
+    assert count_table(basis, n_max, k_max, threads=2).rows == rows
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
+    assert count_table(basis, n_max, k_max, threads=2).rows == rows
 
 
 def test_row_differences_examples():
