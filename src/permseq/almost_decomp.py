@@ -23,6 +23,11 @@ domain, and is what the sweeps call; `f_map`, `f_domain` and
 `almost_decomposable` are the checked entry points. Both classification
 theorems are read off one pass over a pattern's orbit under
 `perms.SYMMETRIES` (`_classify`).
+
+`compat_table_row` reads the patterns each image gains off `Subpatterns`
+bitmasks, memoised by bytes keys. The permutations `_f` builds are not
+validated again: `perms.standardize`, and `perms.insert_value` on a `Perm`,
+skip `Perm`'s check, which their results cannot fail.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .enumeration import iter_avoiders_upto
+from .enumeration import MAX_LENGTH, iter_avoiders_upto
 from .perms import (
     SYMMETRIES,
     Perm,
@@ -265,10 +270,18 @@ def _verdict(p: Perm, witness, sufficient: bool, necessary: bool,
     return CompatVerdict(p, "unknown")
 
 
+# The longest pattern the sweep classifies: its walk reaches n + 2 and its
+# images n + 3, which stay within MAX_LENGTH and fit Subpatterns' bytes keys.
+MAX_PATTERN_LENGTH = MAX_LENGTH - 3
+
+
 def _check_length(n: int) -> None:
-    """The pattern length check shared by compat_search and compat_table_row."""
+    """The pattern length check shared by compat_search, compat_table_row
+    and Subpatterns."""
     if n < 1:
         raise ValueError(f"pattern length must be at least 1, got {n}")
+    if n > MAX_PATTERN_LENGTH:
+        raise ValueError(f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {n}")
 
 
 def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
@@ -327,14 +340,36 @@ class Subpatterns:
     len(p) == n, 0 when len(p) < n, and otherwise the OR of the masks of p
     with one entry deleted (every length-n pattern of p survives in some
     such deletion, and each deletion's patterns are patterns of p).
+
+    The memo is keyed by bytes(p), one byte per entry, so deleting the
+    value v is one bytes.translate that drops the byte `_drop[v]` and maps
+    every byte above v one lower (`_lower[v]`). The tables are built per
+    instance, up to the longest permutation asked about (n + 3 in the
+    sweep), never at import.
     """
 
     def __init__(self, n: int):
+        _check_length(n)
         self.n = n
         self.patterns: list[Perm] = []
-        self._masks: dict[tuple[int, ...], int] = {}
+        self._masks: dict[bytes, int] = {}
+        self._lower: list[bytes] = []
+        self._drop: list[bytes] = []
+
+    def _key(self, p: Sequence[int]) -> bytes:
+        """p as a memo key, with the translate tables for its values built."""
+        key = bytes(p)
+        lower = self._lower
+        for v in range(len(lower), len(key) + 1):
+            lower.append(bytes(range(v + 1)) + bytes(range(v, 255)))
+            self._drop.append(bytes((v,)))
+        return key
 
     def mask(self, p: Sequence[int]) -> int:
+        """The mask of p's length-n patterns, for p a tuple, list or Perm."""
+        return self._mask(self._key(p))
+
+    def _mask(self, p: bytes) -> int:
         got = self._masks.get(p)
         if got is None:
             if len(p) < self.n:
@@ -347,25 +382,37 @@ class Subpatterns:
             self._masks[p] = got
         return got
 
-    def _deletions(self, p: Sequence[int]) -> int:
+    def _deletions(self, p: bytes) -> int:
         """The OR of the masks of p with one entry deleted.
 
         Deleting p[i] gives the same permutation as deleting p[i-1] when the
         two are adjacent in value, so each distinct deletion is built once.
         """
         got = 0
-        for i, v in enumerate(p):
-            if i and abs(v - p[i - 1]) == 1:
-                continue
-            got |= self.mask(tuple([x - (x > v) for x in p[:i] + p[i + 1:]]))
+        prev = -1
+        lower, drop, masks = self._lower, self._drop, self._masks
+        for v in p:
+            if v - prev != 1 and prev - v != 1:
+                q = p.translate(lower[v], drop[v])
+                # a memoised mask is never 0: it has at least one pattern
+                got |= masks.get(q) or self._mask(q)
+            prev = v
         return got
 
     def gained(self, pi: Sequence[int], image: Sequence[int]) -> list[Perm]:
         """The length-n patterns of image that pi does not contain."""
+        return self.decode(self.gained_mask(pi, image))
+
+    def gained_mask(self, pi: Sequence[int], image: Sequence[int]) -> int:
+        """mask(image) & ~mask(pi), without memoising image itself."""
         # f is injective, so no image comes twice: only its deletions' masks
         # are memoised, which keeps the memo to the lengths pi takes
-        whole = self._deletions(image) if len(image) > self.n else self.mask(image)
-        bits = whole & ~self.mask(pi)
+        image = self._key(image)
+        whole = self._deletions(image) if len(image) > self.n else self._mask(image)
+        return whole & ~self.mask(pi)
+
+    def decode(self, bits: int) -> list[Perm]:
+        """The patterns whose bits are set in bits, lowest bit first."""
         out = []
         while bits:
             low = bits & -bits
@@ -380,9 +427,10 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     The witness columns reproduce the computational lower/upper bounds: a
     pattern p counts as witness-incompatible when some decomposable or
     almost decomposable pi in Av_m(1324, p), n-1 <= m <= n+2, has f(pi)
-    containing p. Every such pi records the length-n patterns its image
-    gains, read off as mask(f(pi)) & ~mask(pi) from the Subpatterns
-    bitmasks; the first pi in walk order is the witness, the one
+    containing p. The length-n patterns each such pi's image gains are
+    mask(f(pi)) & ~mask(pi), read off the Subpatterns bitmasks; only those
+    no earlier pi gained are decoded, so each pattern is decoded once, with
+    its witness: the first pi in walk order that gains it, the one
     compat_search finds. The walk streams, so only the masks' memo grows
     with n. The theorem columns assume the default priority; the reference
     counts require it.
@@ -390,6 +438,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     _check_length(n)
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
+    unwitnessed = -1  # the patterns' bits that no pi has gained yet
     subpatterns = Subpatterns(n)
     m_max = n + 2
     for pi, _k in iter_avoiders_upto([_P1324], m_max, max_inversions(m_max)):
@@ -401,8 +450,12 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         image = _f(pi, alternate_priority)
         if image is None:
             continue
-        for p in subpatterns.gained(pi, image):
-            witnesses.setdefault(p, (pi, image))
+        # only the first pi to gain a pattern is its witness
+        bits = subpatterns.gained_mask(pi, image) & unwitnessed
+        if bits:
+            unwitnessed &= ~bits
+            for p in subpatterns.decode(bits):
+                witnesses[p] = (pi, image)
     theorems = [_classify(p) for p in patterns]
     n_suff = sum(s for s, _ in theorems)
     n_nec = sum(c for _, c in theorems)

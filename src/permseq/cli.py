@@ -3,8 +3,9 @@ sequences, compatibility classification, generating functions, bijection
 checks and the explicit injection.
 
 Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH on the
-table commands, `--k` in 0..MAX_BUDGET on them and on gf, `--threads` and
-`--length` at least 1, `--k` at least 0 on bijection), so a value out of
+table commands, `--k` in 0..MAX_BUDGET on them and on gf, `--threads` at
+least 1, `compat --length` in 1..MAX_LENGTH - 3, `--k` at least 0 on
+bijection), so a value out of
 range is a usage error naming the flag; `count_table`, not the CLI, caps
 `--threads`.
 A cache entry is `table --format json` output plus `engine_version`, in a
@@ -333,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("compat", help="compatibility classification of patterns")
-    p.add_argument("--length", type=_int_in(1), required=True)
+    # almost_decomp.MAX_PATTERN_LENGTH, written out so that building the
+    # parser does not import almost_decomp
+    p.add_argument("--length", type=_int_in(1, MAX_LENGTH - 3), required=True)
     p.add_argument("--out", help="write verdicts as JSON")
     p.add_argument("--f-priority", choices=("paper", "alternate"), default="paper",
                    help="case priority of the almost-decomposable map")

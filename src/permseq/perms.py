@@ -9,6 +9,13 @@ dominance: after a placement of a role fails, it retries only candidates
 whose value the later roles read less strictly (see `_windows`'s kinds).
 `inv_count` is one bisect pass that counts, for each entry, the earlier
 entries above it.
+
+`Perm(values)` checks that the values are 1..n. Two constructors skip that
+check because their result cannot fail it, and the compatibility sweep
+calls them on every candidate: `standardize` writes the ranks 1..n, and
+`insert_value` on a `Perm` shifts the entries at or above the new value up
+by one. `insert_value` still checks `pos` and `value`, and checks any input
+that is not a `Perm`.
 """
 
 from __future__ import annotations
@@ -228,7 +235,8 @@ def standardize(seq: Sequence[int]) -> Perm:
     out = [0] * len(seq)
     for rank, idx in enumerate(order, start=1):
         out[idx] = rank
-    return Perm(out)
+    # the ranks are 1..n by construction: skip Perm's check
+    return tuple.__new__(Perm, out)
 
 
 def delete(p: Sequence[int], values: Iterable[int]) -> Perm:
@@ -254,7 +262,8 @@ def insert_value(p: Sequence[int], pos: int, value: int) -> Perm:
         raise ValueError(f"value {value} not in 1..{n + 1}")
     out = [v + 1 if v >= value else v for v in p]
     out.insert(pos, value)
-    return Perm(out)
+    # inserting into a Perm gives a permutation; any other input is checked
+    return tuple.__new__(Perm, out) if isinstance(p, Perm) else Perm(out)
 
 
 # -- pattern containment -------------------------------------------------

@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from permseq.almost_decomp import (
+    MAX_PATTERN_LENGTH,
     Subpatterns,
     _classify,
     _f,
@@ -21,7 +23,8 @@ from permseq.almost_decomp import (
     f_tilde,
     theorem_almost_decomp_check,
 )
-from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_upto, row_differences
+from permseq.enumeration import (
+    MAX_LENGTH, count_table, generate_avoiders, iter_avoiders_upto, row_differences)
 from permseq.perms import (
     SYMMETRIES,
     Perm,
@@ -323,6 +326,20 @@ def test_empty_pattern_is_rejected_before_any_walk(monkeypatch):
         compat_table_row(0)
 
 
+def test_pattern_length_past_the_bound_is_rejected(monkeypatch):
+    # images reach n + 3 entries, which must stay within MAX_LENGTH
+    import permseq.almost_decomp as ad
+
+    monkeypatch.setattr(ad, "iter_avoiders_upto", None)
+    assert MAX_PATTERN_LENGTH + 3 == MAX_LENGTH
+    message = f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {MAX_LENGTH - 2}"
+    with pytest.raises(ValueError, match=message):
+        compat_table_row(MAX_PATTERN_LENGTH + 1)
+    with pytest.raises(ValueError, match=message):
+        Subpatterns(MAX_PATTERN_LENGTH + 1)
+    assert Subpatterns(MAX_PATTERN_LENGTH).mask(identity(MAX_LENGTH)) == 1
+
+
 @pytest.mark.parametrize("alternate", (False, True))
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_one_pass_witnesses(n, alternate):
@@ -366,6 +383,46 @@ def test_subpattern_masks_match_oracle(n, alternate):
         assert len(gained) == len(set(gained))
         assert set(gained) == after - before, pi
     assert len(subpatterns.patterns) == len(set(subpatterns.patterns))
+
+
+@st.composite
+def run_perms(draw, max_len=9):
+    """Permutations of length <= max_len built from runs of consecutive
+    values, ascending or descending, so that deletions of value-adjacent
+    entries coincide: a random permutation with each entry inflated to one
+    run."""
+    sizes = []
+    for size in draw(st.lists(st.integers(1, 4), max_size=max_len)):
+        if sum(sizes) + size > max_len:
+            break
+        sizes.append(size)
+    order = draw(st.permutations(range(len(sizes))))
+    falling = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    out = []
+    for size, rank, down in zip(sizes, order, falling):
+        base = sum(sizes[i] for i in range(len(sizes)) if order[i] < rank)
+        run = range(base + 1, base + size + 1)
+        out.extend(reversed(run) if down else run)
+    return Perm(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), run_perms(), run_perms())
+@example(1, identity(9), Perm(range(9, 0, -1)))
+@example(6, Perm(range(9, 0, -1)), identity(9))
+@example(3, identity(2), parse_perm("3412"))
+def test_subpattern_masks_on_any_permutation(n, pi, image):
+    # any two permutations, as tuple, list or Perm, against the subset oracle
+    before = _patterns_of_length(pi, n)
+    after = _patterns_of_length(image, n)
+    for kind in (tuple, list, Perm):
+        subpatterns = Subpatterns(n)
+        gained = subpatterns.gained(kind(pi), kind(image))
+        assert len(gained) == len(set(gained)) and set(gained) == after - before
+        for p, want in ((pi, before), (image, after)):
+            mask = subpatterns.mask(kind(p))
+            assert {q for i, q in enumerate(subpatterns.patterns) if mask >> i & 1} == want
+        assert all(type(q) is Perm for q in subpatterns.patterns)
 
 
 @pytest.mark.parametrize("alternate", (False, True))

@@ -403,7 +403,8 @@ BAD_BOUNDS = [
       for cmd in ("table", "diff", "monotone", "limit") for bounds, message in TABLE_BOUNDS),
     (["table", "--basis", "1324", "--n", "5", "--k", "3", "--threads", "0"],
      "--threads: must be at least 1, got 0"),
-    (["compat", "--length", "0"], "--length: must be at least 1, got 0"),
+    (["compat", "--length", "0"], "--length: must be in 1..61, got 0"),
+    (["compat", "--length", "62"], "--length: must be in 1..61, got 62"),
     (["gf", "--name", "1324,1342", "--k", "-1"], "--k: must be in 0..200, got -1"),
     (["gf", "--name", "1324,1342", "--k", "201"], "--k: must be in 0..200, got 201"),
     (["bijection", "--pattern", "2341", "--k", "-1"], "--k: must be at least 0, got -1"),

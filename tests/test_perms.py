@@ -229,6 +229,43 @@ def test_insert_value_inverts_delete():
     assert delete(grown, {3}) == p
 
 
+def _is_permutation(p):
+    return isinstance(p, Perm) and sorted(p) == list(range(1, len(p) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), unique=True, max_size=12))
+@example([])
+def test_standardize_builds_a_permutation(seq):
+    # standardize skips Perm's check: its ranks must be 1..n anyway
+    p = standardize(seq)
+    assert _is_permutation(p)
+    assert all((p[i] < p[j]) == (seq[i] < seq[j])
+               for i, j in combinations(range(len(seq)), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perms_st, st.data())
+def test_insert_value_on_a_perm_builds_a_permutation(p, data):
+    # insert_value skips Perm's check on Perm input only
+    pos = data.draw(st.integers(0, len(p)))
+    value = data.draw(st.integers(1, len(p) + 1))
+    grown = insert_value(p, pos, value)
+    assert _is_permutation(grown)
+    assert grown[pos] == value and delete(grown, {value}) == p
+    assert insert_value(list(p), pos, value) == grown
+
+
+def test_insert_value_checks_other_input():
+    for bad in ((1, 3), (2, 2), [0, 1], (1, 2, 5)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            insert_value(bad, 0, 1)
+    with pytest.raises(ValueError, match="position 4 not in 0..2"):
+        insert_value(Perm((2, 1)), 4, 1)
+    with pytest.raises(ValueError, match="value 4 not in 1..3"):
+        insert_value(Perm((2, 1)), 0, 4)
+
+
 def test_contains_examples():
     assert contains(parse_perm("241563"), parse_perm("1342"))
     assert contains(parse_perm("34152"), Perm((1,)))
