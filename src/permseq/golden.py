@@ -52,9 +52,15 @@ def load_golden(partner: str, kind: str) -> GoldenTable:
 
 
 def check_partner(partner: str, threads: int = 1) -> list[GoldenResult]:
-    """Recompute the pair's tables and diff them against the golden data."""
-    # loaded first, so an unknown partner fails before the walk
+    """Recompute the pair's tables and diff them against the golden data,
+    which must hold exactly the cells of those tables (else ValueError)."""
+    # loaded and shape-checked first, so bad golden data fails before the walk
     goldens = [load_golden(partner, kind) for kind in ("counts", "diffs")]
+    for golden, n_rows in zip(goldens, (N_MAX, N_MAX - 1)):
+        shape = dict.fromkeys(range(1, n_rows + 1), K_MAX + 1)
+        if {n: len(row) for n, row in golden.cells.items()} != shape:
+            raise ValueError(f"golden {golden.kind} table of 1324,{partner} must have rows "
+                             f"n = 1..{n_rows} of cells k = 0..{K_MAX}")
     table = count_table(parse_basis(f"1324,{partner}"), N_MAX, K_MAX, threads=threads)
     results = []
     # a difference row n spans lengths n and n + 1, so the longer one caps it

@@ -5,8 +5,10 @@ closed at the truncation order (mismatched orders truncate to the shorter).
 Infinite products are truncated at factor index K, since factors beyond x^K
 only contribute above the truncation order.
 
-Every catalogue entry is computed without listing partitions, and every
-sum extends its partial products rather than rebuild them per term:
+Every catalogue entry is computed without listing partitions, every sum
+extends its partial products rather than rebuild them per term, and every
+factor 1/(1-x^i) is one pass over the coefficients (`over_one_minus`), not
+a multiplication:
 
 - products: P, 132 and 1324,1243 (prod 1/(1-x^i)), distinct
   (prod (1+x^i)), 1324,1342 (overpartitions), 1324 and 1324,2413 (P^2),
@@ -24,7 +26,9 @@ only as the test oracle for these.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+from .perms import basis_key, parse_basis
 
 DEFAULT_ORDER = 40
 
@@ -77,6 +81,15 @@ class TruncatedSeries:
     def square(self) -> "TruncatedSeries":
         return self * self
 
+    def over_one_minus(self, i: int) -> "TruncatedSeries":
+        """Divide by 1 - x^i, in one pass: c[j] += c[j - i] upwards."""
+        if i <= 0:
+            raise ValueError("exponent must be positive")
+        c = list(self.coeffs)
+        for j in range(i, len(c)):
+            c[j] += c[j - i]
+        return TruncatedSeries(tuple(c))
+
 
 def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * (order + 1))
@@ -86,34 +99,11 @@ def one(order: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * order)
 
 
-def monomial(m: int, order: int) -> TruncatedSeries:
-    c = [0] * (order + 1)
-    if m <= order:
-        c[m] = 1
-    return TruncatedSeries(tuple(c))
-
-
-def from_coeffs(coeffs: Sequence[int], order: int) -> TruncatedSeries:
-    c = list(coeffs[: order + 1])
-    c += [0] * (order + 1 - len(c))
-    return TruncatedSeries(tuple(c))
-
-
-def geometric(i: int, order: int) -> TruncatedSeries:
-    """1 / (1 - x^i)."""
-    if i <= 0:
-        raise ValueError("exponent must be positive")
-    c = [0] * (order + 1)
-    for j in range(0, order + 1, i):
-        c[j] = 1
-    return TruncatedSeries(tuple(c))
-
-
 def partition_gf(order: int) -> TruncatedSeries:
     """P(x) = prod_{i >= 1} 1 / (1 - x^i)."""
     out = one(order)
     for i in range(1, order + 1):
-        out = out * geometric(i, order)
+        out = out.over_one_minus(i)
     return out
 
 
@@ -139,7 +129,7 @@ def _divider_gf(order: int) -> TruncatedSeries:
     """sum_{k >= 0} (k+1) x^k prod_{i=1..k} 1/(1 - x^i)."""
     out = prod = one(order)
     for k in range(1, order + 1):
-        prod = prod * geometric(k, order)
+        prod = prod.over_one_minus(k)
         out = out + prod.shift(k).scalar_mul(k + 1)
     return out
 
@@ -163,9 +153,8 @@ def _two_sizes_gf(order: int) -> TruncatedSeries:
     out = one(order)
     above = zero(order)  # sum_{i>k} x^i/(1-x^i)
     for k in range(order, 0, -1):
-        term = geometric(k, order).shift(k)
-        out = out + term * (one(order) + above)
-        above = above + term
+        out = out + (one(order) + above).over_one_minus(k).shift(k)
+        above = above + one(order).over_one_minus(k).shift(k)
     return out
 
 
@@ -174,7 +163,7 @@ def _spm_gf(order: int) -> TruncatedSeries:
     out = prod = one(order)
     k = 1
     while k * (k + 1) // 2 <= order:
-        prod = prod * (monomial(1, order) + geometric(k, order))
+        prod = prod.shift(1) + prod.over_one_minus(k)
         out = out + prod.shift(k * (k + 1) // 2)
         k += 1
     return out
@@ -184,7 +173,7 @@ def _distinct_except_smallest_gf(order: int) -> TruncatedSeries:
     """1 + sum_{k >= 1} x^k/(1-x^k) prod_{i >= k+1} (1 + x^i)."""
     out = suffix = one(order)  # suffix = prod_{i>k} (1 + x^i)
     for k in range(order, 0, -1):
-        out = out + (geometric(k, order) * suffix).shift(k)
+        out = out + suffix.over_one_minus(k).shift(k)
         suffix = suffix + suffix.shift(k)
     return out
 
@@ -232,7 +221,7 @@ def _penny_gf(order: int) -> TruncatedSeries:
     out = term = distinct_parts_gf(order)
     a = 1
     while a + a * (a + 1) // 2 <= order:
-        term = term * geometric(2 * a, order)
+        term = term.over_one_minus(2 * a)
         out = out + term.shift(a + a * (a + 1) // 2)
         a += 1
     return out
@@ -267,10 +256,18 @@ _PAIRS: dict[str, Callable[[int], TruncatedSeries]] = {
 
 CATALOGUE = {**_BASE, **_PAIRS}
 
+# The basis names by canonical spelling: basis_key puts 1243 before 1324.
+_BY_BASIS = {basis_key(parse_basis(name)): name for name in CATALOGUE if name[0].isdigit()}
+
 
 def named_gf(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Limit generating function by catalogue name, e.g. "1324,1342"."""
+    """Limit generating function by catalogue name, e.g. "1324,1342"; a
+    basis may be spelt in any order and spacing, e.g. "1342, 1324"."""
     key = name.strip()
+    try:
+        key = _BY_BASIS.get(basis_key(parse_basis(name)), key)
+    except ValueError:
+        pass
     if key not in CATALOGUE:
         known = ", ".join(sorted(CATALOGUE))
         raise ValueError(f"unknown generating function {name!r}; known: {known}")
@@ -284,8 +281,8 @@ def named_gf(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def secondary_gf_1342(n: int, order: int) -> TruncatedSeries:
     """x^{n-1} (2 + 2x) C_{1324,1342}(x): the stabilized row difference
     av_{n+1}^k - av_n^k of the pair {1324, 1342} for n >= (k+7)/2."""
-    poly = from_coeffs([2, 2], order)
-    return (poly * overpartition_gf(order)).shift(n - 1)
+    over = overpartition_gf(order)
+    return (over + over.shift(1)).scalar_mul(2).shift(n - 1)
 
 
 def av_1324_1342(n: int, k: int) -> int:
@@ -296,9 +293,4 @@ def av_1324_1342(n: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     base = overpartition_gf(k)
     # (1 - x - x^{n-1}(2+2x)) / (1-x) = 1 - (2x^{n-1} + 2x^n)/(1-x)
-    total = base[k]
-    for j in range(0, k - (n - 1) + 1):
-        total -= 2 * base[j]
-    for j in range(0, k - n + 1):
-        total -= 2 * base[j]
-    return total
+    return base[k] - (base.shift(n - 1) + base.shift(n)).scalar_mul(2).over_one_minus(1)[k]

@@ -51,16 +51,6 @@ def csv_to_cells(text: str) -> dict[int, list[int | None]]:
     return out
 
 
-def table_from_csv(text: str, basis_text: str) -> CountTable:
-    cells = csv_to_cells(text)
-    n_max = max(cells)
-    k_max = len(next(iter(cells.values()))) - 1
-    rows = tuple(
-        tuple(0 if v is None else v for v in cells[n]) for n in range(1, n_max + 1)
-    )
-    return CountTable(basis=parse_basis(basis_text), n_max=n_max, k_max=k_max, rows=rows)
-
-
 def table_to_markdown(table: CountTable) -> str:
     grid = _grid(table.rows, table.n_max, table.k_max)
     lines = ["| " + " | ".join(cells) + " |" for cells in grid]

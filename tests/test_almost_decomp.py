@@ -377,7 +377,7 @@ def test_subpattern_masks_match_oracle(n, alternate):
         image = f_map(pi, alternate_priority=alternate)
         before = _patterns_of_length(pi, n)
         after = _patterns_of_length(image, n)
-        gained = subpatterns.gained(pi, image)
+        gained = subpatterns.decode(subpatterns.gained_mask(pi, image))
         assert decode(subpatterns.mask(pi)) == before, pi
         assert decode(subpatterns.mask(image)) == after, image
         assert len(gained) == len(set(gained))
@@ -417,12 +417,24 @@ def test_subpattern_masks_on_any_permutation(n, pi, image):
     after = _patterns_of_length(image, n)
     for kind in (tuple, list, Perm):
         subpatterns = Subpatterns(n)
-        gained = subpatterns.gained(kind(pi), kind(image))
+        gained = subpatterns.decode(subpatterns.gained_mask(kind(pi), kind(image)))
         assert len(gained) == len(set(gained)) and set(gained) == after - before
         for p, want in ((pi, before), (image, after)):
             mask = subpatterns.mask(kind(p))
             assert {q for i, q in enumerate(subpatterns.patterns) if mask >> i & 1} == want
         assert all(type(q) is Perm for q in subpatterns.patterns)
+
+
+def test_subpatterns_length_bound():
+    # the translate tables cover the values 0..MAX_LENGTH
+    subpatterns = Subpatterns(3)
+    longest, too_long = identity(MAX_LENGTH), identity(MAX_LENGTH + 1)
+    assert subpatterns.mask(longest) == subpatterns.gained_mask(identity(2), longest) == 1
+    for call in (lambda: subpatterns.mask(too_long),
+                 lambda: subpatterns.gained_mask(identity(2), too_long),
+                 lambda: subpatterns.gained_mask(too_long, identity(3))):
+        with pytest.raises(ValueError, match="length 65 exceeds the supported maximum 64"):
+            call()
 
 
 @pytest.mark.parametrize("alternate", (False, True))

@@ -17,8 +17,8 @@ import permseq.enumeration as enumeration
 from permseq.enumeration import ENGINE_VERSION, count_table, row_differences
 from permseq.perms import parse_basis
 from permseq.tableio import (
+    csv_to_cells,
     diffs_to_csv,
-    table_from_csv,
     table_from_json,
     table_to_csv,
     table_to_json,
@@ -28,9 +28,10 @@ from permseq.tableio import (
 
 def test_csv_roundtrip():
     t = count_table(parse_basis("1324,1342"), 8, 8)
-    again = table_from_csv(table_to_csv(t), "1324,1342")
-    assert again.rows == t.rows
-    assert again.basis == t.basis
+    cells = csv_to_cells(table_to_csv(t))
+    assert sorted(cells) == list(range(1, t.n_max + 1))
+    # every blank cell lies above its row's cap, where the count is 0
+    assert tuple(tuple(0 if v is None else v for v in cells[n]) for n in sorted(cells)) == t.rows
 
 
 def test_csv_blank_cells_match_cap():
@@ -283,6 +284,68 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "(n=5, k=3)" in out
+
+
+def _cut(cells):
+    return {n: row[:3] for n, row in cells.items() if n <= 4}
+
+
+def _extra_row(cells):
+    return {**cells, max(cells) + 1: [0] * 16}
+
+
+def _missing_row(cells):
+    return {n: row for n, row in cells.items() if n != 7}
+
+
+def _extra_cell(cells):
+    return {n: row + [0] if n == 9 else row for n, row in cells.items()}
+
+
+def _missing_cell(cells):
+    return {n: row[:-1] if n == 9 else row for n, row in cells.items()}
+
+
+MISSHAPEN = (_cut, _extra_row, _missing_row, _extra_cell, _missing_cell)
+
+
+def _misshape(monkeypatch, reshape, kind):
+    import permseq.golden as gold
+
+    real = gold.load_golden
+
+    def misshapen(partner, got_kind):
+        table = real(partner, got_kind)
+        cells = {n: list(row) for n, row in table.cells.items()}
+        if got_kind == kind:
+            cells = reshape(cells)
+        return gold.GoldenTable(partner=partner, kind=got_kind, cells=cells)
+
+    monkeypatch.setattr(gold, "load_golden", misshapen)
+
+
+@pytest.mark.parametrize("kind", ("counts", "diffs"))
+@pytest.mark.parametrize("reshape", MISSHAPEN)
+def test_check_partner_rejects_misshapen_golden(monkeypatch, reshape, kind):
+    from permseq.golden import check_partner
+
+    _misshape(monkeypatch, reshape, kind)
+    rows = "1..15" if kind == "counts" else "1..14"
+    with pytest.raises(ValueError, match=f"golden {kind} table of 1324,1342 must have "
+                                         f"rows n = {rows} of cells k = 0..15"):
+        check_partner("1342")
+
+
+@pytest.mark.parametrize("kind", ("counts", "diffs"))
+@pytest.mark.parametrize("reshape", (_cut, _extra_row))
+def test_cmd_golden_rejects_misshapen_golden(capsys, monkeypatch, reshape, kind):
+    _misshape(monkeypatch, reshape, kind)
+    rc = main(["golden", "--partner", "1342"])
+    assert rc == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith(f"permseq: error: golden {kind} table of 1324,1342 must have")
+    assert "Traceback" not in captured.err
 
 
 # --compare-table needs rows up to k + 2 + longest pattern: 67 and 65 here

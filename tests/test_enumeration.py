@@ -129,6 +129,15 @@ def test_generate_avoiders_sorted_deterministic():
     assert out == generate_avoiders(parse_basis("1324,231"), 6, 15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(basis_st, st.integers(1, 7), st.integers(0, 21))
+def test_generate_avoiders_is_one_length_of_the_stream(basis, n, k_max):
+    stream = [p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n]
+    got = generate_avoiders(basis, n, k_max)
+    assert got == sorted(stream)
+    assert all(type(p) is Perm and inv_count(p) <= k_max and avoids(p, basis) for p in got)
+
+
 @pytest.mark.parametrize(
     "basis_text",
     ["132", "1324,1243", "1324,1342", "1324,321", "213,231", "1234", "1324,2413"],

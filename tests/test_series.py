@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permseq.partitions import (
     FAMILY_TESTS,
@@ -10,11 +11,9 @@ from permseq.partitions import (
 from permseq.series import (
     CATALOGUE,
     DEFAULT_ORDER,
+    TruncatedSeries,
     av_1324_1342,
     distinct_parts_gf,
-    from_coeffs,
-    geometric,
-    monomial,
     named_gf,
     one,
     overpartition_gf,
@@ -48,21 +47,39 @@ LIMITS = {
 
 
 def test_arithmetic_basics():
-    g = geometric(1, 8)
+    g = one(8).over_one_minus(1)
     assert list(g.coeffs) == [1] * 9
     sq = g * g
     assert list(sq.coeffs) == [k + 1 for k in range(9)]
     assert (g - g).coeffs == zero(8).coeffs
-    assert (one(8) + monomial(3, 8)).coeffs[3] == 1
+    assert (one(8) + one(8).shift(3)).coeffs[3] == 1
     assert g.shift(2).coeffs[:3] == (0, 0, 1)
     # a shift past the order leaves only zeros, at the same order
-    assert from_coeffs([1, 2, 3, 4], 3).shift(5).coeffs == (0, 0, 0, 0)
+    assert TruncatedSeries((1, 2, 3, 4)).shift(5).coeffs == (0, 0, 0, 0)
     assert g.scalar_mul(5).coeffs[4] == 5
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=31), st.integers(1, 40))
+def test_over_one_minus_divides_by_one_minus(coeffs, i):
+    s = TruncatedSeries(tuple(coeffs))
+    order = s.order
+    quotient = s.over_one_minus(i)
+    assert quotient * (one(order) - one(order).shift(i)) == s
+    # 1 + x^i + x^(2i) + ..., written out
+    geometric = TruncatedSeries(tuple(int(j % i == 0) for j in range(order + 1)))
+    assert quotient == s * geometric
+
+
+def test_over_one_minus_needs_a_positive_exponent():
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            one(5).over_one_minus(i)
+
+
 def test_mismatched_orders_truncate():
-    a = from_coeffs([1, 1, 1, 1, 1], 4)
-    b = from_coeffs([1, 2], 1)
+    a = TruncatedSeries((1, 1, 1, 1, 1))
+    b = TruncatedSeries((1, 2))
     assert (a * b).order == 1
     assert (a + b).order == 1
 
@@ -93,6 +110,21 @@ def test_named_gf_catalogue(name, want):
 def test_named_gf_unknown():
     with pytest.raises(ValueError, match="unknown generating function 'nope'; known: 132, "):
         named_gf("nope", 10)
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOGUE if name not in ("P", "distinct")])
+def test_named_gf_any_spelling(name):
+    # a basis is looked up by its canonical form, whatever its order and spacing
+    want = named_gf(name, 20).coeffs
+    patterns = name.split(",")
+    for spelling in (",".join(reversed(patterns)), " " + ", ".join(patterns) + " ",
+                     " ,".join(reversed(patterns))):
+        assert named_gf(spelling, 20).coeffs == want, spelling
+
+
+def test_named_gf_unknown_basis():
+    with pytest.raises(ValueError, match="unknown generating function '1234, 1324'"):
+        named_gf("1234, 1324", 10)
 
 
 def test_named_gf_negative_order():
