@@ -8,8 +8,8 @@ the identity run by one entry right after the first component. An almost
 decomposable permutation becomes decomposable after deleting one boundary
 entry (first entry, value 1, last entry, or value n); f removes that entry,
 grows the run and puts the entry back. Case priority follows the original
-definition (first entry, then value 1, then the reverse-complement pair);
-the alternate priority is available behind a flag.
+definition (first entry, then value 1, then the reverse-complement pair),
+the only order for which the classification theorems hold.
 
 The four cases are one case seen through `perms.SYMMETRIES`: with sigma
 the entry in the case's position (F1..F4) and F1(q) = q[0] put back in
@@ -43,9 +43,7 @@ from .perms import (
     components,
     contains,
     delete,
-    direct_sum,
     first_split,
-    identity,
     insert_value,
     inverse,
     is_decomposable,
@@ -58,44 +56,11 @@ _P1342 = parse_perm("1342")
 _P213 = parse_perm("213")
 
 
-@dataclass(frozen=True)
-class DecompForm:
-    """sigma (+) id_m (+) tau with the stated avoidance structure."""
-
-    sigma: Perm
-    m: int
-    tau: Perm
-
-    def assemble(self) -> Perm:
-        return direct_sum(self.sigma, identity(self.m), self.tau)
-
-
-def decomp_form(p: Perm) -> DecompForm:
-    """Split a decomposable 1324-avoider into sigma (+) id_m (+) tau."""
-    comps = components(p)
-    if len(comps) < 2:
-        raise ValueError(f"{p!r} is not decomposable")
-    sigma, tau = comps[0], comps[-1]
-    middle = comps[1:-1]
-    if any(c != (1,) for c in middle):
-        raise ValueError(f"{p!r} contains 1324: middle components must be trivial")
-    form = DecompForm(sigma=sigma, m=len(middle), tau=tau)
-    if not avoids(sigma, [parse_perm("132")]) or not avoids(tau, [_P213]):
-        raise ValueError(f"{p!r} contains 1324: outer components are not shaped")
-    return form
-
-
 def _grow(p: Sequence[int]) -> Perm:
     """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a decomposable
     p: the new entry goes right after the first component."""
     split = first_split(p)
     return insert_value(p, split, split + 1)
-
-
-def f_tilde(p: Perm) -> Perm:
-    """Grow the middle identity run of a decomposable 1324-avoider by one."""
-    decomp_form(p)
-    return _grow(p)
 
 
 # -- almost decomposability ------------------------------------------------
@@ -108,35 +73,32 @@ class FCase:
     witness: int  # the deleted value
 
 
-def _case(p: Sequence[int], alternate_priority: bool = False) -> FCase | None:
+def _case(p: Sequence[int]) -> FCase | None:
     """The highest-priority case of an indecomposable p: the first boundary
     deletion in priority order that leaves a direct sum, or None."""
     n = len(p)
     if n < 2:
         return None
-    cases = (("F1", p[0]), ("F2", 1), ("F3", p[-1]), ("F4", n))
-    if alternate_priority:
-        cases = cases[2:] + cases[:2]
-    for tag, e in cases:
+    for tag, e in (("F1", p[0]), ("F2", 1), ("F3", p[-1]), ("F4", n)):
         if first_split(p, e) < n - 1:
             return FCase(tag=tag, witness=e)
     return None
 
 
-def almost_decomposable(p: Perm, alternate_priority: bool = False) -> FCase | None:
+def almost_decomposable(p: Perm) -> FCase | None:
     """The highest-priority applicable case, or None if p is decomposable
     or not almost decomposable."""
-    return None if is_decomposable(p) else _case(p, alternate_priority)
+    return None if is_decomposable(p) else _case(p)
 
 
-def _f(p: Sequence[int], alternate_priority: bool = False) -> Perm | None:
+def _f(p: Sequence[int]) -> Perm | None:
     """f(p) for a 1324-avoider p, or None when p is neither decomposable nor
     almost decomposable; p's first split and its case are each read once."""
     n = len(p)
     split = first_split(p)
     if split < n:  # decomposable: _grow(p) with the split already read
         return insert_value(p, split, split + 1)
-    case = _case(p, alternate_priority)
+    case = _case(p)
     if case is None:
         return None
     grown = _grow(delete(p, [case.witness]))
@@ -152,11 +114,12 @@ def _f(p: Sequence[int], alternate_priority: bool = False) -> Perm | None:
     return insert_value(grown, p.index(n) + 1, n + 1)
 
 
-def f_map(p: Perm, alternate_priority: bool = False) -> Perm:
-    """The injection on decomposable or almost decomposable 1324-avoiders."""
+def f_map(p: Perm) -> Perm:
+    """The injection on decomposable or almost decomposable 1324-avoiders;
+    on a decomposable one it grows the middle identity run by one."""
     if not avoids(p, [_P1324]):
         raise ValueError(f"{p!r} contains 1324")
-    image = _f(p, alternate_priority)
+    image = _f(p)
     if image is None:
         raise ValueError(f"{p!r} is neither decomposable nor almost decomposable")
     return image
@@ -251,21 +214,16 @@ class CompatVerdict:
     witness: tuple[Perm, Perm] | None = None  # (pi, f(pi)) with f(pi) containing p
 
 
-def _verdict(p: Perm, witness, sufficient: bool, necessary: bool,
-             alternate_priority: bool) -> CompatVerdict:
+def _verdict(p: Perm, witness, sufficient: bool, necessary: bool) -> CompatVerdict:
     """Combine both theorems with the witness search for a 1324-avoider p:
     witness is the (pi, f(pi)) found for p, or None, and sufficient and
     necessary are classify_sufficient(p) and classify_necessary(p).
-
-    The theorems assume the default case priority; with the alternate
-    priority only the witness search applies, so verdicts may degrade to
-    unknown.
     """
-    if not alternate_priority and sufficient:
+    if sufficient:
         return CompatVerdict(p, "incompatible-by-theorem", witness)
     if witness is not None:
         return CompatVerdict(p, "incompatible-by-witness", witness)
-    if not alternate_priority and not necessary:
+    if not necessary:
         return CompatVerdict(p, "compatible-by-theorem")
     return CompatVerdict(p, "unknown")
 
@@ -284,7 +242,7 @@ def _check_length(n: int) -> None:
         raise ValueError(f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {n}")
 
 
-def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
+def compat_search(p: Perm) -> CompatVerdict:
     """Classify one pattern, combining both theorems with a finite witness
     search: the first decomposable or almost decomposable pi of length
     |p|-1 .. |p|+2 in the walk order of Av(1324) that avoids p while f(pi)
@@ -302,11 +260,11 @@ def compat_search(p: Perm, alternate_priority: bool = False) -> CompatVerdict:
     for pi, _k in iter_avoiders_upto([_P1324], m_max, max_inversions(m_max)):
         if len(pi) < n - 1 or contains(pi, p):
             continue
-        image = _f(pi, alternate_priority)
+        image = _f(pi)
         if image is not None and contains(image, p):
             witness = (pi, image)
             break
-    return _verdict(p, witness, *_classify(p), alternate_priority)
+    return _verdict(p, witness, *_classify(p))
 
 
 @dataclass(frozen=True)
@@ -416,7 +374,7 @@ class Subpatterns:
         return out
 
 
-def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
+def compat_table_row(n: int) -> CompatCounts:
     """Classify every pattern in Av_n(1324) in one pass over Av_{<=n+2}(1324).
 
     The witness columns reproduce the computational lower/upper bounds: a
@@ -427,8 +385,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
     no earlier pi gained are decoded, so each pattern is decoded once, with
     its witness: the first pi in walk order that gains it, the one
     compat_search finds. The walk streams, so only the masks' memo grows
-    with n. The theorem columns assume the default priority; the reference
-    counts require it.
+    with n.
     """
     _check_length(n)
     patterns: list[Perm] = []
@@ -442,7 +399,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
             patterns.append(pi)
         if m < n - 1:
             continue
-        image = _f(pi, alternate_priority)
+        image = _f(pi)
         if image is None:
             continue
         # only the first pi to gain a pattern is its witness
@@ -466,7 +423,7 @@ def compat_table_row(n: int, alternate_priority: bool = False) -> CompatCounts:
         witness_compatible=total - wit,
         sufficient_compatible=total - n_suff,
         verdicts=tuple(
-            _verdict(p, witnesses.get(p), s, c, alternate_priority)
+            _verdict(p, witnesses.get(p), s, c)
             for p, (s, c) in zip(patterns, theorems)
         ),
     )

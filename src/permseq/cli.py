@@ -8,11 +8,11 @@ least 1, `compat --length` in 1..MAX_LENGTH - 3, `--k` at least 0 on
 bijection), so a value out of
 range is a usage error naming the flag; `count_table`, not the CLI, caps
 `--threads`.
-A cache entry is `table --format json` output plus `engine_version`, in a
-file named by basis and bounds; an entry that `tableio.table_from_json`
-rejects, or whose version, basis or bounds differ from the request, is
-recomputed and overwritten silently. Cache writes go through a temp file
-and an atomic rename.
+A cache entry is exactly `table --format json` output, in a file named by
+basis, bounds and engine version, so an entry from another engine version
+is never read; one that `tableio.table_from_json` rejects, or whose basis
+or bounds differ from the request, is recomputed and overwritten silently.
+Cache writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -63,11 +63,8 @@ def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | N
     """The table stored at path if it answers exactly this request, else None
     (a missing or unreadable file is a miss)."""
     try:
-        text = path.read_text()
-        table = table_from_json(text)
+        table = table_from_json(path.read_text())
     except (OSError, ValueError):
-        return None
-    if json.loads(text).get("engine_version") != ENGINE_VERSION:
         return None
     return table if (table.basis_text, table.n_max, table.k_max) == (key, n_max, k_max) else None
 
@@ -85,17 +82,15 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
         raise ValueError(f"cache directory expected, but {cache_dir} is not a directory")
     cache.mkdir(parents=True, exist_ok=True)
     key = basis_key(basis)
-    path = cache / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}.json"
+    path = cache / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}_v{ENGINE_VERSION}.json"
     table = _read_cached(path, key, n_max, k_max)
     if table is not None:
         return table
     table = count_table(basis, n_max, k_max, threads=threads)
-    payload = json.loads(table_to_json(table))
-    payload["engine_version"] = ENGINE_VERSION
     fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(table_to_json(table))
         os.replace(tmp, path)
     except BaseException:
         # a failed write or rename leaves no temp file behind
@@ -171,7 +166,7 @@ def cmd_compat(args) -> int:
     from .almost_decomp import compat_table_row
 
     n = args.length
-    row = compat_table_row(n, alternate_priority=args.f_priority == "alternate")
+    row = compat_table_row(n)
     verdicts = []
     for v in row.verdicts:
         entry = {"pattern": format_perm(v.pattern), "verdict": v.verdict}
@@ -338,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     # parser does not import almost_decomp
     p.add_argument("--length", type=_int_in(1, MAX_LENGTH - 3), required=True)
     p.add_argument("--out", help="write verdicts as JSON")
-    p.add_argument("--f-priority", choices=("paper", "alternate"), default="paper",
-                   help="case priority of the almost-decomposable map")
     p.set_defaults(fn=cmd_compat)
 
     p = sub.add_parser("gf", help="limit generating function coefficients")

@@ -8,7 +8,7 @@ only contribute above the truncation order.
 Every catalogue entry is computed without listing partitions, every sum
 extends its partial products rather than rebuild them per term, and every
 factor 1/(1-x^i) is one pass over the coefficients (`over_one_minus`), not
-a multiplication:
+a multiplication, so a product with P is order passes (`_times_p`):
 
 - products: P, 132 and 1324,1243 (prod 1/(1-x^i)), distinct
   (prod (1+x^i)), 1324,1342 (overpartitions), 1324 and 1324,2413 (P^2),
@@ -99,12 +99,16 @@ def one(order: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * order)
 
 
+def _times_p(s: TruncatedSeries) -> TruncatedSeries:
+    """s(x) P(x): s divided by 1 - x^i for i = 1..order."""
+    for i in range(1, s.order + 1):
+        s = s.over_one_minus(i)
+    return s
+
+
 def partition_gf(order: int) -> TruncatedSeries:
     """P(x) = prod_{i >= 1} 1 / (1 - x^i)."""
-    out = one(order)
-    for i in range(1, order + 1):
-        out = out.over_one_minus(i)
-    return out
+    return _times_p(one(order))
 
 
 def distinct_parts_gf(order: int) -> TruncatedSeries:
@@ -122,7 +126,7 @@ def _distinct_prefixes(order: int) -> list[TruncatedSeries]:
 
 def overpartition_gf(order: int) -> TruncatedSeries:
     """prod_{i >= 1} (1 + x^i) / (1 - x^i)."""
-    return distinct_parts_gf(order) * partition_gf(order)
+    return _times_p(distinct_parts_gf(order))
 
 
 def _divider_gf(order: int) -> TruncatedSeries:
@@ -249,7 +253,7 @@ _PAIRS: dict[str, Callable[[int], TruncatedSeries]] = {
     "1324,4321": lambda K: _two_sizes_gf(K).square(),
     "1324,2341": lambda K: _spm_gf(K).square(),
     "1324,2413": lambda K: partition_gf(K).square(),
-    "1324,2431": lambda K: partition_gf(K) * _steep_gf(K),
+    "1324,2431": lambda K: _times_p(_steep_gf(K)),
     "1324,3412": lambda K: _penny_gf(K).square(),
     "1324,3421": lambda K: _distinct_except_smallest_gf(K).square(),
 }

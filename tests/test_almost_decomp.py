@@ -16,11 +16,9 @@ from permseq.almost_decomp import (
     compat_search,
     compat_table_row,
     corollary_families,
-    decomp_form,
     difference_sets,
     f_domain,
     f_map,
-    f_tilde,
     theorem_almost_decomp_check,
 )
 from permseq.enumeration import (
@@ -53,43 +51,34 @@ P1342 = parse_perm("1342")
 P213 = parse_perm("213")
 
 
-def test_decomp_form():
-    form = decomp_form(parse_perm("21453"))
-    assert (form.sigma, form.m, form.tau) == (parse_perm("21"), 0, parse_perm("231"))
-    assert form.assemble() == parse_perm("21453")
-    form = decomp_form(identity(4))
-    assert form.assemble() == identity(4)
-    with pytest.raises(ValueError):
-        decomp_form(parse_perm("321"))
-    with pytest.raises(ValueError):
-        decomp_form(parse_perm("214365"))  # 21+21+21 contains 1324
-
-
 def test_f_tilde_examples():
-    assert f_tilde(parse_perm("132")) == parse_perm("1243")
-    assert f_tilde(identity(5)) == identity(6)
-    assert f_tilde(parse_perm("2143")) == parse_perm("21354")
+    # f on decomposables (the map written f~ in the literature)
+    assert f_map(parse_perm("132")) == parse_perm("1243")
+    assert f_map(identity(5)) == identity(6)
+    assert f_map(parse_perm("2143")) == parse_perm("21354")
 
 
 def test_growth_matches_decomp_form():
-    # one insertion after the first component against the old rebuild
-    # sigma (+) id_{m+1} (+) tau from the decomposition
+    # a decomposable 1324-avoider is sigma (+) id_m (+) tau with sigma a
+    # 132-avoider and tau a 213-avoider; one insertion after the first
+    # component rebuilds it as sigma (+) id_{m+1} (+) tau
     seen = 0
     for p, _ in iter_avoiders_upto([P1324], 8, 28):
         if not is_decomposable(p):
             continue
-        form = decomp_form(p)
-        want = direct_sum(form.sigma, identity(form.m + 1), form.tau)
+        sigma, *middle, tau = components(p)
+        assert all(c == (1,) for c in middle), p
+        assert avoids(sigma, [parse_perm("132")]) and avoids(tau, [P213]), p
+        want = direct_sum(sigma, identity(len(middle) + 1), tau)
         assert _grow(p) == want, p
-        assert f_tilde(p) == want, p
+        assert f_map(p) == want, p
         seen += 1
     assert seen > 1000
 
 
-@pytest.mark.parametrize("alternate", (False, True))
-def test_f_core_is_none_exactly_off_domain(alternate):
+def test_f_core_is_none_exactly_off_domain():
     for pi, k in iter_avoiders_upto([P1324], 8, 28):
-        image = _f(pi, alternate)
+        image = _f(pi)
         assert (image is None) == (not f_domain(pi)), pi
         if image is not None:
             assert len(image) == len(pi) + 1 and inv_count(image) == k, pi
@@ -101,20 +90,19 @@ def _f1(q):
     return insert_value(_grow(delete(q, [q[0]])), 0, q[0])
 
 
-@pytest.mark.parametrize("alternate", (False, True))
-def test_f_cases_are_f1_under_the_symmetries(alternate):
+def test_f_cases_are_f1_under_the_symmetries():
     # f's case Fi is F1 conjugated by the i-th symmetry, which carries the
     # deleted boundary entry to the first entry; and neither boundary pair
     # (first entry and value 1, last entry and value n) decomposes twice
     sigma = dict(zip(("F1", "F2", "F3", "F4"), (fn for _, fn in SYMMETRIES)))
     seen = 0
     for p, _ in iter_avoiders_upto([P1324], 8, 28):
-        case = almost_decomposable(p, alternate)
+        case = almost_decomposable(p)
         if case is None:
             continue
         n = len(p)
         s = sigma[case.tag]
-        assert _f(p, alternate) == s(_f1(s(p))), p
+        assert _f(p) == s(_f1(s(p))), p
         assert not (first_split(p, p[0]) < n - 1 and first_split(p, 1) < n - 1), p
         assert not (first_split(p, p[-1]) < n - 1 and first_split(p, n) < n - 1), p
         seen += 1
@@ -129,28 +117,16 @@ def test_almost_decomposable_cases():
     assert case.tag == "F3" and case.witness == 2
     case = almost_decomposable(parse_perm("3142"))
     assert case.tag == "F1" and case.witness == 3
+    # 2341 admits both a value-1 and a last-entry deletion: value 1 comes first
+    case = almost_decomposable(parse_perm("2341"))
+    assert case.tag == "F2" and case.witness == 1
     # all four boundary deletions stay indecomposable here
     assert almost_decomposable(parse_perm("42513")) is None
 
 
-def test_alternate_priority_flag():
-    p = parse_perm("34152")
-    default = almost_decomposable(p)
-    alt = almost_decomposable(p, alternate_priority=True)
-    assert default.tag == "F3" and alt.tag == "F3"
-    # 2341 admits both a value-1 and a last-entry deletion: priority decides
-    q = parse_perm("2341")
-    assert almost_decomposable(q).tag == "F2"
-    assert almost_decomposable(q, alternate_priority=True).tag == "F3"
-    # both dispatches stay within the avoidance class
-    for flag in (False, True):
-        img = f_map(q, alternate_priority=flag)
-        assert len(img) == 5 and avoids(img, [P1324])
-
-
 def test_f_map_examples():
     assert f_map(parse_perm("34152")) == parse_perm("241563")
-    assert f_map(parse_perm("2143")) == f_tilde(parse_perm("2143"))
+    assert f_map(parse_perm("2143")) == parse_perm("21354")
     with pytest.raises(ValueError):
         f_map(parse_perm("42513"))  # indecomposable, not almost decomposable
     with pytest.raises(ValueError):
@@ -340,10 +316,9 @@ def test_pattern_length_past_the_bound_is_rejected(monkeypatch):
     assert Subpatterns(MAX_PATTERN_LENGTH).mask(identity(MAX_LENGTH)) == 1
 
 
-@pytest.mark.parametrize("alternate", (False, True))
 @pytest.mark.parametrize("n", (3, 4, 5))
-def test_one_pass_witnesses(n, alternate):
-    row = compat_table_row(n, alternate_priority=alternate)
+def test_one_pass_witnesses(n):
+    row = compat_table_row(n)
     assert len(row.verdicts) == row.total
     witnessed = [v for v in row.verdicts if v.witness is not None]
     assert len(witnessed) == row.witness_incompatible
@@ -351,7 +326,7 @@ def test_one_pass_witnesses(n, alternate):
         pi, image = v.witness
         assert n - 1 <= len(pi) <= n + 2, v
         assert avoids(pi, [P1324, v.pattern]), v
-        assert f_map(pi, alternate_priority=alternate) == image, v
+        assert f_map(pi) == image, v
         assert contains(image, v.pattern), v
 
 
@@ -360,9 +335,8 @@ def _patterns_of_length(p, n):
     return {standardize([p[i] for i in idxs]) for idxs in combinations(range(len(p)), n)}
 
 
-@pytest.mark.parametrize("alternate", (False, True))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
-def test_subpattern_masks_match_oracle(n, alternate):
+def test_subpattern_masks_match_oracle(n):
     # every pi the one-pass classification reads: its mask, its image's mask
     # and the patterns the image gains, against the subset oracle
     subpatterns = Subpatterns(n)
@@ -374,7 +348,7 @@ def test_subpattern_masks_match_oracle(n, alternate):
     for pi, _ in iter_avoiders_upto([P1324], m_max, m_max * (m_max - 1) // 2):
         if not f_domain(pi):
             continue
-        image = f_map(pi, alternate_priority=alternate)
+        image = f_map(pi)
         before = _patterns_of_length(pi, n)
         after = _patterns_of_length(image, n)
         gained = subpatterns.decode(subpatterns.gained_mask(pi, image))
@@ -437,12 +411,11 @@ def test_subpatterns_length_bound():
             call()
 
 
-@pytest.mark.parametrize("alternate", (False, True))
 @pytest.mark.parametrize("n", (3, 4, pytest.param(5, marks=pytest.mark.slow)))
-def test_one_pass_matches_compat_search(n, alternate):
+def test_one_pass_matches_compat_search(n):
     patterns = [p for p, _ in iter_avoiders_upto([P1324], n, n * (n - 1) // 2) if len(p) == n]
-    row = compat_table_row(n, alternate_priority=alternate)
-    assert list(row.verdicts) == [compat_search(p, alternate) for p in patterns]
+    row = compat_table_row(n)
+    assert list(row.verdicts) == [compat_search(p) for p in patterns]
 
 
 def test_1342_counterexample_structure():

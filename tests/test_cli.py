@@ -94,15 +94,20 @@ def test_cache_reuse_and_versioning(tmp_path):
     t2 = cached_count_table("1324,1342", 7, 7, str(tmp_path))
     assert t2 == t1
     assert files[0].read_bytes() == stamp
-    # an entry is a stored table plus its engine version
-    assert table_from_json(stamp) == t1
-    # stale engine version forces a silent recompute
+    # an entry is exactly the stored table, under a name with its engine version
+    assert stamp == table_to_json(t1).encode()
+    assert files[0].name == f"table_1324-1342_n7_k7_v{ENGINE_VERSION}.json"
+    # a wrong table from another engine version is never read, nor touched
+    stale = tmp_path / "table_1324-1342_n7_k7_v0.json"
     payload = json.loads(stamp)
-    payload["engine_version"] = "0.0.0"
-    files[0].write_text(json.dumps(payload))
+    payload["rows"][6][7] += 1
+    wrong = json.dumps(payload)
+    stale.write_text(wrong)
+    files[0].unlink()
     t3 = cached_count_table("1324,1342", 7, 7, str(tmp_path))
     assert t3 == t1
-    assert json.loads(files[0].read_text())["engine_version"] != "0.0.0"
+    assert files[0].read_bytes() == stamp
+    assert stale.read_text() == wrong
 
 
 def _set(key, value):
@@ -131,7 +136,6 @@ def test_cache_mismatch_is_a_miss(tmp_path, edit):
     [path] = tmp_path.glob("table_*.json")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == want
-    assert json.loads(path.read_text())["engine_version"] == ENGINE_VERSION
     assert table_from_json(path.read_text()) == want
 
 
@@ -375,6 +379,7 @@ OVER_ROW_CAP = (
     ["table", "--basis", "1324", "--n", "x", "--k", "3"],
     ["compat", "--length", "3", "--threads", "2"],
     ["limit", "--basis", "1324", "--n", "9", "--k", "3", "--tail-window", "3"],
+    ["compat", "--length", "3", "--f-priority", "alternate"],
 ])
 def test_bad_input_is_one_line_exit_1(argv, capsys):
     assert main(argv) == EXIT_BAD_INPUT == 1
@@ -487,7 +492,8 @@ def test_bad_bound_names_its_flag(argv, message, tmp_path, monkeypatch, capsys):
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
     # a directory at the entry's path makes the final rename fail on every run
-    (tmp_path / "table_1324-1342_n5_k3.json").mkdir()
+    entry = f"table_1324-1342_n5_k3_v{ENGINE_VERSION}.json"
+    (tmp_path / entry).mkdir()
     argv = ["table", "--basis", "1324,1342", "--n", "5", "--k", "3", "--cache-dir", str(tmp_path)]
     for _ in range(2):
         assert main(argv) == EXIT_BAD_INPUT
@@ -495,7 +501,7 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("permseq: error: ")
-    assert [p.name for p in tmp_path.iterdir()] == ["table_1324-1342_n5_k3.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [entry]
 
 
 def test_warm_main_leaves_little_cyclic_garbage(capsys):
