@@ -12,7 +12,8 @@ A cache entry is exactly `table --format json` output, in a file named by
 basis, bounds and engine version, so an entry from another engine version
 is never read; one that `tableio.table_from_json` rejects, or whose basis
 or bounds differ from the request, is recomputed and overwritten silently.
-Cache writes go through a temp file and an atomic rename.
+Cache writes go through a temp file and an atomic rename, and an entry
+gets the mode a plain open would give it (0666 less the umask).
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(table_to_json(table))
+        # mkstemp makes the file 0600; give the entry the mode a plain open
+        # would, so other users of a shared cache directory can read it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         # a failed write or rename leaves no temp file behind

@@ -6,12 +6,14 @@ appending a new last entry of rank r (existing values >= r shift up), which
 adds t+1-r inversions. `_walk` is the one walker, a generator over an
 explicit stack: it yields the nodes below a given node in preorder,
 children in ascending rank order, each as (values, inv, bad, splits, seen,
-masks). `iter_avoiders_upto` streams that preorder and `generate_avoiders`
-keeps one length of it. `count_table` and `indecomposables_upto` read the
-pruned walk, which yields only the part of the tree that leads to
-indecomposable avoiders; `count_table` counts the rest by direct sums
-(below). bad and masks are None at the leaves, where the walk does not
-descend: at the last length and, in the pruned walk, at the budget.
+masks). values is bytes, one byte per entry, so a child is one translate
+of its parent's values plus one byte. `iter_avoiders_upto` streams that
+preorder and `generate_avoiders` keeps one length of it. `count_table` and
+`indecomposables_upto` read the pruned walk, which yields only the part of
+the tree that leads to indecomposable avoiders; `count_table` counts the
+rest by direct sums (below). bad and masks are None at the leaves, where
+the walk does not descend: at the last length and, in the pruned walk, at
+the budget.
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -25,13 +27,18 @@ last position. A child is derived from its parent's mask, not recomputed:
 - Anchored fill. The remaining occurrences use the child's last entry, and
   being the last position before the new one it can only play the last
   body role q[-2]. The fill places the other body roles right to left from
-  that fixed anchor, each against its nearest placed neighbours in value,
-  in one iterative backtracking loop over a value array whose two sentinel
-  slots stand for "no neighbour below" (0) and "none above" (t+1). The
-  admissible new ranks form one interval fixed by the body roles valued
+  that fixed anchor, each against its nearest placed neighbours in value.
+  The admissible new ranks form one interval fixed by the body roles valued
   q[-1] - 1 and q[-1] + 1; each complete placement ORs it in and
-  backtracks to the lowest role that can still change it. The fill
-  returns as soon as every rank it could set already is bad.
+  backtracks to the lowest role that can still change it. For bodies of
+  length <= 3 (every pattern of length <= 4) role 0, placed last, is one
+  bit-mask query: the values left of role 1 meet role 0's window or not,
+  and where role 0 bounds the interval, their lowest or highest value in
+  it bounds the union of its intervals. Such a fill needs no loop, or one
+  over role 1's positions. Longer bodies place every role in one iterative
+  backtracking loop over a value array whose two sentinel slots stand for
+  "no neighbour below" (0) and "none above" (t+1). The fill returns as
+  soon as every rank it could set already is bad.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
   child, so ranks below it are never read in its subtree and the fill
@@ -153,24 +160,96 @@ def _fill(tau, plan, floor, bad):
     """OR into the mask `bad` the ranks >= floor completing an occurrence of
     the planned pattern in which tau's last entry is the last body role.
 
-    One backtracking loop places roles m1-2 .. 0 right to left, each at the
-    positions left of its successor. A complete placement ORs in the new
-    entry's interval, fixed by roles lo_role and hi_role, and backtracks to
-    role `decided`: no role below it can change that interval. Only ranks
-    floor .. t+1 are ever set, so the fill returns as soon as they all are.
+    tau is a node value (bytes) or a tuple of ints. A complete placement
+    ORs in the new entry's interval, fixed by roles lo_role and hi_role.
+    Only ranks floor .. t+1 are ever set, so the fill returns as soon as
+    they all are.
+
+    A body of length <= 3 answers role 0 by one bit-mask query: `left`
+    holds the values of the positions left of role 1, one bit fewer per
+    position role 1's leftward scan passes, and role 0 is admissible iff
+    `left` meets its window. Where role 0 bounds the interval, the lowest
+    or highest of those values bounds the union of its intervals. A longer
+    body places roles m1-2 .. 0 right to left in one backtracking loop,
+    each at the positions left of its successor, and a complete placement
+    backtracks to role `decided`: no role below it can change the interval.
     """
     m1, below, above, lift, lo_role, hi_role, decided = plan
     t = len(tau)
-    if m1 > t or tau[-1] <= floor + lift[-1]:
+    anchor = tau[-1]
+    if m1 > t or anchor <= floor + lift[-1]:
         return bad
     full = (1 << (t + 2)) - (1 << floor)
     if bad & full == full:
+        return bad
+    if m1 <= 3:
+        # the windows and interval ends that no placed role moves: a slot is
+        # the anchor (role m1-1) or a sentinel, 0 below or t+1 above
+        lo_fix = anchor + 1 if lo_role == m1 - 1 else 1
+        hi_fix = anchor if hi_role == m1 - 1 else t + 1
+        if m1 == 1:
+            lo = lo_fix if lo_fix > floor else floor
+            if lo <= hi_fix:
+                bad |= (1 << (hi_fix + 1)) - (1 << lo)
+            return bad
+        b0 = below[0]
+        a0 = above[0]
+        low0 = anchor if b0 == m1 - 1 else 0
+        high0 = anchor if a0 == m1 - 1 else t + 1
+        least0 = floor + lift[0]
+        # the values of positions 0 .. t-2
+        left = (1 << (t + 1)) - 2 - (1 << anchor)
+        if m1 == 2:
+            low = low0 if low0 > least0 else least0
+            cands = (left & ((1 << high0) - 1)) >> (low + 1)
+            if not cands:
+                return bad
+            lo = low + (cands & -cands).bit_length() + 1 if lo_role == 0 else lo_fix
+            hi = low + cands.bit_length() if hi_role == 0 else hi_fix
+            if lo < floor:
+                lo = floor
+            if lo <= hi:
+                bad |= (1 << (hi + 1)) - (1 << lo)
+            return bad
+        low1 = anchor if below[1] == 2 else 0
+        least = floor + lift[1]
+        if low1 < least:
+            low1 = least
+        high1 = anchor if above[1] == 2 else t + 1
+        for p in range(t - 2, 0, -1):
+            v = tau[p]
+            left ^= 1 << v
+            if not low1 < v < high1:
+                continue
+            low = v if b0 == 1 else low0
+            if low < least0:
+                low = least0
+            high = v if a0 == 1 else high0
+            cands = (left & ((1 << high) - 1)) >> (low + 1)
+            if not cands:
+                continue
+            if lo_role == 0:
+                lo = low + (cands & -cands).bit_length() + 1
+            else:
+                lo = v + 1 if lo_role == 1 else lo_fix
+            if hi_role == 0:
+                hi = low + cands.bit_length()
+            else:
+                hi = v if hi_role == 1 else hi_fix
+            if lo < floor:
+                lo = floor
+            if lo <= hi:
+                bad |= (1 << (hi + 1)) - (1 << lo)
+                if bad & full == full:
+                    return bad
+            if decided == 2:
+                return bad
         return bad
     # val[j] is role j's value, with the two sentinel slots; nxt[j] is the
     # next position to try for role j, scanning leftwards. The anchor's slot
     # nxt[-1] is never read, so stepping below role 0 may write it.
     val = [0] * (m1 + 2)
-    val[m1 - 1] = tau[-1]
+    val[m1 - 1] = anchor
     val[m1 + 1] = t + 1
     nxt = [t - 2] * m1
     last = m1 - 1
@@ -212,6 +291,15 @@ def _fill(tau, plan, floor, bad):
 
 # -- the tree walk --------------------------------------------------------
 
+# Node values are bytes, one byte per entry. Appending rank r to tau is
+# tau.translate(_SHIFT[r]) + _BYTE[r]: _SHIFT[r] moves every value >= r one
+# up (r <= MAX_LENGTH, so no value reaches 255). This replaced a list
+# comprehension, an append and a tuple per child.
+_BYTES = bytes(range(256))
+_SHIFT = tuple(_BYTES[:r] + _BYTES[r + 1:] + b"\xff" for r in range(MAX_LENGTH + 1))
+_BYTE = tuple(_BYTES[r:r + 1] for r in range(MAX_LENGTH + 1))
+
+
 def _start(basis, tracked=None):
     """Fill plans for the basis and the root node of a walk.
 
@@ -222,13 +310,15 @@ def _start(basis, tracked=None):
     plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
     bad = 2 if any(len(q) == 1 for q in basis) else 0
     masks = None if tracked is None else tuple((i, plan, 0) for i, plan in enumerate(tracked))
-    return plans, ((), 0, bad, 0, 0, masks)
+    return plans, (b"", 0, bad, 0, 0, masks)
 
 
 def _children(node, plans, n_max, k_max):
     """The children of a node that has a bad mask, in ascending rank order.
 
-    A node is (values, inv, bad, splits, seen, masks). In the full walk,
+    A node is (values, inv, bad, splits, seen, masks), values being bytes,
+    one byte per entry; a child's values are its parent's with every byte
+    >= r raised by one (_SHIFT[r]), then the byte r. In the full walk,
     where masks is None, every avoider within the budget is a child, with
     splits = seen = 0. The pruned walk yields only the nodes that lead to
     indecomposable avoiders: splits is the split-point mask, bit i of seen is
@@ -272,8 +362,7 @@ def _children(node, plans, n_max, k_max):
             for i, _, mask in masks:
                 if mask >> r & 1:
                     child_seen |= 1 << i
-        child = [v + 1 if v >= r else v for v in tau]
-        child.append(r)
+        child = tau.translate(_SHIFT[r]) + _BYTE[r]
         child_bad = child_masks = None
         if not last and not (pruned and added == k_max):
             # bits >= r move up one; bit r stays clear, as it was in the parent
@@ -292,7 +381,7 @@ def _children(node, plans, n_max, k_max):
                     if not child_seen >> i & 1:
                         mask = (mask & low) | (mask >> r << (r + 1))
                         child_masks.append((i, plan, _fill(child, plan, child_floor, mask)))
-        kids.append((tuple(child), added, child_bad, child_splits, child_seen, child_masks))
+        kids.append((child, added, child_bad, child_splits, child_seen, child_masks))
     return kids
 
 
@@ -300,8 +389,10 @@ def _walk(node, plans, n_max, k_max):
     """Yield every node below `node`, down to length n_max, in preorder.
 
     Children come in ascending rank order (see _children for the node
-    shape), and the walk descends into every node that has a bad mask: all
-    but the leaves at length n_max and, in the pruned walk, at the budget.
+    shape; values are bytes, which iter_avoiders_upto and
+    indecomposables_upto hand out as Perms), and the walk descends into
+    every node that has a bad mask: all but the leaves at length n_max and,
+    in the pruned walk, at the budget.
     The stack holds one iterator over the pending siblings per level of the
     current path, never the tree, so the first node arrives at once however
     large the tree is.

@@ -139,6 +139,18 @@ def test_cache_mismatch_is_a_miss(tmp_path, edit):
     assert table_from_json(path.read_text()) == want
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_cache_entry_mode_follows_umask(umask, mode, tmp_path):
+    # the temp file behind an entry is made 0600; the entry is not
+    old = os.umask(umask)
+    try:
+        cached_count_table("1324", 5, 3, str(tmp_path))
+    finally:
+        os.umask(old)
+    [path] = tmp_path.glob("table_*.json")
+    assert path.stat().st_mode & 0o777 == mode
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PERMSEQ_CACHE_DIR", str(tmp_path))
     cached_count_table("132", 5, 5, None)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import permseq.enumeration as enumeration
 from permseq.enumeration import (
+    MAX_LENGTH,
     REPRESENTATIVE_PARTNERS,
     TAIL_WINDOW,
     CountTable,
@@ -249,11 +250,13 @@ def test_count_table_matches_full_walk_random(patterns, n_max, k_max):
 @st.composite
 def fill_case_st(draw):
     """(q, tau, floor, bad) for one fill: patterns longer than the walk tests
-    reach, and masks holding no, random, all or all but one rank >= floor."""
+    reach, tau as a tuple or as bytes (the walk's node values), and masks
+    holding no, random, all or all but one rank >= floor."""
     q = draw(st.integers(2, 7).flatmap(lambda m: st.permutations(range(1, m + 1))).map(Perm))
     # from one entry too short to hold q's body up to length 9
     t = draw(st.integers(max(1, len(q) - 2), 9))
-    tau = tuple(draw(st.permutations(range(1, t + 1))))
+    form = draw(st.sampled_from([tuple, bytes]))
+    tau = form(draw(st.permutations(range(1, t + 1))))
     floor = draw(st.one_of(st.just(1), st.integers(1, t + 1)))
     above = (1 << (t + 2)) - (1 << floor)
     bad = draw(st.integers(0, (1 << (t + 2)) - 1))
@@ -278,6 +281,15 @@ def fill_case_st(draw):
 # the anchor of 123 fixes the interval alone, so the first complete
 # placement returns
 @example((Perm((1, 2, 3)), (1, 2, 4, 3), 1, 0))
+# a body of length 1: the anchor alone fixes the interval
+@example((Perm((2, 1)), bytes((2, 3, 1)), 1, 0))
+# role 0 is the interval's lower end: the lowest value in its window left
+# of role 1 bounds the union of its intervals
+@example((Perm((1, 3, 2)), bytes((2, 4, 1, 3)), 1, 0))
+@example((Perm((2, 1, 4, 3)), bytes((3, 2, 5, 1, 6, 4)), 1, 0))
+# role 0 is the interval's upper end: the highest such value bounds it
+@example((Perm((3, 1, 2)), bytes((3, 1, 4, 2)), 1, 0))
+@example((Perm((3, 1, 4, 2)), bytes((2, 4, 3, 1, 5)), 1, 0))
 def test_fill_matches_anchored_oracle(case):
     q, tau, floor, bad = case
     got = _fill(tau, _plan(q), floor, bad)
@@ -358,6 +370,35 @@ def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch)
     count_table(parse_basis(basis_text), n_max, k_max)
     assert fills
     assert all(floor <= t for t, floor in fills), max(fills, key=lambda f: f[1] - f[0])
+
+
+def _lehmer_decode(code):
+    """The permutation whose entry i has code[i] smaller entries after it."""
+    free = list(range(1, len(code) + 1))
+    return Perm(tuple(free.pop(c) for c in code))
+
+
+def test_walk_reaches_the_length_cap():
+    # the full walk appends ranks up to 64, the last entries of the byte
+    # tables; a permutation of 64 with at most 2 inversions has a Lehmer code
+    # of sum <= 2
+    n = MAX_LENGTH
+    codes = [[0] * n]
+    for i in range(n - 1):
+        for c in (1, 2):
+            if c <= n - 1 - i:
+                code = [0] * n
+                code[i] = c
+                codes.append(code)
+        for j in range(i + 1, n - 1):
+            code = [0] * n
+            code[i] = code[j] = 1
+            codes.append(code)
+    assert len(codes) == 1 + (n - 1) + (n - 2) + (n - 1) * (n - 2) // 2
+    q = parse_perm("1324")
+    want = sorted(p for p in map(_lehmer_decode, codes) if not contains(p, q))
+    assert generate_avoiders(["1324"], n, 2) == want
+    assert count_table(["1324"], n, 2).rows[n - 1] == (1, 2, 5)
 
 
 def test_count_table_matches_closed_form_to_n64():
