@@ -35,11 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .enumeration import MAX_LENGTH, iter_avoiders_upto
+from .enumeration import iter_avoiders_upto
 from .perms import (
+    BYTE,
+    DELETE_VALUE,
+    MAX_LENGTH,
     SYMMETRIES,
     Perm,
     avoids,
+    check_length,
     components,
     contains,
     delete,
@@ -233,7 +237,7 @@ def _verdict(p: Perm, witness, sufficient: bool, necessary: bool) -> CompatVerdi
 MAX_PATTERN_LENGTH = MAX_LENGTH - 3
 
 
-def _check_length(n: int) -> None:
+def _check_pattern_length(n: int) -> None:
     """The pattern length check shared by compat_search, compat_table_row
     and Subpatterns."""
     if n < 1:
@@ -249,7 +253,7 @@ def compat_search(p: Perm) -> CompatVerdict:
     contains p. The tests' reference for compat_table_row, kept here because
     the benchmark's tracing (perfbench/tracing.py) wraps it by name.
     """
-    _check_length(len(p))
+    _check_pattern_length(len(p))
     if contains(p, _P1324):
         # containment of 1324 is preserved by the map, so such patterns are
         # always compatible
@@ -290,11 +294,6 @@ class CompatCounts:
                 self.witness_compatible, self.sufficient_compatible)
 
 
-# Subpatterns' translate tables for the values 0..MAX_LENGTH (16 KiB).
-_LOWER = tuple(bytes(range(v + 1)) + bytes(range(v, 255)) for v in range(MAX_LENGTH + 1))
-_DROP = tuple(bytes((v,)) for v in range(MAX_LENGTH + 1))
-
-
 class Subpatterns:
     """The length-n patterns contained in permutations, as int bitmasks.
 
@@ -304,23 +303,20 @@ class Subpatterns:
     with one entry deleted (every length-n pattern of p survives in some
     such deletion, and each deletion's patterns are patterns of p).
 
-    The memo is keyed by bytes(p), one byte per entry, so deleting the
-    value v is one bytes.translate that drops the byte `_DROP[v]` and maps
-    every byte above v one lower (`_LOWER[v]`). The tables are module
-    constants for the values 0..MAX_LENGTH, so the permutations asked about
-    are at most MAX_LENGTH long (the sweep's longest is n + 3).
+    The memo is keyed by p's byte form (`perms`), so deleting a value is
+    one bytes.translate, and p has at most MAX_LENGTH entries (the sweep's
+    longest is n + 3).
     """
 
     def __init__(self, n: int):
-        _check_length(n)
+        _check_pattern_length(n)
         self.n = n
         self.patterns: list[Perm] = []
         self._masks: dict[bytes, int] = {}
 
     def mask(self, p: Sequence[int]) -> int:
         """The mask of p's length-n patterns, for p a tuple, list or Perm."""
-        if len(p) > MAX_LENGTH:
-            raise ValueError(f"length {len(p)} exceeds the supported maximum {MAX_LENGTH}")
+        check_length(len(p))
         return self._mask(bytes(p))
 
     def _mask(self, p: bytes) -> int:
@@ -345,7 +341,7 @@ class Subpatterns:
         got = 0
         prev = -1
         # bound as locals: read as globals, they slow the loop
-        lower, drop, masks = _LOWER, _DROP, self._masks
+        lower, drop, masks = DELETE_VALUE, BYTE, self._masks
         for v in p:
             if v - prev != 1 and prev - v != 1:
                 q = p.translate(lower[v], drop[v])
@@ -358,8 +354,7 @@ class Subpatterns:
         """mask(image) & ~mask(pi), without memoising image itself."""
         # f is injective, so no image comes twice: only its deletions' masks
         # are memoised, which keeps the memo to the lengths pi takes
-        if len(image) > MAX_LENGTH:
-            raise ValueError(f"length {len(image)} exceeds the supported maximum {MAX_LENGTH}")
+        check_length(len(image))
         image = bytes(image)
         whole = self._deletions(image) if len(image) > self.n else self._mask(image)
         return whole & ~self.mask(pi)
@@ -387,7 +382,7 @@ def compat_table_row(n: int) -> CompatCounts:
     compat_search finds. The walk streams, so only the masks' memo grows
     with n.
     """
-    _check_length(n)
+    _check_pattern_length(n)
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
     unwitnessed = -1  # the patterns' bits that no pi has gained yet

@@ -4,16 +4,16 @@ checks and the explicit injection.
 
 Each integer flag owns its bounds (`_int_in`; `--n` in 1..MAX_LENGTH on the
 table commands, `--k` in 0..MAX_BUDGET on them and on gf, `--threads` at
-least 1, `compat --length` in 1..MAX_LENGTH - 3, `--k` at least 0 on
-bijection), so a value out of
-range is a usage error naming the flag; `count_table`, not the CLI, caps
-`--threads`.
+least 1, `compat --length` in 1..MAX_LENGTH - 3, `bijection --k` in
+0..MAX_LENGTH - 1, since an indecomposable with k inversions has up to k+1
+entries), so a value out of range is a usage error naming the flag;
+`count_table`, not the CLI, caps `--threads`.
 A cache entry is exactly `table --format json` output, in a file named by
 basis, bounds and engine version, so an entry from another engine version
 is never read; one that `tableio.table_from_json` rejects, or whose basis
 or bounds differ from the request, is recomputed and overwritten silently.
-Cache writes go through a temp file and an atomic rename, and an entry
-gets the mode a plain open would give it (0666 less the umask).
+Cache writes go to a temp file that a plain open creates, so the entry
+gets the mode the umask gives it, and then one atomic rename.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import json
 import os
 import sys
-import tempfile
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -88,19 +88,15 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
     if table is not None:
         return table
     table = count_table(basis, n_max, k_max, threads=threads)
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+    # unique to this process and thread, never `table_*.json`; "x" obeys the umask
+    tmp = cache / f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(table_to_json(table))
-        # mkstemp makes the file 0600; give the entry the mode a plain open
-        # would, so other users of a shared cache directory can read it
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         # a failed write or rename leaves no temp file behind
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
     return table
 
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection", help="partition-family bijection check")
     p.add_argument("--pattern", required=True, help="companion of 132, e.g. 2341")
-    p.add_argument("--k", type=_int_in(0), default=12)
+    p.add_argument("--k", type=_int_in(0, MAX_LENGTH - 1), default=12)
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("inject", help="apply the {1324, 231} injection to one permutation")

@@ -6,14 +6,15 @@ appending a new last entry of rank r (existing values >= r shift up), which
 adds t+1-r inversions. `_walk` is the one walker, a generator over an
 explicit stack: it yields the nodes below a given node in preorder,
 children in ascending rank order, each as (values, inv, bad, splits, seen,
-masks). values is bytes, one byte per entry, so a child is one translate
-of its parent's values plus one byte. `iter_avoiders_upto` streams that
-preorder and `generate_avoiders` keeps one length of it. `count_table` and
-`indecomposables_upto` read the pruned walk, which yields only the part of
-the tree that leads to indecomposable avoiders; `count_table` counts the
-rest by direct sums (below). bad and masks are None at the leaves, where
-the walk does not descend: at the last length and, in the pruned walk, at
-the budget.
+masks). values is the byte form of `perms`, one byte per entry, so a child
+is one translate of its parent's values plus one byte. `iter_avoiders_upto`
+streams that preorder and `generate_avoiders` keeps one length of it.
+`count_table` and `indecomposables_upto` read the pruned walk, which yields
+only the part of the tree that leads to indecomposable avoiders;
+`count_table` counts the rest by direct sums (below). bad and masks are
+None at the leaves, where the walk does not descend: at the last length
+and, in the pruned walk, at the budget. A walk past MAX_LENGTH entries is
+a ValueError (`perms.check_length`).
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -94,9 +95,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import (
+    BYTE,
+    INSERT_RANK,
+    MAX_LENGTH,
     SYMMETRIES,
     Perm,
     basis_key,
+    check_length,
     components,
     direct_sum,
     inv_count,
@@ -104,7 +109,6 @@ from .perms import (
     pattern_basis,
 )
 
-MAX_LENGTH = 64
 MAX_BUDGET = 200
 
 # Identifies the counting engine in cache entries; bump it whenever a change
@@ -291,15 +295,6 @@ def _fill(tau, plan, floor, bad):
 
 # -- the tree walk --------------------------------------------------------
 
-# Node values are bytes, one byte per entry. Appending rank r to tau is
-# tau.translate(_SHIFT[r]) + _BYTE[r]: _SHIFT[r] moves every value >= r one
-# up (r <= MAX_LENGTH, so no value reaches 255). This replaced a list
-# comprehension, an append and a tuple per child.
-_BYTES = bytes(range(256))
-_SHIFT = tuple(_BYTES[:r] + _BYTES[r + 1:] + b"\xff" for r in range(MAX_LENGTH + 1))
-_BYTE = tuple(_BYTES[r:r + 1] for r in range(MAX_LENGTH + 1))
-
-
 def _start(basis, tracked=None):
     """Fill plans for the basis and the root node of a walk.
 
@@ -316,9 +311,9 @@ def _start(basis, tracked=None):
 def _children(node, plans, n_max, k_max):
     """The children of a node that has a bad mask, in ascending rank order.
 
-    A node is (values, inv, bad, splits, seen, masks), values being bytes,
-    one byte per entry; a child's values are its parent's with every byte
-    >= r raised by one (_SHIFT[r]), then the byte r. In the full walk,
+    A node is (values, inv, bad, splits, seen, masks), values being the
+    byte form (perms.INSERT_RANK); a child's values are its parent's with
+    every byte >= r raised by one, then the byte r. In the full walk,
     where masks is None, every avoider within the budget is a child, with
     splits = seen = 0. The pruned walk yields only the nodes that lead to
     indecomposable avoiders: splits is the split-point mask, bit i of seen is
@@ -362,7 +357,7 @@ def _children(node, plans, n_max, k_max):
             for i, _, mask in masks:
                 if mask >> r & 1:
                     child_seen |= 1 << i
-        child = tau.translate(_SHIFT[r]) + _BYTE[r]
+        child = tau.translate(INSERT_RANK[r]) + BYTE[r]
         child_bad = child_masks = None
         if not last and not (pruned and added == k_max):
             # bits >= r move up one; bit r stays clear, as it was in the parent
@@ -397,6 +392,7 @@ def _walk(node, plans, n_max, k_max):
     current path, never the tree, so the first node arrives at once however
     large the tree is.
     """
+    check_length(n_max)
     stack = []
     if len(node[0]) < n_max:
         stack.append(iter(_children(node, plans, n_max, k_max)))
@@ -418,8 +414,6 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     basis = pattern_basis(basis)
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > MAX_LENGTH:
-        raise ValueError(f"length {n} exceeds the supported maximum {MAX_LENGTH}")
     if k_max < 0:
         raise ValueError("inversion budget must be nonnegative")
     if n == 0:

@@ -40,12 +40,28 @@ class Perm(tuple):
     def __repr__(self):
         return f"Perm({format_perm(self)!r})" if self else "Perm('')"
 
-    @property
-    def n(self) -> int:
-        return len(self)
-
 
 EMPTY = Perm()
+
+
+# -- the byte form --------------------------------------------------------
+
+# The byte form of a permutation p is bytes(p), for len(p) <= MAX_LENGTH.
+# For 0 <= v <= MAX_LENGTH, b.translate(INSERT_RANK[v]) + BYTE[v] appends
+# rank v (bytes >= v move up one), and b.translate(DELETE_VALUE[v], BYTE[v])
+# deletes the value v (bytes above it move down one).
+MAX_LENGTH = 64
+
+_BYTES = bytes(range(256))
+INSERT_RANK = tuple(_BYTES[:v] + _BYTES[v + 1:] + b"\xff" for v in range(MAX_LENGTH + 1))
+DELETE_VALUE = tuple(_BYTES[:v + 1] + _BYTES[v:255] for v in range(MAX_LENGTH + 1))
+BYTE = tuple(_BYTES[v:v + 1] for v in range(MAX_LENGTH + 1))
+
+
+def check_length(n: int) -> None:
+    """Raise ValueError unless a permutation of length n has a byte form."""
+    if n > MAX_LENGTH:
+        raise ValueError(f"length {n} exceeds the supported maximum {MAX_LENGTH}")
 
 
 def parse_perm(text: str) -> Perm:

@@ -30,8 +30,6 @@ from typing import Callable
 
 from .perms import basis_key, parse_basis
 
-DEFAULT_ORDER = 40
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -264,7 +262,7 @@ CATALOGUE = {**_BASE, **_PAIRS}
 _BY_BASIS = {basis_key(parse_basis(name)): name for name in CATALOGUE if name[0].isdigit()}
 
 
-def named_gf(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def named_gf(name: str, order: int) -> TruncatedSeries:
     """Limit generating function by catalogue name, e.g. "1324,1342"; a
     basis may be spelt in any order and spacing, e.g. "1342, 1324"."""
     key = name.strip()

@@ -9,6 +9,8 @@ import pytest
 
 from permseq.cli import (
     EXIT_BAD_INPUT,
+    EXIT_BIJECTION_MISMATCH,
+    EXIT_GF_MISMATCH,
     EXIT_GOLDEN_MISMATCH,
     cached_count_table,
     main,
@@ -151,6 +153,19 @@ def test_cache_entry_mode_follows_umask(umask, mode, tmp_path):
     assert path.stat().st_mode & 0o777 == mode
 
 
+def test_cache_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide, so setting it, even briefly, would change
+    # the mode of files other threads create meanwhile
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    table = cached_count_table("1324", 5, 3, str(tmp_path))
+    [path] = tmp_path.iterdir()
+    assert path.name == f"table_1324_n5_k3_v{ENGINE_VERSION}.json"
+    assert table_from_json(path.read_text()) == table
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PERMSEQ_CACHE_DIR", str(tmp_path))
     cached_count_table("132", 5, 5, None)
@@ -234,6 +249,43 @@ def test_cmd_bijection(capsys):
     assert rc == EXIT_BAD_INPUT
 
 
+def test_cmd_gf_reports_a_mismatch(capsys, monkeypatch):
+    import permseq.series as series
+
+    real = series.CATALOGUE["1324,1342"]
+
+    def wrong(order):
+        # one coefficient off: 9 in place of 8 at k = 3
+        return series.TruncatedSeries(tuple(c + (k == 3) for k, c in enumerate(real(order).coeffs)))
+
+    monkeypatch.setitem(series.CATALOGUE, "1324,1342", wrong)
+    rc = main(["gf", "--name", "1324,1342", "--k", "5", "--compare-table"])
+    assert rc == EXIT_GF_MISMATCH == 4
+    assert capsys.readouterr().out == (
+        "1,2,4,9,14,24\n"
+        "MISMATCH at k=3: series 9, table 8 (stabilized)\n"
+        "comparison failed\n")
+
+
+def test_cmd_bijection_reports_a_mismatch(capsys, monkeypatch):
+    import permseq.partitions as partitions
+
+    real = partitions.FAMILY_TESTS["2341"]
+    # the wrong test flips its answer on every partition of 3
+    monkeypatch.setitem(partitions.FAMILY_TESTS, "2341", lambda lam: real(lam) != (sum(lam) == 3))
+    rc = main(["bijection", "--pattern", "2341", "--k", "4"])
+    assert rc == EXIT_BIJECTION_MISMATCH == 3
+    assert capsys.readouterr().out == (
+        "k=0: permutation side 1, partition side 1 [ok]\n"
+        "k=1: permutation side 1, partition side 1 [ok]\n"
+        "k=2: permutation side 2, partition side 2 [ok]\n"
+        "k=3: permutation side 2, partition side 1 [MISMATCH]\n"
+        "  only from permutations: (2, 1)\n"
+        "  only from permutations: (3,)\n"
+        "  only from partitions:   (1, 1, 1)\n"
+        "k=4: permutation side 4, partition side 4 [ok]\n")
+
+
 def test_cmd_inject(capsys):
     rc = main(["inject", "--perm", "12,11,10,9,8,5,3,1,2,4,7,6"])
     assert rc == 0
@@ -274,6 +326,23 @@ PINNED_OUTPUTS = [
      "| CUB | suff. compatible |\n"
      "|---|---|---|---|---|---|---|\n"
      "| 4 | 18 | 20 | 20 | 3 | 3 | 5 |\n"),
+    # k = 7..9 need more than 12 rows to stabilize
+    (["limit", "--basis", "1324,1342", "--n", "12", "--k", "9", "--secondary", "--tertiary"],
+     "k=0: c_k=1 from n=1\n"
+     "k=1: c_k=2 from n=3\n"
+     "k=2: c_k=4 from n=4\n"
+     "k=3: c_k=8 from n=5\n"
+     "k=4: c_k=14 from n=6\n"
+     "k=5: c_k=24 from n=7\n"
+     "k=6: c_k=40 from n=8\n"
+     "k=7: unstable within range (last value 64)\n"
+     "k=8: unstable within range (last value 100)\n"
+     "k=9: unstable within range (last value 154)\n"
+     "secondary: 2 6 12\n"
+     "tertiary: \n"),
+    (["inject", "--perm", "321"],
+     "3214\n"
+     "# branch 1\n"),
 ]
 
 
@@ -487,7 +556,8 @@ BAD_BOUNDS = [
     (["compat", "--length", "62"], "--length: must be in 1..61, got 62"),
     (["gf", "--name", "1324,1342", "--k", "-1"], "--k: must be in 0..200, got -1"),
     (["gf", "--name", "1324,1342", "--k", "201"], "--k: must be in 0..200, got 201"),
-    (["bijection", "--pattern", "2341", "--k", "-1"], "--k: must be at least 0, got -1"),
+    (["bijection", "--pattern", "2341", "--k", "-1"], "--k: must be in 0..63, got -1"),
+    (["bijection", "--pattern", "4321", "--k", "70"], "--k: must be in 0..63, got 70"),
 ]
 
 

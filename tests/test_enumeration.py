@@ -18,6 +18,7 @@ from permseq.enumeration import (
     diagonal_limit,
     generate_avoiders,
     has_limit_sequence,
+    indecomposables_upto,
     iter_avoiders_upto,
     limit_depth,
     limit_report,
@@ -122,6 +123,32 @@ def test_generate_avoiders_guards():
         generate_avoiders(parse_basis("21"), 65, 3)
     with pytest.raises(ValueError):
         generate_avoiders(parse_basis("21"), -1, 3)
+
+
+def test_walk_past_the_length_cap_is_a_value_error():
+    # the byte tables stop at MAX_LENGTH, so each walk checks its longest
+    # length before the first node; indecomposables_upto walks to k_max + 1
+    message = f"length {MAX_LENGTH + 1} exceeds the supported maximum {MAX_LENGTH}"
+    for call in (lambda: next(iter_avoiders_upto(["21"], MAX_LENGTH + 1, 0)),
+                 lambda: generate_avoiders(["21"], MAX_LENGTH + 1, 0),
+                 lambda: indecomposables_upto(["12"], MAX_LENGTH)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert len(list(iter_avoiders_upto(["21"], MAX_LENGTH, 0))) == MAX_LENGTH
+    # the descending permutations, the last with 55 <= 63 inversions
+    assert indecomposables_upto(["12"], MAX_LENGTH - 1) == [
+        (Perm(range(n, 0, -1)), n * (n - 1) // 2) for n in range(1, 12)]
+
+
+@pytest.mark.parametrize("n_max, k_max, message", [
+    (65, 3, "n_max must be in 1..64"),
+    (0, 3, "n_max must be in 1..64"),
+    (5, 201, "k_max must be in 0..200"),
+    (5, -1, "k_max must be in 0..200"),
+])
+def test_count_table_bounds(n_max, k_max, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        count_table(["1324"], n_max, k_max)
 
 
 def test_generate_avoiders_sorted_deterministic():

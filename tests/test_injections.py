@@ -225,6 +225,30 @@ def test_induced_injection_properties():
                 assert g(p)[0] == p[0]
 
 
+# Maps on Av_{<=3}(213) that each break exactly one property verify_injection checks.
+BROKEN_MAPS = {
+    # no new entry
+    "length_ok": Perm,
+    # a new maximum in front adds len(p) inversions
+    "inv_ok": lambda p: insert_value(p, 0, len(p) + 1),
+    # a new maximum at the end completes 213 after any descent
+    "avoid_ok": lambda p: insert_value(p, len(p), len(p) + 1),
+    # 231 and 312 both have 2 inversions, and both go to 1423
+    "injective": lambda p: prepend_min_injection(
+        parse_perm("312") if p == parse_perm("231") else p),
+}
+
+
+@pytest.mark.parametrize("flag", BROKEN_MAPS)
+def test_verify_injection_flags_the_broken_property(flag):
+    basis = parse_basis("213")
+    domain = [p for n in range(4) for p in generate_avoiders(basis, n, 3)]
+    check = verify_injection(domain, BROKEN_MAPS[flag], basis)
+    assert {name: getattr(check, name) for name in BROKEN_MAPS} == {
+        name: name != flag for name in BROKEN_MAPS}
+    assert not check.ok and check.total == len(domain) == 1 + 1 + 2 + 5
+
+
 def test_prepend_min_is_injection_for_213():
     base = parse_basis("213")
     for n in range(0, 8):

@@ -10,7 +10,6 @@ from permseq.partitions import (
 )
 from permseq.series import (
     CATALOGUE,
-    DEFAULT_ORDER,
     TruncatedSeries,
     av_1324_1342,
     distinct_parts_gf,
@@ -164,7 +163,3 @@ def test_secondary_gf_1342():
     assert list(s.coeffs[9:16]) == [2, 6, 12, 24, 44, 76, 128]
     # the row's first term x^9 lies past order 5
     assert secondary_gf_1342(10, 5).coeffs == (0,) * 6
-
-
-def test_default_order():
-    assert named_gf("P").order == DEFAULT_ORDER
