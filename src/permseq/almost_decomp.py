@@ -16,18 +16,21 @@ the entry in the case's position (F1..F4) and F1(q) = q[0] put back in
 front of q's grown rest, f(p) = sigma(F1(sigma(p))). `_f` keeps the closed
 forms: conjugating was 12-21 % slower on compat_table_row(5..7) (2-core VM).
 
-Every split question, boundary deletions included, is one
-`perms.first_split` scan that builds no deletion. `_case` picks a
-permutation's case once; `_f` applies f, or returns None outside the
-domain, and is what the sweeps call; `f_map`, `f_domain` and
-`almost_decomposable` are the checked entry points. Both classification
-theorems are read off one pass over a pattern's orbit under
+`_f` is f on the byte form of `perms`, given five split lengths: p's first
+split and those of p with its first entry, value 1, last entry or value n
+deleted. They decide the case with no scan. A deletion is one
+`DELETE_VALUE` translate, and an insertion one `INSERT_RANK` translate
+plus a slice. `compat_table_row` reads the five lengths off `_split_walk`,
+which carries them down the walk of Av(1324) from parent to child, so the
+sweep builds a `Perm` only for its patterns and their witnesses. The
+checked `Perm` entry points (`f_map`, `f_domain`, `almost_decomposable`,
+and `compat_search`, `check_1342_bound` and `difference_sets` through
+`_image`) scan the five with `perms.first_split` (`_splits`). Both
+classification theorems are read off one pass over a pattern's orbit under
 `perms.SYMMETRIES` (`_classify`).
 
 `compat_table_row` reads the patterns each image gains off `Subpatterns`
-bitmasks, memoised by bytes keys. The permutations `_f` builds are not
-validated again: `perms.standardize`, and `perms.insert_value` on a `Perm`,
-skip `Perm`'s check, which their results cannot fail.
+bitmasks, memoised by the same bytes.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .enumeration import iter_avoiders_upto
+from .enumeration import _start, _walk, iter_avoiders_upto
 from .perms import (
     BYTE,
     DELETE_VALUE,
+    INSERT_RANK,
     MAX_LENGTH,
     SYMMETRIES,
     Perm,
@@ -48,23 +52,16 @@ from .perms import (
     contains,
     delete,
     first_split,
-    insert_value,
     inverse,
     is_decomposable,
     max_inversions,
     parse_perm,
+    pattern_basis,
 )
 
 _P1324 = parse_perm("1324")
 _P1342 = parse_perm("1342")
 _P213 = parse_perm("213")
-
-
-def _grow(p: Sequence[int]) -> Perm:
-    """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a decomposable
-    p: the new entry goes right after the first component."""
-    split = first_split(p)
-    return insert_value(p, split, split + 1)
 
 
 # -- almost decomposability ------------------------------------------------
@@ -77,45 +74,73 @@ class FCase:
     witness: int  # the deleted value
 
 
-def _case(p: Sequence[int]) -> FCase | None:
-    """The highest-priority case of an indecomposable p: the first boundary
-    deletion in priority order that leaves a direct sum, or None."""
+def _splits(p: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """The five split lengths `_f` reads, by perms.first_split scans: p's
+    first split, then those of p with its first entry, value 1, last entry
+    or value n deleted (0 for an empty p)."""
+    if not p:
+        return 0, 0, 0, 0, 0
+    return (first_split(p), first_split(p, p[0]), first_split(p, 1),
+            first_split(p, p[-1]), first_split(p, len(p)))
+
+
+def _grow(p: bytes, split: int) -> bytes:
+    """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a byte form p
+    whose first component has length split: the new entry goes right after
+    it, and the entries after it move up one."""
+    return p[:split] + BYTE[split + 1] + p[split:].translate(INSERT_RANK[split + 1])
+
+
+def _f(p: bytes, split: int, first: int, one: int, last: int, top: int) -> bytes | None:
+    """f(p) for the byte form p of a 1324-avoider, or None when p is neither
+    decomposable nor almost decomposable; split, first, one, last and top
+    are the split lengths of `_splits`."""
     n = len(p)
-    if n < 2:
-        return None
-    for tag, e in (("F1", p[0]), ("F2", 1), ("F3", p[-1]), ("F4", n)):
-        if first_split(p, e) < n - 1:
-            return FCase(tag=tag, witness=e)
+    if split < n:
+        return _grow(p, split)
+    # a boundary deletion leaves n - 1 entries; an empty one splits at 0
+    m = n - 1
+    if first < m:
+        # F1: keep the first entry, grow the rest
+        e = p[0]
+        return BYTE[e] + _grow(p[1:].translate(DELETE_VALUE[e]), first).translate(INSERT_RANK[e])
+    if one < m:
+        # F2: value 1 back in its place
+        grown = _grow(p.translate(DELETE_VALUE[1], BYTE[1]), one).translate(INSERT_RANK[1])
+        i = p.index(1)
+        return grown[:i] + BYTE[1] + grown[i:]
+    if last < m:
+        # F3: new last entry one above the old one
+        e = p[-1]
+        grown = _grow(p[:-1].translate(DELETE_VALUE[e]), last)
+        return grown.translate(INSERT_RANK[e + 1]) + BYTE[e + 1]
+    if top < m:
+        # F4: new maximum right after the old one
+        grown = _grow(p.translate(DELETE_VALUE[n], BYTE[n]), top)
+        i = p.index(n) + 1
+        return grown[:i] + BYTE[n + 1] + grown[i:]
     return None
+
+
+def _image(p: Perm) -> Perm | None:
+    """f(p) as a Perm for a 1324-avoiding Perm p, or None outside f's domain."""
+    check_length(len(p) + 1)
+    image = _f(bytes(p), *_splits(p))
+    # f maps permutations to permutations: skip Perm's check
+    return None if image is None else tuple.__new__(Perm, image)
 
 
 def almost_decomposable(p: Perm) -> FCase | None:
     """The highest-priority applicable case, or None if p is decomposable
     or not almost decomposable."""
-    return None if is_decomposable(p) else _case(p)
-
-
-def _f(p: Sequence[int]) -> Perm | None:
-    """f(p) for a 1324-avoider p, or None when p is neither decomposable nor
-    almost decomposable; p's first split and its case are each read once."""
     n = len(p)
-    split = first_split(p)
-    if split < n:  # decomposable: _grow(p) with the split already read
-        return insert_value(p, split, split + 1)
-    case = _case(p)
-    if case is None:
+    split, *deleted = _splits(p)
+    if n < 2 or split < n:
         return None
-    grown = _grow(delete(p, [case.witness]))
-    if case.tag == "F1":
-        # keep the first entry, grow the rest
-        return insert_value(grown, 0, p[0])
-    if case.tag == "F2":
-        return insert_value(grown, p.index(1), 1)
-    if case.tag == "F3":
-        # new last entry one above the old one
-        return insert_value(grown, n, p[-1] + 1)
-    # F4: new maximum right after the old one
-    return insert_value(grown, p.index(n) + 1, n + 1)
+    for tag, e, s in zip(("F1", "F2", "F3", "F4"), (p[0], 1, p[-1], n), deleted):
+        if s < n - 1:
+            return FCase(tag=tag, witness=e)
+    return None
 
 
 def f_map(p: Perm) -> Perm:
@@ -123,7 +148,7 @@ def f_map(p: Perm) -> Perm:
     on a decomposable one it grows the middle identity run by one."""
     if not avoids(p, [_P1324]):
         raise ValueError(f"{p!r} contains 1324")
-    image = _f(p)
+    image = _image(p)
     if image is None:
         raise ValueError(f"{p!r} is neither decomposable nor almost decomposable")
     return image
@@ -131,7 +156,60 @@ def f_map(p: Perm) -> Perm:
 
 def f_domain(p: Perm) -> bool:
     """True iff f_map is defined on p (inside Av(1324))."""
-    return is_decomposable(p) or _case(p) is not None
+    split, *deleted = _splits(p)
+    return split < len(p) or min(deleted) < len(p) - 1
+
+
+def _split_walk(basis, m_max: int, k_max: int):
+    """Yield (values, split, first, one, last, top) for every node of the
+    walk of Av_{<=m_max}^{<=k_max}(basis), in its preorder
+    (enumeration._walk): values is the node's byte form and the rest are
+    its five split lengths (`_splits`), carried down from its parent, not
+    scanned.
+
+    A child of length m appending rank r splits where its parent does if
+    that is below a cutoff, and at its full length otherwise. This is the
+    walk's split rule (a child keeps the parent's split points below r and
+    adds its own length) read at the lowest split point, the only one a
+    first split needs. Deleting the child's
+    - nothing: the parent's split if below r, else m;
+    - last entry: leaves the parent, so the parent's split;
+    - value 1: leaves the parent if r = 1, else the parent less its value 1
+      with rank r - 1 appended: its split if below r - 1, else m - 1;
+    - value m: leaves the parent if r = m, else the parent less its
+      maximum with rank r appended: its split if below r, else m - 1;
+    - first entry: leaves the parent less its first entry with rank r
+      appended, or r - 1 when r is above that entry (the child's first
+      entry is then below r): its split if below that rank, else m - 1.
+    The deletions of the one-entry node are empty and split at 0, but for
+    its children they split at no cutoff.
+    """
+    plans, root = _start(pattern_basis(basis))
+    # level[t]: the splits of the last node of length t, split first, then
+    # those with the first entry, value 1 and value t deleted
+    level = [None] * (m_max + 1)
+    for values, _, _, _, _, _ in _walk(root, plans, m_max, k_max):
+        m = len(values)
+        if m == 1:
+            level[1] = (1, 2, 2, 2)  # 2: at or above every cutoff of a length-2 child
+            yield values, 1, 0, 0, 0, 0
+            continue
+        r = values[-1]
+        last, first, one, top = level[m - 1]
+        split = last if last < r else m
+        cut = r - 1 if values[0] < r else r
+        if first >= cut:
+            first = m - 1
+        if r == 1:
+            one = last
+        elif one >= r - 1:
+            one = m - 1
+        if r == m:
+            top = last
+        elif top >= r:
+            top = m - 1
+        level[m] = (split, first, one, top)
+        yield values, split, first, one, last, top
 
 
 def theorem_almost_decomp_check(n_max: int):
@@ -264,7 +342,7 @@ def compat_search(p: Perm) -> CompatVerdict:
     for pi, _k in iter_avoiders_upto([_P1324], m_max, max_inversions(m_max)):
         if len(pi) < n - 1 or contains(pi, p):
             continue
-        image = _f(pi)
+        image = _image(pi)
         if image is not None and contains(image, p):
             witness = (pi, image)
             break
@@ -304,8 +382,10 @@ class Subpatterns:
     such deletion, and each deletion's patterns are patterns of p).
 
     The memo is keyed by p's byte form (`perms`), so deleting a value is
-    one bytes.translate, and p has at most MAX_LENGTH entries (the sweep's
-    longest is n + 3).
+    one bytes.translate. `mask` and `gained_mask` take any sequence and
+    check its length; the sweep hands `_gained` its byte forms straight,
+    whose n + 3 entries at most stay within MAX_LENGTH
+    (`_check_pattern_length`).
     """
 
     def __init__(self, n: int):
@@ -352,12 +432,16 @@ class Subpatterns:
 
     def gained_mask(self, pi: Sequence[int], image: Sequence[int]) -> int:
         """mask(image) & ~mask(pi), without memoising image itself."""
+        check_length(len(pi))
+        check_length(len(image))
+        return self._gained(bytes(pi), bytes(image))
+
+    def _gained(self, pi: bytes, image: bytes) -> int:
+        """gained_mask for byte forms."""
         # f is injective, so no image comes twice: only its deletions' masks
         # are memoised, which keeps the memo to the lengths pi takes
-        check_length(len(image))
-        image = bytes(image)
         whole = self._deletions(image) if len(image) > self.n else self._mask(image)
-        return whole & ~self.mask(pi)
+        return whole & ~self._mask(pi)
 
     def decode(self, bits: int) -> list[Perm]:
         """The patterns whose bits are set in bits, lowest bit first."""
@@ -379,30 +463,34 @@ def compat_table_row(n: int) -> CompatCounts:
     mask(f(pi)) & ~mask(pi), read off the Subpatterns bitmasks; only those
     no earlier pi gained are decoded, so each pattern is decoded once, with
     its witness: the first pi in walk order that gains it, the one
-    compat_search finds. The walk streams, so only the masks' memo grows
-    with n.
+    compat_search finds. The walk (`_split_walk`) streams byte forms with
+    their split lengths, so f is applied with no scan and only the masks'
+    memo grows with n.
     """
     _check_pattern_length(n)
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
     unwitnessed = -1  # the patterns' bits that no pi has gained yet
     subpatterns = Subpatterns(n)
+    gained = subpatterns._gained
     m_max = n + 2
-    for pi, _k in iter_avoiders_upto([_P1324], m_max, max_inversions(m_max)):
+    for pi, split, first, one, last, top in _split_walk([_P1324], m_max, max_inversions(m_max)):
         m = len(pi)
         if m == n:
-            patterns.append(pi)
+            # a walk node is a permutation: skip Perm's check
+            patterns.append(tuple.__new__(Perm, pi))
         if m < n - 1:
             continue
-        image = _f(pi)
+        image = _f(pi, split, first, one, last, top)
         if image is None:
             continue
         # only the first pi to gain a pattern is its witness
-        bits = subpatterns.gained_mask(pi, image) & unwitnessed
+        bits = gained(pi, image) & unwitnessed
         if bits:
             unwitnessed &= ~bits
+            witness = (tuple.__new__(Perm, pi), tuple.__new__(Perm, image))
             for p in subpatterns.decode(bits):
-                witnesses[p] = (pi, image)
+                witnesses[p] = witness
     theorems = [_classify(p) for p in patterns]
     n_suff = sum(s for s, _ in theorems)
     n_nec = sum(c for _, c in theorems)
@@ -438,7 +526,7 @@ def check_1342_bound(n_max: int):
     counterexamples: dict[int, list[tuple[Perm, int]]] = {n: [] for n in range(1, n_max + 1)}
     preserved = True
     for pi, k in iter_avoiders_upto([_P1324], n_max, max_inversions(n_max)):
-        image = _f(pi)
+        image = _image(pi)
         if image is None:
             continue
         has_before = contains(pi, _P1342)
@@ -471,7 +559,7 @@ def difference_sets(n: int, k: int):
         if inv == k and len(p) >= n:
             at_k[len(p)].append(p)
     # None, for pi outside f's domain, matches no member of length n + 1
-    image = {_f(pi) for pi in at_k[n]}
+    image = {_image(pi) for pi in at_k[n]}
     r1, r2, r3 = [], [], []
     for s in sorted(at_k[n + 1]):
         if s in image:

@@ -11,11 +11,12 @@ whose value the later roles read less strictly (see `_windows`'s kinds).
 entries above it.
 
 `Perm(values)` checks that the values are 1..n. Two constructors skip that
-check because their result cannot fail it, and the compatibility sweep
-calls them on every candidate: `standardize` writes the ranks 1..n, and
-`insert_value` on a `Perm` shifts the entries at or above the new value up
-by one. `insert_value` still checks `pos` and `value`, and checks any input
-that is not a `Perm`.
+check because their result cannot fail it: `standardize` writes the ranks
+1..n (`components` and `delete` build through it), and `insert_value` on a
+`Perm` shifts the entries at or above the new value up by one.
+`insert_value` still checks `pos` and `value`, and checks any input that
+is not a `Perm`. The compatibility sweep calls neither: it works on the
+byte form below.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ answers are checked against, kept out of the package."""
 
 from itertools import permutations
 
-from permseq.perms import Perm
+from permseq.perms import Perm, first_split, insert_value
 
 
 def all_perms(n: int):
@@ -31,3 +31,10 @@ def partition_count(k: int) -> int:
             j += 1
         p[n] = total
     return p[k]
+
+
+def grow(p):
+    """sigma (+) id_m (+) tau -> sigma (+) id_{m+1} (+) tau for a decomposable
+    Perm p, by one checked insertion right after its first component."""
+    split = first_split(p)
+    return insert_value(p, split, split + 1)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ from permseq.almost_decomp import (
     Subpatterns,
     _classify,
     _f,
-    _grow,
+    _split_walk,
     almost_decomposable,
     check_1342_bound,
     classify_necessary,
@@ -44,7 +45,7 @@ from permseq.perms import (
 )
 from permseq.series import overpartition_gf
 
-from oracles import all_perms
+from oracles import all_perms, grow
 
 P1324 = parse_perm("1324")
 P1342 = parse_perm("1342")
@@ -70,24 +71,30 @@ def test_growth_matches_decomp_form():
         assert all(c == (1,) for c in middle), p
         assert avoids(sigma, [parse_perm("132")]) and avoids(tau, [P213]), p
         want = direct_sum(sigma, identity(len(middle) + 1), tau)
-        assert _grow(p) == want, p
+        assert grow(p) == want, p
         assert f_map(p) == want, p
         seen += 1
     assert seen > 1000
 
 
 def test_f_core_is_none_exactly_off_domain():
-    for pi, k in iter_avoiders_upto([P1324], 8, 28):
-        image = _f(pi)
-        assert (image is None) == (not f_domain(pi)), pi
+    # the byte core on the splits the sweep carries, against the checked API
+    seen = 0
+    for pi, *splits in _split_walk([P1324], 8, 28):
+        image = _f(pi, *splits)
+        p = Perm(pi)
+        assert (image is None) == (not f_domain(p)), p
         if image is not None:
-            assert len(image) == len(pi) + 1 and inv_count(image) == k, pi
+            assert Perm(image) == f_map(p), p
+            assert len(image) == len(pi) + 1 and inv_count(image) == inv_count(p), p
+            seen += 1
+    assert seen == 7106
 
 
 def _f1(q):
     """Case F1 by its definition: delete the first entry, grow the rest,
     put the entry back in front."""
-    return insert_value(_grow(delete(q, [q[0]])), 0, q[0])
+    return insert_value(grow(delete(q, [q[0]])), 0, q[0])
 
 
 def test_f_cases_are_f1_under_the_symmetries():
@@ -96,17 +103,43 @@ def test_f_cases_are_f1_under_the_symmetries():
     # (first entry and value 1, last entry and value n) decomposes twice
     sigma = dict(zip(("F1", "F2", "F3", "F4"), (fn for _, fn in SYMMETRIES)))
     seen = 0
-    for p, _ in iter_avoiders_upto([P1324], 8, 28):
+    for pi, *splits in _split_walk([P1324], 8, 28):
+        p = Perm(pi)
         case = almost_decomposable(p)
         if case is None:
             continue
         n = len(p)
         s = sigma[case.tag]
-        assert _f(p) == s(_f1(s(p))), p
+        assert Perm(_f(pi, *splits)) == s(_f1(s(p))), p
         assert not (first_split(p, p[0]) < n - 1 and first_split(p, 1) < n - 1), p
         assert not (first_split(p, p[-1]) < n - 1 and first_split(p, n) < n - 1), p
         seen += 1
     assert seen == 5104
+
+
+def _assert_carried_splits(basis, m_max, k_max):
+    """The five splits _split_walk carries equal first_split scans at every
+    node of the walk, which is the walk of iter_avoiders_upto."""
+    walk = _split_walk(basis, m_max, k_max)
+    want = iter_avoiders_upto(basis, m_max, k_max)
+    for (values, *splits), (p, _) in zip(walk, want, strict=True):
+        assert values == bytes(p), p
+        scans = [first_split(p)]
+        if p:
+            scans += [first_split(p, e) for e in (p[0], 1, p[-1], len(p))]
+        assert splits == scans, p
+
+
+def test_carried_splits_match_scans():
+    _assert_carried_splits([P1324], 9, 36)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 5).flatmap(lambda m: st.permutations(range(1, m + 1))),
+                min_size=1, max_size=3),
+       st.integers(1, 7), st.integers(0, 21))
+def test_carried_splits_match_scans_on_any_basis(basis, m_max, k_max):
+    _assert_carried_splits([Perm(q) for q in basis], m_max, k_max)
 
 
 def test_almost_decomposable_cases():
@@ -126,6 +159,10 @@ def test_almost_decomposable_cases():
 
 def test_f_map_examples():
     assert f_map(parse_perm("34152")) == parse_perm("241563")
+    assert f_map(identity(MAX_LENGTH - 1)) == identity(MAX_LENGTH)
+    # the image would pass the byte form's MAX_LENGTH entries
+    with pytest.raises(ValueError, match="length 65 exceeds the supported maximum 64"):
+        f_map(identity(MAX_LENGTH))
     assert f_map(parse_perm("2143")) == parse_perm("21354")
     with pytest.raises(ValueError):
         f_map(parse_perm("42513"))  # indecomposable, not almost decomposable
@@ -294,7 +331,9 @@ def test_table4_rows_small(n):
 def test_empty_pattern_is_rejected_before_any_walk(monkeypatch):
     import permseq.almost_decomp as ad
 
+    # compat_search walks iter_avoiders_upto, compat_table_row _split_walk
     monkeypatch.setattr(ad, "iter_avoiders_upto", None)
+    monkeypatch.setattr(ad, "_split_walk", None)
     message = "pattern length must be at least 1, got 0"
     with pytest.raises(ValueError, match=message):
         compat_search(Perm())
@@ -306,7 +345,7 @@ def test_pattern_length_past_the_bound_is_rejected(monkeypatch):
     # images reach n + 3 entries, which must stay within MAX_LENGTH
     import permseq.almost_decomp as ad
 
-    monkeypatch.setattr(ad, "iter_avoiders_upto", None)
+    monkeypatch.setattr(ad, "_split_walk", None)
     assert MAX_PATTERN_LENGTH + 3 == MAX_LENGTH
     message = f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {MAX_LENGTH - 2}"
     with pytest.raises(ValueError, match=message):
@@ -480,6 +519,13 @@ def test_difference_total_matches_row_difference():
 @pytest.mark.slow
 def test_table4_row_6():
     assert compat_table_row(6).columns == TABLE4[6]
+
+
+@pytest.mark.slow
+def test_row_6_matches_compat_search_on_a_sample():
+    row = compat_table_row(6)
+    for v in random.Random(6).sample(row.verdicts, 20):
+        assert compat_search(v.pattern) == v, v.pattern
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -305,6 +306,15 @@ def test_cmd_compat(tmp_path, capsys):
     by_pattern = {v["pattern"]: v for v in verdicts}
     assert by_pattern["1342"]["verdict"] == "incompatible-by-witness"
     assert "witness" in by_pattern["1342"]
+
+
+def test_compat_length_6_verdicts_are_pinned(tmp_path, capsys):
+    # every verdict and witness of Table 4 row 6, byte for byte
+    out_file = tmp_path / "verdicts.json"
+    assert main(["compat", "--length", "6", "--out", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "67bc47cbaca617cddfcd542adeaf3781dc40a9181e244184280c6846e418c1b9")
+    assert capsys.readouterr().out.endswith("| 6 | 425 | 447 | 451 | 62 | 66 | 88 |\n")
 
 
 PINNED_OUTPUTS = [
