@@ -21,13 +21,14 @@ split and those of p with its first entry, value 1, last entry or value n
 deleted. They decide the case with no scan. A deletion is one
 `DELETE_VALUE` translate, and an insertion one `INSERT_RANK` translate
 plus a slice. `compat_table_row` reads the five lengths off `_split_walk`,
-which carries them down the walk of Av(1324) from parent to child, so the
-sweep builds a `Perm` only for its patterns and their witnesses. The
-checked `Perm` entry points (`f_map`, `f_domain`, `almost_decomposable`,
-and `compat_search`, `check_1342_bound` and `difference_sets` through
-`_image`) scan the five with `perms.first_split` (`_splits`). Both
-classification theorems are read off one pass over a pattern's orbit under
-`perms.SYMMETRIES` (`_classify`).
+which takes the first split from the walk of Av(1324) and carries the four
+deletion lengths down it from parent to child, so the sweep builds a `Perm`
+only for its patterns and their witnesses. The checked `Perm` entry points
+(`f_map`, `f_domain`, `almost_decomposable`, and `compat_search`,
+`check_1342_bound` and `difference_sets` through `_image`) scan the five
+with `perms.first_split` (`_splits`). Both classification theorems are
+read off one pass over a pattern's orbit under `perms.SYMMETRIES`
+(`_classify`).
 
 `compat_table_row` reads the patterns each image gains off `Subpatterns`
 bitmasks, memoised by the same bytes.
@@ -164,15 +165,12 @@ def _split_walk(basis, m_max: int, k_max: int):
     """Yield (values, split, first, one, last, top) for every node of the
     walk of Av_{<=m_max}^{<=k_max}(basis), in its preorder
     (enumeration._walk): values is the node's byte form and the rest are
-    its five split lengths (`_splits`), carried down from its parent, not
-    scanned.
+    its five split lengths (`_splits`). split is the walk's own; the four
+    deletion lengths are carried down from the parent, not scanned.
 
-    A child of length m appending rank r splits where its parent does if
-    that is below a cutoff, and at its full length otherwise. This is the
-    walk's split rule (a child keeps the parent's split points below r and
-    adds its own length) read at the lowest split point, the only one a
-    first split needs. Deleting the child's
-    - nothing: the parent's split if below r, else m;
+    A child of length m appending rank r keeps a split below a cutoff and
+    otherwise splits at its full length, the walk's rule (enumeration
+    `_children`) applied to the child less one entry. Deleting the child's
     - last entry: leaves the parent, so the parent's split;
     - value 1: leaves the parent if r = 1, else the parent less its value 1
       with rank r - 1 appended: its split if below r - 1, else m - 1;
@@ -188,15 +186,14 @@ def _split_walk(basis, m_max: int, k_max: int):
     # level[t]: the splits of the last node of length t, split first, then
     # those with the first entry, value 1 and value t deleted
     level = [None] * (m_max + 1)
-    for values, _, _, _, _, _ in _walk(root, plans, m_max, k_max):
+    for values, _, _, split, _, _ in _walk(root, plans, m_max, k_max):
         m = len(values)
         if m == 1:
-            level[1] = (1, 2, 2, 2)  # 2: at or above every cutoff of a length-2 child
-            yield values, 1, 0, 0, 0, 0
+            level[1] = (split, 2, 2, 2)  # 2: at or above every cutoff of a length-2 child
+            yield values, split, 0, 0, 0, 0
             continue
         r = values[-1]
         last, first, one, top = level[m - 1]
-        split = last if last < r else m
         cut = r - 1 if values[0] < r else r
         if first >= cut:
             first = m - 1
@@ -228,20 +225,21 @@ def theorem_almost_decomp_check(n_max: int):
 def _classify(p: Perm) -> tuple[bool, bool]:
     """(classify_sufficient(p), classify_necessary(p)) from one pass over
     p's images under perms.SYMMETRIES, the last two being the
-    reverse-complement side."""
+    reverse-complement side. Every symmetry permutes p's components, so
+    their number is read once."""
     n = len(p)
+    comps = len(components(p))
+    if comps >= 3:
+        return True, True
     sufficient = necessary = False
     for i, (_name, symmetry) in enumerate(SYMMETRIES):
         q = symmetry(p)
         is_rc_side = i >= 2
-        comp_q = len(components(q))
-        if comp_q >= 3:
-            return True, True
         split = first_split(q)
         # deleting q[0] splits its component iff the body has more components
         body_splits = first_split(q, q[0]) < split - 1
         # q[1:] is the body: containment ignores standardization
-        shaped = (q[0] > 1 and comp_q == 2 and q[0] == split) or (
+        shaped = (q[0] > 1 and comps == 2 and q[0] == split) or (
             1 < q[0] < n and avoids(q[1:], [_P213]))
         # on the reverse-complement side the two theorems bound different ends
         sufficient = sufficient or ((not is_rc_side or q[0] < n - 1)

@@ -5,7 +5,7 @@ k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
 adds t+1-r inversions. `_walk` is the one walker, a generator over an
 explicit stack: it yields the nodes below a given node in preorder,
-children in ascending rank order, each as (values, inv, bad, splits, seen,
+children in ascending rank order, each as (values, inv, bad, split, seen,
 masks). values is the byte form of `perms`, one byte per entry, so a child
 is one translate of its parent's values plus one byte. `iter_avoiders_upto`
 streams that preorder and `generate_avoiders` keeps one length of it.
@@ -52,18 +52,19 @@ Counting tables by components. Every permutation is a unique direct sum
 c_1 (+) ... (+) c_m of indecomposables, with inv and length additive, and
 an indecomposable with k inversions has length at most k+1. So the table
 needs only the indecomposable avoiders with at most k_max inversions, which
-the pruned walk finds with two more masks per node:
+the pruned walk finds with two more fields per node:
 
-- Split-point mask. Bit s is set when the first s entries are 1..s. A child
-  appending rank r keeps the parent's splits below r and adds its own
-  length t+1; it is indecomposable iff its lowest split is t+1. A
-  decomposable child whose first component has length s1 only becomes
-  indecomposable after some later entry lands at rank <= s1, which costs at
-  least t+2-s1 inversions, so it is skipped when inv + t+2-s1 > k_max, and
-  always at the walk's last length. A node at the budget can then only
-  append rank t+2, which gives a skipped decomposable child, so it is a
-  leaf: it gets no masks and no fill. It is indecomposable too, since a
-  decomposable child at the budget is skipped.
+- First split. Every node of both walks carries split, the length of its
+  first component (its length when it is indecomposable). A child
+  appending rank r keeps the parent's split if that is below r, and is
+  otherwise indecomposable, splitting at its length t+1. A decomposable
+  child only becomes indecomposable after some later entry lands at rank
+  <= split, which costs at least t+2-split inversions, so the pruned walk
+  skips it when inv + t+2-split > k_max, and always at the walk's last
+  length. A node at the budget can then only append rank t+2, which gives
+  a skipped decomposable child, so it is a leaf: it gets no masks and no
+  fill. It is indecomposable too, since a decomposable child at the budget
+  is skipped.
 - Tracked-pattern masks. An occurrence of an indecomposable pattern lies in
   one component, so a basis pattern q = q_1 (+) ... (+) q_s can only be
   spread over several components through its consecutive sums
@@ -305,19 +306,22 @@ def _start(basis, tracked=None):
     plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
     bad = 2 if any(len(q) == 1 for q in basis) else 0
     masks = None if tracked is None else tuple((i, plan, 0) for i, plan in enumerate(tracked))
-    return plans, (b"", 0, bad, 0, 0, masks)
+    # split 1 is at or above the one rank the root appends, so its child,
+    # the one-entry node, is indecomposable
+    return plans, (b"", 0, bad, 1, 0, masks)
 
 
 def _children(node, plans, n_max, k_max):
     """The children of a node that has a bad mask, in ascending rank order.
 
-    A node is (values, inv, bad, splits, seen, masks), values being the
+    A node is (values, inv, bad, split, seen, masks), values being the
     byte form (perms.INSERT_RANK); a child's values are its parent's with
-    every byte >= r raised by one, then the byte r. In the full walk,
-    where masks is None, every avoider within the budget is a child, with
-    splits = seen = 0. The pruned walk yields only the nodes that lead to
-    indecomposable avoiders: splits is the split-point mask, bit i of seen is
-    set when the node contains tracked pattern i, masks lists (i, plan, mask)
+    every byte >= r raised by one, then the byte r. split is the length of
+    the first direct-sum component, the node's length when it is
+    indecomposable. In the full walk, where masks is None, every avoider
+    within the budget is a child, with seen = 0. The pruned walk yields only
+    the nodes that lead to indecomposable avoiders: bit i of seen is set
+    when the node contains tracked pattern i, masks lists (i, plan, mask)
     with its bad-rank mask for every tracked pattern i it does not contain,
     and a decomposable child is skipped when no indecomposable descendant of
     it fits the budget or the length. A child is a leaf, with bad = masks =
@@ -325,34 +329,29 @@ def _children(node, plans, n_max, k_max):
     budget: a leaf there can only append rank t+2, which gives a
     decomposable child that is always skipped.
     """
-    tau, inv, bad, splits, seen, masks = node
+    tau, inv, bad, split, seen, masks = node
     t = len(tau)
     floor = t + 1 - (k_max - inv)
     if floor < 1:
         floor = 1
     last = t + 1 == n_max
     pruned = masks is not None
-    top = t + 1
-    if last and splits:
-        # the pruned walk keeps only indecomposables at the last length, and
-        # appending a rank above the first split gives a decomposable child
-        top = (splits & -splits).bit_length() - 1
-    child_splits = child_seen = 0
+    child_seen = 0
     kids = []
-    for r in range(floor, top + 1):
+    for r in range(floor, t + 2):
         if bad >> r & 1:
             continue
         added = inv + t + 1 - r
+        if split < r:
+            # the child splits where its parent does; the pruned walk drops
+            # it unless a later entry at rank <= split, costing at least
+            # t + 2 - split inversions, can still make it indecomposable
+            if pruned and (last or added + t + 2 - split > k_max):
+                continue
+            child_split = split
+        else:
+            child_split = t + 1
         if pruned:
-            # the parent's splits below r survive, and the child is a split
-            child_splits = splits & ((1 << r) - 1)
-            if child_splits:
-                # a decomposable child becomes indecomposable only once a
-                # later entry lands below its first component (length s1),
-                # which costs at least t + 2 - s1 inversions
-                if added + t + 3 - (child_splits & -child_splits).bit_length() > k_max:
-                    continue
-            child_splits |= 1 << (t + 1)
             child_seen = seen
             for i, _, mask in masks:
                 if mask >> r & 1:
@@ -376,7 +375,7 @@ def _children(node, plans, n_max, k_max):
                     if not child_seen >> i & 1:
                         mask = (mask & low) | (mask >> r << (r + 1))
                         child_masks.append((i, plan, _fill(child, plan, child_floor, mask)))
-        kids.append((child, added, child_bad, child_splits, child_seen, child_masks))
+        kids.append((child, added, child_bad, child_split, child_seen, child_masks))
     return kids
 
 
@@ -441,8 +440,8 @@ def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
     """
     plans, root = _start(pattern_basis(basis), ())
     return [(tuple.__new__(Perm, vals), inv)
-            for vals, inv, _, splits, _, _ in _walk(root, plans, k_max + 1, k_max)
-            if splits == 1 << len(vals)]
+            for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max)
+            if split == len(vals)]
 
 
 # -- the component automaton ----------------------------------------------
@@ -570,8 +569,8 @@ _POOL_MIN_TALLY = 5000
 
 def _tally(nodes):
     """Count the indecomposables among pruned-walk nodes by (length, inv, seen)."""
-    return Counter((len(vals), inv, seen) for vals, inv, _, splits, seen, _ in nodes
-                   if splits == 1 << len(vals))
+    return Counter((len(vals), inv, seen) for vals, inv, _, split, seen, _ in nodes
+                   if split == len(vals))
 
 
 def _tally_subtree(args):

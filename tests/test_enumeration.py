@@ -1,4 +1,7 @@
+import concurrent.futures
+import hashlib
 import itertools
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +36,7 @@ from permseq.perms import (
     avoids,
     contains,
     direct_sum,
+    first_split,
     identity,
     inv_count,
     inverse,
@@ -220,10 +224,13 @@ def test_count_table_matches_brute_random(patterns, n_max, k_max):
 @given(basis_st, st.integers(2, 7), st.integers(0, 21))
 def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
     # every node's mask agrees with the brute-force scan at the ranks the
-    # walk can still append, those at or above the node's budget floor
+    # walk can still append, those at or above the node's budget floor, and
+    # every node the walk yields carries its first split
     basis = frozenset(patterns)
     plans, root = _start(basis)
-    for tau, inv, bad, _, _, _ in [root, *_walk(root, plans, n_max, k_max)]:
+    for tau, inv, bad, split, _, _ in [root, *_walk(root, plans, n_max, k_max)]:
+        # the root's split stays 1, at or above the one rank it appends
+        assert split == (first_split(tau) if tau else 1), tau
         if bad is None:
             continue
         t = len(tau)
@@ -328,19 +335,19 @@ def test_fill_matches_anchored_oracle(case):
 @settings(max_examples=100, deadline=None)
 @given(component_basis_st, st.integers(1, 8), st.integers(0, 12))
 def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
-    # every node of the pruned walk: its direct-sum splits, the tracked
+    # every node of the pruned walk: its first direct-sum split, the tracked
     # patterns it contains, and the masks of the basis and of the tracked
     # patterns it does not yet contain, which only the leaves lack
     basis = frozenset(patterns)
     tracked = _automaton(basis)[0]
     plans_tracked = tuple(_plan(q) for q in tracked)
     plans, root = _start(basis, plans_tracked)
-    for tau, inv, bad, splits, seen, masks in _walk(root, plans, n_max, k_max):
+    for tau, inv, bad, split, seen, masks in _walk(root, plans, n_max, k_max):
         t = len(tau)
-        assert splits == sum(1 << s for s in range(1, t + 1) if max(tau[:s]) == s), tau
+        assert split == first_split(tau), tau
         # the pruned walk yields only indecomposables at the last length
         # and at the budget
-        assert t < n_max and inv < k_max or splits == 1 << t, tau
+        assert t < n_max and inv < k_max or split == t, tau
         for i, q in enumerate(tracked):
             assert bool(seen >> i & 1) == contains(tau, q), (tau, q)
         # a leaf, at the last length or at the budget, gets no masks
@@ -473,6 +480,26 @@ def test_pool_jobs_carry_node_state(basis_text, n_max, k_max, monkeypatch):
     assert count_table(basis, n_max, k_max, threads=2).rows == rows
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     assert count_table(basis, n_max, k_max, threads=2).rows == rows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_length_5_basis_table_is_pinned(threads, monkeypatch):
+    # 21354 = 21 (+) 1 (+) 21 needs the general backtracking fill beside the
+    # tracked-sum masks, and its 8,764 indecomposables send 2 threads to the
+    # process pool
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = count_table(parse_basis("1324,21354"), 20, 14, threads=threads)
+    assert hashlib.sha256(table_to_csv(table).encode()).hexdigest() == (
+        "78c03efe9cbc95a765332e915319e2502f30f3abb09ed96c1dbb712ac1f8b484")
+    assert started == ([] if threads == 1 else [2])
 
 
 def test_row_differences_examples():
