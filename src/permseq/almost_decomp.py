@@ -314,8 +314,8 @@ MAX_PATTERN_LENGTH = MAX_LENGTH - 3
 
 
 def _check_pattern_length(n: int) -> None:
-    """The pattern length check shared by compat_search, compat_table_row
-    and Subpatterns."""
+    """The pattern length check shared by compat_search and Subpatterns,
+    which compat_table_row builds before its walk."""
     if n < 1:
         raise ValueError(f"pattern length must be at least 1, got {n}")
     if n > MAX_PATTERN_LENGTH:
@@ -465,7 +465,6 @@ def compat_table_row(n: int) -> CompatCounts:
     their split lengths, so f is applied with no scan and only the masks'
     memo grows with n.
     """
-    _check_pattern_length(n)
     patterns: list[Perm] = []
     witnesses: dict[Perm, tuple[Perm, Perm]] = {}
     unwitnessed = -1  # the patterns' bits that no pi has gained yet

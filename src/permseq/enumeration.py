@@ -32,14 +32,16 @@ last position. A child is derived from its parent's mask, not recomputed:
   The admissible new ranks form one interval fixed by the body roles valued
   q[-1] - 1 and q[-1] + 1; each complete placement ORs it in and
   backtracks to the lowest role that can still change it. For bodies of
-  length <= 3 (every pattern of length <= 4) role 0, placed last, is one
+  length 2 and 3 (patterns of length 3 and 4) role 0, placed last, is one
   bit-mask query: the values left of role 1 meet role 0's window or not,
   and where role 0 bounds the interval, their lowest or highest value in
   it bounds the union of its intervals. Such a fill needs no loop, or one
-  over role 1's positions. Longer bodies place every role in one iterative
-  backtracking loop over a value array whose two sentinel slots stand for
-  "no neighbour below" (0) and "none above" (t+1). The fill returns as
-  soon as every rank it could set already is bad.
+  over role 1's positions. Every other body places its roles in one
+  iterative backtracking loop over a value array whose two sentinel slots
+  stand for "no neighbour below" (0) and "none above" (t+1); a body of
+  length 1 is only the anchor, so the loop's first step ORs in its one
+  interval and returns. The fill returns as soon as every rank it could
+  set already is bad.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
   child, so ranks below it are never read in its subtree and the fill
@@ -81,10 +83,12 @@ the greedy prefix automaton: from state j a component moves to the largest
 j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and reaching s
 means q is contained. A DP over (state, n, k) then sums the sequences of
 components for every row, so the walk never goes deeper than k_max+1 and
-the table costs about the same for any n_max. With threads > 1, count_table
-walks its subtree jobs inline while their tallies project a small table,
-and only then starts a process pool of min(threads, CPU count, jobs left)
-workers for the rest (see _POOL_MIN_TALLY).
+the table costs about the same for any n_max. count_table walks one list
+of subtree jobs: the root alone with one worker or a shallow walk, else
+the subtrees below depth _SPLIT_DEPTH. It walks them inline while their
+tallies project a small table, and only then starts a process pool of
+min(threads, CPU count, jobs left) workers for the rest (see
+_POOL_MIN_TALLY).
 """
 
 from __future__ import annotations
@@ -170,14 +174,16 @@ def _fill(tau, plan, floor, bad):
     Only ranks floor .. t+1 are ever set, so the fill returns as soon as
     they all are.
 
-    A body of length <= 3 answers role 0 by one bit-mask query: `left`
+    A body of length 2 or 3 answers role 0 by one bit-mask query: `left`
     holds the values of the positions left of role 1, one bit fewer per
     position role 1's leftward scan passes, and role 0 is admissible iff
     `left` meets its window. Where role 0 bounds the interval, the lowest
-    or highest of those values bounds the union of its intervals. A longer
+    or highest of those values bounds the union of its intervals. Any other
     body places roles m1-2 .. 0 right to left in one backtracking loop,
     each at the positions left of its successor, and a complete placement
     backtracks to role `decided`: no role below it can change the interval.
+    A body of length 1 has no role to place, so the loop starts complete,
+    ORs in the anchor's interval and returns, `decided` being the anchor.
     """
     m1, below, above, lift, lo_role, hi_role, decided = plan
     t = len(tau)
@@ -187,16 +193,11 @@ def _fill(tau, plan, floor, bad):
     full = (1 << (t + 2)) - (1 << floor)
     if bad & full == full:
         return bad
-    if m1 <= 3:
+    if 2 <= m1 <= 3:
         # the windows and interval ends that no placed role moves: a slot is
         # the anchor (role m1-1) or a sentinel, 0 below or t+1 above
         lo_fix = anchor + 1 if lo_role == m1 - 1 else 1
         hi_fix = anchor if hi_role == m1 - 1 else t + 1
-        if m1 == 1:
-            lo = lo_fix if lo_fix > floor else floor
-            if lo <= hi_fix:
-                bad |= (1 << (hi_fix + 1)) - (1 << lo)
-            return bad
         b0 = below[0]
         a0 = above[0]
         low0 = anchor if b0 == m1 - 1 else 0
@@ -581,11 +582,13 @@ def _tally_subtree(args):
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     """Exact table of av_n^k(basis) for n <= n_max, k <= k_max.
 
-    With threads > 1 the subtrees below depth _SPLIT_DEPTH are jobs. They
-    are walked inline, in order, until the indecomposables found so far,
-    times the number of jobs over the jobs walked, exceed _POOL_MIN_TALLY;
-    the jobs left go to a process pool of min(threads, CPU count, jobs
-    left) workers. The table is the same either way.
+    The walk is split into a list of subtree jobs: the root alone with one
+    worker or a walk no deeper than _SPLIT_DEPTH, else the subtrees below
+    depth _SPLIT_DEPTH. Jobs are walked inline, in order, until the
+    indecomposables found so far, times the number of jobs over the jobs
+    walked, exceed _POOL_MIN_TALLY; the jobs left go to a process pool of
+    min(threads, CPU count, jobs left) workers. The table is the same
+    either way.
     """
     basis = pattern_basis(basis)
     check_table_bounds(n_max, k_max)
@@ -596,36 +599,35 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     depth = min(n_max, k_max + 1)
     # the pool starts every worker at once, so never ask for more than the CPUs
     workers = min(threads, os.cpu_count() or 1)
-    # one walk, not the job loop: that was 2-9 % slower on 8 tables (2-core VM)
-    if workers <= 1 or depth <= _SPLIT_DEPTH:
-        tally = _tally_subtree((node, plans, depth, k_max))
-    else:
+    parts = []
+    frontier = [node]
+    # one worker walks the root as its one job: depth-4 jobs were 2-9 % slower (2-core VM)
+    if workers > 1 and depth > _SPLIT_DEPTH:
         # the levels above the split depth run inline, where the leaves at
         # the budget are tallied and dropped; the rest are the jobs
-        tally = Counter()
-        frontier = [node]
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
                         for child in _children(parent, plans, depth, k_max)]
-            tally.update(_tally(frontier))
+            parts.append(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
-        jobs = [(node, plans, depth, k_max) for node in frontier]
-        found = walked = 0
-        while walked < len(jobs) and found * len(jobs) <= _POOL_MIN_TALLY * walked:
-            part = _tally_subtree(jobs[walked])
-            tally.update(part)
-            found += part.total()
-            walked += 1
-        jobs = jobs[walked:]
-        workers = min(workers, len(jobs))
-        parts = map(_tally_subtree, jobs)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    jobs = [(node, plans, depth, k_max) for node in frontier]
+    found = walked = 0
+    while walked < len(jobs) and found * len(jobs) <= _POOL_MIN_TALLY * walked:
+        parts.append(_tally_subtree(jobs[walked]))
+        found += parts[-1].total()
+        walked += 1
+    jobs = jobs[walked:]
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_tally_subtree, jobs, chunksize=1))
-        for part in parts:
-            tally.update(part)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts += pool.map(_tally_subtree, jobs, chunksize=1)
+    else:
+        parts += map(_tally_subtree, jobs)
+    tally = Counter()
+    for part in parts:
+        tally.update(part)
     rows = _component_rows(start, step, tally, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 

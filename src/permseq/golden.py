@@ -3,8 +3,10 @@
 The golden CSVs are versioned transcriptions of the reference data for the
 eleven representative pairs {1324, p}: a counts table (n <= 15, k <= 15)
 and a signed first-difference table for each. The check recomputes both
-from scratch and compares cell by cell, so a transcription slip and an
-engine bug cannot hide each other.
+from scratch, prints them as the `table` and `diff` commands do
+(tableio), and compares the printed cells with the embedded ones, blanks
+included, so a transcription slip and an engine bug cannot hide each
+other.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .enumeration import REPRESENTATIVE_PARTNERS, count_table, row_differences
-from .perms import max_inversions, parse_basis
-from .tableio import csv_to_cells
+from .perms import parse_basis
+from .tableio import csv_to_cells, diffs_to_csv, table_to_csv
 
 GOLDEN_PARTNERS = REPRESENTATIVE_PARTNERS[1:]
 
@@ -62,16 +64,13 @@ def check_partner(partner: str, threads: int = 1) -> list[GoldenResult]:
             raise ValueError(f"golden {golden.kind} table of 1324,{partner} must have rows "
                              f"n = 1..{n_rows} of cells k = 0..{K_MAX}")
     table = count_table(parse_basis(f"1324,{partner}"), N_MAX, K_MAX, threads=threads)
+    # the cells as `table` and `diff` print them, blank beyond the inversion cap
+    printed = (table_to_csv(table), diffs_to_csv(table, row_differences(table)))
     results = []
-    # a difference row n spans lengths n and n + 1, so the longer one caps it
-    for golden, got_rows, shift in zip(goldens, (table.rows, row_differences(table)), (0, 1)):
-        mism: list[tuple[int, int, int | None, int | None]] = []
-        for n, want_row in sorted(golden.cells.items()):
-            for k, want in enumerate(want_row):
-                got = got_rows[n - 1][k]
-                blank = want is None and k > max_inversions(n + shift)
-                if got != (0 if blank else want):
-                    mism.append((n, k, want, got))
+    for golden, text in zip(goldens, printed):
+        got_cells = csv_to_cells(text)
+        mism = [(n, k, want, got) for n, want_row in sorted(golden.cells.items())
+                for k, (want, got) in enumerate(zip(want_row, got_cells[n])) if want != got]
         results.append(GoldenResult(partner=partner, kind=golden.kind, mismatches=mism))
     return results
 

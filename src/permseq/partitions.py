@@ -216,11 +216,8 @@ def _validate_overpartition(over: Overpartition) -> None:
     vals = [v for v, _ in over]
     check_partition(vals)
     for i, (v, lined) in enumerate(over):
-        if lined:
-            if i > 0 and over[i - 1][0] == v:
-                raise ValueError("only the first occurrence of a part may be overlined")
-        if i > 0 and over[i - 1][0] == v and over[i - 1][1] < lined:
-            raise ValueError("overlined part must precede equal plain parts")
+        if lined and i > 0 and over[i - 1][0] == v:
+            raise ValueError("only the first occurrence of a part may be overlined")
 
 
 def overpartitions_of(k: int) -> list[Overpartition]:

@@ -155,6 +155,9 @@ def test_almost_decomposable_cases():
     assert case.tag == "F2" and case.witness == 1
     # all four boundary deletions stay indecomposable here
     assert almost_decomposable(parse_perm("42513")) is None
+    # the empty permutation has no entry to delete, so f is undefined on it
+    assert almost_decomposable(Perm()) is None
+    assert f_domain(Perm()) is False
 
 
 def test_f_map_examples():

@@ -353,6 +353,9 @@ PINNED_OUTPUTS = [
     (["inject", "--perm", "321"],
      "3214\n"
      "# branch 1\n"),
+    # the series alone, without --compare-table
+    (["gf", "--name", "1324,1342", "--k", "8"],
+     "1,2,4,8,14,24,40,64,100\n"),
 ]
 
 
@@ -379,6 +382,42 @@ def test_cmd_golden_detects_corruption(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "(n=5, k=3)" in out
+
+
+@pytest.mark.parametrize("kind, n, k, value, line", [
+    # length 2 has at most one inversion, so `table` prints k = 3 blank
+    ("counts", 2, 3, 0, "cell (n=2, k=3): golden 0, computed None"),
+    # difference row 1 spans lengths 1 and 2: k = 1 is printed, k = 2 blank
+    ("diffs", 1, 1, None, "cell (n=1, k=1): golden None, computed 1"),
+    ("diffs", 1, 2, 0, "cell (n=1, k=2): golden 0, computed None"),
+])
+def test_golden_compares_the_printed_cells(capsys, monkeypatch, kind, n, k, value, line):
+    # one embedded cell changed: the golden check diffs it against the CSV
+    # that `table` and `diff` print, blanks beyond the inversion cap included
+    import permseq.golden as gold
+
+    real = gold.load_golden
+
+    def changed(partner, got_kind):
+        table = real(partner, got_kind)
+        cells = {m: list(row) for m, row in table.cells.items()}
+        if got_kind == kind:
+            cells[n][k] = value
+        return gold.GoldenTable(partner=partner, kind=got_kind, cells=cells)
+
+    monkeypatch.setattr(gold, "load_golden", changed)
+    assert main(["golden", "--partner", "1342"]) == EXIT_GOLDEN_MISMATCH
+    out = capsys.readouterr().out.splitlines()
+    assert f"FAIL 1324,1342 {kind}" in out
+    assert f"  {line}" in out
+    assert out[-1] == "1/2 tables match"
+
+
+def test_load_golden_rejects_an_unknown_kind():
+    from permseq.golden import load_golden
+
+    with pytest.raises(ValueError, match="^kind must be counts or diffs, not 'bogus'$"):
+        load_golden("1342", "bogus")
 
 
 def _cut(cells):
@@ -736,3 +775,31 @@ def test_one_cpu_builds_no_pool(serial_pool, monkeypatch):
     assert count_table(basis, 7, 6, threads=2) == count_table(basis, 7, 6)
     assert main(["golden", "--partner", "1342", "--threads", "2"]) == 0
     assert serial_pool == []
+
+
+@pytest.mark.parametrize("threads, cpus, n_max, k_max", [
+    (1, 2, 10, 9),
+    (2, 1, 10, 9),
+    # a walk no deeper than the split depth: min(n_max, k_max + 1) = 4
+    (2, 2, 8, 3),
+])
+def test_one_worker_walks_the_root_as_its_one_job(serial_pool, monkeypatch,
+                                                 threads, cpus, n_max, k_max):
+    basis = parse_basis("1324,2143")
+    # the reference on two workers, which split a walk deeper than 4 into depth-4 jobs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = count_table(basis, n_max, k_max, threads=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    real = enumeration._tally_subtree
+    jobs = []
+
+    def spy(job):
+        jobs.append(job)
+        return real(job)
+
+    monkeypatch.setattr(enumeration, "_tally_subtree", spy)
+    assert count_table(basis, n_max, k_max, threads=threads) == want
+    # one call, on the root: no entries, no inversions, no tracked pattern seen
+    [(node, _, depth, budget)] = jobs
+    assert node[:2] == (b"", 0) and node[4] == 0
+    assert (depth, budget) == (min(n_max, k_max + 1), k_max)

@@ -129,6 +129,21 @@ def test_generate_avoiders_guards():
         generate_avoiders(parse_basis("21"), -1, 3)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: generate_avoiders(parse_basis("21"), 3, -1),
+     ValueError, "inversion budget must be nonnegative"),
+    (lambda: count_table(["1324"], 4, 3).value(5, 0), IndexError, r"cell \(5, 0\) outside table"),
+    (lambda: count_table(["1324"], 4, 3).value(4, 4), IndexError, r"cell \(4, 4\) outside table"),
+    (lambda: symmetry_representative(["1234", "2143"]),
+     ValueError, "expected a pair containing 1324"),
+    (lambda: symmetry_representative(["1324", "231"]),
+     ValueError, "the partner pattern must have length 4"),
+])
+def test_enumeration_inputs_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_walk_past_the_length_cap_is_a_value_error():
     # the byte tables stop at MAX_LENGTH, so each walk checks its longest
     # length before the first node; indecomposables_upto walks to k_max + 1

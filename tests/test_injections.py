@@ -68,6 +68,16 @@ def test_lemma_delete_examples():
         lemma_delete(parse_perm("312"), 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: arm_profile(Perm()), "permutation must be nonempty"),
+    # 21 has two entries, so one insertion adds at most 2 inversions
+    (lambda: lemma_insert(parse_perm("21"), 3), r"r must be in 0\.\.2"),
+])
+def test_arm_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_lemma_insert_unique_and_exhaustive(n):
     for p in arm_class(n):

@@ -5,6 +5,7 @@ from permseq.enumeration import count_table, generate_avoiders, iter_avoiders_up
 from permseq.golden import GOLDEN_PARTNERS
 from permseq.partitions import (
     FAMILY_TESTS,
+    check_partition,
     family_counts,
     family_sides,
     indecomposable_avoiders,
@@ -51,6 +52,20 @@ def test_lambda_examples():
         lambda_map(parse_perm("12"))  # decomposable
     with pytest.raises(ValueError):
         lambda_map(parse_perm("132"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_partition((2, 0)), r"parts must be positive: \(2, 0\)"),
+    (lambda: check_partition((1, 2)), r"parts must be weakly decreasing: \(1, 2\)"),
+    # 2413 is indecomposable, but 243 is an occurrence of 132
+    (lambda: lambda_map(parse_perm("2413")), "permutation must avoid 132"),
+    # a part is overlined at its first occurrence only: 2 then 2-bar is not
+    (lambda: overpartition_split(((2, False), (2, True))),
+     "only the first occurrence of a part may be overlined"),
+])
+def test_partition_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("k", range(0, 11))

@@ -157,6 +157,16 @@ def test_av_1324_1342_values():
         av_1324_1342(7, 9)  # outside n >= (k+7)/2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: partition_gf(4).shift(-1), "shift must be nonnegative"),
+    # n = 5 meets n >= (k+7)/2 for k = -1, so the budget check answers
+    (lambda: av_1324_1342(5, -1), "k must be nonnegative"),
+])
+def test_series_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_secondary_gf_1342():
     s = secondary_gf_1342(10, 16)
     assert all(s[k] == 0 for k in range(9))
