@@ -26,9 +26,8 @@ deletion lengths down it from parent to child, so the sweep builds a `Perm`
 only for its patterns and their witnesses. The checked `Perm` entry points
 (`f_map`, `f_domain`, `almost_decomposable`, and `compat_search`,
 `check_1342_bound` and `difference_sets` through `_image`) scan the five
-with `perms.first_split` (`_splits`). Both classification theorems are
-read off one pass over a pattern's orbit under `perms.SYMMETRIES`
-(`_classify`).
+with `perms.first_split` (`_splits`). `classify` reads both classification
+theorems off one pass over a pattern's orbit under `perms.SYMMETRIES`.
 
 `compat_table_row` reads the patterns each image gains off `Subpatterns`
 bitmasks, memoised by the same bytes.
@@ -222,11 +221,19 @@ def theorem_almost_decomp_check(n_max: int):
 
 # -- compatibility classification -------------------------------------------
 
-def _classify(p: Perm) -> tuple[bool, bool]:
-    """(classify_sufficient(p), classify_necessary(p)) from one pass over
-    p's images under perms.SYMMETRIES, the last two being the
-    reverse-complement side. Every symmetry permutes p's components, so
-    their number is read once."""
+def classify(p: Perm) -> tuple[bool, bool]:
+    """(sufficient, necessary) for f-incompatibility of the pattern p, both
+    theorems read off one pass over p's images under perms.SYMMETRIES.
+
+    - Sufficient: True certifies that f breaks p-avoidance somewhere.
+    - Necessary: True means p may be incompatible; False certifies
+      compatibility. On the reverse-complement side of the orbit (the last
+      two symmetries), its two-component and 213-avoiding-body conditions
+      additionally require the last entry to be below the maximum; this is
+      what the reference classification counts use.
+
+    Every symmetry permutes p's components, so their number is read once.
+    """
     n = len(p)
     comps = len(components(p))
     if comps >= 3:
@@ -248,24 +255,6 @@ def _classify(p: Perm) -> tuple[bool, bool]:
         if sufficient and necessary:
             break
     return sufficient, necessary
-
-
-def classify_necessary(p: Perm) -> bool:
-    """Necessary condition for f-incompatibility: True means p may be
-    incompatible, False certifies compatibility.
-
-    On the reverse-complement side of the orbit, the two-component and
-    213-avoiding-body conditions additionally require the last entry to be
-    below the maximum; this is what the reference classification counts
-    use.
-    """
-    return _classify(p)[1]
-
-
-def classify_sufficient(p: Perm) -> bool:
-    """Sufficient condition for f-incompatibility: True certifies that f
-    breaks p-avoidance somewhere."""
-    return _classify(p)[0]
 
 
 def corollary_families(p: Perm) -> bool:
@@ -296,8 +285,8 @@ class CompatVerdict:
 
 def _verdict(p: Perm, witness, sufficient: bool, necessary: bool) -> CompatVerdict:
     """Combine both theorems with the witness search for a 1324-avoider p:
-    witness is the (pi, f(pi)) found for p, or None, and sufficient and
-    necessary are classify_sufficient(p) and classify_necessary(p).
+    witness is the (pi, f(pi)) found for p, or None, and (sufficient,
+    necessary) is classify(p).
     """
     if sufficient:
         return CompatVerdict(p, "incompatible-by-theorem", witness)
@@ -344,7 +333,7 @@ def compat_search(p: Perm) -> CompatVerdict:
         if image is not None and contains(image, p):
             witness = (pi, image)
             break
-    return _verdict(p, witness, *_classify(p))
+    return _verdict(p, witness, *classify(p))
 
 
 @dataclass(frozen=True)
@@ -377,7 +366,10 @@ class Subpatterns:
     of p is memoised over one-point deletions: a single bit when
     len(p) == n, 0 when len(p) < n, and otherwise the OR of the masks of p
     with one entry deleted (every length-n pattern of p survives in some
-    such deletion, and each deletion's patterns are patterns of p).
+    such deletion, and each deletion's patterns are patterns of p). Deleting
+    either of two entries adjacent in position and value gives the same
+    permutation, and the second is one memo hit: skipping it saved at most
+    a few percent of compat_table_row(4..7) (2-core VM).
 
     The memo is keyed by p's byte form (`perms`), so deleting a value is
     one bytes.translate. `mask` and `gained_mask` take any sequence and
@@ -411,21 +403,14 @@ class Subpatterns:
         return got
 
     def _deletions(self, p: bytes) -> int:
-        """The OR of the masks of p with one entry deleted.
-
-        Deleting p[i] gives the same permutation as deleting p[i-1] when the
-        two are adjacent in value, so each distinct deletion is built once.
-        """
+        """The OR of the masks of p with one entry deleted."""
         got = 0
-        prev = -1
         # bound as locals: read as globals, they slow the loop
         lower, drop, masks = DELETE_VALUE, BYTE, self._masks
         for v in p:
-            if v - prev != 1 and prev - v != 1:
-                q = p.translate(lower[v], drop[v])
-                # a memoised mask is never 0: it has at least one pattern
-                got |= masks.get(q) or self._mask(q)
-            prev = v
+            q = p.translate(lower[v], drop[v])
+            # a memoised mask is never 0: it has at least one pattern
+            got |= masks.get(q) or self._mask(q)
         return got
 
     def gained_mask(self, pi: Sequence[int], image: Sequence[int]) -> int:
@@ -488,7 +473,7 @@ def compat_table_row(n: int) -> CompatCounts:
             witness = (tuple.__new__(Perm, pi), tuple.__new__(Perm, image))
             for p in subpatterns.decode(bits):
                 witnesses[p] = witness
-    theorems = [_classify(p) for p in patterns]
+    theorems = [classify(p) for p in patterns]
     n_suff = sum(s for s, _ in theorems)
     n_nec = sum(c for _, c in theorems)
     wit = sum(1 for p in patterns if p in witnesses)

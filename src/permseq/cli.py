@@ -153,7 +153,7 @@ def cmd_limit(args) -> int:
     table = cached_count_table(args.basis, args.n, args.k, args.cache_dir, args.threads)
     report = limit_report(table)
     for k in range(report.k_max + 1):
-        if report.status[k] == "stabilized":
+        if report.m[k] is not None:
             print(f"k={k}: c_k={report.c[k]} from n={report.m[k]}")
         else:
             print(f"k={k}: unstable within range (last value {report.c[k]})")
@@ -212,10 +212,10 @@ def cmd_gf(args) -> int:
     report = limit_report(table)
     ok = True
     for k in range(args.k + 1):
-        if report.status[k] != "stabilized" or report.c[k] != series[k]:
+        if report.m[k] is None or report.c[k] != series[k]:
             ok = False
-            print(f"MISMATCH at k={k}: series {series[k]}, table {report.c[k]} "
-                  f"({report.status[k]})")
+            status = "unstable-within-range" if report.m[k] is None else "stabilized"
+            print(f"MISMATCH at k={k}: series {series[k]}, table {report.c[k]} ({status})")
     print("series matches stabilized table" if ok else "comparison failed")
     return 0 if ok else EXIT_GF_MISMATCH
 

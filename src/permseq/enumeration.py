@@ -432,17 +432,21 @@ def iter_avoiders_upto(basis, n_max: int, k_max: int):
         yield tuple.__new__(Perm, vals), inv
 
 
-def indecomposables_upto(basis, k_max: int) -> list[tuple[Perm, int]]:
-    """(perm, inv) for every indecomposable basis-avoider with inv <= k_max.
+def indecomposables_upto(basis, k_max: int) -> list[list[Perm]]:
+    """[I_0, ..., I_{k_max}]: I_k holds the indecomposable basis-avoiders
+    with exactly k inversions, ordered by length, then lexicographically.
 
     An indecomposable permutation of length n has at least n - 1
-    inversions, so the pruned walk stops at length k_max + 1. The order is
-    the walk's preorder.
+    inversions, so one pruned walk to length k_max + 1 fills every bucket.
     """
     plans, root = _start(pattern_basis(basis), ())
-    return [(tuple.__new__(Perm, vals), inv)
-            for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max)
-            if split == len(vals)]
+    buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
+    for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max):
+        if split == len(vals):
+            buckets[inv].append(tuple.__new__(Perm, vals))
+    for bucket in buckets:
+        bucket.sort(key=lambda p: (len(p), p))
+    return buckets
 
 
 # -- the component automaton ----------------------------------------------
@@ -702,11 +706,6 @@ class LimitReport:
     k_max: int
     c: tuple[int, ...]
     m: tuple[int | None, ...]
-
-    @property
-    def status(self) -> tuple[str, ...]:
-        return tuple("unstable-within-range" if m is None else "stabilized"
-                     for m in self.m)
 
 
 def limit_depth(basis, k: int) -> int:

@@ -40,26 +40,10 @@ _BASIS_1324_231 = (parse_perm("1324"), _P231)
 
 # -- the {213, 231} arm lemma ---------------------------------------------
 
-@dataclass(frozen=True)
-class ArmProfile:
-    """Upper/lower arm sizes of an indecomposable {213,231}-avoider.
-
-    Entries above the last one form the decreasing upper arm; the rest,
-    including the last entry, form the increasing lower arm.
-    """
-
-    upper: int
-    lower: int
-
-
-def arm_profile(p: Perm) -> ArmProfile:
-    _require_arm_shape(p)
-    cut = p[-1]
-    upper = sum(1 for v in p if v > cut)
-    return ArmProfile(upper=upper, lower=len(p) - upper)
-
-
 def _require_arm_shape(p: Perm) -> None:
+    """Check that p is a nonempty indecomposable {213,231}-avoider. The
+    entries above its last entry form the decreasing upper arm; the rest,
+    the last entry among them, form the increasing lower arm."""
     if len(p) == 0:
         raise ValueError("permutation must be nonempty")
     if is_decomposable(p):

@@ -16,7 +16,6 @@ from .enumeration import indecomposables_upto
 from .perms import (
     Perm,
     avoids,
-    from_lehmer,
     inverse,
     is_decomposable,
     lehmer_code,
@@ -58,7 +57,7 @@ def partitions_of(k: int) -> Iterator[Partition]:
 def lambda_map(p: Perm) -> Partition:
     """Lehmer code with trailing zeros removed; defined on indecomposable
     132-avoiders, where it is a partition of inv(p)."""
-    if is_decomposable(p):
+    if not p or is_decomposable(p):
         raise ValueError("permutation must be indecomposable")
     if not avoids(p, [parse_perm("132")]):
         raise ValueError("permutation must avoid 132")
@@ -68,34 +67,9 @@ def lambda_map(p: Perm) -> Partition:
     return tuple(code)
 
 
-def lambda_inverse(parts: Sequence[int]) -> Perm:
-    """The unique indecomposable 132-avoider whose code is the partition."""
-    parts = check_partition(parts)
-    if not parts:
-        return Perm((1,))
-    n = max(v + i for i, v in enumerate(parts, start=1))
-    code = list(parts) + [0] * (n - len(parts))
-    return from_lehmer(code)
-
-
-def indecomposable_buckets(basis, k_max: int) -> list[list[Perm]]:
-    """[I_0(basis), ..., I_{k_max}(basis)] from one pruned walk of the
-    indecomposable basis-avoiders with at most k_max inversions.
-
-    I_k(basis) holds the indecomposable basis-avoiders with exactly k
-    inversions. Each bucket is ordered by length, then lexicographically.
-    """
-    buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
-    for p, k in indecomposables_upto(basis, k_max):
-        buckets[k].append(p)
-    for bucket in buckets:
-        bucket.sort(key=lambda p: (len(p), p))
-    return buckets
-
-
 def indecomposable_avoiders(basis, k: int) -> list[Perm]:
     """I_k(basis): indecomposable basis-avoiders with exactly k inversions."""
-    return indecomposable_buckets(basis, k)[k] if k >= 0 else []
+    return indecomposables_upto(basis, k)[k] if k >= 0 else []
 
 
 # -- partition families ---------------------------------------------------
@@ -117,26 +91,6 @@ def is_spm(parts: Sequence[int]) -> bool:
             return False
         pending = (pending or mult == 2) and drop < 2
     return True
-
-
-def spm_generate(k: int) -> set[Partition]:
-    """SPM(k) by closure under moving a unit from a part to the next one."""
-    start: Partition = (k,) if k else ()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        lam = frontier.pop()
-        padded = list(lam) + [0]
-        for i in range(len(lam)):
-            if padded[i] >= padded[i + 1] + 2:
-                nxt = padded.copy()
-                nxt[i] -= 1
-                nxt[i + 1] += 1
-                new = tuple(v for v in nxt if v > 0)
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
-    return seen
 
 
 def is_steep(parts: Sequence[int]) -> bool:
@@ -186,54 +140,6 @@ def max_distinct_parts(m: int) -> Callable[[Sequence[int]], bool]:
     return test
 
 
-# -- overpartitions -------------------------------------------------------
-
-Overpartition = tuple[tuple[int, bool], ...]
-
-
-def overpartition_merge(plain: Sequence[int], distinct: Sequence[int]) -> Overpartition:
-    """Merge a partition with a distinct-parts partition into an
-    overpartition: the distinct parts are overlined, and each overlined part
-    precedes the equal plain parts."""
-    plain = check_partition(plain)
-    distinct = check_partition(distinct)
-    if len(set(distinct)) != len(distinct):
-        raise ValueError("second partition must have distinct parts")
-    merged = [(v, True) for v in distinct] + [(v, False) for v in plain]
-    merged.sort(key=lambda pv: (-pv[0], not pv[1]))
-    return tuple(merged)
-
-
-def overpartition_split(over: Overpartition) -> tuple[Partition, Partition]:
-    """Inverse of overpartition_merge."""
-    _validate_overpartition(over)
-    plain = tuple(v for v, lined in over if not lined)
-    distinct = tuple(v for v, lined in over if lined)
-    return plain, distinct
-
-
-def _validate_overpartition(over: Overpartition) -> None:
-    vals = [v for v, _ in over]
-    check_partition(vals)
-    for i, (v, lined) in enumerate(over):
-        if lined and i > 0 and over[i - 1][0] == v:
-            raise ValueError("only the first occurrence of a part may be overlined")
-
-
-def overpartitions_of(k: int) -> list[Overpartition]:
-    """All overpartitions of k: each subset of part values may be overlined
-    at its first occurrence."""
-    out = []
-    for lam in partitions_of(k):
-        runs = _runs(lam)
-        for mask in range(1 << len(runs)):
-            over: list[tuple[int, bool]] = []
-            for i, (v, mult, _) in enumerate(runs):
-                over += [(v, bool(mask >> i & 1))] + [(v, False)] * (mult - 1)
-            out.append(tuple(over))
-    return out
-
-
 # -- family verification --------------------------------------------------
 
 FAMILY_TESTS: dict[str, Callable[[Sequence[int]], bool]] = {
@@ -254,7 +160,7 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
     132- and partner-avoiders, the right by filtering all partitions of k.
     """
     basis = [parse_perm("132"), parse_perm(partner)]
-    for k, bucket in enumerate(indecomposable_buckets(basis, k_max)):
+    for k, bucket in enumerate(indecomposables_upto(basis, k_max)):
         left = {lambda_map(p) for p in bucket}
         right = {lam for lam in partitions_of(k) if family_test(lam)}
         yield left, right
@@ -262,8 +168,8 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:
     """The map p -> rc(inverse(p)) carries I_k(213, 2431) onto I_k(132, 3241)."""
-    sources = indecomposable_buckets([parse_perm("213"), parse_perm("2431")], k_max)
-    targets = indecomposable_buckets([parse_perm("132"), parse_perm("3241")], k_max)
+    sources = indecomposables_upto([parse_perm("213"), parse_perm("2431")], k_max)
+    targets = indecomposables_upto([parse_perm("132"), parse_perm("3241")], k_max)
     return [(k, {reverse_complement(inverse(p)) for p in source} == set(target))
             for k, (source, target) in enumerate(zip(sources, targets))]
 

@@ -102,8 +102,14 @@ def parse_basis(text: str) -> frozenset[Perm]:
 
 
 def basis_key(basis: Iterable[Sequence[int]]) -> str:
-    """Canonical text form of a basis, for display and cache keys."""
-    return ",".join(sorted((format_perm(p) for p in basis), key=lambda s: (len(s), s)))
+    """Canonical text form of a basis, for display and cache keys, which
+    parse_basis reads back. A pattern of 10 or more entries is written with
+    commas, which parse_basis would split, so it is a ValueError."""
+    texts = sorted((format_perm(p) for p in basis), key=lambda s: (len(s), s))
+    for text in texts:
+        if "," in text:
+            raise ValueError(f"pattern {text} has no text form in a basis")
+    return ",".join(texts)
 
 
 # -- statistics ---------------------------------------------------------

@@ -22,10 +22,8 @@ from permseq.injections import (
 from permseq.partitions import (
     FAMILY_TESTS,
     indecomposable_avoiders,
-    lambda_inverse,
     lambda_map,
     partitions_of,
-    spm_generate,
     is_spm,
 )
 from permseq.perms import (
@@ -40,7 +38,7 @@ from permseq.perms import (
 )
 from permseq.series import av_1324_1342, named_gf
 
-from oracles import all_perms
+from oracles import all_perms, lambda_inverse, spm_generate
 
 P1324 = parse_perm("1324")
 P1342 = parse_perm("1342")
@@ -166,7 +164,7 @@ def test_criterion_7_gf_catalogue():
         series = named_gf(f"1324,{partner}", k_max)
         table = count_table(parse_basis(f"1324,{partner}"), k_max + 2 + 4, k_max)
         rep = limit_report(table)
-        assert all(s == "stabilized" for s in rep.status), partner
+        assert None not in rep.m, partner
         assert list(rep.c) == list(series.coeffs), partner
     _announce(7, "all eleven limit generating functions match stabilized tables, k <= 12")
 

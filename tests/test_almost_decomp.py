@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from permseq.almost_decomp import (
     MAX_PATTERN_LENGTH,
     Subpatterns,
-    _classify,
     _f,
     _split_walk,
     almost_decomposable,
     check_1342_bound,
-    classify_necessary,
-    classify_sufficient,
+    classify,
     compat_search,
     compat_table_row,
     corollary_families,
@@ -203,16 +201,16 @@ def test_theorem_almost_decomp():
 
 
 def test_classification_examples():
-    compat4 = {p for p in generate_avoiders([P1324], 4, 6) if not classify_necessary(p)}
+    compat4 = {p for p in generate_avoiders([P1324], 4, 6) if not classify(p)[1]}
     assert compat4 == parse_basis("1432,4231,4321")
     # flanked inversions are flagged through the three-component condition
-    assert classify_necessary(parse_perm("1243"))
-    assert classify_sufficient(parse_perm("1243"))
+    assert classify(parse_perm("1243")) == (True, True)
     # sufficient implies necessary
     for n in range(3, 7):
         for p in generate_avoiders([P1324], n, n * (n - 1) // 2):
-            if len(p) == n and classify_sufficient(p):
-                assert classify_necessary(p)
+            sufficient, necessary = classify(p)
+            if len(p) == n and sufficient:
+                assert necessary
 
 
 def _symmetry_orbit(p):
@@ -267,8 +265,7 @@ def test_one_orbit_pass_matches_reference_theorems(n):
     # every pattern, not only the 1324-avoiders the Table 4 rows sum over
     for p in all_perms(n):
         want = (sufficient_reference(p), necessary_reference(p))
-        assert _classify(p) == want, p
-        assert (classify_sufficient(p), classify_necessary(p)) == want, p
+        assert classify(p) == want, p
 
 
 def test_corollary_families():
@@ -277,7 +274,7 @@ def test_corollary_families():
     assert not corollary_families(parse_perm("34125"))
     # corollary members are never flagged by the necessary conditions
     for text in ("4231", "4321", "52341", "54321", "1432"):
-        assert not classify_necessary(parse_perm(text))
+        assert not classify(parse_perm(text))[1]
 
 
 def test_compatible_patterns_length_5():
@@ -309,13 +306,14 @@ def test_verdict_lattice_consistency():
         for v in compat_table_row(n).verdicts:
             p = v.pattern
             assert len(p) == n
+            sufficient, necessary = classify(p)
             if v.verdict == "incompatible-by-theorem":
-                assert classify_sufficient(p) and classify_necessary(p)
+                assert sufficient and necessary
             elif v.verdict == "incompatible-by-witness":
-                assert classify_necessary(p)
-                assert not classify_sufficient(p)
+                assert necessary
+                assert not sufficient
             elif v.verdict == "compatible-by-theorem":
-                assert not classify_sufficient(p)
+                assert not sufficient
 
 
 TABLE4 = {

@@ -18,7 +18,7 @@ from permseq.cli import (
 )
 import permseq.enumeration as enumeration
 from permseq.enumeration import ENGINE_VERSION, count_table, row_differences
-from permseq.perms import parse_basis
+from permseq.perms import identity, parse_basis
 from permseq.tableio import (
     csv_to_cells,
     diffs_to_csv,
@@ -50,6 +50,13 @@ def test_json_roundtrip():
     t = count_table(parse_basis("1324,2341"), 7, 7)
     again = table_from_json(table_to_json(t))
     assert again == t
+
+
+def test_json_refuses_a_basis_without_text_form():
+    # the pattern 1,2,...,10 would read back as ten patterns
+    t = count_table([identity(10)], 4, 2)
+    with pytest.raises(ValueError, match="^pattern 1,2,3,4,5,6,7,8,9,10 has no text form"):
+        table_to_json(t)
 
 
 @pytest.mark.parametrize("text", [
@@ -265,6 +272,21 @@ def test_cmd_gf_reports_a_mismatch(capsys, monkeypatch):
     assert capsys.readouterr().out == (
         "1,2,4,9,14,24\n"
         "MISMATCH at k=3: series 9, table 8 (stabilized)\n"
+        "comparison failed\n")
+
+
+def test_cmd_gf_reports_an_unstable_column(capsys, monkeypatch):
+    import permseq.cli as cli
+
+    real = cli.limit_depth
+    # two rows short of limit_depth: columns 4 and 5 are not stabilized
+    monkeypatch.setattr(cli, "limit_depth", lambda basis, k: real(basis, k) - 2)
+    rc = main(["gf", "--name", "1324,1342", "--k", "5", "--compare-table"])
+    assert rc == EXIT_GF_MISMATCH
+    assert capsys.readouterr().out == (
+        "1,2,4,8,14,24\n"
+        "MISMATCH at k=4: series 14, table 14 (unstable-within-range)\n"
+        "MISMATCH at k=5: series 24, table 24 (unstable-within-range)\n"
         "comparison failed\n")
 
 

@@ -2,8 +2,6 @@ import pytest
 
 from permseq.enumeration import count_table, generate_avoiders, monotonicity_scan
 from permseq.injections import (
-    ArmProfile,
-    arm_profile,
     basis_extend,
     induced_injection,
     inject_1324_231,
@@ -42,14 +40,6 @@ def arm_class(n):
     ]
 
 
-def test_arm_profile():
-    p = parse_perm("87162354")
-    prof = arm_profile(p)
-    assert prof == ArmProfile(upper=4, lower=4)
-    with pytest.raises(ValueError):
-        arm_profile(parse_perm("12"))
-
-
 def test_lemma_insert_examples():
     assert lemma_insert(Perm((1,)), 0) == parse_perm("12")
     assert lemma_insert(Perm((1,)), 1) == parse_perm("21")
@@ -69,7 +59,8 @@ def test_lemma_delete_examples():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: arm_profile(Perm()), "permutation must be nonempty"),
+    (lambda: lemma_insert(Perm(), 0), "permutation must be nonempty"),
+    (lambda: lemma_insert(parse_perm("12"), 0), r"Perm\('12'\) is decomposable"),
     # 21 has two entries, so one insertion adds at most 2 inversions
     (lambda: lemma_insert(parse_perm("21"), 3), r"r must be in 0\.\.2"),
 ])

@@ -10,6 +10,7 @@ from permseq.perms import (
     SYMMETRIES,
     Perm,
     avoids,
+    basis_key,
     complement,
     components,
     contains,
@@ -74,6 +75,19 @@ def test_pattern_basis_rules():
     with pytest.raises(ValueError):
         pattern_basis([""])
     assert parse_basis("1324,231") == {Perm((1, 3, 2, 4)), Perm((2, 3, 1))}
+
+
+@given(st.lists(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+                .map(Perm), min_size=1, max_size=3))
+def test_basis_key_round_trips(patterns):
+    basis = pattern_basis(patterns)
+    assert parse_basis(basis_key(basis)) == basis
+
+
+def test_basis_key_refuses_a_pattern_without_text_form():
+    # format_perm writes 10 or more entries with commas, which parse_basis splits
+    with pytest.raises(ValueError, match="^pattern 1,2,3,4,5,6,7,8,9,10 has no text form in a basis$"):
+        basis_key([identity(10), parse_perm("21")])
 
 
 def test_inv_count_examples():

@@ -5,7 +5,6 @@ from permseq.partitions import (
     FAMILY_TESTS,
     family_counts,
     is_steep,
-    overpartitions_of,
     partitions_of,
 )
 from permseq.series import (
@@ -21,7 +20,7 @@ from permseq.series import (
     zero,
 )
 
-from oracles import partition_count
+from oracles import overpartitions_of, partition_count
 
 LIMITS = {
     "1324": [1, 2, 5, 10, 20, 36, 65, 110, 185, 300],
