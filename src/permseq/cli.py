@@ -10,10 +10,14 @@ entries), so a value out of range is a usage error naming the flag;
 `count_table`, not the CLI, caps `--threads`.
 A cache entry is exactly `table --format json` output, in a file named by
 basis, bounds and engine version, so an entry from another engine version
-is never read; one that `tableio.table_from_json` rejects, or whose basis
-or bounds differ from the request, is recomputed and overwritten silently.
-Cache writes go to a temp file that a plain open creates, so the entry
-gets the mode the umask gives it, and then one atomic rename.
+is never read. A request is answered from its exact entry, else sliced from
+the smallest readable entry of the same basis and engine version whose
+bounds cover it (a cell av_n^k does not depend on the bounds of the table
+holding it), else walked, and is then stored under its own name. An entry
+that `tableio.table_from_json` rejects, or whose basis or bounds differ
+from its name, is skipped silently and never rewritten unless it holds the
+requested name. Cache writes go to a temp file that a plain open creates,
+so the entry gets the mode the umask gives it, and then one atomic rename.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -70,6 +75,41 @@ def _read_cached(path: Path, key: str, n_max: int, k_max: int) -> CountTable | N
     return table if (table.basis_text, table.n_max, table.k_max) == (key, n_max, k_max) else None
 
 
+def _read_covering(cache: Path, stem: str, key: str,
+                   n_max: int, k_max: int) -> CountTable | None:
+    """The request sliced from the smallest readable entry of its basis
+    (file names starting with `stem`) and engine version whose bounds
+    cover the request's and differ from them, else None."""
+    name = re.compile(rf"{stem}_n([1-9][0-9]*)_k(0|[1-9][0-9]*)_v{ENGINE_VERSION}\.json")
+    covering = []
+    for path in cache.iterdir():
+        match = name.fullmatch(path.name)
+        if match:
+            n, k = map(int, match.groups())
+            if n >= n_max and k >= k_max and (n, k) != (n_max, k_max):
+                covering.append((n * (k + 1), n, k, path))
+    for _, n, k, path in sorted(covering):
+        table = _read_cached(path, key, n, k)
+        if table is not None:
+            rows = tuple(row[:k_max + 1] for row in table.rows[:n_max])
+            return CountTable(table.basis, n_max, k_max, rows)
+    return None
+
+
+def _store(path: Path, table: CountTable) -> None:
+    """Writes table as the cache entry at path, computed or sliced alike."""
+    # unique to this process and thread, never `table_*.json`; "x" obeys the umask
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(table_to_json(table))
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file behind
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cached_count_table(basis_text: str, n_max: int, k_max: int,
                        cache_dir: str | None, threads: int = 1) -> CountTable:
     basis = parse_basis(basis_text)
@@ -83,21 +123,15 @@ def cached_count_table(basis_text: str, n_max: int, k_max: int,
         raise ValueError(f"cache directory expected, but {cache_dir} is not a directory")
     cache.mkdir(parents=True, exist_ok=True)
     key = basis_key(basis)
-    path = cache / f"table_{key.replace(',', '-')}_n{n_max}_k{k_max}_v{ENGINE_VERSION}.json"
+    stem = f"table_{key.replace(',', '-')}"
+    path = cache / f"{stem}_n{n_max}_k{k_max}_v{ENGINE_VERSION}.json"
     table = _read_cached(path, key, n_max, k_max)
     if table is not None:
         return table
-    table = count_table(basis, n_max, k_max, threads=threads)
-    # unique to this process and thread, never `table_*.json`; "x" obeys the umask
-    tmp = cache / f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "x") as fh:
-            fh.write(table_to_json(table))
-        os.replace(tmp, path)
-    except BaseException:
-        # a failed write or rename leaves no temp file behind
-        tmp.unlink(missing_ok=True)
-        raise
+    table = _read_covering(cache, stem, key, n_max, k_max)
+    if table is None:
+        table = count_table(basis, n_max, k_max, threads=threads)
+    _store(path, table)
     return table
 
 

@@ -25,6 +25,8 @@ from .perms import (
 
 Partition = tuple[int, ...]
 
+_P132 = parse_perm("132")
+
 
 def check_partition(parts: Sequence[int]) -> Partition:
     parts = tuple(parts)
@@ -59,7 +61,7 @@ def lambda_map(p: Perm) -> Partition:
     132-avoiders, where it is a partition of inv(p)."""
     if not p or is_decomposable(p):
         raise ValueError("permutation must be indecomposable")
-    if not avoids(p, [parse_perm("132")]):
+    if not avoids(p, [_P132]):
         raise ValueError("permutation must avoid 132")
     code = list(lehmer_code(p))
     while code and code[-1] == 0:
@@ -159,7 +161,7 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
     Both sides are produced independently: the left from one walk over the
     132- and partner-avoiders, the right by filtering all partitions of k.
     """
-    basis = [parse_perm("132"), parse_perm(partner)]
+    basis = [_P132, parse_perm(partner)]
     for k, bucket in enumerate(indecomposables_upto(basis, k_max)):
         left = {lambda_map(p) for p in bucket}
         right = {lam for lam in partitions_of(k) if family_test(lam)}
@@ -169,7 +171,7 @@ def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, s
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:
     """The map p -> rc(inverse(p)) carries I_k(213, 2431) onto I_k(132, 3241)."""
     sources = indecomposables_upto([parse_perm("213"), parse_perm("2431")], k_max)
-    targets = indecomposables_upto([parse_perm("132"), parse_perm("3241")], k_max)
+    targets = indecomposables_upto([_P132, parse_perm("3241")], k_max)
     return [(k, {reverse_complement(inverse(p)) for p in source} == set(target))
             for k, (source, target) in enumerate(zip(sources, targets))]
 

@@ -149,6 +149,136 @@ def test_cache_mismatch_is_a_miss(tmp_path, edit):
     assert table_from_json(path.read_text()) == want
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the walks cached_count_table starts; returns the list of their
+    (basis, n, k) requests."""
+    import permseq.cli as cli
+
+    calls = []
+
+    def walk(basis, n_max, k_max, threads=1):
+        calls.append((basis, n_max, k_max))
+        return count_table(basis, n_max, k_max, threads=threads)
+
+    monkeypatch.setattr(cli, "count_table", walk)
+    return calls
+
+
+def _entry(cache, key, n, k):
+    return cache / f"table_{key.replace(',', '-')}_n{n}_k{k}_v{ENGINE_VERSION}.json"
+
+
+def _wrong_json(basis_text, n, k):
+    """A well-formed stored table of these bounds whose cell (n, 0) is wrong,
+    so a lookup that reads it would answer wrongly."""
+    payload = json.loads(table_to_json(count_table(parse_basis(basis_text), n, k)))
+    for row in payload["rows"]:
+        row[0] += 1
+    return json.dumps(payload)
+
+
+def test_covering_entry_answers_every_smaller_request(tmp_path, walks):
+    basis = parse_basis("1324,1342")
+    cached_count_table("1324,1342", 12, 10, str(tmp_path))
+    big = _entry(tmp_path, "1324,1342", 12, 10)
+    stamp = big.read_bytes()
+    assert len(walks) == 1
+    grid = [(1, 0), (12, 0), (1, 10), (11, 9), (12, 9), (11, 10), (7, 4), (3, 10), (6, 0)]
+    for n, k in grid:
+        want = count_table(basis, n, k)
+        assert cached_count_table("1324,1342", n, k, str(tmp_path)) == want
+        # stored under its own name, so the next identical request is an exact hit
+        assert _entry(tmp_path, "1324,1342", n, k).read_bytes() == table_to_json(want).encode()
+    assert len(walks) == 1
+    assert big.read_bytes() == stamp
+    assert len(list(tmp_path.iterdir())) == 1 + len(grid)
+
+
+def test_covering_lookup_reads_the_smallest_entry_first(tmp_path, walks, monkeypatch):
+    import permseq.cli as cli
+
+    for n, k in [(12, 10), (12, 5), (6, 10), (11, 9)]:
+        cached_count_table("1324,1342", n, k, str(tmp_path))
+    # the three smallest covering entries are corrupt; the largest is read
+    corrupt = {(6, 10): "{", (12, 5): "[]", (11, 9): _wrong_json("1324,1342", 11, 8)}
+    for (n, k), text in corrupt.items():
+        _entry(tmp_path, "1324,1342", n, k).write_text(text)
+    read = []
+    real = cli._read_cached
+
+    def spy(path, key, n_max, k_max):
+        read.append(path.name)
+        return real(path, key, n_max, k_max)
+
+    monkeypatch.setattr(cli, "_read_cached", spy)
+    walks.clear()
+    assert cached_count_table("1324,1342", 6, 5, str(tmp_path)) == \
+        count_table(parse_basis("1324,1342"), 6, 5)
+    assert walks == []
+    assert read == [_entry(tmp_path, "1324,1342", n, k).name
+                    for n, k in [(6, 5), (6, 10), (12, 5), (11, 9), (12, 10)]]
+    for (n, k), text in corrupt.items():
+        assert _entry(tmp_path, "1324,1342", n, k).read_text() == text
+
+
+@pytest.mark.parametrize("name, stored", [
+    ("table_1324-1342_n12_k10_v0.json", ("1324,1342", 12, 10)),
+    (f"table_1324_n12_k10_v{ENGINE_VERSION}.json", ("1324", 12, 10)),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", ("1324,1342", 13, 10)),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", ("1243,1324", 12, 10)),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", None),
+    (f"table_1324-1342_n12.0_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
+    (f"table_1324-1342_nX_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
+    (f"table_1324-1342_n012_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json.bak", ("1324,1342", 12, 10)),
+    (f".table_1324-1342_n12_k10_v{ENGINE_VERSION}.json.1-2.tmp", ("1324,1342", 12, 10)),
+], ids=["other-version", "other-basis", "bounds-disagree", "basis-disagrees", "corrupt",
+        "float-bound", "text-bound", "leading-zero", "suffix", "temp-file"])
+def test_unusable_covering_entry_is_skipped_and_untouched(name, stored, tmp_path, walks):
+    # each holds a table that would show if read; None is a truncated entry
+    (tmp_path / name).write_text('{"basis": "1324,1342"' if stored is None else _wrong_json(*stored))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == \
+        count_table(parse_basis("1324,1342"), 5, 5)
+    assert len(walks) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name in before} == before
+
+
+def test_an_entry_of_a_larger_basis_does_not_answer_a_smaller_one(tmp_path, walks):
+    # and the reverse: 1324 is a prefix of the key 1324,1342, not its basis
+    _entry(tmp_path, "1324,1342", 12, 10).write_text(_wrong_json("1324,1342", 12, 10))
+    assert cached_count_table("1324", 5, 5, str(tmp_path)) == count_table(parse_basis("1324"), 5, 5)
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("n, k", [(13, 5), (5, 11), (13, 11)])
+def test_request_beyond_every_entry_walks(n, k, tmp_path, walks):
+    cached_count_table("1324,1342", 12, 10, str(tmp_path))
+    cached_count_table("1324,1342", 6, 6, str(tmp_path))
+    walks.clear()
+    assert cached_count_table("1324,1342", n, k, str(tmp_path)) == \
+        count_table(parse_basis("1324,1342"), n, k)
+    assert walks == [(parse_basis("1324,1342"), n, k)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--basis", "1324,1342", "--n", "10", "--k", "8"],
+    ["table", "--basis", "1324,1342", "--n", "10", "--k", "8", "--format", "json"],
+    ["diff", "--basis", "1324,1342", "--n", "10", "--k", "8"],
+    ["monotone", "--basis", "1324,1342", "--n", "10", "--k", "8"],
+    ["limit", "--basis", "1324,1342", "--n", "10", "--k", "8", "--secondary", "--tertiary"],
+    ["gf", "--name", "1324,1342", "--k", "6", "--compare-table"],
+], ids=["table", "table-json", "diff", "monotone", "limit", "gf"])
+def test_covered_and_exact_hits_print_what_a_walk_prints(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PERMSEQ_CACHE_DIR", "")
+    walked = (main(argv), *capsys.readouterr())
+    cached_count_table("1324,1342", 12, 10, str(tmp_path))
+    for hit in ("covered", "exact"):
+        assert (main([*argv, "--cache-dir", str(tmp_path)]), *capsys.readouterr()) == walked, hit
+    assert len(list(tmp_path.glob("table_*.json"))) == 2
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_cache_entry_mode_follows_umask(umask, mode, tmp_path):
     # the temp file behind an entry is made 0600; the entry is not
