@@ -21,7 +21,6 @@ from .perms import (
     avoids,
     components,
     delete,
-    descending,
     direct_sum,
     first_split,
     insert_value,
@@ -145,13 +144,13 @@ def inject_1324_231_full(p: Perm) -> InjectionResult:
     if not avoids(p, _BASIS_1324_231):
         raise ValueError(f"{p!r} does not avoid {{1324, 231}}")
     n = len(p)
-    if p == descending(n):  # includes the empty permutation
+    ell = _leading_descent(p)
+    if ell == n:  # the reverse identity, the empty permutation included
         return InjectionResult(direct_sum(p, Perm((1,))), branch=1)
     split = first_split(p)
     if split < n:
         # one identity point right after the first component
         return InjectionResult(insert_value(p, split, split + 1), branch=2)
-    ell = _leading_descent(p)
     *head, last = components(standardize(p[ell:]))
     m = len(last)
     q = -(-ell // (m + 1))

@@ -4,11 +4,16 @@ Permutations use one-line notation over 1..n. The empty permutation is a
 valid value (length 0); it is the identity for direct sums and shows up in
 boundary conventions throughout the package.
 
-`contains` is one backtracking search over the pattern's roles, pruned by
-dominance: after a placement of a role fails, it retries only candidates
-whose value the later roles read less strictly (see `_windows`'s kinds).
-`inv_count` is one bisect pass that counts, for each entry, the earlier
-entries above it.
+`avoids(p, basis)` builds p's prefix value masks (bit v for each value v
+left of a position) once and answers every basis pattern of length 3 or 4
+from them: role 0 and the last role are one mask query each, and only the
+middle roles are scanned (`_mask_search`). A pattern of any other length
+goes through one backtracking search over its roles, pruned by dominance:
+after a placement of a role fails, it retries only candidates whose value
+the later roles read less strictly (see `_windows`'s kinds). `contains` is
+the one-pattern case of `avoids`. `inv_count` is one bisect pass that
+counts, for each entry, the earlier entries above it; `lehmer_code` one
+right-to-left pass over a mask of the later values.
 
 `Perm(values)` checks that the values are 1..n. Two constructors skip that
 check because their result cannot fail it: `standardize` writes the ranks
@@ -132,11 +137,16 @@ def max_inversions(n: int) -> int:
 
 
 def lehmer_code(p: Sequence[int]) -> tuple[int, ...]:
-    """Inversion table (b_1..b_n): b_i counts later entries smaller than p_i."""
-    n = len(p)
-    return tuple(
-        sum(1 for j in range(i + 1, n) if p[j] < p[i]) for i in range(n)
-    )
+    """Inversion table (b_1..b_n): b_i counts later entries smaller than p_i,
+    read in one right-to-left pass as the bits of the later values' mask
+    below p_i."""
+    later = 0
+    code = []
+    for v in reversed(_narrow(p)):
+        code.append((later & ((1 << v) - 1)).bit_count())
+        later |= 1 << v
+    code.reverse()
+    return tuple(code)
 
 
 def from_lehmer(code: Sequence[int]) -> Perm:
@@ -292,7 +302,161 @@ def insert_value(p: Sequence[int], pos: int, value: int) -> Perm:
 # -- pattern containment -------------------------------------------------
 
 def contains(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff some subsequence of p is order-isomorphic to q.
+    """True iff some subsequence of p is order-isomorphic to q: the
+    one-pattern case of `avoids`. p and q may be any sequences of distinct
+    integers."""
+    return not avoids(p, (q,))
+
+
+def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:
+    """True iff p contains no pattern of the basis.
+
+    Patterns of length 3 or 4 are answered from p's prefix value masks,
+    built once for the whole basis (`_mask_search`); any other length goes
+    through the backtracking search (`_search`). Values outside 1..4|p|
+    are standardized first, so the masks stay narrow.
+    """
+    pre = None
+    for q in basis:
+        if 3 <= len(q) <= len(p) and len(q) <= 4:
+            if pre is None:
+                p = _narrow(p)
+                pre = [0]
+                mask = 0
+                for v in p:
+                    mask |= 1 << v
+                    pre.append(mask)
+            if _mask_search(p, pre, _plan(q if isinstance(q, tuple) else tuple(q))):
+                return False
+        elif _search(p, q):
+            return False
+    return True
+
+
+def _narrow(p: Sequence[int]) -> Sequence[int]:
+    """p itself when its values lie in 1..4|p| (a Perm's always do), else its
+    standardization, so that masks with bit v for value v stay narrow."""
+    if isinstance(p, Perm) or not p or 0 < min(p) and max(p) <= 4 * len(p):
+        return p
+    return standardize(p)
+
+
+def _nearest(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, int]:
+    """The role among `roles` nearest below q[j] in value and the one nearest
+    above it, as slots of `_mask_search`'s value list: m and m + 1 stand for
+    none below and none above."""
+    m = len(q)
+    return (max((i for i in roles if q[i] < q[j]), key=q.__getitem__, default=m),
+            min((i for i in roles if q[i] > q[j]), key=q.__getitem__, default=m + 1))
+
+
+@lru_cache(maxsize=4096)
+def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
+    """The windows `_mask_search` reads for a pattern q of length 3 or 4,
+    each as the slots of its bounds in the search's value list.
+
+    For m = 3: role 0's window against role 1, `pick`, and role 2's window
+    against roles 0 and 1. For m = 4: role 0's and role 3's windows against
+    role 1 alone (the filters on role 1), role 2's against role 1, whether
+    role 2 lies above role 0, how roles 0 and 3 read role 2 (its kind, as
+    in `_windows`), role 0's window against roles 1 and 2, `pick`, and role
+    3's window against roles 0..2. `pick` is 1 (2) when role 0 is the last
+    role's lower (upper) bound, so that role 0 takes its lowest (highest)
+    admissible value, and 0 when the last role does not read role 0.
+    """
+    m = len(q)
+    last = _nearest(q, m - 1, range(m - 1))
+    pick = 1 if last[0] == 0 else 2 if last[1] == 0 else 0
+    if m == 3:
+        return (3, *_nearest(q, 0, (1,)), pick, *last)
+    first = _nearest(q, 0, (1, 2))
+    kind2 = (2 in (first[0], last[0])) + 2 * (2 in (first[1], last[1]))
+    return (4, *_nearest(q, 0, (1,)), *_nearest(q, 3, (1,)), *_nearest(q, 2, (1,)), q[2] > q[0],
+            kind2, *first, pick, *last)
+
+
+def _mask_search(p: Sequence[int], pre: list[int], plan: tuple[int, ...]) -> bool:
+    """True iff p contains the pattern of length 3 or 4 that `plan` reads.
+
+    p's values are bit positions >= 1 and pre[i] is the mask of its values
+    at positions < i, so pre[-1] ^ pre[i + 1] holds those right of position
+    i. The values strictly inside a window (lo, hi) are the bits of
+    (1 << hi) - (2 << lo). Only the middle roles are scanned. Role 0 is one
+    query on the prefix left of role 1, and where it bounds the last role it
+    takes its extreme admissible value (see `_plan`), the one that leaves
+    the last role the widest window. The last role is one query on the
+    suffix right of role m - 2.
+
+    For m = 3 one loop scans role 1. For m = 4 a pair loop scans roles 1
+    and 2. It enters only the role-1 positions whose prefix can still hold
+    role 0 and whose suffix can still hold role 3, each read against role 1
+    alone, and takes only role-2 values on the right side of role 0's
+    lowest or highest candidate. Role 2 retries after a failure as
+    `_search` does: a later position leaves role 3 fewer places, so only a
+    value that roles 0 and 3 read less strictly can help.
+    """
+    full = pre[-1]
+    n = len(p)
+    # val[j] is role j's value; val[m] and val[m + 1] are the sentinels, 0
+    # below every value and full.bit_length() above
+    if plan[0] == 3:
+        _, l0, h0, pick, l2, h2 = plan
+        val = [0, 0, 0, 0, full.bit_length()]
+        for a in range(1, n - 1):
+            val[1] = p[a]
+            cands = pre[a] & ((1 << val[h0]) - (2 << val[l0]))
+            if not cands:
+                continue
+            if pick == 1:
+                val[0] = (cands & -cands).bit_length() - 1
+            elif pick == 2:
+                val[0] = cands.bit_length() - 1
+            if (full ^ pre[a + 1]) & ((1 << val[h2]) - (2 << val[l2])):
+                return True
+        return False
+    _, l01, h01, l31, h31, l2, h2, above0, kind2, l0, h0, pick, l3, h3 = plan
+    val = [0, 0, 0, 0, 0, full.bit_length()]
+    for a in range(1, n - 2):
+        val[1] = p[a]
+        left = pre[a]
+        cands = left & ((1 << val[h01]) - (2 << val[l01]))
+        if not cands:
+            continue
+        if not (full ^ pre[a + 2]) & ((1 << val[h31]) - (2 << val[l31])):
+            continue
+        # role 2 must also clear role 0's extreme candidate, and then role
+        # 0's window against roles 1 and 2 is never empty
+        lo2 = val[l2]
+        hi2 = val[h2]
+        if above0:
+            low = (cands & -cands).bit_length() - 1
+            if low > lo2:
+                lo2 = low
+        else:
+            high = cands.bit_length() - 1
+            if high < hi2:
+                hi2 = high
+        for b in range(a + 1, n - 1):
+            v = p[b]
+            if not lo2 < v < hi2:
+                continue
+            val[2] = v
+            if pick:
+                cands = left & ((1 << val[h0]) - (2 << val[l0]))
+                val[0] = (cands & -cands).bit_length() - 1 if pick == 1 else cands.bit_length() - 1
+            if (full ^ pre[b + 1]) & ((1 << val[h3]) - (2 << val[l3])):
+                return True
+            if kind2 == 1:
+                hi2 = v
+            elif kind2 == 2:
+                lo2 = v
+            elif not kind2:
+                break
+    return False
+
+
+def _search(p: Sequence[int], q: Sequence[int]) -> bool:
+    """True iff p contains q, by one backtracking search over q's roles.
 
     Roles are filled left to right. Role j only has to fall strictly between
     the values of its nearest earlier roles below and above it in value: the
@@ -373,8 +537,3 @@ def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     kinds = tuple((j in below) + 2 * (j in above) for j in range(m))
     back = tuple(max((i for i in range(j) if kinds[i]), default=-1) for j in range(m))
     return tuple(below), tuple(above), kinds, back
-
-
-def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:
-    """True iff p contains no pattern of the basis."""
-    return not any(contains(p, q) for q in basis)

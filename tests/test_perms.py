@@ -105,6 +105,18 @@ def test_inv_count_matches_pair_count(seq):
     assert inv_count(seq) == sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-40, 40), st.integers(-10**12, 10**12)),
+                unique=True, max_size=14))
+@example([])
+@example([0, -1, 5])
+def test_lehmer_code_matches_pair_count(seq):
+    # any distinct integers: values <= 0, gaps, and spreads too wide for a mask
+    want = tuple(sum(1 for b in seq[i + 1:] if b < a) for i, a in enumerate(seq))
+    assert lehmer_code(seq) == want
+    assert lehmer_code(tuple(seq)) == want
+
+
 def test_lehmer_examples():
     assert lehmer_code(parse_perm("21")) == (1, 0)
     assert lehmer_code(identity(5)) == (0,) * 5
@@ -325,6 +337,20 @@ def test_contains_matches_bruteforce_large(n):
                 assert contains(p, q) == brute_contains(p, q), (p, q)
 
 
+_PAIRS_S34 = [(parse_perm("1324"), parse_perm("231"))] + random.Random(31).sample(
+    list(combinations([*all_perms(3), *all_perms(4)], 2)), 23)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pair", _PAIRS_S34, ids=lambda pair: basis_key(pair))
+def test_avoids_matches_walk_on_two_pattern_bases(pair):
+    # every p of length 8 against a two-pattern basis; the oracle is the
+    # avoider walk, an engine independent of the mask search
+    avoiders = set(generate_avoiders(pair, 8, 28))
+    for p in all_perms(8):
+        assert avoids(p, pair) == (p in avoiders), (p, pair)
+
+
 def test_windows_kinds():
     # how later roles read each role's value: 0 never, 1 only as a lower
     # bound, 2 only as an upper bound, 3 both
@@ -369,15 +395,17 @@ def test_contains_exhausts_on_avoiders(q):
     assert min(seen) > 0
 
 
-def _strip_to_avoider(p, q, picks):
-    """Delete an entry of the first occurrence of q until p avoids q (found by
-    the subsequence scan), with picks choosing which entry."""
+def _strip_steps(p, q, picks):
+    """p, then p less one entry of its first occurrence of q (found by the
+    subsequence scan), and so on until it avoids q, with picks choosing which
+    entry: the last step avoids q, the one before contains it."""
     m = len(q)
     while True:
+        yield p
         hit = next((idx for idx in combinations(range(len(p)), m)
                     if standardize([p[i] for i in idx]) == q), None)
         if hit is None:
-            return p
+            return
         p = delete(p, [p[hit[picks.draw(st.integers(0, m - 1))]]])
 
 
@@ -392,7 +420,7 @@ def test_contains_on_random_avoiders(p, q, other, picks):
     # random avoiders of length <= 10, where the search exhausts, against the
     # subsequence scan; a second pattern mixes in contained answers
     q, other = Perm(q), Perm(other)
-    p = _strip_to_avoider(Perm(p), q, picks)
+    *_, p = _strip_steps(Perm(p), q, picks)
     assert not contains(p, q)
     assert contains(p, other) == brute_contains(p, other)
 
@@ -412,6 +440,43 @@ def test_contains_on_unstandardized_sequences(p, q, shift, scale, cut):
     pat = [v - shift for v in q[cut:]]
     assert contains(seq, pat) == want
     assert contains(tuple(p[cut:]), tuple(q[cut:])) == want
+
+
+def _forms(p, draw):
+    """p as a Perm, a list, a tuple or bytes, or with its values shifted and
+    spread (as almost_decomp passes slices); all are order-isomorphic."""
+    kind = draw(st.sampled_from(("perm", "list", "tuple", "bytes", "spread")))
+    if kind == "perm":
+        return Perm(p)
+    if kind == "list":
+        return list(p)
+    if kind == "tuple":
+        return tuple(p)
+    if kind == "bytes":
+        return bytes(p)
+    scale = draw(st.sampled_from((1, 3, 10**9)))
+    shift = draw(st.integers(-30, 30))
+    return [scale * v + shift for v in p]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.lists(st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
+             min_size=1, max_size=3),
+    st.data(),
+)
+def test_avoids_matches_bruteforce_on_mixed_bases(p, basis, data):
+    # bases of 1-3 patterns of lengths 1-5 share one set of masks: the mask
+    # search answers lengths 3 and 4, the backtracking search the rest. The
+    # last two steps of stripping p of the first pattern are an avoider, on
+    # which that search runs dry before the others, and a near-avoider, whose
+    # few occurrences a pruning fault would miss
+    basis = [Perm(q) for q in basis]
+    for p in [*_strip_steps(Perm(p), basis[0], data)][-2:]:
+        want = not any(brute_contains(p, q) for q in basis)
+        assert avoids(_forms(p, data.draw), [_forms(q, data.draw) for q in basis]) == want
+        assert avoids(p, basis) == want
 
 
 def test_weakly_decreasing_code_iff_avoids_132():
