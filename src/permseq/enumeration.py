@@ -30,18 +30,22 @@ last position. A child is derived from its parent's mask, not recomputed:
   body role q[-2]. The fill places the other body roles right to left from
   that fixed anchor, each against its nearest placed neighbours in value.
   The admissible new ranks form one interval fixed by the body roles valued
-  q[-1] - 1 and q[-1] + 1; each complete placement ORs it in and
-  backtracks to the lowest role that can still change it. For bodies of
-  length 2 and 3 (patterns of length 3 and 4) role 0, placed last, is one
-  bit-mask query: the values left of role 1 meet role 0's window or not,
-  and where role 0 bounds the interval, their lowest or highest value in
-  it bounds the union of its intervals. Such a fill needs no loop, or one
-  over role 1's positions. Every other body places its roles in one
+  q[-1] - 1 and q[-1] + 1, and every interval lies in the fill's reach: the
+  roles valued between q[-2] and q[-1] need distinct values between the
+  anchor's and the new entry's, which puts the new rank at least (or at
+  most) a fixed offset from the anchor. A fill returns at once when its
+  reach is empty or already all bad. `_fill` places the roles in one
   iterative backtracking loop over a value array whose two sentinel slots
-  stand for "no neighbour below" (0) and "none above" (t+1); a body of
-  length 1 is only the anchor, so the loop's first step ORs in its one
-  interval and returns. The fill returns as soon as every rank it could
-  set already is bad.
+  stand for "no neighbour below" (0) and "none above" (t+1); each complete
+  placement ORs in its interval and backtracks to the lowest role that can
+  still change it. The walk runs that loop for bodies of length 1 and >= 4
+  only. Bodies of length 2 and 3 (patterns of length 3 and 4) run a kernel
+  compiled for the basis (`_kernel`), one block of Python source per
+  pattern with its roles written in as constants. There role 0, placed
+  last, is one bit-mask query: the values left of role 1 meet role 0's
+  window or not, and where role 0 bounds the interval, their lowest or
+  highest value in it bounds the union of its intervals. Such a block needs
+  no loop, or one over role 1's positions.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
   child, so ranks below it are never read in its subtree and the fill
@@ -73,9 +77,9 @@ the pruned walk finds with two more fields per node:
   q_j (+) ... (+) q_j'. Each such sum of length >= 2 that is not itself in
   the basis gets its own bad-rank mask, inherited and filled as above, and
   each node a "contains" bit for it; once the bit is set the mask is
-  dropped. A node lists (i, plan, mask) for the sums it does not contain
-  yet, so its children read their new bits and fill their masks from that
-  list alone.
+  dropped. A node lists (i, mask) for the sums it does not contain yet, so
+  its children read their new bits and fill their masks, each with its
+  sum's own kernel, from that list alone.
 
 Each indecomposable is tallied by (length, inv, contained tracked sums).
 For every decomposable basis pattern, a sequence of components is read by
@@ -97,6 +101,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .perms import (
@@ -145,7 +150,11 @@ def _plan(q: Sequence[int]):
     above it in value, and its floor lift, an offset such that floor + lift
     is a strict lower bound on its value (_UNLIFTED for roles valued below
     q[-1]). Then the slots bounding the new entry's value from below and
-    above, and the role after which that interval is fixed.
+    above, the role after which that interval is fixed, and the reach: every
+    interval lies in anchor + lo_off .. anchor + hi_off. The roles valued
+    between q[-2] and q[-1] hold distinct values between the anchor's and the
+    new entry's, so one offset is q[-1] - q[-2] (above the anchor) or
+    q[-1] - q[-2] + 1 (below it); the other is +-MAX_LENGTH and never binds.
     """
     body = tuple(q[:-1])
     m1 = len(body)
@@ -162,94 +171,47 @@ def _plan(q: Sequence[int]):
     lo_role = body.index(qlast - 1) if qlast > 1 else m1
     hi_role = body.index(qlast + 1) if qlast <= m1 else m1 + 1
     decided = min(lo_role, hi_role)
-    return m1, tuple(below), tuple(above), tuple(lift), lo_role, hi_role, decided
+    if qlast > body[-1]:
+        lo_off, hi_off = qlast - body[-1], MAX_LENGTH
+    else:
+        lo_off, hi_off = -MAX_LENGTH, qlast - body[-1] + 1
+    return (m1, tuple(below), tuple(above), tuple(lift), lo_role, hi_role, decided,
+            lo_off, hi_off)
 
 
 def _fill(tau, plan, floor, bad):
     """OR into the mask `bad` the ranks >= floor completing an occurrence of
     the planned pattern in which tau's last entry is the last body role.
 
-    tau is a node value (bytes) or a tuple of ints. A complete placement
-    ORs in the new entry's interval, fixed by roles lo_role and hi_role.
-    Only ranks floor .. t+1 are ever set, so the fill returns as soon as
-    they all are.
+    tau is a node value (bytes) or a tuple of ints. The fill places roles
+    m1-2 .. 0 right to left in one backtracking loop, each at the positions
+    left of its successor. A complete placement ORs in the new entry's
+    interval, fixed by roles lo_role and hi_role, and backtracks to role
+    `decided`: no role below it can change the interval. Only the reach,
+    floor .. t+1 cut to the plan's offsets from the anchor, can be set, so
+    the fill returns at once when the reach is empty or already all bad.
+    Where the anchor alone decides, the interval is the reach, so the first
+    complete placement returns; a body of length 1 has no role to place,
+    so its loop starts complete.
 
-    A body of length 2 or 3 answers role 0 by one bit-mask query: `left`
-    holds the values of the positions left of role 1, one bit fewer per
-    position role 1's leftward scan passes, and role 0 is admissible iff
-    `left` meets its window. Where role 0 bounds the interval, the lowest
-    or highest of those values bounds the union of its intervals. Any other
-    body places roles m1-2 .. 0 right to left in one backtracking loop,
-    each at the positions left of its successor, and a complete placement
-    backtracks to role `decided`: no role below it can change the interval.
-    A body of length 1 has no role to place, so the loop starts complete,
-    ORs in the anchor's interval and returns, `decided` being the anchor.
+    The walk runs this loop for bodies of length 1 and >= 4; `_kernel`
+    compiles the other lengths, and the tests hold both to this loop.
     """
-    m1, below, above, lift, lo_role, hi_role, decided = plan
+    m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
     t = len(tau)
     anchor = tau[-1]
-    if m1 > t or anchor <= floor + lift[-1]:
+    if m1 > t:
         return bad
-    full = (1 << (t + 2)) - (1 << floor)
-    if bad & full == full:
+    lo = anchor + lo_off
+    if lo < floor:
+        lo = floor
+    hi = anchor + hi_off
+    if hi > t + 1:
+        hi = t + 1
+    if lo > hi:
         return bad
-    if 2 <= m1 <= 3:
-        # the windows and interval ends that no placed role moves: a slot is
-        # the anchor (role m1-1) or a sentinel, 0 below or t+1 above
-        lo_fix = anchor + 1 if lo_role == m1 - 1 else 1
-        hi_fix = anchor if hi_role == m1 - 1 else t + 1
-        b0 = below[0]
-        a0 = above[0]
-        low0 = anchor if b0 == m1 - 1 else 0
-        high0 = anchor if a0 == m1 - 1 else t + 1
-        least0 = floor + lift[0]
-        # the values of positions 0 .. t-2
-        left = (1 << (t + 1)) - 2 - (1 << anchor)
-        if m1 == 2:
-            low = low0 if low0 > least0 else least0
-            cands = (left & ((1 << high0) - 1)) >> (low + 1)
-            if not cands:
-                return bad
-            lo = low + (cands & -cands).bit_length() + 1 if lo_role == 0 else lo_fix
-            hi = low + cands.bit_length() if hi_role == 0 else hi_fix
-            if lo < floor:
-                lo = floor
-            if lo <= hi:
-                bad |= (1 << (hi + 1)) - (1 << lo)
-            return bad
-        low1 = anchor if below[1] == 2 else 0
-        least = floor + lift[1]
-        if low1 < least:
-            low1 = least
-        high1 = anchor if above[1] == 2 else t + 1
-        for p in range(t - 2, 0, -1):
-            v = tau[p]
-            left ^= 1 << v
-            if not low1 < v < high1:
-                continue
-            low = v if b0 == 1 else low0
-            if low < least0:
-                low = least0
-            high = v if a0 == 1 else high0
-            cands = (left & ((1 << high) - 1)) >> (low + 1)
-            if not cands:
-                continue
-            if lo_role == 0:
-                lo = low + (cands & -cands).bit_length() + 1
-            else:
-                lo = v + 1 if lo_role == 1 else lo_fix
-            if hi_role == 0:
-                hi = low + cands.bit_length()
-            else:
-                hi = v if hi_role == 1 else hi_fix
-            if lo < floor:
-                lo = floor
-            if lo <= hi:
-                bad |= (1 << (hi + 1)) - (1 << lo)
-                if bad & full == full:
-                    return bad
-            if decided == 2:
-                return bad
+    reach = (2 << hi) - (1 << lo)
+    if bad & reach == reach:
         return bad
     # val[j] is role j's value, with the two sentinel slots; nxt[j] is the
     # next position to try for role j, scanning leftwards. The anchor's slot
@@ -268,11 +230,11 @@ def _fill(tau, plan, floor, bad):
             hi = val[hi_role]
             if lo <= hi:
                 bad |= (1 << (hi + 1)) - (1 << lo)
-                if bad & full == full:
+                if bad & reach == reach:
                     return bad
+            # where the anchor decides, the interval is the reach, so the
+            # loop has returned: `decided` is a placed role here
             j = decided
-            if j == last:
-                return bad
         low = val[below[j]]
         least = floor + lift[j]
         if low < least:
@@ -295,24 +257,185 @@ def _fill(tau, plan, floor, bad):
         nxt[j] = p - 1
 
 
+def _plus(name, offset):
+    """Source of `name` plus a constant offset."""
+    return f"{name} + {offset}" if offset > 0 else f"{name} - {-offset}" if offset else name
+
+
+def _window(mask, low, high):
+    """Source of the bits of `mask` strictly between the values `low` and
+    `high` (source too), or of the window alone when mask is None. A mask
+    holds no bit 0 and none above t."""
+    if high == "t + 1":
+        window = None if low == "0" else f"-(2 << {low})"
+    elif low == "0":
+        window = f"((1 << {high}) - 2)"
+    else:
+        window = f"((1 << {high}) - (2 << {low}))"
+    return mask if window is None else window if mask is None else f"{mask} & {window}"
+
+
+def _block(plan):
+    """Source lines of the fill of one plan with a body of length 2 or 3.
+
+    The plan's slots and roles are written in as constants. Role 0 is one
+    bit-mask query: `left` holds the values left of role 1 (for a body of
+    length 3, one bit fewer per position role 1's leftward scan passes), and
+    role 0 is admissible iff `left` meets its window. Where role 0 bounds
+    the interval, the lowest or highest value in the window bounds the
+    union of its intervals; where the anchor and the sentinels fix it, the
+    interval is the reach and the first placement sets it.
+    """
+    m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
+    out = []
+
+    def emit(depth, line):
+        out.append("    " * depth + line)
+
+    def floored(depth, name, slot, j):
+        # role j's strict lower bound: the slot below it, lifted off the floor
+        if lift[j] == _UNLIFTED:
+            return slot
+        emit(depth, f"{name} = {_plus('floor', lift[j])}")
+        emit(depth, f"if {name} < {slot}:")
+        emit(depth + 1, f"{name} = {slot}")
+        return name
+
+    # slot values as source: role 1 (of a body of length 3) is the scan's v
+    slot = {m1 - 1: "anchor", m1: "0", m1 + 1: "t + 1"}
+    if m1 == 3:
+        slot[1] = "v"
+    # the reach: lo_off > 0 bounds it from below, else hi_off from above
+    if lo_off > 0:
+        emit(1, f"r_lo = {_plus('anchor', lo_off)}")
+        emit(1, "if r_lo < floor:")
+        emit(2, "r_lo = floor")
+        emit(1, "if r_lo <= t + 1:")
+        emit(2, "reach = (4 << t) - (1 << r_lo)")
+        ends = "r_lo", "t + 1"
+    else:
+        emit(1, f"r_hi = {_plus('anchor', hi_off)}")
+        emit(1, "if floor <= r_hi:")
+        emit(2, "reach = (2 << r_hi) - (1 << floor)")
+        ends = "floor", "r_hi"
+    emit(2, "if bad & reach != reach:")
+    d = 3
+    if m1 == 3:
+        emit(d, "lf = left")
+        low1 = floored(d, "low1", slot[below[1]], 1)
+        high1 = slot[above[1]]
+        free = below[0] != 1 and above[0] != 1
+        if free:
+            low0 = floored(d, "low0", slot[below[0]], 0)
+            emit(d, f"win = {_window(None, low0, slot[above[0]])}")
+        emit(d, "for p in range(t - 2, 0, -1):")
+        d += 1
+        emit(d, "v = tau[p]")
+        emit(d, "lf ^= 1 << v")
+        if low1 == "0":
+            emit(d, f"if v >= {high1}:")
+        elif high1 == "t + 1":
+            emit(d, f"if v <= {low1}:")
+        else:
+            emit(d, f"if not {low1} < v < {high1}:")
+        emit(d + 1, "continue")
+        if free:
+            # lf only loses bits, so once it misses role 0's fixed window it always will
+            emit(d, "cands = lf & win")
+            emit(d, "if not cands:")
+            emit(d + 1, "break")
+        else:
+            low0 = floored(d, "low0", slot[below[0]], 0)
+            emit(d, f"cands = {_window('lf', low0, slot[above[0]])}")
+            emit(d, "if not cands:")
+            emit(d + 1, "continue")
+    else:
+        low0 = floored(d, "low0", slot[below[0]], 0)
+        emit(d, f"cands = {_window('left', low0, slot[above[0]])}")
+        emit(d, "if cands:")
+        d += 1
+    if decided == m1 - 1:
+        emit(d, "bad |= reach")
+        if m1 == 3:
+            emit(d, "break")
+        return out
+
+    def end(role, lowest):
+        if role == 0:
+            return "(cands & -cands).bit_length()" if lowest else "cands.bit_length() - 1"
+        if role == 1 and m1 == 3:
+            return "v + 1" if lowest else "v"
+        return ends[not lowest]
+
+    emit(d, f"lo = {end(lo_role, True)}")
+    if lo_role < m1 - 1:
+        emit(d, "if lo < floor:")
+        emit(d + 1, "lo = floor")
+    emit(d, f"hi = {end(hi_role, False)}")
+    emit(d, "if lo <= hi:")
+    emit(d + 1, "bad |= (2 << hi) - (1 << lo)")
+    if m1 == 3:
+        emit(d + 1, "if bad & reach == reach:")
+        emit(d + 2, "break")
+    return out
+
+
+@lru_cache(maxsize=256)
+def _kernel(plans):
+    """The fill of every plan in `plans`, compiled into one function
+    fill(tau, floor, bad) with the same contract as `_fill`.
+
+    A plan with a body of length 2 or 3 runs its own block of generated
+    source (`_block`), with its roles written in as constants; the others
+    call `_fill`. t, the anchor and the mask of the values left of the
+    anchor are computed once for all the blocks. Kernels are compiled on
+    first use and cached by their plans, which pool jobs carry instead.
+    """
+    lines = ["def fill(tau, floor, bad):"]
+    if any(2 <= plan[0] <= 3 for plan in plans):
+        lines += ["    t = len(tau)",
+                  "    anchor = tau[-1]",
+                  "    left = (2 << t) - 2 - (1 << anchor)"]
+    names = {"_fill": _fill}
+    for i, plan in enumerate(plans):
+        if 2 <= plan[0] <= 3:
+            lines += _block(plan)
+        else:
+            names[f"plan{i}"] = plan
+            lines.append(f"    bad = _fill(tau, plan{i}, floor, bad)")
+    lines.append("    return bad")
+    # a file name of its own, so that profilers tell the kernels apart
+    name = f"<fill kernel {hash(plans) & 0xFFFFFFFF:08x}>"
+    exec(compile("\n".join(lines), name, "exec"), names)
+    return names["fill"]
+
+
+def _spec(plans):
+    """The kernels of a walk's plans, (basis plans, tracked plans): one for
+    the basis and one for each tracked pattern."""
+    basis_plans, tracked = plans
+    return _kernel(basis_plans), tuple(_kernel((plan,)) for plan in tracked)
+
+
 # -- the tree walk --------------------------------------------------------
 
 def _start(basis, tracked=None):
-    """Fill plans for the basis and the root node of a walk.
+    """The plans of a walk and its root node.
 
-    Rank 1 is bad at the root iff 1 is in the basis. With `tracked` (fill
-    plans) the root starts the pruned walk, with an empty mask for every
-    tracked pattern.
+    The plans are (basis plans, tracked plans), which `_spec` turns into
+    kernels. Rank 1 is bad at the root iff 1 is in the basis. With `tracked`
+    (fill plans) the root starts the pruned walk, with an empty mask for
+    every tracked pattern.
     """
-    plans = [_plan(q) for q in sorted(basis) if len(q) > 1]
+    plans = tuple(_plan(q) for q in sorted(basis) if len(q) > 1)
     bad = 2 if any(len(q) == 1 for q in basis) else 0
-    masks = None if tracked is None else tuple((i, plan, 0) for i, plan in enumerate(tracked))
+    masks = None if tracked is None else tuple((i, 0) for i in range(len(tracked)))
     # split 1 is at or above the one rank the root appends, so its child,
     # the one-entry node, is indecomposable
-    return plans, (b"", 0, bad, 1, 0, masks)
+    return (plans, tracked or ()), (b"", 0, bad, 1, 0, masks)
 
 
-def _children(node, plans, n_max, k_max):
+def _children(node, spec, n_max, k_max):
     """The children of a node that has a bad mask, in ascending rank order.
 
     A node is (values, inv, bad, split, seen, masks), values being the
@@ -322,15 +445,18 @@ def _children(node, plans, n_max, k_max):
     indecomposable. In the full walk, where masks is None, every avoider
     within the budget is a child, with seen = 0. The pruned walk yields only
     the nodes that lead to indecomposable avoiders: bit i of seen is set
-    when the node contains tracked pattern i, masks lists (i, plan, mask)
-    with its bad-rank mask for every tracked pattern i it does not contain,
-    and a decomposable child is skipped when no indecomposable descendant of
-    it fits the budget or the length. A child is a leaf, with bad = masks =
+    when the node contains tracked pattern i, masks lists (i, mask) with its
+    bad-rank mask for every tracked pattern i it does not contain, and a
+    decomposable child is skipped when no indecomposable descendant of it
+    fits the budget or the length. spec is (fill, fills) from `_spec`: a
+    child's bad mask is filled by the basis kernel and its mask i by
+    fills[i]. A child is a leaf, with bad = masks =
     None and no fill, at length n_max and, in the pruned walk, at the
     budget: a leaf there can only append rank t+2, which gives a
     decomposable child that is always skipped.
     """
     tau, inv, bad, split, seen, masks = node
+    fill, fills = spec
     t = len(tau)
     floor = t + 1 - (k_max - inv)
     if floor < 1:
@@ -354,7 +480,7 @@ def _children(node, plans, n_max, k_max):
             child_split = t + 1
         if pruned:
             child_seen = seen
-            for i, _, mask in masks:
+            for i, mask in masks:
                 if mask >> r & 1:
                     child_seen |= 1 << i
         child = tau.translate(INSERT_RANK[r]) + BYTE[r]
@@ -366,16 +492,16 @@ def _children(node, plans, n_max, k_max):
             child_floor = t + 2 - (k_max - added)
             if child_floor < 1:
                 child_floor = 1
-            for plan in plans:
-                child_bad = _fill(child, plan, child_floor, child_bad)
+            child_bad = fill(child, child_floor, child_bad)
             if pruned:
-                # tracked masks: perms.contains per indecomposable was 1.8-2.8x slower (2-core VM)
+                # tracked masks: perms.contains per indecomposable was 3.2-5.0x
+                # slower (2-core VM)
                 # a tracked pattern the child contains needs no mask
                 child_masks = []
-                for i, plan, mask in masks:
+                for i, mask in masks:
                     if not child_seen >> i & 1:
                         mask = (mask & low) | (mask >> r << (r + 1))
-                        child_masks.append((i, plan, _fill(child, plan, child_floor, mask)))
+                        child_masks.append((i, fills[i](child, child_floor, mask)))
         kids.append((child, added, child_bad, child_split, child_seen, child_masks))
     return kids
 
@@ -383,24 +509,26 @@ def _children(node, plans, n_max, k_max):
 def _walk(node, plans, n_max, k_max):
     """Yield every node below `node`, down to length n_max, in preorder.
 
-    Children come in ascending rank order (see _children for the node
-    shape; values are bytes, which iter_avoiders_upto and
-    indecomposables_upto hand out as Perms), and the walk descends into
-    every node that has a bad mask: all but the leaves at length n_max and,
-    in the pruned walk, at the budget.
-    The stack holds one iterator over the pending siblings per level of the
-    current path, never the tree, so the first node arrives at once however
-    large the tree is.
+    plans are (basis plans, tracked plans) from `_start`; the walk looks
+    up their kernels once. Children come in ascending rank order (see
+    _children for the node shape; values are bytes, which
+    iter_avoiders_upto and indecomposables_upto hand out as Perms), and the
+    walk descends into every node that has a bad mask: all but the leaves
+    at length n_max and, in the pruned walk, at the budget. The stack holds
+    one iterator over the pending siblings per level of the current path,
+    never the tree, so the first node arrives at once however large the
+    tree is.
     """
     check_length(n_max)
+    spec = _spec(plans)
     stack = []
     if len(node[0]) < n_max:
-        stack.append(iter(_children(node, plans, n_max, k_max)))
+        stack.append(iter(_children(node, spec, n_max, k_max)))
     while stack:
         for node in stack[-1]:
             yield node
             if node[2] is not None:
-                stack.append(iter(_children(node, plans, n_max, k_max)))
+                stack.append(iter(_children(node, spec, n_max, k_max)))
                 break
         else:
             stack.pop()
@@ -509,15 +637,22 @@ def _component_rows(start, step, tally, n_max, k_max):
     """
     width = math.factorial(n_max).bit_length()
     kept = (1 << (width * (k_max + 1))) - 1
+    # the classes sharing a `seen` move every state alike, so step runs once
+    # per (state, distinct seen): by_seen[seen][length] is their packed count
+    by_seen = {}
+    for (length, inv, seen), count in tally.items():
+        by_length = by_seen.setdefault(seen, Counter())
+        by_length[length] += count << (width * inv)
     moves = {}
     todo = [start]
     while todo:
         state = todo.pop()
         polys = Counter()
-        for (length, inv, seen), count in tally.items():
+        for seen, by_length in by_seen.items():
             target = step(state, seen)
             if target is not None:
-                polys[target, length] += count << (width * inv)
+                for length, poly in by_length.items():
+                    polys[target, length] += poly
         moves[state] = sorted(polys.items(), key=lambda item: item[0][1])
         todo.extend({target for target, _ in polys} - moves.keys() - set(todo))
     f = {state: [0] * (n_max + 1) for state in moves}
@@ -565,10 +700,13 @@ _SPLIT_DEPTH = 4
 
 # A table whose jobs project at most this many indecomposables is walked
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
-# 2-core VM, which the split walk repays only from a few thousand on: {1324}
-# at (18, 12) (5,544) takes 0.047 s inline and 0.055 s pooled, at (20, 13)
-# (9,456) 0.086 s and 0.080 s. Tallies, unlike the clock, send a table the
-# same way on every machine, and job shares are stable across sizes.
+# 2-core VM, which the split walk repays only from several thousand on, at
+# a cost per indecomposable that depends on the basis (best of 6): {1324}
+# at (18, 12) (5,562) takes 0.013 s inline and 0.027 s pooled, and about
+# 0.03 s both ways at (21, 14) (15,803); {1324,21354} at (20, 14) (8,764),
+# whose length-5 pattern runs the backtracking fill, 0.056 s and 0.040 s.
+# Tallies, unlike the clock, send a table the same way on every machine,
+# and job shares are stable across sizes.
 _POOL_MIN_TALLY = 5000
 
 
@@ -609,9 +747,10 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     if workers > 1 and depth > _SPLIT_DEPTH:
         # the levels above the split depth run inline, where the leaves at
         # the budget are tallied and dropped; the rest are the jobs
+        spec = _spec(plans)
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
-                        for child in _children(parent, plans, depth, k_max)]
+                        for child in _children(parent, spec, depth, k_max)]
             parts.append(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
     jobs = [(node, plans, depth, k_max) for node in frontier]

@@ -1,7 +1,9 @@
 import concurrent.futures
 import hashlib
 import itertools
+import multiprocessing
 import os
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from permseq.enumeration import (
     CountTable,
     _automaton,
     _fill,
+    _kernel,
     _plan,
     _start,
     _walk,
@@ -32,6 +35,7 @@ from permseq.enumeration import (
     zero_row_threshold,
 )
 from permseq.perms import (
+    SYMMETRIES,
     Perm,
     avoids,
     contains,
@@ -92,16 +96,39 @@ def _bad_ranks_brute(tau, patterns, t):
 
 def _anchored_brute(tau, q, floor):
     """Reference for one fill: the mask of ranks r >= floor such that tau + r
-    has an occurrence of q with tau's last entry and the new one as q[-2], q[-1]."""
+    has an occurrence of q with tau's last entry and the new one as q[-2], q[-1].
+
+    Appending a rank keeps the order of tau's entries, so only the positions
+    that already hold q's body in tau are tried with every rank."""
     t = len(tau)
+    body = standardize(q[:-1])
     ranks = 0
-    for r in range(floor, t + 2):
-        child = [v + 1 if v >= r else v for v in tau] + [r]
-        for rest in itertools.combinations(range(t - 1), len(q) - 2):
+    for rest in itertools.combinations(range(t - 1), len(q) - 2):
+        if standardize([tau[i] for i in rest] + [tau[-1]]) != body:
+            continue
+        for r in range(floor, t + 2):
+            child = [v + 1 if v >= r else v for v in tau] + [r]
             if standardize([child[i] for i in rest] + child[-2:]) == q:
                 ranks |= 1 << r
-                break
     return ranks
+
+
+def _spy_kernels(mp, record):
+    """Patch enumeration._kernel so that every kernel a walk builds calls
+    record(plans, tau, floor, bad, result) after each fill."""
+    real = enumeration._kernel
+
+    def kernel(plans):
+        fill = real(plans)
+
+        def spy(tau, floor, bad):
+            out = fill(tau, floor, bad)
+            record(plans, tau, floor, bad, out)
+            return out
+
+        return spy
+
+    mp.setattr(enumeration, "_kernel", kernel)
 
 
 def _walk_tallies(patterns, n_max, k_max):
@@ -341,11 +368,56 @@ def fill_case_st(draw):
 @example((Perm((3, 1, 2)), bytes((3, 1, 4, 2)), 1, 0))
 @example((Perm((3, 1, 4, 2)), bytes((2, 4, 3, 1, 5)), 1, 0))
 def test_fill_matches_anchored_oracle(case):
+    # the backtracking loop and the compiled kernel (generated for bodies of
+    # length 2 and 3, a call to the loop for the others)
     q, tau, floor, bad = case
-    got = _fill(tau, _plan(q), floor, bad)
     below = (1 << floor) - 1
-    assert got & below == bad & below
-    assert got >> floor == (bad | _anchored_brute(tau, q, floor)) >> floor
+    want = (bad | _anchored_brute(tau, q, floor)) >> floor
+    for got in (_fill(tau, _plan(q), floor, bad), _kernel((_plan(q),))(tau, floor, bad)):
+        assert got & below == bad & below
+        assert got >> floor == want
+
+
+S3_S4 = [Perm(p) for m in (3, 4) for p in itertools.permutations(range(1, m + 1))]
+
+
+@pytest.mark.parametrize("basis", [
+    *([q] for q in S3_S4),
+    # a kernel of two blocks; the one-block kernels above already check each block
+    *(pytest.param([parse_perm("1324"), q], marks=pytest.mark.slow)
+      for q in S3_S4 if q != parse_perm("1324")),
+], ids=lambda basis: ",".join("".join(map(str, q)) for q in basis))
+def test_kernel_matches_fill_on_every_node(basis):
+    # the basis kernel on every node of the full walk of S_<=7, at every
+    # floor, with no, all but one and two random bad ranks coming in: equal
+    # to the backtracking loop over each plan and to the brute-force fill
+    plans = [_plan(q) for q in sorted(basis)]
+    kernel = _kernel(tuple(plans))
+    rng = random.Random(",".join(map(str, basis)))
+    for tau, _ in iter_avoiders_upto(basis, 7, 21):
+        t = len(tau)
+        vals = bytes(tau)
+        found = 0
+        for q in basis:
+            found |= _anchored_brute(tau, q, 1)
+        for floor in range(1, t + 2):
+            above = (1 << (t + 2)) - (1 << floor)
+            for bad in (0, above & ~(1 << rng.randint(floor, t + 1)),
+                        rng.getrandbits(t + 2), rng.getrandbits(t + 2)):
+                looped = bad
+                for plan in plans:
+                    looped = _fill(vals, plan, floor, looped)
+                assert looped == bad | found & above, (tau, floor, bad)
+                assert kernel(vals, floor, bad) == looped, (tau, floor, bad)
+
+
+@pytest.mark.parametrize("p", S3_S4, ids=lambda p: "".join(map(str, p)))
+def test_count_table_equal_on_symmetric_images(p):
+    # each inversion-preserving symmetry fixes 1324, and the images of p
+    # have other plans, so they run other kernels
+    want = count_table([parse_perm("1324"), p], 10, 9).rows
+    for name, fn in SYMMETRIES:
+        assert count_table([parse_perm("1324"), fn(p)], 10, 9).rows == want, name
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,7 +430,15 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
     tracked = _automaton(basis)[0]
     plans_tracked = tuple(_plan(q) for q in tracked)
     plans, root = _start(basis, plans_tracked)
-    for tau, inv, bad, split, seen, masks in _walk(root, plans, n_max, k_max):
+    filled = {}  # (child, kernel's plans) -> the mask that kernel returned
+
+    def record(kernel_plans, tau, floor, bad, out):
+        filled[tau, kernel_plans] = out
+
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_kernels(mp, record)
+        nodes = list(_walk(root, plans, n_max, k_max))
+    for tau, inv, bad, split, seen, masks in nodes:
         t = len(tau)
         assert split == first_split(tau), tau
         # the pruned walk yields only indecomposables at the last length
@@ -375,9 +455,11 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
         want = _bad_ranks_brute(tau, basis, t)
         for r in range(floor, t + 2):
             assert bool(bad >> r & 1) == want[r], (tau, r)
-        assert [i for i, _, _ in masks] == [i for i in range(len(tracked)) if not seen >> i & 1]
-        for i, plan, mask in masks:
-            assert plan == plans_tracked[i]
+        assert filled[tau, plans[0]] == bad
+        assert [i for i, _ in masks] == [i for i in range(len(tracked)) if not seen >> i & 1]
+        for i, mask in masks:
+            # mask i is the one the kernel of tracked pattern i filled
+            assert filled[tau, (plans_tracked[i],)] == mask
             want = _bad_ranks_brute(tau, [tracked[i]], t)
             for r in range(floor, t + 2):
                 assert bool(mask >> r & 1) == want[r], (tau, tracked[i], r)
@@ -387,15 +469,13 @@ def test_iter_avoiders_upto_streams(monkeypatch):
     # Av_{<=14}(1324) is far too large to list: the first avoider must come
     # after the root's one child is filled, and reaching length 14 may fill
     # only the children of the nodes on the path there, one level each
-    real_fill = enumeration._fill
     calls = 0
 
-    def spy(*args):
+    def record(*_):
         nonlocal calls
         calls += 1
-        return real_fill(*args)
 
-    monkeypatch.setattr(enumeration, "_fill", spy)
+    _spy_kernels(monkeypatch, record)
     walk = iter_avoiders_upto(["1324"], 14, 91)
     assert next(walk) == (Perm((1,)), 0)
     assert calls == 1
@@ -409,14 +489,12 @@ def test_iter_avoiders_upto_streams(monkeypatch):
 def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch):
     # a child at the budget has floor len(child) + 1 and is a leaf of the
     # pruned walk, so count_table never fills it
-    real_fill = enumeration._fill
     fills = []
 
-    def spy(tau, plan, floor, bad):
+    def record(plans, tau, floor, bad, out):
         fills.append((len(tau), floor))
-        return real_fill(tau, plan, floor, bad)
 
-    monkeypatch.setattr(enumeration, "_fill", spy)
+    _spy_kernels(monkeypatch, record)
     count_table(parse_basis(basis_text), n_max, k_max)
     assert fills
     assert all(floor <= t for t, floor in fills), max(fills, key=lambda f: f[1] - f[0])
@@ -496,6 +574,26 @@ def test_pool_jobs_carry_node_state(basis_text, n_max, k_max, monkeypatch):
     assert count_table(basis, n_max, k_max, threads=2).rows == rows
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     assert count_table(basis, n_max, k_max, threads=2).rows == rows
+
+
+@pytest.mark.parametrize("basis_text, n_max, k_max", [("1324,2143", 9, 6), ("1324,21354", 12, 9)])
+def test_pool_jobs_run_in_spawned_workers(basis_text, n_max, k_max, monkeypatch):
+    # a spawned worker imports the package afresh: a job carries plans, not
+    # kernels, and the worker compiles its own
+    started = []
+
+    class SpawnPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
+    basis = parse_basis(basis_text)
+    rows = count_table(basis, n_max, k_max).rows
+    assert count_table(basis, n_max, k_max, threads=2).rows == rows
+    assert started == [2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -313,6 +313,11 @@ def test_contains_matches_bruteforce(n):
     st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
     st.integers(0, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1)))),
 )
+# role 0 of 231 and of 2341 bounds the last role from above, so it must take
+# its highest candidate: 1 and 3 are both left of 4 in 1342, and 1 and 3
+# both left of 4, 5 in 13452, but only 3 is above the 2 that ends each
+@example([1, 3, 4, 2], [2, 3, 1])
+@example([1, 3, 4, 5, 2], [2, 3, 4, 1])
 def test_contains_matches_bruteforce_random(p, q):
     # the value-window fill against every subsequence, on lists and on Perms
     want = brute_contains(p, q)
