@@ -255,14 +255,18 @@ def cmd_gf(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .partitions import FAMILY_TESTS, family_sides
+    from .partitions import FAMILY_RULES, family_sides
+    from .series import named_gf
 
     partner = args.pattern
-    if partner not in FAMILY_TESTS:
+    if partner not in FAMILY_RULES:
         raise ValueError(f"no partition family registered for {partner}; "
-                         f"known: {', '.join(sorted(FAMILY_TESTS))}")
+                         f"known: {', '.join(sorted(FAMILY_RULES))}")
+    # the family's size, a third check independent of both sides
+    name = f"132,{partner}"
+    sizes = named_gf(name, args.k)
     failures = 0
-    for k, (left, right) in enumerate(family_sides(partner, FAMILY_TESTS[partner], args.k)):
+    for k, (left, right) in enumerate(family_sides(partner, FAMILY_RULES[partner], args.k)):
         status = "ok" if left == right else "MISMATCH"
         print(f"k={k}: permutation side {len(left)}, partition side {len(right)} [{status}]")
         for lam in sorted(left - right):
@@ -270,6 +274,9 @@ def cmd_bijection(args) -> int:
             failures += 1
         for lam in sorted(right - left):
             print(f"  only from partitions:   {lam}")
+            failures += 1
+        if len(right) != sizes[k]:
+            print(f"  partition side {len(right)}, series {name} coefficient {sizes[k]}")
             failures += 1
     return EXIT_BIJECTION_MISMATCH if failures else 0
 

@@ -64,13 +64,19 @@ the pruned walk finds with two more fields per node:
   first component (its length when it is indecomposable). A child
   appending rank r keeps the parent's split if that is below r, and is
   otherwise indecomposable, splitting at its length t+1. A decomposable
-  child only becomes indecomposable after some later entry lands at rank
-  <= split, which costs at least t+2-split inversions, so the pruned walk
-  skips it when inv + t+2-split > k_max, and always at the walk's last
+  child with split s leads to an indecomposable only through a descendant
+  that appends a rank <= s, now or after more entries at ranks above s.
+  Those entries keep every mask bit <= s (inheritance keeps the bits below
+  the appended rank and a fill only adds bits), and the floor only rises.
+  So once every rank from the child's floor to s is bad, no descendant is
+  indecomposable, and the pruned walk drops the child: it tests the bits
+  the child inherits before the fill, and the filled mask after it. The
+  interval is empty when the rank s, which costs t+2-s inversions, is over
+  the budget. The walk also drops every decomposable child at its last
   length. A node at the budget can then only append rank t+2, which gives
-  a skipped decomposable child, so it is a leaf: it gets no masks and no
+  a dropped decomposable child, so it is a leaf: it gets no masks and no
   fill. It is indecomposable too, since a decomposable child at the budget
-  is skipped.
+  is dropped.
 - Tracked-pattern masks. An occurrence of an indecomposable pattern lies in
   one component, so a basis pattern q = q_1 (+) ... (+) q_s can only be
   spread over several components through its consecutive sums
@@ -447,13 +453,13 @@ def _children(node, spec, n_max, k_max):
     the nodes that lead to indecomposable avoiders: bit i of seen is set
     when the node contains tracked pattern i, masks lists (i, mask) with its
     bad-rank mask for every tracked pattern i it does not contain, and a
-    decomposable child is skipped when no indecomposable descendant of it
-    fits the budget or the length. spec is (fill, fills) from `_spec`: a
-    child's bad mask is filled by the basis kernel and its mask i by
-    fills[i]. A child is a leaf, with bad = masks =
-    None and no fill, at length n_max and, in the pruned walk, at the
-    budget: a leaf there can only append rank t+2, which gives a
-    decomposable child that is always skipped.
+    decomposable child is dropped at the last length or once every rank
+    from its floor to its split is bad, since then no descendant of it is
+    indecomposable. spec is (fill, fills) from `_spec`: a child's bad mask
+    is filled by the basis kernel and its mask i by fills[i]. A child is a
+    leaf, with bad = masks = None and no fill, at length n_max and, in the
+    pruned walk, at the budget: a leaf there can only append rank t+2,
+    which gives a decomposable child that is always dropped.
     """
     tau, inv, bad, split, seen, masks = node
     fill, fills = spec
@@ -469,12 +475,20 @@ def _children(node, spec, n_max, k_max):
         if bad >> r & 1:
             continue
         added = inv + t + 1 - r
+        child_floor = t + 2 - (k_max - added)
+        if child_floor < 1:
+            child_floor = 1
+        dead = 0  # the ranks that, all bad, drop a decomposable child
         if split < r:
             # the child splits where its parent does; the pruned walk drops
-            # it unless a later entry at rank <= split, costing at least
-            # t + 2 - split inversions, can still make it indecomposable
-            if pruned and (last or added + t + 2 - split > k_max):
-                continue
+            # it unless some rank in child_floor..split, which it keeps
+            # from its parent, is still free (see the module docstring)
+            if pruned:
+                if last or child_floor > split:
+                    continue
+                dead = (2 << split) - (1 << child_floor)
+                if bad & dead == dead:
+                    continue
             child_split = split
         else:
             child_split = t + 1
@@ -489,10 +503,9 @@ def _children(node, spec, n_max, k_max):
             # bits >= r move up one; bit r stays clear, as it was in the parent
             low = (1 << r) - 1
             child_bad = (bad & low) | (bad >> r << (r + 1))
-            child_floor = t + 2 - (k_max - added)
-            if child_floor < 1:
-                child_floor = 1
             child_bad = fill(child, child_floor, child_bad)
+            if dead and child_bad & dead == dead:
+                continue
             if pruned:
                 # tracked masks: perms.contains per indecomposable was 3.2-5.0x
                 # slower (2-core VM)
@@ -701,12 +714,14 @@ _SPLIT_DEPTH = 4
 # A table whose jobs project at most this many indecomposables is walked
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
 # 2-core VM, which the split walk repays only from several thousand on, at
-# a cost per indecomposable that depends on the basis (best of 6): {1324}
-# at (18, 12) (5,562) takes 0.013 s inline and 0.027 s pooled, and about
-# 0.03 s both ways at (21, 14) (15,803); {1324,21354} at (20, 14) (8,764),
-# whose length-5 pattern runs the backtracking fill, 0.056 s and 0.040 s.
-# Tallies, unlike the clock, send a table the same way on every machine,
-# and job shares are stable across sizes.
+# a cost per indecomposable that depends on the basis (best of 24, with
+# dead decomposable prefixes dropped): {1324} at (18, 12) (5,562; no node
+# is dropped) takes 0.012 s inline and 0.021 s pooled, and 0.033 s and
+# 0.036 s at (21, 14) (15,803); {1324,21354} at (20, 14) (8,764 in 9,765
+# nodes, 10,064 before the drop), whose length-5 pattern runs the
+# backtracking fill, 0.046 s and 0.039 s. Tallies, unlike the clock, send
+# a table the same way on every machine, and job shares are stable across
+# sizes.
 _POOL_MIN_TALLY = 5000
 
 

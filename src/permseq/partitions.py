@@ -4,7 +4,10 @@
 A partition is a tuple of weakly decreasing positive integers; parts beyond
 the length count as zero. The family tests all read one run decomposition
 of the parts: each distinct value, largest first, with its multiplicity and
-its drop to the next smaller value (to zero after the last).
+its drop to the next smaller value (to zero after the last). The family
+rules read the same runs to generate each family one run at a time
+(`family_partitions`); the tests stay as membership tests and as the
+generator's oracle.
 """
 
 from __future__ import annotations
@@ -154,18 +157,108 @@ FAMILY_TESTS: dict[str, Callable[[Sequence[int]], bool]] = {
 }
 
 
-def family_sides(partner: str, family_test, k_max: int) -> Iterator[tuple[set, set]]:
-    """Yield, for k = 0..k_max, Lambda(I_k(132, partner)) and the set of
-    partitions of k passing the test.
+# -- family generation ----------------------------------------------------
+
+# A family rule (start, step) reads a partition run by run, largest first:
+# step(state, gap, mult) is the state after a run of `mult` equal parts
+# lying `gap` below the run above it (gap None for the first run), or None
+# when no partition that starts with these runs is in the family. The
+# partition is in the family when one more step, with mult 0 and the gap
+# down to zero (None for the empty partition), is not None. A rule that
+# rejects a multiplicity rejects every larger one.
+
+
+def _spm_step(pending, gap, mult):
+    # pending: a plateau above that no drop of two has followed yet
+    pending = pending and gap < 2
+    if mult > 2 or (mult == 2 and pending):
+        return None
+    return pending or mult == 2
+
+
+def _steep_step(state, gap, mult):
+    # every gap is at least the multiplicity of the run below it
+    return None if gap is not None and gap < mult else state
+
+
+def _convex_penny_step(plateau, gap, mult):
+    # after two equal parts, every gap (down to zero too) is at most one
+    if plateau and gap >= 2:
+        return None
+    return plateau or mult > 1
+
+
+def _distinct_except_smallest_step(repeated, gap, mult):
+    # a repeated part is the smallest: only the zeros follow it
+    return None if repeated and mult else mult > 1
+
+
+def _convex_4231_step(dropped, gap, mult):
+    # after a gap of two or more, every part is distinct
+    dropped = dropped or (gap is not None and gap >= 2)
+    return None if dropped and mult > 1 else dropped
+
+
+def max_distinct_parts_rule(m: int):
+    """Family rule for avoiding the descending pattern of length m: at most
+    m - 2 runs (the rule of `max_distinct_parts(m)`)."""
+
+    def step(count, gap, mult):
+        count += mult > 0
+        return count if count <= m - 2 else None
+
+    return 0, step
+
+
+FAMILY_RULES = {
+    "2341": (False, _spm_step),
+    "3241": (0, _steep_step),
+    "3412": (False, _convex_penny_step),
+    "3421": (False, _distinct_except_smallest_step),
+    "4231": (False, _convex_4231_step),
+    "4321": max_distinct_parts_rule(4),
+}
+
+
+def family_partitions(rule, k_max: int) -> list[set[Partition]]:
+    """[F_0, ..., F_{k_max}]: F_k holds the partitions of k that the family
+    rule accepts.
+
+    Runs are added largest first, and a prefix of runs the rule rejects is
+    dropped with every partition that extends it, so the cost follows the
+    family's size, not the number of partitions.
+    """
+    start, step = rule
+    buckets: list[set[Partition]] = [set() for _ in range(k_max + 1)]
+
+    def grow(parts, total, top, state):
+        # top: the smallest part so far, None while there is none
+        if step(state, top, 0) is not None:
+            buckets[total].add(parts)
+        room = k_max - total
+        for v in range(room if top is None else min(top - 1, room), 0, -1):
+            gap = None if top is None else top - v
+            for mult in range(1, room // v + 1):
+                after = step(state, gap, mult)
+                if after is None:
+                    break
+                grow(parts + (v,) * mult, total + v * mult, v, after)
+
+    grow((), 0, None, start)
+    return buckets
+
+
+def family_sides(partner: str, rule, k_max: int) -> Iterator[tuple[set, set]]:
+    """Yield, for k = 0..k_max, Lambda(I_k(132, partner)) and the partitions
+    of k that the family rule generates.
 
     Both sides are produced independently: the left from one walk over the
-    132- and partner-avoiders, the right by filtering all partitions of k.
+    132- and partner-avoiders, the right by `family_partitions`.
     """
     basis = [_P132, parse_perm(partner)]
+    right = family_partitions(rule, k_max)
     for k, bucket in enumerate(indecomposables_upto(basis, k_max)):
-        left = {lambda_map(p) for p in bucket}
-        right = {lam for lam in partitions_of(k) if family_test(lam)}
-        yield left, right
+        yield {lambda_map(p) for p in bucket}, right[k]
 
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:

@@ -423,20 +423,37 @@ def test_cmd_gf_reports_an_unstable_column(capsys, monkeypatch):
 def test_cmd_bijection_reports_a_mismatch(capsys, monkeypatch):
     import permseq.partitions as partitions
 
-    real = partitions.FAMILY_TESTS["2341"]
-    # the wrong test flips its answer on every partition of 3
-    monkeypatch.setitem(partitions.FAMILY_TESTS, "2341", lambda lam: real(lam) != (sum(lam) == 3))
+    # the wrong rule: steep partitions stand in for the sand pile model
+    monkeypatch.setitem(partitions.FAMILY_RULES, "2341", partitions.FAMILY_RULES["3241"])
     rc = main(["bijection", "--pattern", "2341", "--k", "4"])
     assert rc == EXIT_BIJECTION_MISMATCH == 3
     assert capsys.readouterr().out == (
         "k=0: permutation side 1, partition side 1 [ok]\n"
         "k=1: permutation side 1, partition side 1 [ok]\n"
         "k=2: permutation side 2, partition side 2 [ok]\n"
-        "k=3: permutation side 2, partition side 1 [MISMATCH]\n"
-        "  only from permutations: (2, 1)\n"
-        "  only from permutations: (3,)\n"
+        "k=3: permutation side 2, partition side 3 [MISMATCH]\n"
         "  only from partitions:   (1, 1, 1)\n"
-        "k=4: permutation side 4, partition side 4 [ok]\n")
+        "  partition side 3, series 132,2341 coefficient 2\n"
+        "k=4: permutation side 4, partition side 4 [MISMATCH]\n"
+        "  only from permutations: (2, 1, 1)\n"
+        "  only from partitions:   (1, 1, 1, 1)\n")
+
+
+def test_cmd_bijection_checks_the_series_size(capsys, monkeypatch):
+    import permseq.series as series
+
+    real = series.named_gf
+    # both sides agree, but the catalogue counts one more at k = 2
+    bump = series.TruncatedSeries((0, 0, 1, 0))
+    monkeypatch.setattr(series, "named_gf", lambda name, order: real(name, order) + bump)
+    rc = main(["bijection", "--pattern", "4321", "--k", "3"])
+    assert rc == EXIT_BIJECTION_MISMATCH
+    assert capsys.readouterr().out == (
+        "k=0: permutation side 1, partition side 1 [ok]\n"
+        "k=1: permutation side 1, partition side 1 [ok]\n"
+        "k=2: permutation side 2, partition side 2 [ok]\n"
+        "  partition side 2, series 132,4321 coefficient 3\n"
+        "k=3: permutation side 3, partition side 3 [ok]\n")
 
 
 def test_cmd_inject(capsys):

@@ -455,6 +455,9 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
         want = _bad_ranks_brute(tau, basis, t)
         for r in range(floor, t + 2):
             assert bool(bad >> r & 1) == want[r], (tau, r)
+        # a decomposable node still has a free rank that would make it
+        # indecomposable
+        assert split == t or not all(want[floor:split + 1]), (tau, inv)
         assert filled[tau, plans[0]] == bad
         assert [i for i, _ in masks] == [i for i in range(len(tracked)) if not seen >> i & 1]
         for i, mask in masks:
@@ -463,6 +466,35 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
             want = _bad_ranks_brute(tau, [tracked[i]], t)
             for r in range(floor, t + 2):
                 assert bool(mask >> r & 1) == want[r], (tau, tracked[i], r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_st, st.integers(1, 9), st.integers(0, 9))
+@example([Perm((1, 3, 2)), Perm((3, 4, 1, 2))], 9, 9)
+@example([Perm((1, 3, 2, 4))], 9, 9)
+def test_pruned_walk_keeps_exactly_the_live_prefixes(patterns, n_max, k_max):
+    # the full walk is the oracle: the pruned walk yields a decomposable
+    # node iff an indecomposable avoider within the length and the budget
+    # extends it, and indecomposables_upto lists the full walk's
+    # indecomposables
+    basis = frozenset(patterns)
+    tracked = tuple(_plan(q) for q in _automaton(basis)[0])
+    plans, root = _start(basis, tracked)
+    got = [Perm(node[0]) for node in _walk(root, plans, n_max, k_max)]
+    full = list(iter_avoiders_upto(basis, max(n_max, k_max + 1), k_max))
+    indecomposables = [(p, inv) for p, inv in full if first_split(p) == len(p)]
+    want = set()
+    for p, _ in indecomposables:
+        if len(p) <= n_max:
+            want.update(standardize(p[:t]) for t in range(1, len(p) + 1))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    buckets = [[] for _ in range(k_max + 1)]
+    for p, inv in indecomposables:
+        buckets[inv].append(p)
+    for bucket in buckets:
+        bucket.sort(key=lambda p: (len(p), p))
+    assert indecomposables_upto(basis, k_max) == buckets
 
 
 def test_iter_avoiders_upto_streams(monkeypatch):

@@ -10,9 +10,11 @@ from permseq.enumeration import (
 )
 from permseq.golden import GOLDEN_PARTNERS
 from permseq.partitions import (
+    FAMILY_RULES,
     FAMILY_TESTS,
     check_partition,
     family_counts,
+    family_partitions,
     family_sides,
     indecomposable_avoiders,
     is_convex_4231,
@@ -22,11 +24,13 @@ from permseq.partitions import (
     is_steep,
     lambda_map,
     max_distinct_parts,
+    max_distinct_parts_rule,
     distinct_part_count,
     partitions_of,
     verify_transfer_213_2431,
 )
 from permseq.perms import Perm, components, inv_count, is_decomposable, parse_basis, parse_perm
+from permseq.series import named_gf
 
 from oracles import (
     lambda_inverse,
@@ -218,8 +222,26 @@ def test_overpartition_counts():
 
 @pytest.mark.parametrize("partner", sorted(FAMILY_TESTS))
 def test_verify_family(partner):
-    for left, right in family_sides(partner, FAMILY_TESTS[partner], 10):
+    for left, right in family_sides(partner, FAMILY_RULES[partner], 10):
         assert left == right
+
+
+def test_family_generator_matches_filter():
+    # every family rule generates exactly the partitions its test accepts,
+    # at every k <= 30, and as many as the series catalogue counts
+    k_max = 30
+    everything = [list(partitions_of(k)) for k in range(k_max + 1)]
+    assert FAMILY_RULES.keys() == FAMILY_TESTS.keys()
+    for partner, rule in FAMILY_RULES.items():
+        got = family_partitions(rule, k_max)
+        test = FAMILY_TESTS[partner]
+        assert got == [{lam for lam in parts if test(lam)} for parts in everything], partner
+        sizes = named_gf(f"132,{partner}", k_max).coeffs
+        assert tuple(map(len, got)) == sizes, partner
+    for m in range(2, 7):
+        got = family_partitions(max_distinct_parts_rule(m), 16)
+        test = max_distinct_parts(m)
+        assert got == [{lam for lam in parts if test(lam)} for parts in everything[:17]], m
 
 
 def test_verify_transfer():
@@ -228,7 +250,7 @@ def test_verify_transfer():
 
 def test_verify_family_descending_length_5():
     # the descending pattern of length m corresponds to at most m-2 distinct parts
-    for left, right in family_sides("54321", max_distinct_parts(5), 8):
+    for left, right in family_sides("54321", max_distinct_parts_rule(5), 8):
         assert left == right
 
 
