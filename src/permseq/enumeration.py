@@ -121,6 +121,7 @@ from .perms import (
     components,
     direct_sum,
     inv_count,
+    nearest_roles,
     parse_perm,
     pattern_basis,
 )
@@ -165,15 +166,9 @@ def _plan(q: Sequence[int]):
     body = tuple(q[:-1])
     m1 = len(body)
     qlast = q[-1]
-    below, above, lift = [], [], []
-    for j in range(m1):
-        later = range(j + 1, m1)
-        below.append(max((i for i in later if body[i] < body[j]),
-                         key=body.__getitem__, default=m1))
-        above.append(min((i for i in later if body[i] > body[j]),
-                         key=body.__getitem__, default=m1 + 1))
-        # the role valued q[-1] + 1 + d needs a value >= floor + d
-        lift.append(body[j] - qlast - 2 if body[j] > qlast else _UNLIFTED)
+    below, above = zip(*(nearest_roles(body, j, range(j + 1, m1)) for j in range(m1)))
+    # the role valued q[-1] + 1 + d needs a value >= floor + d
+    lift = [v - qlast - 2 if v > qlast else _UNLIFTED for v in body]
     lo_role = body.index(qlast - 1) if qlast > 1 else m1
     hi_role = body.index(qlast + 1) if qlast <= m1 else m1 + 1
     decided = min(lo_role, hi_role)
@@ -181,7 +176,7 @@ def _plan(q: Sequence[int]):
         lo_off, hi_off = qlast - body[-1], MAX_LENGTH
     else:
         lo_off, hi_off = -MAX_LENGTH, qlast - body[-1] + 1
-    return (m1, tuple(below), tuple(above), tuple(lift), lo_role, hi_role, decided,
+    return (m1, below, above, tuple(lift), lo_role, hi_role, decided,
             lo_off, hi_off)
 
 

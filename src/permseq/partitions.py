@@ -2,18 +2,17 @@
 132-avoiders, and the partition families matching pattern restrictions.
 
 A partition is a tuple of weakly decreasing positive integers; parts beyond
-the length count as zero. The family tests all read one run decomposition
-of the parts: each distinct value, largest first, with its multiplicity and
-its drop to the next smaller value (to zero after the last). The family
-rules read the same runs to generate each family one run at a time
-(`family_partitions`); the tests stay as membership tests and as the
-generator's oracle.
+the length count as zero. Each family is defined once, by a rule that reads
+the partition run by run: each distinct value, largest first, with its
+multiplicity and its gap below the run above it (to zero after the last).
+The same rule generates the family one run at a time (`family_partitions`)
+and decides membership of a given partition (`in_family`).
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .enumeration import indecomposables_upto
 from .perms import (
@@ -79,86 +78,6 @@ def indecomposable_avoiders(basis, k: int) -> list[Perm]:
 
 # -- partition families ---------------------------------------------------
 
-def _runs(parts: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(value, multiplicity, drop) for each distinct part, largest first;
-    the drop is the gap to the next smaller part, or to zero after the last."""
-    runs = [(v, len(list(group))) for v, group in groupby(check_partition(parts))]
-    lows = [v for v, _ in runs[1:]] + [0]
-    return [(v, mult, v - low) for (v, mult), low in zip(runs, lows)]
-
-
-def is_spm(parts: Sequence[int]) -> bool:
-    """Sand pile model membership: no three equal parts, and between any two
-    plateaus there is a drop of at least two."""
-    pending = False  # a plateau not yet followed by a drop of two
-    for _, mult, drop in _runs(parts):
-        if mult > 2 or (mult == 2 and pending):
-            return False
-        pending = (pending or mult == 2) and drop < 2
-    return True
-
-
-def is_steep(parts: Sequence[int]) -> bool:
-    """Each gap between consecutive distinct parts is at least the
-    multiplicity of the smaller part."""
-    runs = _runs(parts)
-    return all(drop >= mult for (_, _, drop), (_, mult, _) in zip(runs, runs[1:]))
-
-
-def is_convex_penny(parts: Sequence[int]) -> bool:
-    """No equal adjacent pair strictly before a drop of two or more
-    (zero-padded beyond the last part)."""
-    plateau = False
-    for _, mult, drop in _runs(parts):
-        plateau = plateau or mult > 1
-        if plateau and drop >= 2:
-            return False
-    return True
-
-
-def is_distinct_except_smallest(parts: Sequence[int]) -> bool:
-    """All parts except possibly the smallest value have multiplicity one."""
-    return all(mult == 1 for _, mult, _ in _runs(parts)[:-1])
-
-
-def is_convex_4231(parts: Sequence[int]) -> bool:
-    """After any drop of two or more, the remaining parts are strictly
-    decreasing (down to the final zero)."""
-    dropped = False
-    for _, mult, drop in _runs(parts):
-        if dropped and mult > 1:
-            return False
-        dropped = dropped or drop >= 2
-    return True
-
-
-def distinct_part_count(parts: Sequence[int]) -> int:
-    return len(_runs(parts))
-
-
-def max_distinct_parts(m: int) -> Callable[[Sequence[int]], bool]:
-    """Family test for avoiding the descending pattern of length m."""
-
-    def test(parts: Sequence[int]) -> bool:
-        return distinct_part_count(parts) <= m - 2
-
-    return test
-
-
-# -- family verification --------------------------------------------------
-
-FAMILY_TESTS: dict[str, Callable[[Sequence[int]], bool]] = {
-    "2341": is_spm,
-    "3241": is_steep,
-    "3412": is_convex_penny,
-    "3421": is_distinct_except_smallest,
-    "4231": is_convex_4231,
-    "4321": max_distinct_parts(4),
-}
-
-
-# -- family generation ----------------------------------------------------
-
 # A family rule (start, step) reads a partition run by run, largest first:
 # step(state, gap, mult) is the state after a run of `mult` equal parts
 # lying `gap` below the run above it (gap None for the first run), or None
@@ -168,8 +87,29 @@ FAMILY_TESTS: dict[str, Callable[[Sequence[int]], bool]] = {
 # rejects a multiplicity rejects every larger one.
 
 
+def _runs(parts: Sequence[int]) -> list[tuple[int, int]]:
+    """(value, multiplicity) for each distinct part, largest first."""
+    return [(v, len(list(group))) for v, group in groupby(check_partition(parts))]
+
+
+def in_family(rule, parts: Sequence[int]) -> bool:
+    """Whether the family rule accepts the partition: its step folded over
+    the runs, then the final step down to zero, as `family_partitions`
+    accepts a partition it has grown."""
+    state, step = rule
+    top = None
+    for v, mult in _runs(parts):
+        state = step(state, None if top is None else top - v, mult)
+        if state is None:
+            return False
+        top = v
+    return step(state, top, 0) is not None
+
+
 def _spm_step(pending, gap, mult):
-    # pending: a plateau above that no drop of two has followed yet
+    # sand pile model: no three equal parts, and a drop of at least two
+    # between any two plateaus; pending: a plateau above that no drop of
+    # two has followed yet
     pending = pending and gap < 2
     if mult > 2 or (mult == 2 and pending):
         return None
@@ -201,7 +141,7 @@ def _convex_4231_step(dropped, gap, mult):
 
 def max_distinct_parts_rule(m: int):
     """Family rule for avoiding the descending pattern of length m: at most
-    m - 2 runs (the rule of `max_distinct_parts(m)`)."""
+    m - 2 distinct parts."""
 
     def step(count, gap, mult):
         count += mult > 0
@@ -228,6 +168,8 @@ def family_partitions(rule, k_max: int) -> list[set[Partition]]:
     dropped with every partition that extends it, so the cost follows the
     family's size, not the number of partitions.
     """
+    if k_max < 0:
+        return []
     start, step = rule
     buckets: list[set[Partition]] = [set() for _ in range(k_max + 1)]
 
@@ -269,8 +211,10 @@ def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:
             for k, (source, target) in enumerate(zip(sources, targets))]
 
 
-def family_counts(test, k_max: int) -> list[int]:
-    """Family sizes by filtering every partition of k; a test oracle for the
-    closed forms and DPs in `series`, kept here because the benchmark's
-    tracing (perfbench/tracing.py) wraps it by name."""
-    return [sum(1 for lam in partitions_of(k) if test(lam)) for k in range(k_max + 1)]
+def family_counts(rule, k_max: int) -> list[int]:
+    """Family sizes by filtering every partition of k through `in_family`; a
+    test oracle for `family_partitions` and for the closed forms and DPs in
+    `series`, kept here because the benchmark's tracing
+    (perfbench/tracing.py) wraps it by name."""
+    return [sum(1 for lam in partitions_of(k) if in_family(rule, lam))
+            for k in range(k_max + 1)]

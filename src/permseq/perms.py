@@ -341,10 +341,11 @@ def _narrow(p: Sequence[int]) -> Sequence[int]:
     return standardize(p)
 
 
-def _nearest(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, int]:
+def nearest_roles(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, int]:
     """The role among `roles` nearest below q[j] in value and the one nearest
-    above it, as slots of `_mask_search`'s value list: m and m + 1 stand for
-    none below and none above."""
+    above it, as slots of a value list in which m = len(q) and m + 1 stand
+    for none below and none above: the windows of `_mask_search`,
+    `contains` (`_windows`) and the enumeration's anchored fill."""
     m = len(q)
     return (max((i for i in roles if q[i] < q[j]), key=q.__getitem__, default=m),
             min((i for i in roles if q[i] > q[j]), key=q.__getitem__, default=m + 1))
@@ -365,14 +366,14 @@ def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
     admissible value, and 0 when the last role does not read role 0.
     """
     m = len(q)
-    last = _nearest(q, m - 1, range(m - 1))
+    last = nearest_roles(q, m - 1, range(m - 1))
     pick = 1 if last[0] == 0 else 2 if last[1] == 0 else 0
     if m == 3:
-        return (3, *_nearest(q, 0, (1,)), pick, *last)
-    first = _nearest(q, 0, (1, 2))
+        return (3, *nearest_roles(q, 0, (1,)), pick, *last)
+    first = nearest_roles(q, 0, (1, 2))
     kind2 = (2 in (first[0], last[0])) + 2 * (2 in (first[1], last[1]))
-    return (4, *_nearest(q, 0, (1,)), *_nearest(q, 3, (1,)), *_nearest(q, 2, (1,)), q[2] > q[0],
-            kind2, *first, pick, *last)
+    return (4, *nearest_roles(q, 0, (1,)), *nearest_roles(q, 3, (1,)),
+            *nearest_roles(q, 2, (1,)), q[2] > q[0], kind2, *first, pick, *last)
 
 
 def _mask_search(p: Sequence[int], pre: list[int], plan: tuple[int, ...]) -> bool:
@@ -529,11 +530,7 @@ def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     retry when j runs out of candidates, the nearest earlier one of nonzero
     kind (-1 when there is none)."""
     m = len(q)
-    below, above = [], []
-    for j in range(m):
-        earlier = range(j)
-        below.append(max((i for i in earlier if q[i] < q[j]), key=q.__getitem__, default=m))
-        above.append(min((i for i in earlier if q[i] > q[j]), key=q.__getitem__, default=m + 1))
+    below, above = zip(*(nearest_roles(q, j, range(j)) for j in range(m)))
     kinds = tuple((j in below) + 2 * (j in above) for j in range(m))
     back = tuple(max((i for i in range(j) if kinds[i]), default=-1) for j in range(m))
-    return tuple(below), tuple(above), kinds, back
+    return below, above, kinds, back

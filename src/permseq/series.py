@@ -19,8 +19,9 @@ a multiplication, so a product with P is order passes (`_times_p`):
 - a transfer DP: 132,3241 (steep partitions);
 - the remaining 1324,p entries are squares or products of the above.
 
-`partitions.family_counts`, which filters every partition of k, is kept
-only as the test oracle for these.
+`partitions.family_counts`, which filters every partition of k through a
+family rule (`partitions.in_family`), is kept only as the test oracle for
+these.
 """
 
 from __future__ import annotations

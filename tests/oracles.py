@@ -107,7 +107,7 @@ def overpartitions_of(k: int) -> list[Overpartition]:
         runs = _runs(lam)
         for mask in range(1 << len(runs)):
             over: list[tuple[int, bool]] = []
-            for i, (v, mult, _) in enumerate(runs):
+            for i, (v, mult) in enumerate(runs):
                 over += [(v, bool(mask >> i & 1))] + [(v, False)] * (mult - 1)
             out.append(tuple(over))
     return out

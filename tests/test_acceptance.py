@@ -20,11 +20,11 @@ from permseq.injections import (
     verify_injection,
 )
 from permseq.partitions import (
-    FAMILY_TESTS,
+    FAMILY_RULES,
+    in_family,
     indecomposable_avoiders,
     lambda_map,
     partitions_of,
-    is_spm,
 )
 from permseq.perms import (
     Perm,
@@ -171,19 +171,12 @@ def test_criterion_7_gf_catalogue():
 
 def test_criterion_8_bijection_suite():
     # the six partition families against the enumerated permutation side
-    transfers = {
-        "2341": FAMILY_TESTS["2341"],
-        "3241": FAMILY_TESTS["3241"],
-        "3412": FAMILY_TESTS["3412"],
-        "3421": FAMILY_TESTS["3421"],
-        "4231": FAMILY_TESTS["4231"],
-        "4321": FAMILY_TESTS["4321"],
-    }
-    for partner, test in transfers.items():
+    assert sorted(FAMILY_RULES) == ["2341", "3241", "3412", "3421", "4231", "4321"]
+    for partner, rule in FAMILY_RULES.items():
         basis = parse_basis(f"132,{partner}")
         for k in range(0, 13):
             left = {lambda_map(p) for p in indecomposable_avoiders(basis, k)}
-            right = {lam for lam in partitions_of(k) if test(lam)}
+            right = {lam for lam in partitions_of(k) if in_family(rule, lam)}
             assert left == right, (partner, k)
     # Lambda round trip, exhaustive through inv = 10
     for k in range(0, 11):
@@ -193,7 +186,7 @@ def test_criterion_8_bijection_suite():
             assert lambda_inverse(lambda_map(p)) == p
     # recursive sand pile closure equals the characterization
     for k in range(0, 13):
-        assert spm_generate(k) == {lam for lam in partitions_of(k) if is_spm(lam)}
+        assert spm_generate(k) == {lam for lam in partitions_of(k) if in_family(FAMILY_RULES["2341"], lam)}
     assert spm_generate(5) == {(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
     _announce(8, "six partition families, Lambda round trip, sand pile closure")
 

@@ -11,21 +11,14 @@ from permseq.enumeration import (
 from permseq.golden import GOLDEN_PARTNERS
 from permseq.partitions import (
     FAMILY_RULES,
-    FAMILY_TESTS,
     check_partition,
     family_counts,
     family_partitions,
     family_sides,
+    in_family,
     indecomposable_avoiders,
-    is_convex_4231,
-    is_convex_penny,
-    is_distinct_except_smallest,
-    is_spm,
-    is_steep,
     lambda_map,
-    max_distinct_parts,
     max_distinct_parts_rule,
-    distinct_part_count,
     partitions_of,
     verify_transfer_213_2431,
 )
@@ -44,6 +37,12 @@ from oracles import (
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+SPM = FAMILY_RULES["2341"]
+STEEP = FAMILY_RULES["3241"]
+CONVEX_PENNY = FAMILY_RULES["3412"]
+DISTINCT_EXCEPT_SMALLEST = FAMILY_RULES["3421"]
+CONVEX_4231 = FAMILY_RULES["4231"]
 
 
 def test_partitions_of_order_and_count():
@@ -145,50 +144,52 @@ def test_lambda_bijection_counts():
 
 def test_spm_examples():
     assert spm_generate(5) == {(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
-    assert not is_spm((2, 2, 2))
+    assert not in_family(SPM, (2, 2, 2))
     assert [len(spm_generate(k)) for k in range(10)] == [1, 1, 2, 2, 4, 5, 6, 9, 13, 15]
 
 
 @pytest.mark.parametrize("k", range(0, 13))
 def test_spm_generation_matches_characterization(k):
-    assert spm_generate(k) == {lam for lam in partitions_of(k) if is_spm(lam)}
+    assert spm_generate(k) == {lam for lam in partitions_of(k) if in_family(SPM, lam)}
 
 
 def test_steep_examples():
-    assert is_steep((5, 5, 3, 3, 2, 1))
-    assert not is_steep((3, 2, 2))
-    assert not is_steep((5, 3, 3, 3, 1))
-    assert is_steep((7,))
-    assert is_steep(())
-    assert family_counts(is_steep, 9) == [1, 1, 2, 3, 4, 6, 8, 10, 14, 19]
+    assert in_family(STEEP, (5, 5, 3, 3, 2, 1))
+    assert not in_family(STEEP, (3, 2, 2))
+    assert not in_family(STEEP, (5, 3, 3, 3, 1))
+    assert in_family(STEEP, (7,))
+    assert in_family(STEEP, ())
+    assert family_counts(STEEP, 9) == [1, 1, 2, 3, 4, 6, 8, 10, 14, 19]
 
 
 def test_convex_penny_examples():
-    assert is_convex_penny((4, 1, 1))
-    assert is_convex_penny((2, 2, 1, 1))
-    assert not is_convex_penny((3, 3))
-    assert is_convex_penny(())
-    assert family_counts(is_convex_penny, 9) == [1, 1, 2, 3, 4, 7, 9, 13, 17, 25]
+    assert in_family(CONVEX_PENNY, (4, 1, 1))
+    assert in_family(CONVEX_PENNY, (2, 2, 1, 1))
+    assert not in_family(CONVEX_PENNY, (3, 3))
+    assert in_family(CONVEX_PENNY, ())
+    assert family_counts(CONVEX_PENNY, 9) == [1, 1, 2, 3, 4, 7, 9, 13, 17, 25]
 
 
 def test_distinct_except_smallest_examples():
-    assert is_distinct_except_smallest((4, 2, 2, 2))
-    assert not is_distinct_except_smallest((3, 3, 1))
-    assert is_distinct_except_smallest((7,))
-    assert family_counts(is_distinct_except_smallest, 9) == [1, 1, 2, 3, 5, 6, 10, 12, 17, 22]
+    assert in_family(DISTINCT_EXCEPT_SMALLEST, (4, 2, 2, 2))
+    assert not in_family(DISTINCT_EXCEPT_SMALLEST, (3, 3, 1))
+    assert in_family(DISTINCT_EXCEPT_SMALLEST, (7,))
+    assert family_counts(DISTINCT_EXCEPT_SMALLEST, 9) == [1, 1, 2, 3, 5, 6, 10, 12, 17, 22]
 
 
 def test_convex_4231_examples():
-    assert not is_convex_4231((4, 1, 1))
-    assert is_convex_4231((3, 2, 2, 1))  # all gaps <= 1
-    assert family_counts(is_convex_4231, 10) == [1, 1, 2, 3, 5, 6, 9, 12, 15, 19, 25]
+    assert not in_family(CONVEX_4231, (4, 1, 1))
+    assert in_family(CONVEX_4231, (3, 2, 2, 1))  # all gaps <= 1
+    assert family_counts(CONVEX_4231, 10) == [1, 1, 2, 3, 5, 6, 9, 12, 15, 19, 25]
 
 
 def test_distinct_part_counts():
-    assert distinct_part_count((3, 2, 1)) == 3
-    assert distinct_part_count((7,)) == 1
-    two = max_distinct_parts(4)
-    assert family_counts(two, 9) == [1, 1, 2, 3, 5, 7, 10, 13, 17, 20]
+    # (3, 2, 1) has three distinct parts and (7,) one
+    assert in_family(max_distinct_parts_rule(5), (3, 2, 1))
+    assert not in_family(max_distinct_parts_rule(4), (3, 2, 1))
+    assert in_family(max_distinct_parts_rule(3), (7,))
+    assert not in_family(max_distinct_parts_rule(2), (7,))
+    assert family_counts(max_distinct_parts_rule(4), 9) == [1, 1, 2, 3, 5, 7, 10, 13, 17, 20]
 
 
 def test_overpartition_merge_and_split():
@@ -220,28 +221,30 @@ def test_overpartition_counts():
     assert [len(overpartitions_of(k)) for k in range(10)] == want
 
 
-@pytest.mark.parametrize("partner", sorted(FAMILY_TESTS))
+@pytest.mark.parametrize("partner", sorted(FAMILY_RULES))
 def test_verify_family(partner):
     for left, right in family_sides(partner, FAMILY_RULES[partner], 10):
         assert left == right
 
 
 def test_family_generator_matches_filter():
-    # every family rule generates exactly the partitions its test accepts,
-    # at every k <= 30, and as many as the series catalogue counts
+    # every family rule generates exactly the partitions that `in_family`
+    # accepts, at every k <= 30, and as many as the series catalogue counts
     k_max = 30
     everything = [list(partitions_of(k)) for k in range(k_max + 1)]
-    assert FAMILY_RULES.keys() == FAMILY_TESTS.keys()
     for partner, rule in FAMILY_RULES.items():
         got = family_partitions(rule, k_max)
-        test = FAMILY_TESTS[partner]
-        assert got == [{lam for lam in parts if test(lam)} for parts in everything], partner
+        assert got == [{lam for lam in parts if in_family(rule, lam)}
+                       for parts in everything], partner
         sizes = named_gf(f"132,{partner}", k_max).coeffs
         assert tuple(map(len, got)) == sizes, partner
+        # a negative k has no partitions, as in indecomposables_upto
+        assert family_partitions(rule, -1) == [] == list(family_sides(partner, rule, -1))
     for m in range(2, 7):
-        got = family_partitions(max_distinct_parts_rule(m), 16)
-        test = max_distinct_parts(m)
-        assert got == [{lam for lam in parts if test(lam)} for parts in everything[:17]], m
+        rule = max_distinct_parts_rule(m)
+        got = family_partitions(rule, 16)
+        assert got == [{lam for lam in parts if in_family(rule, lam)}
+                       for parts in everything[:17]], m
 
 
 def test_verify_transfer():
@@ -259,19 +262,19 @@ def test_family_counts_match_limit_values(partner):
     t = count_table(parse_basis(f"132,{partner}"), 16, 10)
     rep = limit_report(t)
     assert None not in rep.m
-    assert list(rep.c) == family_counts(FAMILY_TESTS[partner], 10)
+    assert list(rep.c) == family_counts(FAMILY_RULES[partner], 10)
 
 
 def test_steep_matches_213_2431_limits():
     t = count_table(parse_basis("213,2431"), 16, 10)
     rep = limit_report(t)
-    assert list(rep.c) == family_counts(is_steep, 10)
+    assert list(rep.c) == family_counts(STEEP, 10)
 
 
 def test_squaring_relation():
     # c_k(1324, p) is the self-convolution of c_k(132, p)
     for partner in ("2341", "3412", "3421", "4231", "4321"):
-        inner = family_counts(FAMILY_TESTS[partner], 10)
+        inner = family_counts(FAMILY_RULES[partner], 10)
         t = count_table(parse_basis(f"1324,{partner}"), 16, 8)
         rep = limit_report(t)
         for k in range(9):
@@ -287,7 +290,7 @@ def test_2413_limit_equals_1324_limit():
     assert rep.c == rep0.c
 
 
-# -- the family tests as index scans over the zero-padded parts ---------
+# -- the families as index scans over the zero-padded parts -------------
 
 def _at(parts, i):
     return parts[i] if i < len(parts) else 0
@@ -328,6 +331,28 @@ def _scan_convex_4231(parts):
     return True
 
 
+def _scan_distinct_parts(parts, m):
+    # the descending pattern of length m: at most m - 2 distinct parts
+    return len(set(parts)) <= m - 2
+
+
+SCANS = {
+    "2341": _scan_spm,
+    "3241": _scan_steep,
+    "3412": _scan_convex_penny,
+    "3421": _scan_distinct_except_smallest,
+    "4231": _scan_convex_4231,
+    "4321": lambda parts: _scan_distinct_parts(parts, 4),
+}
+
+
+def _check_against_scans(lam):
+    for partner, rule in FAMILY_RULES.items():
+        assert in_family(rule, lam) == SCANS[partner](lam), (partner, lam)
+    for m in range(2, 7):
+        assert in_family(max_distinct_parts_rule(m), lam) == _scan_distinct_parts(lam, m), (m, lam)
+
+
 def _scan_overpartitions(k):
     out = []
     for lam in partitions_of(k):
@@ -339,25 +364,16 @@ def _scan_overpartitions(k):
 
 
 def test_family_tests_match_index_scans():
-    # every partition of k <= 20, against the definitions read index by index
-    scans = {
-        is_spm: _scan_spm,
-        is_steep: _scan_steep,
-        is_convex_penny: _scan_convex_penny,
-        is_distinct_except_smallest: _scan_distinct_except_smallest,
-        is_convex_4231: _scan_convex_4231,
-    }
+    # every family rule, on every partition of k <= 20, against the
+    # definitions read index by index
+    assert SCANS.keys() == FAMILY_RULES.keys()
     for k in range(21):
         for lam in partitions_of(k):
-            for test, scan in scans.items():
-                assert test(lam) == scan(lam), (test.__name__, lam)
-            assert distinct_part_count(lam) == len(set(lam))
-            assert max_distinct_parts(4)(lam) == (len(set(lam)) <= 2)
+            _check_against_scans(lam)
         assert overpartitions_of(k) == _scan_overpartitions(k), k
 
 
 @given(partitions_st)
 def test_family_tests_accept_padded_zero_convention(lam):
-    # one linear pass; never raises on any valid partition
-    for test in FAMILY_TESTS.values():
-        assert test(lam) in (True, False)
+    # the same comparison on partitions of up to 54, past the exhaustive k
+    _check_against_scans(lam)

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permseq.partitions import (
-    FAMILY_TESTS,
+    FAMILY_RULES,
     family_counts,
-    is_steep,
     partitions_of,
 )
 from permseq.series import (
@@ -132,7 +131,7 @@ def test_named_gf_negative_order():
 
 
 def test_enumeration_backed_entries_match_family_counts():
-    assert list(named_gf("132,3241", 12).coeffs) == family_counts(is_steep, 12)
+    assert list(named_gf("132,3241", 12).coeffs) == family_counts(FAMILY_RULES["3241"], 12)
     steep = named_gf("132,3241", 12)
     assert (partition_gf(12) * steep).coeffs == named_gf("1324,2431", 12).coeffs
 
@@ -141,11 +140,11 @@ def test_closed_forms_match_enumeration_higher_order():
     # the product/double-sum truncations stay exact well past the table range
     for partner in ("2341", "3241", "3412", "3421", "4231", "4321"):
         gf = named_gf(f"132,{partner}", 20)
-        assert list(gf.coeffs) == family_counts(FAMILY_TESTS[partner], 20), partner
+        assert list(gf.coeffs) == family_counts(FAMILY_RULES[partner], 20), partner
     # the steep DP and the convex-penny closed form, past the benchmark order
     for partner in ("3241", "3412"):
         gf = named_gf(f"132,{partner}", 24)
-        assert list(gf.coeffs) == family_counts(FAMILY_TESTS[partner], 24), partner
+        assert list(gf.coeffs) == family_counts(FAMILY_RULES[partner], 24), partner
 
 
 def test_av_1324_1342_values():
