@@ -3,18 +3,22 @@
 The engine walks the tree whose nodes are exactly the avoiders with at most
 k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
-adds t+1-r inversions. `_walk` is the one walker, a generator over an
-explicit stack: it yields the nodes below a given node in preorder,
-children in ascending rank order, each as (values, inv, bad, split, seen,
-masks). values is the byte form of `perms`, one byte per entry, so a child
-is one translate of its parent's values plus one byte. `iter_avoiders_upto`
+adds t+1-r inversions. `_walk` is a generator over an explicit stack: it
+yields the nodes below a given node in preorder, children in ascending
+rank order, each as (values, inv, bad, split, seen, masks). values is the
+byte form of `perms`, one byte per entry, so a child is one translate of
+its parent's values plus one byte. `iter_avoiders_upto`
 streams that preorder and `generate_avoiders` keeps one length of it.
-`count_table` and `indecomposables_upto` read the pruned walk, which yields
-only the part of the tree that leads to indecomposable avoiders;
-`count_table` counts the rest by direct sums (below). bad and masks are
+`indecomposables_upto` reads the pruned walk, which yields only the part
+of the tree that leads to indecomposable avoiders, and `count_table`
+tallies it, then counts the rest by direct sums (below). bad and masks are
 None at the leaves, where the walk does not descend: at the last length
-and, in the pruned walk, at the budget. A walk past MAX_LENGTH entries is
-a ValueError (`perms.check_length`).
+and, in the pruned walk, at the budget. `_children` holds the child rule,
+and `_walk` calls it one node at a time; `count_table` calls it in tally
+mode instead, once per subtree job, and it counts the leaves and the
+indecomposables with one inversion left at their parents without building
+them (see `_children`). A walk past MAX_LENGTH entries is a ValueError
+(`perms.check_length`).
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -436,8 +440,9 @@ def _start(basis, tracked=None):
     return (plans, tracked or ()), (b"", 0, bad, 1, 0, masks)
 
 
-def _children(node, spec, n_max, k_max):
-    """The children of a node that has a bad mask, in ascending rank order.
+def _children(stack, spec, n_max, k_max, tally=None):
+    """The children of the nodes on `stack`, which have bad masks, in
+    ascending rank order for each node.
 
     A node is (values, inv, bad, split, seen, masks), values being the
     byte form (perms.INSERT_RANK); a child's values are its parent's with
@@ -454,63 +459,94 @@ def _children(node, spec, n_max, k_max):
     is filled by the basis kernel and its mask i by fills[i]. A child is a
     leaf, with bad = masks = None and no fill, at length n_max and, in the
     pruned walk, at the budget: a leaf there can only append rank t+2,
-    which gives a decomposable child that is always dropped.
+    which gives a decomposable child that is always dropped. So every leaf
+    of the pruned walk is indecomposable.
+
+    Node mode (tally None) pops the nodes off `stack`, the walk's one-node
+    stack, and returns their children. Tally mode, for the pruned walk
+    only, pushes every child that is not a leaf back onto `stack` and
+    returns once it is empty, so one call expands the whole subtree; it
+    adds each indecomposable child below the stack's nodes to the Counter
+    `tally` by (length, inv, seen), at its parent. A leaf is counted and
+    never built. An indecomposable child with one inversion left is closed
+    at its parent too: its floor is t+1, so its only children are the leaf
+    at rank t+1 and a decomposable child at the budget, which is dropped.
+    Its filled bad mask says whether that leaf is live, and only then are
+    its tracked masks filled, to read the leaf's seen from bit t+1.
     """
-    tau, inv, bad, split, seen, masks = node
     fill, fills = spec
-    t = len(tau)
-    floor = t + 1 - (k_max - inv)
-    if floor < 1:
-        floor = 1
-    last = t + 1 == n_max
-    pruned = masks is not None
-    child_seen = 0
-    kids = []
-    for r in range(floor, t + 2):
-        if bad >> r & 1:
-            continue
-        added = inv + t + 1 - r
-        child_floor = t + 2 - (k_max - added)
-        if child_floor < 1:
-            child_floor = 1
-        dead = 0  # the ranks that, all bad, drop a decomposable child
-        if split < r:
-            # the child splits where its parent does; the pruned walk drops
-            # it unless some rank in child_floor..split, which it keeps
-            # from its parent, is still free (see the module docstring)
-            if pruned:
-                if last or child_floor > split:
-                    continue
-                dead = (2 << split) - (1 << child_floor)
-                if bad & dead == dead:
-                    continue
-            child_split = split
-        else:
-            child_split = t + 1
-        if pruned:
-            child_seen = seen
-            for i, mask in masks:
-                if mask >> r & 1:
-                    child_seen |= 1 << i
-        child = tau.translate(INSERT_RANK[r]) + BYTE[r]
-        child_bad = child_masks = None
-        if not last and not (pruned and added == k_max):
-            # bits >= r move up one; bit r stays clear, as it was in the parent
-            low = (1 << r) - 1
-            child_bad = (bad & low) | (bad >> r << (r + 1))
-            child_bad = fill(child, child_floor, child_bad)
-            if dead and child_bad & dead == dead:
+    kids = [] if tally is None else stack
+    while stack:
+        tau, inv, bad, split, seen, masks = stack.pop()
+        t = len(tau)
+        floor = t + 1 - (k_max - inv)
+        if floor < 1:
+            floor = 1
+        last = t + 1 == n_max
+        pruned = masks is not None
+        child_seen = 0
+        for r in range(floor, t + 2):
+            if bad >> r & 1:
                 continue
+            added = inv + t + 1 - r
+            child_floor = t + 2 - (k_max - added)
+            if child_floor < 1:
+                child_floor = 1
+            dead = 0  # the ranks that, all bad, drop a decomposable child
+            if split < r:
+                # the child splits where its parent does; the pruned walk drops
+                # it unless some rank in child_floor..split, which it keeps
+                # from its parent, is still free (see the module docstring)
+                if pruned:
+                    if last or child_floor > split:
+                        continue
+                    dead = (2 << split) - (1 << child_floor)
+                    if bad & dead == dead:
+                        continue
+                child_split = split
+            else:
+                child_split = t + 1
             if pruned:
-                # tracked masks: perms.contains per indecomposable was 3.2-5.0x
-                # slower (2-core VM)
-                # a tracked pattern the child contains needs no mask
-                child_masks = []
+                child_seen = seen
                 for i, mask in masks:
-                    if not child_seen >> i & 1:
-                        mask = (mask & low) | (mask >> r << (r + 1))
-                        child_masks.append((i, fills[i](child, child_floor, mask)))
-        kids.append((child, added, child_bad, child_split, child_seen, child_masks))
+                    if mask >> r & 1:
+                        child_seen |= 1 << i
+                if tally is not None and (last or added == k_max):
+                    # a leaf, and indecomposable: counted, never built
+                    tally[t + 1, added, child_seen] += 1
+                    continue
+            child = tau.translate(INSERT_RANK[r]) + BYTE[r]
+            child_bad = child_masks = None
+            if not last and not (pruned and added == k_max):
+                # bits >= r move up one; bit r stays clear, as it was in the parent
+                low = (1 << r) - 1
+                child_bad = (bad & low) | (bad >> r << (r + 1))
+                child_bad = fill(child, child_floor, child_bad)
+                if dead and child_bad & dead == dead:
+                    continue
+                if pruned:
+                    if tally is not None and child_split > t:
+                        tally[t + 1, added, child_seen] += 1
+                        if added == k_max - 1:
+                            # closed here: its one live child is the leaf at rank t+1
+                            if not child_bad >> (t + 1) & 1:
+                                leaf_seen = child_seen
+                                for i, mask in masks:
+                                    if not child_seen >> i & 1:
+                                        mask = (mask & low) | (mask >> r << (r + 1))
+                                        if fills[i](child, child_floor, mask) >> (t + 1) & 1:
+                                            leaf_seen |= 1 << i
+                                tally[t + 2, k_max, leaf_seen] += 1
+                            continue
+                    # tracked masks: perms.contains per indecomposable was 3.2-5.0x
+                    # slower (2-core VM)
+                    # a tracked pattern the child contains needs no mask
+                    child_masks = []
+                    for i, mask in masks:
+                        if not child_seen >> i & 1:
+                            mask = (mask & low) | (mask >> r << (r + 1))
+                            child_masks.append((i, fills[i](child, child_floor, mask)))
+            kids.append((child, added, child_bad, child_split, child_seen, child_masks))
     return kids
 
 
@@ -522,21 +558,21 @@ def _walk(node, plans, n_max, k_max):
     _children for the node shape; values are bytes, which
     iter_avoiders_upto and indecomposables_upto hand out as Perms), and the
     walk descends into every node that has a bad mask: all but the leaves
-    at length n_max and, in the pruned walk, at the budget. The stack holds
-    one iterator over the pending siblings per level of the current path,
-    never the tree, so the first node arrives at once however large the
-    tree is.
+    at length n_max and, in the pruned walk, at the budget. It calls
+    _children in node mode, one node at a time. The stack holds one
+    iterator over the pending siblings per level of the current path, never
+    the tree, so the first node arrives at once however large the tree is.
     """
     check_length(n_max)
     spec = _spec(plans)
     stack = []
     if len(node[0]) < n_max:
-        stack.append(iter(_children(node, spec, n_max, k_max)))
+        stack.append(iter(_children([node], spec, n_max, k_max)))
     while stack:
         for node in stack[-1]:
             yield node
             if node[2] is not None:
-                stack.append(iter(_children(node, spec, n_max, k_max)))
+                stack.append(iter(_children([node], spec, n_max, k_max)))
                 break
         else:
             stack.pop()
@@ -649,7 +685,9 @@ def _component_rows(start, step, tally, n_max, k_max):
     # per (state, distinct seen): by_seen[seen][length] is their packed count
     by_seen = {}
     for (length, inv, seen), count in tally.items():
-        by_length = by_seen.setdefault(seen, Counter())
+        by_length = by_seen.get(seen)
+        if by_length is None:
+            by_length = by_seen[seen] = Counter()
         by_length[length] += count << (width * inv)
     moves = {}
     todo = [start]
@@ -709,14 +747,18 @@ _SPLIT_DEPTH = 4
 # A table whose jobs project at most this many indecomposables is walked
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
 # 2-core VM, which the split walk repays only from several thousand on, at
-# a cost per indecomposable that depends on the basis (best of 24, with
-# dead decomposable prefixes dropped): {1324} at (18, 12) (5,562; no node
-# is dropped) takes 0.012 s inline and 0.021 s pooled, and 0.033 s and
-# 0.036 s at (21, 14) (15,803); {1324,21354} at (20, 14) (8,764 in 9,765
-# nodes, 10,064 before the drop), whose length-5 pattern runs the
-# backtracking fill, 0.046 s and 0.039 s. Tallies, unlike the clock, send
-# a table the same way on every machine, and job shares are stable across
-# sizes.
+# a cost per indecomposable that depends on the basis and on the machine.
+# With jobs tallied in one call each, best of 24, threads=2, inline against
+# pooled: {1324} at (18, 12) (5,562 indecomposables) 0.010 s and 0.022 s,
+# at (21, 14) (15,803) 0.029 s and 0.044 s; {1324,21354} at (20, 14)
+# (8,764), whose length-5 pattern runs the backtracking fill, 0.030 s and
+# 0.044 s. The pool won from about 80,000 on ({1324,1342} at (30, 20):
+# 0.18 s and 0.12 s). The walk before tally mode gave the same order on the
+# same VM (0.031 s and 0.045 s at (20, 14)), while an earlier measurement
+# saw the pool win there (0.046 s and 0.039 s): the crossover moves with the
+# machine more than with the walk, so the value stays. Tallies, unlike the
+# clock, send a table the same way on every machine, and job shares are
+# stable across sizes.
 _POOL_MIN_TALLY = 5000
 
 
@@ -727,8 +769,14 @@ def _tally(nodes):
 
 
 def _tally_subtree(args):
+    """The tally of one job, (node, plans, depth, k_max): every
+    indecomposable below node in the pruned walk to length depth, counted
+    by (length, inv, seen) as `_tally` counts `_walk`'s nodes, but by one
+    call of _children in tally mode, which builds no leaf."""
     node, plans, depth, k_max = args
-    return _tally(_walk(node, plans, depth, k_max))
+    tally = Counter()
+    _children([node], _spec(plans), depth, k_max, tally)
+    return tally
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
@@ -760,7 +808,7 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         spec = _spec(plans)
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
-                        for child in _children(parent, spec, depth, k_max)]
+                        for child in _children([parent], spec, depth, k_max)]
             parts.append(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
     jobs = [(node, plans, depth, k_max) for node in frontier]

@@ -19,6 +19,8 @@ from permseq.enumeration import (
     _kernel,
     _plan,
     _start,
+    _tally,
+    _tally_subtree,
     _walk,
     count_table,
     diagonal_limit,
@@ -520,16 +522,68 @@ def test_iter_avoiders_upto_streams(monkeypatch):
                          [("1324", 16, 12), ("1324,2143", 10, 10), ("12453,321", 12, 9)])
 def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch):
     # a child at the budget has floor len(child) + 1 and is a leaf of the
-    # pruned walk, so count_table never fills it
+    # pruned walk, so count_table never fills it; in tally mode it is not
+    # built either: every child built gets its basis fill
+    basis = parse_basis(basis_text)
+    basis_plans = _start(basis)[0][0]
     fills = []
+    built = []
 
     def record(plans, tau, floor, bad, out):
-        fills.append((len(tau), floor))
+        if plans == basis_plans:
+            fills.append((len(tau), floor))
+
+    real = enumeration.BYTE
+
+    class RecordingBytes:
+        def __getitem__(self, r):
+            built.append(r)
+            return real[r]
 
     _spy_kernels(monkeypatch, record)
-    count_table(parse_basis(basis_text), n_max, k_max)
+    monkeypatch.setattr(enumeration, "BYTE", RecordingBytes())
+    count_table(basis, n_max, k_max)
     assert fills
     assert all(floor <= t for t, floor in fills), max(fills, key=lambda f: f[1] - f[0])
+    assert len(built) == len(fills)
+
+
+@st.composite
+def tally_case_st(draw):
+    """(patterns, n_max, k_max) with n_max below, at or above k_max + 1."""
+    patterns = draw(component_basis_st)
+    k_max = draw(st.integers(0, 10))
+    n_max = draw(st.one_of(st.integers(1, max(1, k_max)), st.integers(k_max + 1, 12)))
+    return patterns, n_max, k_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(tally_case_st())
+@example(([parse_perm("1324")], 12, 0))
+@example(([parse_perm("1324")], 12, 1))
+@example(([parse_perm("1324")], 1, 1))
+@example(([parse_perm("1"), parse_perm("213")], 6, 5))
+@example(([parse_perm("21"), parse_perm("1324")], 9, 8))
+@example(([parse_perm("12")], 8, 10))
+@example(([parse_perm("1324")], 12, 10))
+@example(([parse_perm("1324")], 7, 10))
+@example(([parse_perm("21354")], 12, 10))
+@example(([parse_perm("1234")], 12, 10))
+@example(([parse_perm("1324"), parse_perm("21354"), parse_perm("1234")], 11, 10))
+def test_tally_mode_matches_the_walk(case):
+    # one tally-mode call of _children against _tally over the nodes _walk
+    # yields, class by class, from the root and from every node of the first
+    # two levels that has children
+    patterns, n_max, k_max = case
+    basis = frozenset(patterns)
+    tracked = tuple(_plan(q) for q in _automaton(basis)[0])
+    plans, root = _start(basis, tracked)
+    jobs = [root] + [node for node in _walk(root, plans, n_max, k_max)
+                     if len(node[0]) <= 2 and node[2] is not None]
+    for node in jobs:
+        want = _tally(_walk(node, plans, n_max, k_max))
+        got = _tally_subtree((node, plans, n_max, k_max))
+        assert dict(got) == dict(want), node[0]
 
 
 def _lehmer_decode(code):
