@@ -4,16 +4,18 @@ Permutations use one-line notation over 1..n. The empty permutation is a
 valid value (length 0); it is the identity for direct sums and shows up in
 boundary conventions throughout the package.
 
-`avoids(p, basis)` builds p's prefix value masks (bit v for each value v
-left of a position) once and answers every basis pattern of length 3 or 4
-from them: role 0 and the last role are one mask query each, and only the
-middle roles are scanned (`_mask_search`). A pattern of any other length
-goes through one backtracking search over its roles, pruned by dominance:
-after a placement of a role fails, it retries only candidates whose value
-the later roles read less strictly (see `_windows`'s kinds). `contains` is
-the one-pattern case of `avoids`. `inv_count` is one bisect pass that
-counts, for each entry, the earlier entries above it; `lehmer_code` one
-right-to-left pass over a mask of the later values.
+`avoids(p, basis)` calls a kernel compiled for the basis from generated
+source (`_kernel`). The kernel builds p's prefix value masks (bit v for
+each value v left of a position) once and runs one block per pattern of
+length 3 or 4, with the pattern's windows written in as constants: role 0
+and the last role are one mask query each, and only the middle roles are
+scanned. A pattern of any other length goes through one backtracking
+search over its roles (`_search`), pruned by dominance: after a placement
+of a role fails, it retries only candidates whose value the later roles
+read less strictly (see `_windows`'s kinds). `contains` is the one-pattern
+case of `avoids`. `inv_count` is one pass over a mask of the values seen
+so far, `lehmer_code` one right-to-left pass over a mask of the later
+values.
 
 `Perm(values)` checks that the values are 1..n. Two constructors skip that
 check because their result cannot fail it: `standardize` writes the ranks
@@ -26,7 +28,6 @@ byte form below.
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -120,14 +121,13 @@ def basis_key(basis: Iterable[Sequence[int]]) -> str:
 # -- statistics ---------------------------------------------------------
 
 def inv_count(p: Sequence[int]) -> int:
-    """Number of pairs i < j with p_i > p_j, counted in one bisect pass: each
-    value adds the number of earlier entries above it."""
-    seen: list[int] = []
+    """Number of pairs i < j with p_i > p_j, counted in one pass over a mask
+    of the values seen so far: each value adds the bits above it."""
+    seen = 0
     total = 0
-    for v in p:
-        r = bisect(seen, v)
-        total += len(seen) - r
-        seen.insert(r, v)
+    for v in _narrow(p):
+        seen |= 1 << v
+        total += (seen >> v).bit_count() - 1
     return total
 
 
@@ -309,28 +309,22 @@ def contains(p: Sequence[int], q: Sequence[int]) -> bool:
 
 
 def avoids(p: Sequence[int], basis: Iterable[Sequence[int]]) -> bool:
-    """True iff p contains no pattern of the basis.
+    """True iff p contains no pattern of the basis, answered by the kernel
+    compiled for the basis (`_kernel`)."""
+    qs = tuple(basis)
+    try:
+        kernel = _basis_kernel(qs)
+    except TypeError:  # a pattern given as a list
+        kernel = _basis_kernel(tuple(map(tuple, qs)))
+    return kernel(p)
 
-    Patterns of length 3 or 4 are answered from p's prefix value masks,
-    built once for the whole basis (`_mask_search`); any other length goes
-    through the backtracking search (`_search`). Values outside 1..4|p|
-    are standardized first, so the masks stay narrow.
-    """
-    pre = None
-    for q in basis:
-        if 3 <= len(q) <= len(p) and len(q) <= 4:
-            if pre is None:
-                p = _narrow(p)
-                pre = [0]
-                mask = 0
-                for v in p:
-                    mask |= 1 << v
-                    pre.append(mask)
-            if _mask_search(p, pre, _plan(q if isinstance(q, tuple) else tuple(q))):
-                return False
-        elif _search(p, q):
-            return False
-    return True
+
+@lru_cache(maxsize=1024)
+def _basis_kernel(qs: tuple[Sequence[int], ...]):
+    """The kernel of the basis qs, found by its patterns' sorted, distinct
+    plans: a basis in any order, as bytes or with shifted or spread values
+    shares one."""
+    return _kernel(tuple(sorted({_plan(tuple(q)) for q in qs})))
 
 
 def _narrow(p: Sequence[int]) -> Sequence[int]:
@@ -344,8 +338,8 @@ def _narrow(p: Sequence[int]) -> Sequence[int]:
 def nearest_roles(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, int]:
     """The role among `roles` nearest below q[j] in value and the one nearest
     above it, as slots of a value list in which m = len(q) and m + 1 stand
-    for none below and none above: the windows of `_mask_search`,
-    `contains` (`_windows`) and the enumeration's anchored fill."""
+    for none below and none above: the windows of the containment kernels
+    (`_plan`), `_search` (`_windows`) and the enumeration's anchored fill."""
     m = len(q)
     return (max((i for i in roles if q[i] < q[j]), key=q.__getitem__, default=m),
             min((i for i in roles if q[i] > q[j]), key=q.__getitem__, default=m + 1))
@@ -353,8 +347,10 @@ def nearest_roles(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, 
 
 @lru_cache(maxsize=4096)
 def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
-    """The windows `_mask_search` reads for a pattern q of length 3 or 4,
-    each as the slots of its bounds in the search's value list.
+    """What a containment kernel reads of a pattern q of length m: m, then
+    for m = 3 or 4 the windows of its block as the slots of their bounds in
+    a value list (roles 0..m-1, then m and m + 1 for none below and none
+    above), and for any other m q standardized.
 
     For m = 3: role 0's window against role 1, `pick`, and role 2's window
     against roles 0 and 1. For m = 4: role 0's and role 3's windows against
@@ -366,6 +362,8 @@ def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
     admissible value, and 0 when the last role does not read role 0.
     """
     m = len(q)
+    if not 3 <= m <= 4:
+        return (m, *standardize(q))
     last = nearest_roles(q, m - 1, range(m - 1))
     pick = 1 if last[0] == 0 else 2 if last[1] == 0 else 0
     if m == 3:
@@ -376,84 +374,108 @@ def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
             *nearest_roles(q, 2, (1,)), q[2] > q[0], kind2, *first, pick, *last)
 
 
-def _mask_search(p: Sequence[int], pre: list[int], plan: tuple[int, ...]) -> bool:
-    """True iff p contains the pattern of length 3 or 4 that `plan` reads.
+@lru_cache(maxsize=256)
+def _kernel(plans: tuple[tuple[int, ...], ...]):
+    """avoids(p) for the basis whose sorted, distinct plans are `plans`,
+    compiled from generated source on first use.
 
-    p's values are bit positions >= 1 and pre[i] is the mask of its values
-    at positions < i, so pre[-1] ^ pre[i + 1] holds those right of position
-    i. The values strictly inside a window (lo, hi) are the bits of
-    (1 << hi) - (2 << lo). Only the middle roles are scanned. Role 0 is one
-    query on the prefix left of role 1, and where it bounds the last role it
-    takes its extreme admissible value (see `_plan`), the one that leaves
-    the last role the widest window. The last role is one query on the
-    suffix right of role m - 2.
-
-    For m = 3 one loop scans role 1. For m = 4 a pair loop scans roles 1
-    and 2. It enters only the role-1 positions whose prefix can still hold
-    role 0 and whose suffix can still hold role 3, each read against role 1
-    alone, and takes only role-2 values on the right side of role 0's
-    lowest or highest candidate. Role 2 retries after a failure as
-    `_search` does: a later position leaves role 3 fewer places, so only a
-    value that roles 0 and 3 read less strictly can help.
+    p's prefix masks are built once: pre[i] holds bit v for each value v at
+    positions < i, so full ^ pre[i + 1], with full = pre[-1], holds those
+    right of position i. Each pattern of length 3 or 4 then runs its own
+    block with its plan's slots written in as constants, and any other
+    pattern calls `_search`. The first occurrence returns False.
     """
-    full = pre[-1]
-    n = len(p)
-    # val[j] is role j's value; val[m] and val[m + 1] are the sentinels, 0
-    # below every value and full.bit_length() above
-    if plan[0] == 3:
-        _, l0, h0, pick, l2, h2 = plan
-        val = [0, 0, 0, 0, full.bit_length()]
-        for a in range(1, n - 1):
-            val[1] = p[a]
-            cands = pre[a] & ((1 << val[h0]) - (2 << val[l0]))
-            if not cands:
-                continue
-            if pick == 1:
-                val[0] = (cands & -cands).bit_length() - 1
-            elif pick == 2:
-                val[0] = cands.bit_length() - 1
-            if (full ^ pre[a + 1]) & ((1 << val[h2]) - (2 << val[l2])):
-                return True
-        return False
-    _, l01, h01, l31, h31, l2, h2, above0, kind2, l0, h0, pick, l3, h3 = plan
-    val = [0, 0, 0, 0, 0, full.bit_length()]
-    for a in range(1, n - 2):
-        val[1] = p[a]
-        left = pre[a]
-        cands = left & ((1 << val[h01]) - (2 << val[l01]))
-        if not cands:
-            continue
-        if not (full ^ pre[a + 2]) & ((1 << val[h31]) - (2 << val[l31])):
-            continue
-        # role 2 must also clear role 0's extreme candidate, and then role
-        # 0's window against roles 1 and 2 is never empty
-        lo2 = val[l2]
-        hi2 = val[h2]
-        if above0:
-            low = (cands & -cands).bit_length() - 1
-            if low > lo2:
-                lo2 = low
+    lines = ["def avoids(p):"]
+    names = {"_narrow": _narrow, "_search": _search}
+    if any(3 <= plan[0] <= 4 for plan in plans):
+        lines += ["    p = _narrow(p)", "    n = len(p)", "    pre = [0]", "    full = 0",
+                  "    for v in p:", "        full |= 1 << v", "        pre.append(full)"]
+    for i, plan in enumerate(plans):
+        if plan[0] == 3:
+            lines += _block3(plan)
+        elif plan[0] == 4:
+            lines += _block4(plan)
         else:
-            high = cands.bit_length() - 1
-            if high < hi2:
-                hi2 = high
-        for b in range(a + 1, n - 1):
-            v = p[b]
-            if not lo2 < v < hi2:
-                continue
-            val[2] = v
-            if pick:
-                cands = left & ((1 << val[h0]) - (2 << val[l0]))
-                val[0] = (cands & -cands).bit_length() - 1 if pick == 1 else cands.bit_length() - 1
-            if (full ^ pre[b + 1]) & ((1 << val[h3]) - (2 << val[l3])):
-                return True
-            if kind2 == 1:
-                hi2 = v
-            elif kind2 == 2:
-                lo2 = v
-            elif not kind2:
-                break
-    return False
+            names[f"q{i}"] = plan[1:]
+            lines += [f"    if _search(p, q{i}):", "        return False"]
+    lines.append("    return True")
+    # a file name of its own, so that profilers tell the kernels apart
+    name = f"<avoids kernel {hash(plans) & 0xFFFFFFFF:08x}>"
+    exec(compile("\n".join(lines), name, "exec"), names)
+    return names["avoids"]
+
+
+def _window(mask: str, low: str, high: str) -> str:
+    """Source of the bits of `mask` strictly between the values `low` and
+    `high`; "0" and "top" stand for none below and none above, and p's
+    masks hold no bit 0 and none at or above top."""
+    if high == "top":
+        return mask if low == "0" else f"{mask} & -(2 << {low})"
+    if low == "0":
+        return f"{mask} & ((1 << {high}) - 1)"
+    return f"{mask} & ((1 << {high}) - (2 << {low}))"
+
+
+# the source of the lowest (pick 1) or highest (pick 2) value in cands
+_EXTREME = (None, "(cands & -cands).bit_length() - 1", "cands.bit_length() - 1")
+
+
+def _block3(plan: tuple[int, ...]) -> list[str]:
+    """Source lines that find a pattern of length 3: one loop scans role 1.
+    Role 0 is one query on the prefix left of it, and where it bounds role 2
+    takes its extreme admissible value (see `_plan`), the one that leaves
+    role 2 the widest window; role 2 is one query on the suffix right of it."""
+    _, l0, h0, pick, l2, h2 = plan
+    val = ("v0", "v", None, "0", "top")
+    out = ["    for a in range(1, n - 1):",
+           "        v = p[a]",
+           f"        cands = {_window('pre[a]', val[l0], val[h0])}",
+           "        if cands:"]
+    if pick:
+        out.append(f"            v0 = {_EXTREME[pick]}")
+    out += [f"            if {_window('(full ^ pre[a + 1])', val[l2], val[h2])}:",
+            "                return False"]
+    return out
+
+
+def _block4(plan: tuple[int, ...]) -> list[str]:
+    """Source lines that find a pattern of length 4: a pair loop over roles
+    1 and 2 that enters only the role-1 positions whose prefix can still
+    hold role 0 and whose suffix can still hold role 3, each read against
+    role 1 alone, and takes only role-2 values on the right side of role
+    0's lowest or highest candidate. Roles 0 and 3 are then one query each.
+    Role 2 retries after a failure as `_search` does: a later position
+    leaves role 3 fewer places, so only a value that roles 0 and 3 read
+    less strictly can help."""
+    _, l01, h01, l31, h31, l2, h2, above0, kind2, l0, h0, pick, l3, h3 = plan
+    val = ("v0", "v1", "v", None, "0", "top")
+    # role 2 must also clear role 0's extreme candidate, and then role 0's
+    # window against roles 1 and 2 is never empty; those candidates lie all
+    # on one side of role 1, so the pattern fixes which of the two binds
+    if above0:
+        lo2, hi2 = "v1" if l2 == 1 and h01 == 1 else _EXTREME[1], val[h2]
+    else:
+        lo2, hi2 = val[l2], "v1" if h2 == 1 and l01 == 1 else _EXTREME[2]
+    out = ["    top = full.bit_length()",
+           "    for a in range(1, n - 2):",
+           "        v1 = p[a]",
+           "        left = pre[a]",
+           f"        cands = {_window('left', val[l01], val[h01])}",
+           f"        if not cands or not {_window('(full ^ pre[a + 2])', val[l31], val[h31])}:",
+           "            continue",
+           f"        lo2 = {lo2}",
+           f"        hi2 = {hi2}",
+           "        for b in range(a + 1, n - 1):",
+           "            v = p[b]",
+           "            if lo2 < v < hi2:"]
+    if pick:
+        out += [f"                cands = {_window('left', val[l0], val[h0])}",
+                f"                v0 = {_EXTREME[pick]}"]
+    out += [f"                if {_window('(full ^ pre[b + 1])', val[l3], val[h3])}:",
+            "                    return False"]
+    if kind2 != 3:
+        out.append("                " + ("break", "hi2 = v", "lo2 = v")[kind2])
+    return out
 
 
 def _search(p: Sequence[int], q: Sequence[int]) -> bool:

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,8 @@ from permseq.perms import (
     reverse_complement,
     skew_sum,
     standardize,
+    _basis_kernel,
+    _kernel,
     _windows,
 )
 
@@ -447,10 +450,13 @@ def test_contains_on_unstandardized_sequences(p, q, shift, scale, cut):
     assert contains(tuple(p[cut:]), tuple(q[cut:])) == want
 
 
-def _forms(p, draw):
-    """p as a Perm, a list, a tuple or bytes, or with its values shifted and
-    spread (as almost_decomp passes slices); all are order-isomorphic."""
-    kind = draw(st.sampled_from(("perm", "list", "tuple", "bytes", "spread")))
+_FORM_KINDS = ("perm", "list", "tuple", "bytes", "spread")
+
+
+def _form(p, kind, scale=1, shift=0):
+    """p as a Perm, a list, a tuple or bytes, or with its values spread by
+    scale and shifted (as almost_decomp passes slices); all are
+    order-isomorphic."""
     if kind == "perm":
         return Perm(p)
     if kind == "list":
@@ -459,9 +465,15 @@ def _forms(p, draw):
         return tuple(p)
     if kind == "bytes":
         return bytes(p)
-    scale = draw(st.sampled_from((1, 3, 10**9)))
-    shift = draw(st.integers(-30, 30))
     return [scale * v + shift for v in p]
+
+
+def _forms(p, draw):
+    """p in one of the forms of `_form`, drawn."""
+    kind = draw(st.sampled_from(_FORM_KINDS))
+    if kind != "spread":
+        return _form(p, kind)
+    return _form(p, kind, draw(st.sampled_from((1, 3, 10**9))), draw(st.integers(-30, 30)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -482,6 +494,70 @@ def test_avoids_matches_bruteforce_on_mixed_bases(p, basis, data):
         want = not any(brute_contains(p, q) for q in basis)
         assert avoids(_forms(p, data.draw), [_forms(q, data.draw) for q in basis]) == want
         assert avoids(p, basis) == want
+
+
+_S34 = [*all_perms(3), *all_perms(4)]
+_UPTO6 = [p for n in range(7) for p in all_perms(n)]
+
+
+@lru_cache(maxsize=None)
+def _containers_upto6(q):
+    """The permutations of length <= 6 that contain q, by the subsequence scan."""
+    return frozenset(p for p in _UPTO6 if brute_contains(p, q))
+
+
+@pytest.mark.parametrize("q", _S34, ids=format_perm)
+def test_avoids_on_every_basis_of_one_or_two_short_patterns(q):
+    # every basis of one or two patterns of S_3 and S_4 (30 singles and 435
+    # pairs, each pair here once, under its first pattern) against the
+    # subsequence scan on every permutation of length <= 6: a compiled basis
+    # runs its blocks in turn on one set of prefix masks, in either order
+    for p in _UPTO6:
+        assert avoids(p, [q]) == (p not in _containers_upto6(q)), (p, q)
+    for r in _S34[_S34.index(q) + 1:]:
+        hit = _containers_upto6(q) | _containers_upto6(r)
+        for p in _UPTO6:
+            want = p not in hit
+            assert avoids(p, [q, r]) == want and avoids(p, (r, q)) == want, (p, q, r)
+
+
+def test_avoids_compiles_one_kernel_per_basis():
+    # a basis in any order, as Perms, lists, tuples, bytes or spread values,
+    # maps to one kernel: the patterns' plans are its cache key, and a
+    # pattern of length 5 enters the key standardized
+    basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
+    p = parse_perm("5213764")
+    want = not any(brute_contains(p, q) for q in basis)
+    _basis_kernel.cache_clear()
+    _kernel.cache_clear()
+    for kind in _FORM_KINDS:
+        for scale, shift in ((1, 0), (3, -7), (10**9, 30)):
+            forms = [_form(q, kind, scale, shift) for q in basis]
+            for b in (forms, forms[::-1], tuple(forms), iter(forms)):
+                assert avoids(p, b) is want
+    assert avoids(p, frozenset(basis)) is want
+    info = _kernel.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # both caches are bounded
+    assert info.maxsize and _basis_kernel.cache_info().maxsize
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.sampled_from(_FORM_KINDS),
+    st.sampled_from((1, 3, 10**9)),
+    st.integers(-30, 30),
+)
+@example([], "list", 1, 0)
+@example([1], "bytes", 1, 0)
+@example([1], "spread", 10**9, -30)
+@example([3, 1, 2], "spread", 1, -30)
+@example([2, 4, 1, 3], "spread", 10**9, 30)
+def test_inv_count_matches_pair_count_on_every_form(p, kind, scale, shift):
+    # the mask pass narrows values <= 0 and wide spreads first
+    seq = _form(p, kind, scale, shift)
+    assert inv_count(seq) == sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
 def test_weakly_decreasing_code_iff_avoids_132():
