@@ -38,18 +38,20 @@ last position. A child is derived from its parent's mask, not recomputed:
   roles valued between q[-2] and q[-1] need distinct values between the
   anchor's and the new entry's, which puts the new rank at least (or at
   most) a fixed offset from the anchor. A fill returns at once when its
-  reach is empty or already all bad. `_fill` places the roles in one
-  iterative backtracking loop over a value array whose two sentinel slots
-  stand for "no neighbour below" (0) and "none above" (t+1); each complete
-  placement ORs in its interval and backtracks to the lowest role that can
-  still change it. The walk runs that loop for bodies of length 1 and >= 4
-  only. Bodies of length 2 and 3 (patterns of length 3 and 4) run a kernel
-  compiled for the basis (`_kernel`), one block of Python source per
-  pattern with its roles written in as constants. There role 0, placed
-  last, is one bit-mask query: the values left of role 1 meet role 0's
-  window or not, and where role 0 bounds the interval, their lowest or
-  highest value in it bounds the union of its intervals. Such a block needs
-  no loop, or one over role 1's positions.
+  reach is empty or already all bad. The fill runs a kernel compiled for
+  the basis (`_kernel`), one block of Python source per pattern with its
+  roles written in as constants (`_block`). Roles m1-2 .. 1 are nested
+  loops over positions, each within its nearest placed neighbours in
+  value, 0 and t+1 standing for "no neighbour below" and "none above";
+  each complete placement ORs in its interval and returns to the lowest
+  role that can still change it. Role 0, placed last, is one bit-mask
+  query: the values left of role 1 meet role 0's window or not, and where
+  role 0 bounds the interval, their lowest or highest value in it bounds
+  the union of its intervals. So a body of length 1 or 2 needs no loop,
+  one of length 3 one over role 1's positions, and each longer one a loop
+  more; past _NESTED loops a block continues in a generated helper
+  function, since CPython compiles at most 20 nested loops in one
+  function.
 - Budget floor. A node of length t with inv inversions only ever appends
   ranks >= t+1-(k_max-inv), and the floor rises strictly from parent to
   child, so ranks below it are never read in its subtree and the fill
@@ -119,6 +121,7 @@ from .perms import (
     INSERT_RANK,
     MAX_LENGTH,
     SYMMETRIES,
+    _NESTED,
     Perm,
     basis_key,
     check_length,
@@ -184,84 +187,6 @@ def _plan(q: Sequence[int]):
             lo_off, hi_off)
 
 
-def _fill(tau, plan, floor, bad):
-    """OR into the mask `bad` the ranks >= floor completing an occurrence of
-    the planned pattern in which tau's last entry is the last body role.
-
-    tau is a node value (bytes) or a tuple of ints. The fill places roles
-    m1-2 .. 0 right to left in one backtracking loop, each at the positions
-    left of its successor. A complete placement ORs in the new entry's
-    interval, fixed by roles lo_role and hi_role, and backtracks to role
-    `decided`: no role below it can change the interval. Only the reach,
-    floor .. t+1 cut to the plan's offsets from the anchor, can be set, so
-    the fill returns at once when the reach is empty or already all bad.
-    Where the anchor alone decides, the interval is the reach, so the first
-    complete placement returns; a body of length 1 has no role to place,
-    so its loop starts complete.
-
-    The walk runs this loop for bodies of length 1 and >= 4; `_kernel`
-    compiles the other lengths, and the tests hold both to this loop.
-    """
-    m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
-    t = len(tau)
-    anchor = tau[-1]
-    if m1 > t:
-        return bad
-    lo = anchor + lo_off
-    if lo < floor:
-        lo = floor
-    hi = anchor + hi_off
-    if hi > t + 1:
-        hi = t + 1
-    if lo > hi:
-        return bad
-    reach = (2 << hi) - (1 << lo)
-    if bad & reach == reach:
-        return bad
-    # val[j] is role j's value, with the two sentinel slots; nxt[j] is the
-    # next position to try for role j, scanning leftwards. The anchor's slot
-    # nxt[-1] is never read, so stepping below role 0 may write it.
-    val = [0] * (m1 + 2)
-    val[m1 - 1] = anchor
-    val[m1 + 1] = t + 1
-    nxt = [t - 2] * m1
-    last = m1 - 1
-    j = m1 - 2
-    while True:
-        if j < 0:
-            lo = val[lo_role] + 1
-            if lo < floor:
-                lo = floor
-            hi = val[hi_role]
-            if lo <= hi:
-                bad |= (1 << (hi + 1)) - (1 << lo)
-                if bad & reach == reach:
-                    return bad
-            # where the anchor decides, the interval is the reach, so the
-            # loop has returned: `decided` is a placed role here
-            j = decided
-        low = val[below[j]]
-        least = floor + lift[j]
-        if low < least:
-            low = least
-        high = val[above[j]]
-        p = nxt[j]
-        while p >= j:
-            v = tau[p]
-            if low < v < high:
-                break
-            p -= 1
-        else:
-            j += 1
-            if j == last:
-                return bad
-            continue
-        val[j] = v
-        nxt[j] = p - 1
-        j -= 1
-        nxt[j] = p - 1
-
-
 def _plus(name, offset):
     """Source of `name` plus a constant offset."""
     return f"{name} + {offset}" if offset > 0 else f"{name} - {-offset}" if offset else name
@@ -280,138 +205,190 @@ def _window(mask, low, high):
     return mask if window is None else window if mask is None else f"{mask} & {window}"
 
 
-def _block(plan):
-    """Source lines of the fill of one plan with a body of length 2 or 3.
+def _block(plan, name, helpers):
+    """Source lines of the fill of one plan, one indent deep in `fill`, with
+    the plan's slots and roles written in as constants; `helpers` collects
+    the functions they call, named after `name`.
 
-    The plan's slots and roles are written in as constants. Role 0 is one
-    bit-mask query: `left` holds the values left of role 1 (for a body of
-    length 3, one bit fewer per position role 1's leftward scan passes), and
-    role 0 is admissible iff `left` meets its window. Where role 0 bounds
-    the interval, the lowest or highest value in the window bounds the
-    union of its intervals; where the anchor and the sentinels fix it, the
-    interval is the reach and the first placement sets it.
+    Roles m1-2 .. 1 are nested loops that scan leftwards from their
+    successor, each within its window and its floor lift, and role 0 is one
+    bit-mask query: a loop's mask `lf` starts as its successor's and drops
+    one value per position it passes, so role 1's holds the values left of
+    role 1 (`left` holds those left of the anchor, role 1 for a body of
+    length 2), and role 0 is admissible iff that mask meets its window. A
+    complete placement ORs in the new entry's interval and returns to role
+    `decided`, as the reference loop does. Where role 0 or 1 decides, the
+    interval is read after role 0's query, and where role 0 bounds it, the
+    lowest or highest value in role 0's window bounds the union of its
+    intervals. Where a later role decides, its loop fixes the interval
+    before the loops below it run, skips them when the interval is empty or
+    already all bad, and they stop at their first complete placement, which
+    leaves it all bad. Where the anchor and the sentinels fix it, the
+    interval is the reach, and the first placement sets it. Every loop stops
+    once the reach is all bad.
     """
     m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
-    out = []
+    # slot values as source: role 1 is its scan's v, role j >= 2 is vj
+    slot = {m1 - 1: "anchor", m1: "0", m1 + 1: "t + 1",
+            **{j: "v" if j == 1 else f"v{j}" for j in range(1, m1 - 1)}}
+    # the interval a complete placement ORs in, once a loop role or the anchor fixes it
+    fixed = "reach" if decided == m1 - 1 else "iv" if decided > 1 else None
 
-    def emit(depth, line):
+    def emit(out, depth, line):
         out.append("    " * depth + line)
 
-    def floored(depth, name, slot, j):
+    def floored(out, depth, name, j):
         # role j's strict lower bound: the slot below it, lifted off the floor
         if lift[j] == _UNLIFTED:
-            return slot
-        emit(depth, f"{name} = {_plus('floor', lift[j])}")
-        emit(depth, f"if {name} < {slot}:")
-        emit(depth + 1, f"{name} = {slot}")
+            return slot[below[j]]
+        emit(out, depth, f"{name} = {_plus('floor', lift[j])}")
+        emit(out, depth, f"if {name} < {slot[below[j]]}:")
+        emit(out, depth + 1, f"{name} = {slot[below[j]]}")
         return name
-
-    # slot values as source: role 1 (of a body of length 3) is the scan's v
-    slot = {m1 - 1: "anchor", m1: "0", m1 + 1: "t + 1"}
-    if m1 == 3:
-        slot[1] = "v"
-    # the reach: lo_off > 0 bounds it from below, else hi_off from above
-    if lo_off > 0:
-        emit(1, f"r_lo = {_plus('anchor', lo_off)}")
-        emit(1, "if r_lo < floor:")
-        emit(2, "r_lo = floor")
-        emit(1, "if r_lo <= t + 1:")
-        emit(2, "reach = (4 << t) - (1 << r_lo)")
-        ends = "r_lo", "t + 1"
-    else:
-        emit(1, f"r_hi = {_plus('anchor', hi_off)}")
-        emit(1, "if floor <= r_hi:")
-        emit(2, "reach = (2 << r_hi) - (1 << floor)")
-        ends = "floor", "r_hi"
-    emit(2, "if bad & reach != reach:")
-    d = 3
-    if m1 == 3:
-        emit(d, "lf = left")
-        low1 = floored(d, "low1", slot[below[1]], 1)
-        high1 = slot[above[1]]
-        free = below[0] != 1 and above[0] != 1
-        if free:
-            low0 = floored(d, "low0", slot[below[0]], 0)
-            emit(d, f"win = {_window(None, low0, slot[above[0]])}")
-        emit(d, "for p in range(t - 2, 0, -1):")
-        d += 1
-        emit(d, "v = tau[p]")
-        emit(d, "lf ^= 1 << v")
-        if low1 == "0":
-            emit(d, f"if v >= {high1}:")
-        elif high1 == "t + 1":
-            emit(d, f"if v <= {low1}:")
-        else:
-            emit(d, f"if not {low1} < v < {high1}:")
-        emit(d + 1, "continue")
-        if free:
-            # lf only loses bits, so once it misses role 0's fixed window it always will
-            emit(d, "cands = lf & win")
-            emit(d, "if not cands:")
-            emit(d + 1, "break")
-        else:
-            low0 = floored(d, "low0", slot[below[0]], 0)
-            emit(d, f"cands = {_window('lf', low0, slot[above[0]])}")
-            emit(d, "if not cands:")
-            emit(d + 1, "continue")
-    else:
-        low0 = floored(d, "low0", slot[below[0]], 0)
-        emit(d, f"cands = {_window('left', low0, slot[above[0]])}")
-        emit(d, "if cands:")
-        d += 1
-    if decided == m1 - 1:
-        emit(d, "bad |= reach")
-        if m1 == 3:
-            emit(d, "break")
-        return out
 
     def end(role, lowest):
         if role == 0:
             return "(cands & -cands).bit_length()" if lowest else "cands.bit_length() - 1"
-        if role == 1 and m1 == 3:
-            return "v + 1" if lowest else "v"
+        if role < m1 - 1:
+            return f"{slot[role]} + 1" if lowest else slot[role]
         return ends[not lowest]
 
-    emit(d, f"lo = {end(lo_role, True)}")
-    if lo_role < m1 - 1:
-        emit(d, "if lo < floor:")
-        emit(d + 1, "lo = floor")
-    emit(d, f"hi = {end(hi_role, False)}")
-    emit(d, "if lo <= hi:")
-    emit(d + 1, "bad |= (2 << hi) - (1 << lo)")
-    if m1 == 3:
-        emit(d + 1, "if bad & reach == reach:")
-        emit(d + 2, "break")
+    def interval(out, depth):
+        # lo and hi, the ends of the interval of a complete placement
+        emit(out, depth, f"lo = {end(lo_role, True)}")
+        if lo_role < m1 - 1:
+            emit(out, depth, "if lo < floor:")
+            emit(out, depth + 1, "lo = floor")
+        emit(out, depth, f"hi = {end(hi_role, False)}")
+
+    def complete(out, depth, looped):
+        # a complete placement, inside role 1's loop when `looped`
+        if fixed:
+            emit(out, depth, f"bad |= {fixed}")
+            if looped:
+                emit(out, depth, "break")
+            return
+        interval(out, depth)
+        emit(out, depth, "if lo <= hi:")
+        emit(out, depth + 1, "bad |= (2 << hi) - (1 << lo)")
+        if looped:
+            emit(out, depth + 1, "if bad & reach == reach:")
+            emit(out, depth + 2, "break")
+
+    def role(j, out, depth, seed, start):
+        # role j's loop at `depth` in `out`: its mask starts as `seed`, the
+        # values left of its successor, and it scans leftwards from `start`
+        pos, lf, v = ("p", "lf", "v") if j == 1 else (f"p{j}", f"lf{j}", f"v{j}")
+        emit(out, depth, f"{lf} = {seed}")
+        low = floored(out, depth, f"low{j}", j)
+        high = slot[above[j]]
+        # role 0's window reads no role 1: fixed for the whole scan
+        free = j == 1 and below[0] != 1 and above[0] != 1
+        if free:
+            low0 = floored(out, depth, "low0", 0)
+            emit(out, depth, f"win = {_window(None, low0, slot[above[0]])}")
+        emit(out, depth, f"for {pos} in range({start}, {j - 1}, -1):")
+        depth += 1
+        emit(out, depth, f"{v} = tau[{pos}]")
+        emit(out, depth, f"{lf} ^= 1 << {v}")
+        if low == "0":
+            emit(out, depth, f"if {v} >= {high}:")
+        elif high == "t + 1":
+            emit(out, depth, f"if {v} <= {low}:")
+        else:
+            emit(out, depth, f"if not {low} < {v} < {high}:")
+        emit(out, depth + 1, "continue")
+        if j == 1:
+            if free:
+                # lf only loses bits, so once it misses role 0's fixed window it always will
+                emit(out, depth, "cands = lf & win")
+                emit(out, depth, "if not cands:")
+                emit(out, depth + 1, "break")
+            else:
+                low0 = floored(out, depth, "low0", 0)
+                emit(out, depth, f"cands = {_window('lf', low0, slot[above[0]])}")
+                emit(out, depth, "if not cands:")
+                emit(out, depth + 1, "continue")
+            complete(out, depth, True)
+            return
+        if j == decided:
+            interval(out, depth)
+            emit(out, depth, "if lo > hi:")
+            emit(out, depth + 1, "continue")
+            emit(out, depth, "iv = (2 << hi) - (1 << lo)")
+            emit(out, depth, "if bad & iv == iv:")
+            emit(out, depth + 1, "continue")
+        if (m1 - 1 - j) % _NESTED:
+            role(j - 1, out, depth, lf, f"{pos} - 1")
+        else:
+            # the next role opens a helper function that returns the mask
+            helper = f"{name}_{j - 1}"
+            args = ", ".join(["tau, t, anchor, floor, bad", *reach_vars,
+                              *(["iv"] if fixed == "iv" and decided >= j else []),
+                              lf, pos, *(slot[i] for i in range(j, m1 - 1))])
+            emit(out, depth, f"bad = {helper}({args})")
+            body = [f"def {helper}({args}):"]
+            role(j - 1, body, 1, lf, f"{pos} - 1")
+            helpers.extend(body + ["    return bad"])
+        # back here after a complete placement below role `decided`, which
+        # leaves its interval all bad, or once the reach is all bad
+        mask = fixed if j < decided else "reach"
+        emit(out, depth, f"if bad & {mask} == {mask}:")
+        emit(out, depth + 1, "break")
+
+    out = []
+    # the reach: lo_off > 0 bounds it from below, else hi_off from above
+    if lo_off > 0:
+        emit(out, 1, f"r_lo = {_plus('anchor', lo_off)}")
+        emit(out, 1, "if r_lo < floor:")
+        emit(out, 2, "r_lo = floor")
+        emit(out, 1, "if r_lo <= t + 1:")
+        emit(out, 2, "reach = (4 << t) - (1 << r_lo)")
+        ends = "r_lo", "t + 1"
+        reach_vars = "reach", "r_lo"
+    else:
+        emit(out, 1, f"r_hi = {_plus('anchor', hi_off)}")
+        emit(out, 1, "if floor <= r_hi:")
+        emit(out, 2, "reach = (2 << r_hi) - (1 << floor)")
+        ends = "floor", "r_hi"
+        reach_vars = "reach", "r_hi"
+    emit(out, 2, "if bad & reach != reach:")
+    if m1 > 2:
+        role(m1 - 2, out, 3, "left", "t - 2")
+    elif m1 == 2:
+        low0 = floored(out, 3, "low0", 0)
+        emit(out, 3, f"cands = {_window('left', low0, slot[above[0]])}")
+        emit(out, 3, "if cands:")
+        complete(out, 4, False)
+    else:
+        complete(out, 3, False)
     return out
 
 
 @lru_cache(maxsize=256)
 def _kernel(plans):
     """The fill of every plan in `plans`, compiled into one function
-    fill(tau, floor, bad) with the same contract as `_fill`.
+    fill(tau, floor, bad) that ORs into the mask `bad` the ranks >= floor
+    completing an occurrence of a planned pattern in which tau's last entry
+    is the last body role.
 
-    A plan with a body of length 2 or 3 runs its own block of generated
-    source (`_block`), with its roles written in as constants; the others
-    call `_fill`. t, the anchor and the mask of the values left of the
-    anchor are computed once for all the blocks. Kernels are compiled on
-    first use and cached by their plans, which pool jobs carry instead.
+    Each plan runs its own block of generated source (`_block`), with its
+    roles written in as constants. t, the anchor and the mask of the values
+    left of the anchor are computed once for all the blocks. Kernels are
+    compiled on first use and cached by their plans, which pool jobs carry
+    instead.
     """
-    lines = ["def fill(tau, floor, bad):"]
-    if any(2 <= plan[0] <= 3 for plan in plans):
-        lines += ["    t = len(tau)",
-                  "    anchor = tau[-1]",
-                  "    left = (2 << t) - 2 - (1 << anchor)"]
-    names = {"_fill": _fill}
+    lines = ["def fill(tau, floor, bad):", "    t = len(tau)", "    anchor = tau[-1]"]
+    if any(plan[0] > 1 for plan in plans):
+        lines.append("    left = (2 << t) - 2 - (1 << anchor)")
+    helpers = []
     for i, plan in enumerate(plans):
-        if 2 <= plan[0] <= 3:
-            lines += _block(plan)
-        else:
-            names[f"plan{i}"] = plan
-            lines.append(f"    bad = _fill(tau, plan{i}, floor, bad)")
+        lines += _block(plan, f"fill{i}", helpers)
     lines.append("    return bad")
     # a file name of its own, so that profilers tell the kernels apart
     name = f"<fill kernel {hash(plans) & 0xFFFFFFFF:08x}>"
-    exec(compile("\n".join(lines), name, "exec"), names)
+    names = {}
+    exec(compile("\n".join(lines + helpers), name, "exec"), names)
     return names["fill"]
 
 
@@ -751,8 +728,8 @@ _SPLIT_DEPTH = 4
 # With jobs tallied in one call each, best of 24, threads=2, inline against
 # pooled: {1324} at (18, 12) (5,562 indecomposables) 0.010 s and 0.022 s,
 # at (21, 14) (15,803) 0.029 s and 0.044 s; {1324,21354} at (20, 14)
-# (8,764), whose length-5 pattern runs the backtracking fill, 0.030 s and
-# 0.044 s. The pool won from about 80,000 on ({1324,1342} at (30, 20):
+# (8,764), measured while its length-5 pattern ran a backtracking fill,
+# 0.030 s and 0.044 s. The pool won from about 80,000 on ({1324,1342} at (30, 20):
 # 0.18 s and 0.12 s). The walk before tally mode gave the same order on the
 # same VM (0.031 s and 0.045 s at (20, 14)), while an earlier measurement
 # saw the pool win there (0.046 s and 0.039 s): the crossover moves with the

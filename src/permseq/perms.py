@@ -6,16 +6,16 @@ boundary conventions throughout the package.
 
 `avoids(p, basis)` calls a kernel compiled for the basis from generated
 source (`_kernel`). The kernel builds p's prefix value masks (bit v for
-each value v left of a position) once and runs one block per pattern of
-length 3 or 4, with the pattern's windows written in as constants: role 0
-and the last role are one mask query each, and only the middle roles are
-scanned. A pattern of any other length goes through one backtracking
-search over its roles (`_search`), pruned by dominance: after a placement
-of a role fails, it retries only candidates whose value the later roles
-read less strictly (see `_windows`'s kinds). `contains` is the one-pattern
-case of `avoids`. `inv_count` is one pass over a mask of the values seen
-so far, `lehmer_code` one right-to-left pass over a mask of the later
-values.
+each value v left of a position) once and runs one block per pattern, of
+any length, with the pattern's windows written in as constants (`_block`):
+role 0 and the last role are one mask query each, and each middle role is
+a loop over its positions, pruned by dominance: after a placement of a
+role fails, it retries only candidates whose value the later roles read
+less strictly (see `_plan`'s kinds). Past _NESTED loops a block continues
+in a generated helper function, since CPython compiles at most 20 nested
+loops in one function. `contains` is the one-pattern case of
+`avoids`. `inv_count` is one pass over a mask of the values seen so far,
+`lehmer_code` one right-to-left pass over a mask of the later values.
 
 `Perm(values)` checks that the values are 1..n. Two constructors skip that
 check because their result cannot fail it: `standardize` writes the ranks
@@ -339,69 +339,77 @@ def nearest_roles(q: Sequence[int], j: int, roles: Sequence[int]) -> tuple[int, 
     """The role among `roles` nearest below q[j] in value and the one nearest
     above it, as slots of a value list in which m = len(q) and m + 1 stand
     for none below and none above: the windows of the containment kernels
-    (`_plan`), `_search` (`_windows`) and the enumeration's anchored fill."""
+    (`_plan`) and of the enumeration's anchored fill."""
     m = len(q)
     return (max((i for i in roles if q[i] < q[j]), key=q.__getitem__, default=m),
             min((i for i in roles if q[i] > q[j]), key=q.__getitem__, default=m + 1))
 
 
 @lru_cache(maxsize=4096)
-def _plan(q: tuple[int, ...]) -> tuple[int, ...]:
-    """What a containment kernel reads of a pattern q of length m: m, then
-    for m = 3 or 4 the windows of its block as the slots of their bounds in
-    a value list (roles 0..m-1, then m and m + 1 for none below and none
-    above), and for any other m q standardized.
+def _plan(q: tuple[int, ...]) -> tuple:
+    """What a containment kernel reads of a pattern q of length m, as slots
+    of a value list (roles 0..m-1, then m and m + 1 for none below and none
+    above). The search places the middle roles 1..m-2 left to right, then
+    reads role 0 off the prefix left of role 1 and the last role off the
+    suffix right of role m-2 (see `_block`).
 
-    For m = 3: role 0's window against role 1, `pick`, and role 2's window
-    against roles 0 and 1. For m = 4: role 0's and role 3's windows against
-    role 1 alone (the filters on role 1), role 2's against role 1, whether
-    role 2 lies above role 0, how roles 0 and 3 read role 2 (its kind, as
-    in `_windows`), role 0's window against roles 1 and 2, `pick`, and role
-    3's window against roles 0..2. `pick` is 1 (2) when role 0 is the last
-    role's lower (upper) bound, so that role 0 takes its lowest (highest)
-    admissible value, and 0 when the last role does not read role 0.
+    The plan is m, one record per middle role, role 0's window against the
+    middle roles with `pick`, and the last role's window against roles
+    0..m-2. `pick` is 1 (2) when role 0 is the last role's lower (upper)
+    bound, so that role 0 takes its lowest (highest) admissible value, and
+    0 when the last role does not read role 0. Role 1's record holds role
+    0's and the last role's windows against role 1 alone, its filters. The
+    record of a role j >= 2 holds its window against roles 1..j-1, whether
+    it lies above role 0, and its kind: how the roles searched after it (the
+    later middle roles, then role 0 and the last role) read its value, never
+    (0), only as a lower bound (1), only as an upper bound (2) or both (3).
+    A middle role before the last one (m-2) also records the last role's
+    window against roles 1..j, its filter; the last one has no record when
+    it is role 1. Two entries have one record, role 0's window against role
+    1, and fewer have none.
     """
     m = len(q)
-    if not 3 <= m <= 4:
-        return (m, *standardize(q))
+    if m < 3:
+        return (m, nearest_roles(q, 0, (1,))) if m == 2 else (m,)
+    inner = m - 2
+    first = nearest_roles(q, 0, range(1, inner + 1))
     last = nearest_roles(q, m - 1, range(m - 1))
     pick = 1 if last[0] == 0 else 2 if last[1] == 0 else 0
-    if m == 3:
-        return (3, *nearest_roles(q, 0, (1,)), pick, *last)
-    first = nearest_roles(q, 0, (1, 2))
-    kind2 = (2 in (first[0], last[0])) + 2 * (2 in (first[1], last[1]))
-    return (4, *nearest_roles(q, 0, (1,)), *nearest_roles(q, 3, (1,)),
-            *nearest_roles(q, 2, (1,)), q[2] > q[0], kind2, *first, pick, *last)
+    windows = [nearest_roles(q, j, range(1, j)) for j in range(inner + 1)]
+    records = []
+    if inner > 1:
+        records.append((*nearest_roles(q, 0, (1,)), *nearest_roles(q, m - 1, (1,))))
+    for j in range(2, inner + 1):
+        readers = (*windows[j + 1:], first, last)
+        kind = any(j == w[0] for w in readers) + 2 * any(j == w[1] for w in readers)
+        record = (*windows[j], q[j] > q[0], kind)
+        if j < inner:
+            record += nearest_roles(q, m - 1, range(1, j + 1))
+        records.append(record)
+    return (m, *records, (*first, pick), last)
 
 
 @lru_cache(maxsize=256)
-def _kernel(plans: tuple[tuple[int, ...], ...]):
+def _kernel(plans: tuple[tuple, ...]):
     """avoids(p) for the basis whose sorted, distinct plans are `plans`,
     compiled from generated source on first use.
 
     p's prefix masks are built once: pre[i] holds bit v for each value v at
     positions < i, so full ^ pre[i + 1], with full = pre[-1], holds those
-    right of position i. Each pattern of length 3 or 4 then runs its own
-    block with its plan's slots written in as constants, and any other
-    pattern calls `_search`. The first occurrence returns False.
+    right of position i. Each pattern then runs its own block (`_block`)
+    with its plan's slots written in as constants. The first occurrence
+    returns False.
     """
-    lines = ["def avoids(p):"]
-    names = {"_narrow": _narrow, "_search": _search}
-    if any(3 <= plan[0] <= 4 for plan in plans):
-        lines += ["    p = _narrow(p)", "    n = len(p)", "    pre = [0]", "    full = 0",
-                  "    for v in p:", "        full |= 1 << v", "        pre.append(full)"]
+    lines = ["def avoids(p):", "    p = _narrow(p)", "    n = len(p)", "    pre = [0]",
+             "    full = 0", "    for v in p:", "        full |= 1 << v", "        pre.append(full)"]
+    helpers = []
     for i, plan in enumerate(plans):
-        if plan[0] == 3:
-            lines += _block3(plan)
-        elif plan[0] == 4:
-            lines += _block4(plan)
-        else:
-            names[f"q{i}"] = plan[1:]
-            lines += [f"    if _search(p, q{i}):", "        return False"]
+        lines += _block(plan, f"find{i}", helpers)
     lines.append("    return True")
     # a file name of its own, so that profilers tell the kernels apart
     name = f"<avoids kernel {hash(plans) & 0xFFFFFFFF:08x}>"
-    exec(compile("\n".join(lines), name, "exec"), names)
+    names = {"_narrow": _narrow}
+    exec(compile("\n".join(lines + helpers), name, "exec"), names)
     return names["avoids"]
 
 
@@ -419,140 +427,113 @@ def _window(mask: str, low: str, high: str) -> str:
 # the source of the lowest (pick 1) or highest (pick 2) value in cands
 _EXTREME = (None, "(cands & -cands).bit_length() - 1", "cands.bit_length() - 1")
 
-
-def _block3(plan: tuple[int, ...]) -> list[str]:
-    """Source lines that find a pattern of length 3: one loop scans role 1.
-    Role 0 is one query on the prefix left of it, and where it bounds role 2
-    takes its extreme admissible value (see `_plan`), the one that leaves
-    role 2 the widest window; role 2 is one query on the suffix right of it."""
-    _, l0, h0, pick, l2, h2 = plan
-    val = ("v0", "v", None, "0", "top")
-    out = ["    for a in range(1, n - 1):",
-           "        v = p[a]",
-           f"        cands = {_window('pre[a]', val[l0], val[h0])}",
-           "        if cands:"]
-    if pick:
-        out.append(f"            v0 = {_EXTREME[pick]}")
-    out += [f"            if {_window('(full ^ pre[a + 1])', val[l2], val[h2])}:",
-            "                return False"]
-    return out
+# CPython compiles at most 20 nested loops in one function, so a generated
+# block (here and in the enumeration's fill kernels) continues in a helper
+# function after every _NESTED role loops. _POSITIONS names the position
+# variables of a function's loops.
+_NESTED = 12
+_POSITIONS = [chr(ord("a") + i) for i in range(_NESTED)]
 
 
-def _block4(plan: tuple[int, ...]) -> list[str]:
-    """Source lines that find a pattern of length 4: a pair loop over roles
-    1 and 2 that enters only the role-1 positions whose prefix can still
-    hold role 0 and whose suffix can still hold role 3, each read against
-    role 1 alone, and takes only role-2 values on the right side of role
-    0's lowest or highest candidate. Roles 0 and 3 are then one query each.
-    Role 2 retries after a failure as `_search` does: a later position
-    leaves role 3 fewer places, so only a value that roles 0 and 3 read
-    less strictly can help."""
-    _, l01, h01, l31, h31, l2, h2, above0, kind2, l0, h0, pick, l3, h3 = plan
-    val = ("v0", "v1", "v", None, "0", "top")
-    # role 2 must also clear role 0's extreme candidate, and then role 0's
-    # window against roles 1 and 2 is never empty; those candidates lie all
-    # on one side of role 1, so the pattern fixes which of the two binds
-    if above0:
-        lo2, hi2 = "v1" if l2 == 1 and h01 == 1 else _EXTREME[1], val[h2]
-    else:
-        lo2, hi2 = val[l2], "v1" if h2 == 1 and l01 == 1 else _EXTREME[2]
-    out = ["    top = full.bit_length()",
-           "    for a in range(1, n - 2):",
-           "        v1 = p[a]",
-           "        left = pre[a]",
-           f"        cands = {_window('left', val[l01], val[h01])}",
-           f"        if not cands or not {_window('(full ^ pre[a + 2])', val[l31], val[h31])}:",
-           "            continue",
-           f"        lo2 = {lo2}",
-           f"        hi2 = {hi2}",
-           "        for b in range(a + 1, n - 1):",
-           "            v = p[b]",
-           "            if lo2 < v < hi2:"]
-    if pick:
-        out += [f"                cands = {_window('left', val[l0], val[h0])}",
-                f"                v0 = {_EXTREME[pick]}"]
-    out += [f"                if {_window('(full ^ pre[b + 1])', val[l3], val[h3])}:",
-            "                    return False"]
-    if kind2 != 3:
-        out.append("                " + ("break", "hi2 = v", "lo2 = v")[kind2])
-    return out
+def _block(plan: tuple, name: str, helpers: list[str]) -> list[str]:
+    """Source lines, one indent deep in `avoids`, that return False on an
+    occurrence of the planned pattern; `helpers` collects the functions
+    they call, named after `name`.
 
-
-def _search(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff p contains q, by one backtracking search over q's roles.
-
-    Roles are filled left to right. Role j only has to fall strictly between
-    the values of its nearest earlier roles below and above it in value: the
-    earlier roles are already ordered among themselves, so that window orders
-    the new one against all of them.
-
-    Retries are pruned by dominance. When every completion from role j at
-    (position i, value v) has failed, a later position leaves the later
-    roles fewer places, so a candidate there can only help if they read its
-    value less strictly than v. A role that no later role reads (kind 0)
-    gives up at once; one read only as a lower bound (kind 1) retries only
-    values below v; one read only as an upper bound (kind 2) only values
-    above v; one read both ways (kind 3) every candidate. For 1324, role 0
-    walks only the left-to-right minima and role 2 stops at its first fit.
+    One loop per middle role scans its positions left to right. Role 1
+    enters only the positions whose prefix can still hold role 0 and whose
+    suffix can still hold the last role, each read against role 1 alone.
+    A role j >= 2 takes only values in its window, and where it lies in the
+    same gap between roles 1..j-1 as role 0, on the right side of role 0's
+    lowest or highest candidate: then role 0's window against roles 1..j is
+    never empty. Once the last middle role is placed, role 0 takes its
+    extreme admissible value (see `_plan`'s pick), the one that leaves the
+    last role the widest window, and the last role is one query on the
+    suffix. A role j >= 2 retries after a failure by dominance: a later
+    position leaves the roles after it fewer places, so only a value that
+    they read less strictly can help (kind 0 gives up, kind 1 retries only
+    lower values, kind 2 only higher ones). Role 1 does not retry: a later
+    role 1 leaves role 0 more places. A pattern of two entries scans role 1
+    with role 0 as its query, and shorter ones need no scan.
     """
-    m = len(q)
-    if m == 0:
-        return True
-    n = len(p)
-    if m > n:
-        return False
-    below, above, kinds, back = _windows(q if isinstance(q, tuple) else tuple(q))
-    # val[j] is role j's value; val[m] and val[m + 1] stand for a missing
-    # neighbour below and above. lo[j] < v < hi[j] is role j's window, which
-    # narrows on each retry, and nxt[j] the next position to try for it.
-    val = [0] * (m + 2)
-    val[m] = lo0 = min(p) - 1
-    val[m + 1] = hi0 = max(p) + 1
-    lo = [lo0] * m
-    hi = [hi0] * m
-    nxt = [0] * m
-    j = 0
-    while True:
-        a = lo[j]
-        b = hi[j]
-        i = nxt[j]
-        last = n - m + j
-        while i <= last:
-            v = p[i]
-            if a < v < b:
-                break
-            i += 1
+    m = plan[0]
+    if m < 3:
+        if m == 2:
+            low, high = (("v", "0", "top")[slot - 1] for slot in plan[1])
+            return ["    for a in range(1, n):", "        v = p[a]",
+                    f"        if {_window('pre[a]', low, high)}:", "            return False"]
+        # the empty pattern lies in every p, a one-entry one in every nonempty p
+        return ["    if full:", "        return False"] if m else ["    return False"]
+    (l0, h0, pick), (l_last, h_last) = plan[-2:]
+    records = iter(plan[1:-2])
+    inner = m - 2
+    val = {0: "v0", **{j: f"v{j}" for j in range(1, inner)}, inner: "v", m: "0", m + 1: "top"}
+    lines = ["    top = full.bit_length()"] if inner > 1 else []
+
+    def role(j, out, depth, start, found, gap):
+        # role j's loop at `depth` in `out`, from the position `start`;
+        # `found` is the statement for an occurrence and `gap` role 0's
+        # window against roles 1..j-1
+        def emit(d, line):
+            out.append("    " * (depth + d) + line)
+
+        def suffix(window):
+            # the last role's window in the suffix right of the roles after j
+            return _window(f"(full ^ pre[{pos} + {rest}])", *map(val.get, window))
+
+        pos = _POSITIONS[(j - 1) % _NESTED]
+        rest = m - 1 - j  # the roles right of role j
+        if j > 1:
+            low, high, above0, kind, *last_j = next(records)
+            # where role 0's candidates share role j's gap, their extreme bounds role j
+            same = (low, high) == gap
+            emit(0, f"lo{j} = {_EXTREME[1] if same and above0 else val[low]}")
+            emit(0, f"hi{j} = {_EXTREME[2] if same and not above0 else val[high]}")
+        emit(0, f"for {pos} in range({start}, n - {rest}):")
+        emit(1, f"{val[j]} = p[{pos}]")
+        if j == inner == 1:
+            emit(1, f"cands = {_window(f'pre[{pos}]', val[l0], val[h0])}")
+            emit(1, "if cands:")
+            d = 2
+        elif j == 1:
+            l01, h01, *last_j = next(records)
+            gap = l01, h01
+            emit(1, f"left = pre[{pos}]")
+            emit(1, f"cands = {_window('left', val[l01], val[h01])}")
+            emit(1, f"if not cands or not {suffix(last_j)}:")
+            emit(2, "continue")
+            d = 1
         else:
-            # back to the nearest earlier role that can still retry
-            j = back[j]
-            if j < 0:
-                return False
-            kind = kinds[j]
-            if kind == 1:
-                hi[j] = val[j]
-            elif kind == 2:
-                lo[j] = val[j]
-            continue
-        if j + 1 == m:
-            return True
-        val[j] = v
-        nxt[j] = i + 1
-        j += 1
-        nxt[j] = i + 1
-        lo[j] = val[below[j]]
-        hi[j] = val[above[j]]
+            emit(1, f"if lo{j} < {val[j]} < hi{j}:")
+            d = 2
+            if same:
+                gap = (gap[0], j) if above0 else (j, gap[1])
+            if j < inner:
+                if same:
+                    emit(d, f"cands = {_window('left', val[gap[0]], val[gap[1]])}")
+                emit(d, f"if {suffix(last_j)}:")
+                d = 3
+        if j == inner:
+            if pick:
+                if j > 1:
+                    emit(d, f"cands = {_window('left', val[l0], val[h0])}")
+                emit(d, f"v0 = {_EXTREME[pick]}")
+            emit(d, f"if {suffix((l_last, h_last))}:")
+            emit(d + 1, found)
+        elif j % _NESTED:
+            role(j + 1, out, depth + d, f"{pos} + 1", found, gap)
+        else:
+            # the next role opens a helper function that returns True on an occurrence
+            helper = f"{name}_{j + 1}"
+            shared = "p, n, pre, full, top, left, cands"
+            placed = ", ".join(val[i] for i in range(1, j + 1))
+            emit(d, f"if {helper}({shared}, {pos}, {placed}):")
+            emit(d + 1, found)
+            body = [f"def {helper}({shared}, at, {placed}):"]
+            role(j + 1, body, 1, "at + 1", "return True", gap)
+            helpers.extend(body + ["    return False"])
+        if j > 1 and kind != 3:
+            emit(2, ("break", f"hi{j} = {val[j]}", f"lo{j} = {val[j]}")[kind])
 
-
-@lru_cache(maxsize=4096)
-def _windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """For each role j of q: the earlier role nearest below and nearest above
-    it in value (m and m + 1 when there is none), as indices into the value
-    list of `contains`; how later roles read j's value, never (0), only as a
-    lower bound (1), only as an upper bound (2) or both (3); and the role to
-    retry when j runs out of candidates, the nearest earlier one of nonzero
-    kind (-1 when there is none)."""
-    m = len(q)
-    below, above = zip(*(nearest_roles(q, j, range(j)) for j in range(m)))
-    kinds = tuple((j in below) + 2 * (j in above) for j in range(m))
-    back = tuple(max((i for i in range(j) if kinds[i]), default=-1) for j in range(m))
-    return below, above, kinds, back
+    role(1, lines, 1, "1", "return False", None)
+    return lines

@@ -1,11 +1,13 @@
-"""Brute-force oracles shared by the tests: plain enumerations and inverse
-maps the engine's answers are checked against, kept out of the package."""
+"""Brute-force oracles shared by the tests: plain enumerations, inverse
+maps and the backtracking searches the engine's answers are checked
+against, kept out of the package."""
 
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
 from permseq.partitions import Partition, _runs, check_partition, partitions_of
-from permseq.perms import Perm, first_split, from_lehmer, insert_value
+from permseq.perms import Perm, first_split, from_lehmer, insert_value, nearest_roles
 
 
 def all_perms(n: int):
@@ -111,3 +113,163 @@ def overpartitions_of(k: int) -> list[Overpartition]:
                 over += [(v, bool(mask >> i & 1))] + [(v, False)] * (mult - 1)
             out.append(tuple(over))
     return out
+
+
+def backtracking_fill(tau, plan, floor, bad):
+    """OR into the mask `bad` the ranks >= floor completing an occurrence of
+    the planned pattern in which tau's last entry is the last body role.
+
+    tau is a node value (bytes) or a tuple of ints. The fill places roles
+    m1-2 .. 0 right to left in one backtracking loop, each at the positions
+    left of its successor. A complete placement ORs in the new entry's
+    interval, fixed by roles lo_role and hi_role, and backtracks to role
+    `decided`: no role below it can change the interval. Only the reach,
+    floor .. t+1 cut to the plan's offsets from the anchor, can be set, so
+    the fill returns at once when the reach is empty or already all bad.
+    Where the anchor alone decides, the interval is the reach, so the first
+    complete placement returns; a body of length 1 has no role to place,
+    so its loop starts complete.
+
+    The reference for the compiled fill kernels (`enumeration._kernel`),
+    which follow the same placements with the roles written in as
+    constants.
+    """
+    m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
+    t = len(tau)
+    anchor = tau[-1]
+    if m1 > t:
+        return bad
+    lo = anchor + lo_off
+    if lo < floor:
+        lo = floor
+    hi = anchor + hi_off
+    if hi > t + 1:
+        hi = t + 1
+    if lo > hi:
+        return bad
+    reach = (2 << hi) - (1 << lo)
+    if bad & reach == reach:
+        return bad
+    # val[j] is role j's value, with the two sentinel slots; nxt[j] is the
+    # next position to try for role j, scanning leftwards. The anchor's slot
+    # nxt[-1] is never read, so stepping below role 0 may write it.
+    val = [0] * (m1 + 2)
+    val[m1 - 1] = anchor
+    val[m1 + 1] = t + 1
+    nxt = [t - 2] * m1
+    last = m1 - 1
+    j = m1 - 2
+    while True:
+        if j < 0:
+            lo = val[lo_role] + 1
+            if lo < floor:
+                lo = floor
+            hi = val[hi_role]
+            if lo <= hi:
+                bad |= (1 << (hi + 1)) - (1 << lo)
+                if bad & reach == reach:
+                    return bad
+            # where the anchor decides, the interval is the reach, so the
+            # loop has returned: `decided` is a placed role here
+            j = decided
+        low = val[below[j]]
+        least = floor + lift[j]
+        if low < least:
+            low = least
+        high = val[above[j]]
+        p = nxt[j]
+        while p >= j:
+            v = tau[p]
+            if low < v < high:
+                break
+            p -= 1
+        else:
+            j += 1
+            if j == last:
+                return bad
+            continue
+        val[j] = v
+        nxt[j] = p - 1
+        j -= 1
+        nxt[j] = p - 1
+
+
+def backtracking_search(p: Sequence[int], q: Sequence[int]) -> bool:
+    """True iff p contains q, by one backtracking search over q's roles.
+
+    Roles are filled left to right. Role j only has to fall strictly between
+    the values of its nearest earlier roles below and above it in value: the
+    earlier roles are already ordered among themselves, so that window orders
+    the new one against all of them.
+
+    Retries are pruned by dominance. When every completion from role j at
+    (position i, value v) has failed, a later position leaves the later
+    roles fewer places, so a candidate there can only help if they read its
+    value less strictly than v. A role that no later role reads (kind 0)
+    gives up at once; one read only as a lower bound (kind 1) retries only
+    values below v; one read only as an upper bound (kind 2) only values
+    above v; one read both ways (kind 3) every candidate. For 1324, role 0
+    walks only the left-to-right minima and role 2 stops at its first fit.
+    The reference for the compiled containment kernels (`perms._kernel`).
+    """
+    m = len(q)
+    if m == 0:
+        return True
+    n = len(p)
+    if m > n:
+        return False
+    below, above, kinds, back = search_windows(q if isinstance(q, tuple) else tuple(q))
+    # val[j] is role j's value; val[m] and val[m + 1] stand for a missing
+    # neighbour below and above. lo[j] < v < hi[j] is role j's window, which
+    # narrows on each retry, and nxt[j] the next position to try for it.
+    val = [0] * (m + 2)
+    val[m] = lo0 = min(p) - 1
+    val[m + 1] = hi0 = max(p) + 1
+    lo = [lo0] * m
+    hi = [hi0] * m
+    nxt = [0] * m
+    j = 0
+    while True:
+        a = lo[j]
+        b = hi[j]
+        i = nxt[j]
+        last = n - m + j
+        while i <= last:
+            v = p[i]
+            if a < v < b:
+                break
+            i += 1
+        else:
+            # back to the nearest earlier role that can still retry
+            j = back[j]
+            if j < 0:
+                return False
+            kind = kinds[j]
+            if kind == 1:
+                hi[j] = val[j]
+            elif kind == 2:
+                lo[j] = val[j]
+            continue
+        if j + 1 == m:
+            return True
+        val[j] = v
+        nxt[j] = i + 1
+        j += 1
+        nxt[j] = i + 1
+        lo[j] = val[below[j]]
+        hi[j] = val[above[j]]
+
+
+@lru_cache(maxsize=4096)
+def search_windows(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each role j of q: the earlier role nearest below and nearest above
+    it in value (m and m + 1 when there is none), as indices into the value
+    list of `backtracking_search`; how later roles read j's value, never
+    (0), only as a lower bound (1), only as an upper bound (2) or both (3);
+    and the role to retry when j runs out of candidates, the nearest earlier
+    one of nonzero kind (-1 when there is none)."""
+    m = len(q)
+    below, above = zip(*(nearest_roles(q, j, range(j)) for j in range(m)))
+    kinds = tuple((j in below) + 2 * (j in above) for j in range(m))
+    back = tuple(max((i for i in range(j) if kinds[i]), default=-1) for j in range(m))
+    return below, above, kinds, back

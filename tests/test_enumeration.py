@@ -15,7 +15,6 @@ from permseq.enumeration import (
     TAIL_WINDOW,
     CountTable,
     _automaton,
-    _fill,
     _kernel,
     _plan,
     _start,
@@ -44,6 +43,7 @@ from permseq.perms import (
     direct_sum,
     first_split,
     identity,
+    insert_value,
     inv_count,
     inverse,
     parse_basis,
@@ -54,7 +54,7 @@ from permseq.perms import (
 from permseq.series import av_1324_1342
 from permseq.tableio import diffs_to_csv, table_to_csv, table_to_markdown
 
-from oracles import all_perms
+from oracles import all_perms, backtracking_fill, backtracking_search
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -370,12 +370,12 @@ def fill_case_st(draw):
 @example((Perm((3, 1, 2)), bytes((3, 1, 4, 2)), 1, 0))
 @example((Perm((3, 1, 4, 2)), bytes((2, 4, 3, 1, 5)), 1, 0))
 def test_fill_matches_anchored_oracle(case):
-    # the backtracking loop and the compiled kernel (generated for bodies of
-    # length 2 and 3, a call to the loop for the others)
+    # the backtracking loop (the tests' reference) and the compiled kernel
     q, tau, floor, bad = case
     below = (1 << floor) - 1
     want = (bad | _anchored_brute(tau, q, floor)) >> floor
-    for got in (_fill(tau, _plan(q), floor, bad), _kernel((_plan(q),))(tau, floor, bad)):
+    for got in (backtracking_fill(tau, _plan(q), floor, bad),
+                _kernel((_plan(q),))(tau, floor, bad)):
         assert got & below == bad & below
         assert got >> floor == want
 
@@ -383,16 +383,34 @@ def test_fill_matches_anchored_oracle(case):
 S3_S4 = [Perm(p) for m in (3, 4) for p in itertools.permutations(range(1, m + 1))]
 
 
+def _by_decider(m, seed):
+    """One pattern of S_m for each role that can fix its fill's interval:
+    role 0, role 1, a later role, whose loop fixes it before the loops
+    below it run, and the anchor; each the first of its kind in an order
+    shuffled with a fixed seed."""
+    order = list(all_perms(m))
+    random.Random(seed).shuffle(order)
+    found = {}
+    for q in order:
+        m1, decided = _plan(q)[0], _plan(q)[6]
+        found.setdefault("anchor" if decided == m1 - 1 else min(decided, 2), q)
+    return [found[kind] for kind in (0, 1, 2, "anchor")]
+
+
 @pytest.mark.parametrize("basis", [
     *([q] for q in S3_S4),
     # a kernel of two blocks; the one-block kernels above already check each block
     *(pytest.param([parse_perm("1324"), q], marks=pytest.mark.slow)
       for q in S3_S4 if q != parse_perm("1324")),
+    *(pytest.param([q], marks=pytest.mark.slow) for q in all_perms(5)),
+    *([q] for m in (6, 7) for q in _by_decider(m, m)),
 ], ids=lambda basis: ",".join("".join(map(str, q)) for q in basis))
 def test_kernel_matches_fill_on_every_node(basis):
     # the basis kernel on every node of the full walk of S_<=7, at every
     # floor, with no, all but one and two random bad ranks coming in: equal
-    # to the backtracking loop over each plan and to the brute-force fill
+    # to the backtracking loop over each plan and to the brute-force fill.
+    # Bodies of length >= 4 (patterns of S_5 and longer) nest a loop per
+    # role between the anchor and role 0
     plans = [_plan(q) for q in sorted(basis)]
     kernel = _kernel(tuple(plans))
     rng = random.Random(",".join(map(str, basis)))
@@ -408,9 +426,42 @@ def test_kernel_matches_fill_on_every_node(basis):
                         rng.getrandbits(t + 2), rng.getrandbits(t + 2)):
                 looped = bad
                 for plan in plans:
-                    looped = _fill(vals, plan, floor, looped)
+                    looped = backtracking_fill(vals, plan, floor, looped)
                 assert looped == bad | found & above, (tau, floor, bad)
                 assert kernel(vals, floor, bad) == looped, (tau, floor, bad)
+
+
+def _seeded_perm(m, rng):
+    """A permutation of 1..m drawn with `rng`."""
+    return Perm(rng.sample(range(1, m + 1), m))
+
+
+@pytest.mark.parametrize("m", [2, 5, 14, 15, 16, 21, 25, 40, 64])
+def test_kernel_matches_fill_past_the_nesting_limit(m):
+    # a function holds _NESTED role loops and the roles after them run in
+    # helper functions (CPython compiles at most 20 nested loops), so the
+    # role that fixes the interval may lie in the first function or in a
+    # helper. For seeded patterns, at every floor, the kernel equals the
+    # backtracking loop on the pattern's body, where the new entry's rank
+    # q[-1] completes it, on the body with a seeded entry inserted, and on
+    # a seeded node of the same length
+    rng = random.Random(m)
+    for _ in range(10):
+        q = _seeded_perm(m, rng)
+        plan = _plan(q)
+        kernel = _kernel((plan,))
+        body = standardize(q[:-1])
+        nodes = [body, _seeded_perm(m - 1, rng)]
+        if m < MAX_LENGTH:
+            nodes.append(insert_value(body, rng.randint(0, m - 2), rng.randint(1, m)))
+        for tau in nodes:
+            t = len(tau)
+            vals = bytes(tau)
+            for floor in range(1, t + 2):
+                for bad in (0, rng.getrandbits(t + 2)):
+                    assert kernel(vals, floor, bad) == backtracking_fill(vals, plan, floor, bad), (
+                        q, tau, floor, bad)
+        assert kernel(bytes(body), 1, 0) >> q[-1] & 1
 
 
 @pytest.mark.parametrize("p", S3_S4, ids=lambda p: "".join(map(str, p)))
@@ -615,6 +666,24 @@ def test_walk_reaches_the_length_cap():
     assert count_table(["1324"], n, 2).rows[n - 1] == (1, 2, 5)
 
 
+def test_count_table_with_a_pattern_past_the_nesting_limit():
+    # q = 2 3 ... 25 1 avoids 132, and its fill (a body of 24 roles, so
+    # helper functions past the first _NESTED loops) runs on the pruned
+    # walk's nodes of length >= 24, such as the identity, which reaches q
+    # with 24 inversions. The oracle subtracts the 132-avoiders that contain
+    # q, found by the backtracking search
+    q = Perm([*range(2, 26), 1])
+    p132 = parse_perm("132")
+    n_max = k_max = 26
+    want = [list(row) for row in count_table([p132], n_max, k_max).rows]
+    for n in range(len(q), n_max + 1):
+        for p in generate_avoiders([p132], n, k_max):
+            if backtracking_search(p, q):
+                want[n - 1][inv_count(p)] -= 1
+    assert want[24][24] == count_table([p132], 25, 24).rows[24][24] - 1
+    assert count_table([p132, q], n_max, k_max).rows == tuple(map(tuple, want))
+
+
 def test_count_table_matches_closed_form_to_n64():
     # only identity components can lengthen a permutation at no cost, so the
     # DP reaches n = 64 from indecomposables of length <= 15
@@ -684,9 +753,9 @@ def test_pool_jobs_run_in_spawned_workers(basis_text, n_max, k_max, monkeypatch)
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_length_5_basis_table_is_pinned(threads, monkeypatch):
-    # 21354 = 21 (+) 1 (+) 21 needs the general backtracking fill beside the
-    # tracked-sum masks, and its 8,764 indecomposables send 2 threads to the
-    # process pool
+    # 21354 = 21 (+) 1 (+) 21 nests two role loops in its fill block beside
+    # the tracked-sum masks, and its 8,764 indecomposables send 2 threads to
+    # the process pool
     started = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -700,6 +769,19 @@ def test_length_5_basis_table_is_pinned(threads, monkeypatch):
     assert hashlib.sha256(table_to_csv(table).encode()).hexdigest() == (
         "78c03efe9cbc95a765332e915319e2502f30f3abb09ed96c1dbb712ac1f8b484")
     assert started == ([] if threads == 1 else [2])
+
+
+def test_length_5_partner_tables_are_pinned():
+    # the tables at (16, 12) of {1324, p} for the 103 p in Av_5(1324), in
+    # lexicographic order of S_5, hashed together
+    p1324 = parse_perm("1324")
+    partners = [p for p in all_perms(5) if not contains(p, p1324)]
+    assert len(partners) == 103
+    digest = hashlib.sha256()
+    for p in partners:
+        digest.update(table_to_csv(count_table([p1324, p], 16, 12)).encode())
+    assert digest.hexdigest() == (
+        "9a2d0d0a2c46aa93578e70f28563553be19b0b6862d67b88b1ea91372c5c9900")
 
 
 def test_row_differences_examples():

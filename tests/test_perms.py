@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from permseq.enumeration import generate_avoiders
 from permseq.perms import (
     EMPTY,
+    MAX_LENGTH,
     SYMMETRIES,
     Perm,
     avoids,
@@ -34,10 +35,9 @@ from permseq.perms import (
     standardize,
     _basis_kernel,
     _kernel,
-    _windows,
 )
 
-from oracles import all_perms
+from oracles import all_perms, backtracking_search, search_windows
 
 perms_st = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -345,6 +345,79 @@ def test_contains_matches_bruteforce_large(n):
                 assert contains(p, q) == brute_contains(p, q), (p, q)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("q", list(all_perms(5)), ids=format_perm)
+def test_contains_matches_walk_for_every_length_5_pattern(q):
+    # every p of length 8; the oracle is the avoider walk, as at n = 8 above.
+    # Each middle role of a length-5 pattern is a loop of its own
+    avoiders = set(generate_avoiders([q], 8, 28))
+    for p in all_perms(8):
+        assert contains(p, q) == (p not in avoiders), (p, q)
+
+
+def _embedded(q, n, rng):
+    """A permutation of length n with q at seeded positions and values, the
+    other entries shuffled."""
+    m = len(q)
+    places = sorted(rng.sample(range(n), m))
+    values = sorted(rng.sample(range(1, n + 1), m))
+    rest = sorted(set(range(1, n + 1)) - set(values))
+    rng.shuffle(rest)
+    p = rest[:]
+    for i, place in enumerate(places):
+        p.insert(place, values[q[i] - 1])
+    return Perm(p)
+
+
+@pytest.mark.parametrize("m", [15, 20, 21, 22, 23, 40, 64])
+def test_contains_past_the_nesting_limit(m):
+    # a function holds _NESTED middle-role loops, and the roles after them
+    # run in helper functions (CPython compiles at most 20 nested loops):
+    # against the backtracking search, for seeded q, on a p holding
+    # q, on the same p less one entry, and on seeded p of the same length;
+    # the last two give avoided answers
+    rng = random.Random(m)
+    answers = set()
+    for _ in range(4):
+        q = Perm(rng.sample(range(1, m + 1), m))
+        hit = _embedded(q, min(MAX_LENGTH, m + 16), rng)
+        for p in [hit, delete(hit, [hit[rng.randrange(len(hit))]]),
+                  *(Perm(rng.sample(range(1, m + 1), m)) for _ in range(3))]:
+            want = backtracking_search(p, q)
+            assert contains(p, q) == want, (p, q)
+            assert contains(list(p), tuple(q)) == want
+            answers.add(want)
+    assert answers == {True, False}
+
+
+def test_avoids_past_the_nesting_limit():
+    # a basis of two long patterns compiles one kernel whose blocks each
+    # call their own helper functions; seeded p of length 60 avoid both
+    rng = random.Random(37)
+    basis = [Perm(rng.sample(range(1, m + 1), m)) for m in (20, 40)]
+    answers = set()
+    seeded = (Perm(rng.sample(range(1, 61), 60)) for _ in range(3))
+    for p in (*(_embedded(q, 60, rng) for q in basis), *seeded):
+        want = not any(backtracking_search(p, q) for q in basis)
+        assert avoids(p, basis) == want and avoids(p, basis[::-1]) == want, p
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_every_pattern_length_compiles():
+    # lengths 0..64: q contains itself but not itself less its first entry,
+    # and a p of a reversal and an identity only where the backtracking
+    # search finds it
+    rng = random.Random(64)
+    p = Perm([*range(32, 0, -1), *range(33, 65)])
+    assert contains(EMPTY, EMPTY)
+    for m in range(MAX_LENGTH + 1):
+        q = Perm(rng.sample(range(1, m + 1), m))
+        assert contains(q, q)
+        assert contains(q[1:], q) == (m == 0)
+        assert contains(p, q) == backtracking_search(p, q), q
+
+
 _PAIRS_S34 = [(parse_perm("1324"), parse_perm("231"))] + random.Random(31).sample(
     list(combinations([*all_perms(3), *all_perms(4)], 2)), 23)
 
@@ -353,7 +426,7 @@ _PAIRS_S34 = [(parse_perm("1324"), parse_perm("231"))] + random.Random(31).sampl
 @pytest.mark.parametrize("pair", _PAIRS_S34, ids=lambda pair: basis_key(pair))
 def test_avoids_matches_walk_on_two_pattern_bases(pair):
     # every p of length 8 against a two-pattern basis; the oracle is the
-    # avoider walk, an engine independent of the mask search
+    # avoider walk, an engine independent of the containment kernels
     avoiders = set(generate_avoiders(pair, 8, 28))
     for p in all_perms(8):
         assert avoids(p, pair) == (p in avoiders), (p, pair)
@@ -362,11 +435,11 @@ def test_avoids_matches_walk_on_two_pattern_bases(pair):
 def test_windows_kinds():
     # how later roles read each role's value: 0 never, 1 only as a lower
     # bound, 2 only as an upper bound, 3 both
-    assert _windows((1, 3, 2, 4))[2] == (1, 3, 0, 0)
-    assert _windows((2, 3, 1))[2] == (3, 0, 0)
-    assert _windows((1, 3, 4, 2))[2] == (1, 3, 0, 0)
-    assert _windows((3, 2, 1))[2] == (2, 2, 0)
-    assert _windows((1, 3, 2, 4))[3] == (-1, 0, 1, 1)
+    assert search_windows((1, 3, 2, 4))[2] == (1, 3, 0, 0)
+    assert search_windows((2, 3, 1))[2] == (3, 0, 0)
+    assert search_windows((1, 3, 4, 2))[2] == (1, 3, 0, 0)
+    assert search_windows((3, 2, 1))[2] == (2, 2, 0)
+    assert search_windows((1, 3, 2, 4))[3] == (-1, 0, 1, 1)
 
 
 def _walk_verdicts(q, budget):
@@ -484,11 +557,11 @@ def _forms(p, draw):
     st.data(),
 )
 def test_avoids_matches_bruteforce_on_mixed_bases(p, basis, data):
-    # bases of 1-3 patterns of lengths 1-5 share one set of masks: the mask
-    # search answers lengths 3 and 4, the backtracking search the rest. The
-    # last two steps of stripping p of the first pattern are an avoider, on
-    # which that search runs dry before the others, and a near-avoider, whose
-    # few occurrences a pruning fault would miss
+    # bases of 1-3 patterns of lengths 1-5 share one set of masks, each
+    # pattern with its own compiled block. The last two steps of stripping p
+    # of the first pattern are an avoider, on which that block runs dry
+    # before the others, and a near-avoider, whose few occurrences a pruning
+    # fault would miss
     basis = [Perm(q) for q in basis]
     for p in [*_strip_steps(Perm(p), basis[0], data)][-2:]:
         want = not any(brute_contains(p, q) for q in basis)
@@ -523,8 +596,8 @@ def test_avoids_on_every_basis_of_one_or_two_short_patterns(q):
 
 def test_avoids_compiles_one_kernel_per_basis():
     # a basis in any order, as Perms, lists, tuples, bytes or spread values,
-    # maps to one kernel: the patterns' plans are its cache key, and a
-    # pattern of length 5 enters the key standardized
+    # maps to one kernel: the patterns' plans, which read only the order of
+    # their values, are its cache key, whatever their lengths
     basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
     p = parse_perm("5213764")
     want = not any(brute_contains(p, q) for q in basis)
