@@ -424,8 +424,10 @@ def _window(mask: str, low: str, high: str) -> str:
     return f"{mask} & ((1 << {high}) - (2 << {low}))"
 
 
-# the source of the lowest (pick 1) or highest (pick 2) value in cands
-_EXTREME = (None, "(cands & -cands).bit_length() - 1", "cands.bit_length() - 1")
+def _extreme(pick: int, mask: str) -> str:
+    """Source of the lowest (pick 1) or highest (pick 2) value in `mask`."""
+    return f"({mask} & -{mask}).bit_length() - 1" if pick == 1 else f"{mask}.bit_length() - 1"
+
 
 # CPython compiles at most 20 nested loops in one function, so a generated
 # block (here and in the enumeration's fill kernels) continues in a helper
@@ -446,7 +448,10 @@ def _block(plan: tuple, name: str, helpers: list[str]) -> list[str]:
     A role j >= 2 takes only values in its window, and where it lies in the
     same gap between roles 1..j-1 as role 0, on the right side of role 0's
     lowest or highest candidate: then role 0's window against roles 1..j is
-    never empty. Once the last middle role is placed, role 0 takes its
+    never empty. Role 0's candidate mask is narrowed in a variable per
+    role, so a loop that restarts reads its candidates against the roles
+    outside it, never a mask that a deeper role narrowed on an earlier
+    pass. Once the last middle role is placed, role 0 takes its
     extreme admissible value (see `_plan`'s pick), the one that leaves the
     last role the widest window, and the last role is one query on the
     suffix. A role j >= 2 retries after a failure by dominance: a later
@@ -470,10 +475,10 @@ def _block(plan: tuple, name: str, helpers: list[str]) -> list[str]:
     val = {0: "v0", **{j: f"v{j}" for j in range(1, inner)}, inner: "v", m: "0", m + 1: "top"}
     lines = ["    top = full.bit_length()"] if inner > 1 else []
 
-    def role(j, out, depth, start, found, gap):
+    def role(j, out, depth, start, found, gap, cands):
         # role j's loop at `depth` in `out`, from the position `start`;
-        # `found` is the statement for an occurrence and `gap` role 0's
-        # window against roles 1..j-1
+        # `found` is the statement for an occurrence, `gap` role 0's window
+        # against roles 1..j-1 and `cands` the name of its candidate mask
         def emit(d, line):
             out.append("    " * (depth + d) + line)
 
@@ -483,24 +488,28 @@ def _block(plan: tuple, name: str, helpers: list[str]) -> list[str]:
 
         pos = _POSITIONS[(j - 1) % _NESTED]
         rest = m - 1 - j  # the roles right of role j
+        # the loops inside role j read its mask each time they restart, after
+        # deeper roles wrote theirs, so it has a name of its own; the last two
+        # middle roles share one, as no loop restarts between their writes
+        mask = "cands" if j >= inner - 1 else f"c{j}"
         if j > 1:
             low, high, above0, kind, *last_j = next(records)
             # where role 0's candidates share role j's gap, their extreme bounds role j
             same = (low, high) == gap
-            emit(0, f"lo{j} = {_EXTREME[1] if same and above0 else val[low]}")
-            emit(0, f"hi{j} = {_EXTREME[2] if same and not above0 else val[high]}")
+            emit(0, f"lo{j} = {_extreme(1, cands) if same and above0 else val[low]}")
+            emit(0, f"hi{j} = {_extreme(2, cands) if same and not above0 else val[high]}")
         emit(0, f"for {pos} in range({start}, n - {rest}):")
         emit(1, f"{val[j]} = p[{pos}]")
         if j == inner == 1:
-            emit(1, f"cands = {_window(f'pre[{pos}]', val[l0], val[h0])}")
-            emit(1, "if cands:")
+            emit(1, f"{mask} = {_window(f'pre[{pos}]', val[l0], val[h0])}")
+            emit(1, f"if {mask}:")
             d = 2
         elif j == 1:
             l01, h01, *last_j = next(records)
             gap = l01, h01
             emit(1, f"left = pre[{pos}]")
-            emit(1, f"cands = {_window('left', val[l01], val[h01])}")
-            emit(1, f"if not cands or not {suffix(last_j)}:")
+            emit(1, f"{mask} = {_window('left', val[l01], val[h01])}")
+            emit(1, f"if not {mask} or not {suffix(last_j)}:")
             emit(2, "continue")
             d = 1
         else:
@@ -510,30 +519,32 @@ def _block(plan: tuple, name: str, helpers: list[str]) -> list[str]:
                 gap = (gap[0], j) if above0 else (j, gap[1])
             if j < inner:
                 if same:
-                    emit(d, f"cands = {_window('left', val[gap[0]], val[gap[1]])}")
+                    emit(d, f"{mask} = {_window('left', val[gap[0]], val[gap[1]])}")
                 emit(d, f"if {suffix(last_j)}:")
                 d = 3
+        if j == 1 or j < inner and same:
+            cands = mask
         if j == inner:
             if pick:
                 if j > 1:
-                    emit(d, f"cands = {_window('left', val[l0], val[h0])}")
-                emit(d, f"v0 = {_EXTREME[pick]}")
+                    emit(d, f"{mask} = {_window('left', val[l0], val[h0])}")
+                emit(d, f"v0 = {_extreme(pick, mask)}")
             emit(d, f"if {suffix((l_last, h_last))}:")
             emit(d + 1, found)
         elif j % _NESTED:
-            role(j + 1, out, depth + d, f"{pos} + 1", found, gap)
+            role(j + 1, out, depth + d, f"{pos} + 1", found, gap, cands)
         else:
             # the next role opens a helper function that returns True on an occurrence
             helper = f"{name}_{j + 1}"
-            shared = "p, n, pre, full, top, left, cands"
+            shared = f"p, n, pre, full, top, left, {cands}"
             placed = ", ".join(val[i] for i in range(1, j + 1))
             emit(d, f"if {helper}({shared}, {pos}, {placed}):")
             emit(d + 1, found)
             body = [f"def {helper}({shared}, at, {placed}):"]
-            role(j + 1, body, 1, "at + 1", "return True", gap)
+            role(j + 1, body, 1, "at + 1", "return True", gap, cands)
             helpers.extend(body + ["    return False"])
         if j > 1 and kind != 3:
             emit(2, ("break", f"hi{j} = {val[j]}", f"lo{j} = {val[j]}")[kind])
 
-    role(1, lines, 1, "1", "return False", None)
+    role(1, lines, 1, "1", "return False", None, None)
     return lines

@@ -345,14 +345,64 @@ def test_contains_matches_bruteforce_large(n):
                 assert contains(p, q) == brute_contains(p, q), (p, q)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("q", list(all_perms(5)), ids=format_perm)
-def test_contains_matches_walk_for_every_length_5_pattern(q):
-    # every p of length 8; the oracle is the avoider walk, as at n = 8 above.
-    # Each middle role of a length-5 pattern is a loop of its own
-    avoiders = set(generate_avoiders([q], 8, 28))
-    for p in all_perms(8):
-        assert contains(p, q) == (p not in avoiders), (p, q)
+@pytest.mark.parametrize("patterns", [
+    *(pytest.param([q], marks=pytest.mark.slow, id=format_perm(q)) for q in all_perms(5)),
+    # seeded patterns whose middle roles nest four and five loops
+    *([q] for m in (6, 7) for q in random.Random(m).sample(list(all_perms(m)), 4)),
+    # all of S_6, in six parts by the first entry
+    *(pytest.param([q for q in all_perms(6) if q[0] == first], marks=pytest.mark.slow,
+                   id=f"S_6-{first}") for first in range(1, 7)),
+], ids=lambda patterns: format_perm(patterns[0]))
+def test_contains_matches_walk_on_every_p_of_length_8(patterns):
+    # the oracle is the avoider walk, as at n = 8 above. Each middle role
+    # of a pattern of length 5 or more is a loop of its own
+    for q in patterns:
+        avoiders = set(generate_avoiders([q], 8, 28))
+        for p in all_perms(8):
+            assert contains(p, q) == (p not in avoiders), (p, q)
+
+
+def _with_run(seq, at, above, k):
+    """seq with k new values, increasing, just above the value `above` (0
+    for the bottom), inserted at index `at`."""
+    shifted = [v + k if v > above else v for v in seq]
+    return Perm([*shifted[:at], *range(above + 1, above + k + 1), *shifted[at:]])
+
+
+# 5326417 lies in p at the values 6 4 3 7 5 2 11. With role 1 at 4, role 2
+# first takes the decoy 1; roles 3 and 4 then narrow role 0's candidates on
+# the decoys 10 and 8 to {9} before role 2 fails. Role 2 retries with 3, and
+# role 3's lower bound must come from role 0's candidates against role 1
+# alone, {6, 9}, or it skips the 7 of the occurrence. No p of length 8 or
+# (in seeded samples of S_6 and S_7) 9 has such a trap
+_RETRY_P = Perm((9, 6, 4, 1, 3, 7, 5, 2, 10, 8, 11, 12))
+_RETRY_Q = Perm((5, 3, 2, 6, 4, 1, 7))
+
+
+@pytest.mark.parametrize("p, q", [
+    (_RETRY_P, _RETRY_Q),
+    # role 3 reads role 0's highest candidate instead
+    (complement(_RETRY_P), complement(_RETRY_Q)),
+    # more middle roles after the trap
+    (direct_sum(_RETRY_P, identity(3)), direct_sum(_RETRY_Q, identity(3))),
+    (skew_sum(_RETRY_P, identity(2)), skew_sum(_RETRY_Q, identity(2))),
+    # 12 entries between roles 0 and 1 move the trap into a helper function
+    (_with_run(_RETRY_P, 2, 0, 12), _with_run(_RETRY_Q, 1, 0, 12)),
+    # 12 entries after role 5: the trap stays in the first function
+    (_with_run(_RETRY_P, 10, 3, 12), _with_run(_RETRY_Q, 6, 2, 12)),
+], ids=["witness", "complement", "sum", "skew-sum", "helper", "first-function"])
+def test_contains_after_a_retry_reads_the_outer_candidates(p, q):
+    # each middle role's loop restarts with role 0's candidates against the
+    # roles outside it, never with a mask a deeper role narrowed on a decoy;
+    # p less any one entry gives both answers, against the backtracking search
+    assert contains(p, q) and backtracking_search(p, q)
+    answers = set()
+    for value in p:
+        shorter = delete(p, [value])
+        want = backtracking_search(shorter, q)
+        assert contains(shorter, q) == want, (shorter, q)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def _embedded(q, n, rng):
