@@ -14,11 +14,11 @@ of the tree that leads to indecomposable avoiders, and `count_table`
 tallies it, then counts the rest by direct sums (below). bad and masks are
 None at the leaves, where the walk does not descend: at the last length
 and, in the pruned walk, at the budget. `_children` holds the child rule,
-and `_walk` calls it one node at a time; `count_table` calls it in tally
-mode instead, once per subtree job, and it counts the leaves and the
-indecomposables with one inversion left at their parents without building
-them (see `_children`). A walk past MAX_LENGTH entries is a ValueError
-(`perms.check_length`).
+and `_walk` calls it one node at a time. `count_table` runs the pruned
+walk's rule compiled into one function per basis instead (`_walk_kernel`),
+once per subtree job, and it counts the leaves and the indecomposables
+with one inversion left at their parents without building them. A walk
+past MAX_LENGTH entries is a ValueError (`perms.check_length`).
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -40,7 +40,8 @@ last position. A child is derived from its parent's mask, not recomputed:
   most) a fixed offset from the anchor. A fill returns at once when its
   reach is empty or already all bad. The fill runs a kernel compiled for
   the basis (`_kernel`), one block of Python source per pattern with its
-  roles written in as constants (`_block`). Roles m1-2 .. 1 are nested
+  roles written in as constants (`_block`); count_table's compiled walk
+  writes the same blocks into its own function. Roles m1-2 .. 1 are nested
   loops over positions, each within its nearest placed neighbours in
   value, 0 and t+1 standing for "no neighbour below" and "none above";
   each complete placement ORs in its interval and returns to the lowest
@@ -91,7 +92,9 @@ the pruned walk finds with two more fields per node:
   each node a "contains" bit for it; once the bit is set the mask is
   dropped. A node lists (i, mask) for the sums it does not contain yet, so
   its children read their new bits and fill their masks, each with its
-  sum's own kernel, from that list alone.
+  sum's own kernel, from that list alone. The compiled walk keeps one slot
+  per sum instead, None once the sum is contained, and fills each with the
+  sum's block.
 
 Each indecomposable is tallied by (length, inv, contained tracked sums).
 For every decomposable basis pattern, a sequence of components is read by
@@ -417,9 +420,8 @@ def _start(basis, tracked=None):
     return (plans, tracked or ()), (b"", 0, bad, 1, 0, masks)
 
 
-def _children(stack, spec, n_max, k_max, tally=None):
-    """The children of the nodes on `stack`, which have bad masks, in
-    ascending rank order for each node.
+def _children(node, spec, n_max, k_max):
+    """The children of `node`, which has a bad mask, in ascending rank order.
 
     A node is (values, inv, bad, split, seen, masks), values being the
     byte form (perms.INSERT_RANK); a child's values are its parent's with
@@ -439,92 +441,166 @@ def _children(stack, spec, n_max, k_max, tally=None):
     which gives a decomposable child that is always dropped. So every leaf
     of the pruned walk is indecomposable.
 
-    Node mode (tally None) pops the nodes off `stack`, the walk's one-node
-    stack, and returns their children. Tally mode, for the pruned walk
-    only, pushes every child that is not a leaf back onto `stack` and
-    returns once it is empty, so one call expands the whole subtree; it
-    adds each indecomposable child below the stack's nodes to the Counter
-    `tally` by (length, inv, seen), at its parent. A leaf is counted and
-    never built. An indecomposable child with one inversion left is closed
-    at its parent too: its floor is t+1, so its only children are the leaf
-    at rank t+1 and a decomposable child at the budget, which is dropped.
-    Its filled bad mask says whether that leaf is live, and only then are
-    its tracked masks filled, to read the leaf's seen from bit t+1.
+    `_walk` and count_table's split frontier expand one node at a time by
+    this rule. count_table's jobs run the pruned walk's rule compiled
+    instead (`_walk_kernel`).
     """
     fill, fills = spec
-    kids = [] if tally is None else stack
-    while stack:
-        tau, inv, bad, split, seen, masks = stack.pop()
-        t = len(tau)
-        floor = t + 1 - (k_max - inv)
-        if floor < 1:
-            floor = 1
-        last = t + 1 == n_max
-        pruned = masks is not None
-        child_seen = 0
-        for r in range(floor, t + 2):
-            if bad >> r & 1:
+    tau, inv, bad, split, seen, masks = node
+    t = len(tau)
+    floor = t + 1 - (k_max - inv)
+    if floor < 1:
+        floor = 1
+    last = t + 1 == n_max
+    pruned = masks is not None
+    child_seen = 0
+    kids = []
+    for r in range(floor, t + 2):
+        if bad >> r & 1:
+            continue
+        added = inv + t + 1 - r
+        child_floor = t + 2 - (k_max - added)
+        if child_floor < 1:
+            child_floor = 1
+        dead = 0  # the ranks that, all bad, drop a decomposable child
+        if split < r:
+            # the child splits where its parent does; the pruned walk drops
+            # it unless some rank in child_floor..split, which it keeps
+            # from its parent, is still free (see the module docstring)
+            if pruned:
+                if last or child_floor > split:
+                    continue
+                dead = (2 << split) - (1 << child_floor)
+                if bad & dead == dead:
+                    continue
+            child_split = split
+        else:
+            child_split = t + 1
+        if pruned:
+            child_seen = seen
+            for i, mask in masks:
+                if mask >> r & 1:
+                    child_seen |= 1 << i
+        child = tau.translate(INSERT_RANK[r]) + BYTE[r]
+        child_bad = child_masks = None
+        if not last and not (pruned and added == k_max):
+            # bits >= r move up one; bit r stays clear, as it was in the parent
+            low = (1 << r) - 1
+            child_bad = (bad & low) | (bad >> r << (r + 1))
+            child_bad = fill(child, child_floor, child_bad)
+            if dead and child_bad & dead == dead:
                 continue
-            added = inv + t + 1 - r
-            child_floor = t + 2 - (k_max - added)
-            if child_floor < 1:
-                child_floor = 1
-            dead = 0  # the ranks that, all bad, drop a decomposable child
+            if pruned:
+                # tracked masks: perms.contains per indecomposable was 3.2-5.0x
+                # slower (2-core VM)
+                # a tracked pattern the child contains needs no mask
+                child_masks = []
+                for i, mask in masks:
+                    if not child_seen >> i & 1:
+                        mask = (mask & low) | (mask >> r << (r + 1))
+                        child_masks.append((i, fills[i](child, child_floor, mask)))
+        kids.append((child, added, child_bad, child_split, child_seen, child_masks))
+    return kids
+
+
+@lru_cache(maxsize=128)
+def _walk_kernel(plans):
+    """The pruned walk's child rule for the plans (basis plans, tracked
+    plans) from `_start`, compiled into one function
+    walk(stack, n_max, k_max, tally) that expands every node on `stack`
+    down to its whole subtree and adds each indecomposable below those
+    nodes to the Counter `tally` by (length, inv, seen).
+
+    The rule is `_children`' for the pruned walk, with the fill block of
+    every basis plan and of every tracked plan written in (`_block`); t in
+    the source is the children's length and floor a child's floor, as in a
+    fill. A node on the kernel's stack is (values, inv, bad, split, seen,
+    m0, m1, ...), with one slot per tracked pattern holding its mask, or
+    None once the node contains the pattern. Every child is counted at its
+    parent. A leaf, at length n_max or at the budget, is counted and never
+    built. An indecomposable child with one inversion left is closed at its
+    parent too: its floor is t, so its only children are the leaf at rank t
+    and the decomposable child at rank t+1, which is dropped, its floor t+1
+    being above its split t. Its filled bad mask says whether that leaf is
+    live, and only then are its tracked masks filled, to read the leaf's
+    seen from bit t. Kernels are compiled on first use and cached by their
+    plans, which pool jobs carry instead.
+    """
+    basis_plans, tracked = plans
+    slots = "".join(f", m{i}" for i in range(len(tracked)))
+    kids = "".join(f", c{i}" for i in range(len(tracked)))
+    lines = f"""\
+def walk(stack, n_max, k_max, tally):
+    while stack:
+        vals, inv, pbad, split, seen{slots} = stack.pop()
+        t = len(vals) + 1
+        start = t - k_max + inv
+        if start < 1:
+            start = 1
+        last = t == n_max
+        for r in range(start, t + 1):
+            if pbad >> r & 1:
+                continue
+            added = inv + t - r
+            floor = t + 1 - k_max + added
+            if floor < 1:
+                floor = 1
+            dead = 0
             if split < r:
-                # the child splits where its parent does; the pruned walk drops
-                # it unless some rank in child_floor..split, which it keeps
-                # from its parent, is still free (see the module docstring)
-                if pruned:
-                    if last or child_floor > split:
-                        continue
-                    dead = (2 << split) - (1 << child_floor)
-                    if bad & dead == dead:
-                        continue
+                # see the module docstring
+                if last or floor > split:
+                    continue
+                dead = (2 << split) - (1 << floor)
+                if pbad & dead == dead:
+                    continue
                 child_split = split
             else:
-                child_split = t + 1
-            if pruned:
-                child_seen = seen
-                for i, mask in masks:
-                    if mask >> r & 1:
-                        child_seen |= 1 << i
-                if tally is not None and (last or added == k_max):
-                    # a leaf, and indecomposable: counted, never built
-                    tally[t + 1, added, child_seen] += 1
-                    continue
-            child = tau.translate(INSERT_RANK[r]) + BYTE[r]
-            child_bad = child_masks = None
-            if not last and not (pruned and added == k_max):
-                # bits >= r move up one; bit r stays clear, as it was in the parent
-                low = (1 << r) - 1
-                child_bad = (bad & low) | (bad >> r << (r + 1))
-                child_bad = fill(child, child_floor, child_bad)
-                if dead and child_bad & dead == dead:
-                    continue
-                if pruned:
-                    if tally is not None and child_split > t:
-                        tally[t + 1, added, child_seen] += 1
-                        if added == k_max - 1:
-                            # closed here: its one live child is the leaf at rank t+1
-                            if not child_bad >> (t + 1) & 1:
-                                leaf_seen = child_seen
-                                for i, mask in masks:
-                                    if not child_seen >> i & 1:
-                                        mask = (mask & low) | (mask >> r << (r + 1))
-                                        if fills[i](child, child_floor, mask) >> (t + 1) & 1:
-                                            leaf_seen |= 1 << i
-                                tally[t + 2, k_max, leaf_seen] += 1
-                            continue
-                    # tracked masks: perms.contains per indecomposable was 3.2-5.0x
-                    # slower (2-core VM)
-                    # a tracked pattern the child contains needs no mask
-                    child_masks = []
-                    for i, mask in masks:
-                        if not child_seen >> i & 1:
-                            mask = (mask & low) | (mask >> r << (r + 1))
-                            child_masks.append((i, fills[i](child, child_floor, mask)))
-            kids.append((child, added, child_bad, child_split, child_seen, child_masks))
-    return kids
+                child_split = t
+            child_seen = seen""".split("\n")
+    for i in range(len(tracked)):
+        lines += [f"            if m{i} is not None and m{i} >> r & 1:",
+                  f"                child_seen |= {1 << i}"]
+    lines += ["            if last or added == k_max:",
+              "                tally[t, added, child_seen] += 1",
+              "                continue",
+              "            tau = vals.translate(INSERT_RANK[r]) + BYTE[r]",
+              "            anchor = r",
+              "            kept = (1 << r) - 1",
+              "            bad = (pbad & kept) | (pbad >> r << (r + 1))"]
+    if any(plan[0] > 1 for plan in basis_plans + tracked):
+        lines.append("            left = (2 << t) - 2 - (1 << r)")
+    helpers = []
+    for i, plan in enumerate(basis_plans):
+        lines += ["        " + line for line in _block(plan, f"fill{i}", helpers)]
+    lines += ["            if dead and bad & dead == dead:",
+              "                continue",
+              "            child_bad = bad",
+              "            close = False",
+              "            if child_split == t:",
+              "                tally[t, added, child_seen] += 1",
+              "                if added == k_max - 1:",
+              "                    # closed here: its one live child is the leaf at rank t",
+              "                    if bad >> t & 1:",
+              "                        continue",
+              "                    close = True"]
+    for i, plan in enumerate(tracked):
+        lines += [f"            if child_seen & {1 << i}:",
+                  f"                c{i} = None",
+                  "            else:",
+                  f"                bad = (m{i} & kept) | (m{i} >> r << (r + 1))",
+                  *("            " + line for line in _block(plan, f"track{i}", helpers)),
+                  f"                c{i} = bad"]
+    lines.append("            if close:")
+    for i in range(len(tracked)):
+        lines += [f"                if c{i} is not None and c{i} >> t & 1:",
+                  f"                    child_seen |= {1 << i}"]
+    lines += ["                tally[t + 1, k_max, child_seen] += 1",
+              "                continue"]
+    lines.append(f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))")
+    name = f"<walk kernel {hash(plans) & 0xFFFFFFFF:08x}>"
+    names = {"INSERT_RANK": INSERT_RANK, "BYTE": BYTE}
+    exec(compile("\n".join(lines + helpers), name, "exec"), names)
+    return names["walk"]
 
 
 def _walk(node, plans, n_max, k_max):
@@ -536,20 +612,20 @@ def _walk(node, plans, n_max, k_max):
     iter_avoiders_upto and indecomposables_upto hand out as Perms), and the
     walk descends into every node that has a bad mask: all but the leaves
     at length n_max and, in the pruned walk, at the budget. It calls
-    _children in node mode, one node at a time. The stack holds one
-    iterator over the pending siblings per level of the current path, never
-    the tree, so the first node arrives at once however large the tree is.
+    _children one node at a time. The stack holds one iterator over the
+    pending siblings per level of the current path, never the tree, so the
+    first node arrives at once however large the tree is.
     """
     check_length(n_max)
     spec = _spec(plans)
     stack = []
     if len(node[0]) < n_max:
-        stack.append(iter(_children([node], spec, n_max, k_max)))
+        stack.append(iter(_children(node, spec, n_max, k_max)))
     while stack:
         for node in stack[-1]:
             yield node
             if node[2] is not None:
-                stack.append(iter(_children([node], spec, n_max, k_max)))
+                stack.append(iter(_children(node, spec, n_max, k_max)))
                 break
         else:
             stack.pop()
@@ -725,17 +801,15 @@ _SPLIT_DEPTH = 4
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
 # 2-core VM, which the split walk repays only from several thousand on, at
 # a cost per indecomposable that depends on the basis and on the machine.
-# With jobs tallied in one call each, best of 24, threads=2, inline against
-# pooled: {1324} at (18, 12) (5,562 indecomposables) 0.010 s and 0.022 s,
-# at (21, 14) (15,803) 0.029 s and 0.044 s; {1324,21354} at (20, 14)
-# (8,764), measured while its length-5 pattern ran a backtracking fill,
-# 0.030 s and 0.044 s. The pool won from about 80,000 on ({1324,1342} at (30, 20):
-# 0.18 s and 0.12 s). The walk before tally mode gave the same order on the
-# same VM (0.031 s and 0.045 s at (20, 14)), while an earlier measurement
-# saw the pool win there (0.046 s and 0.039 s): the crossover moves with the
-# machine more than with the walk, so the value stays. Tallies, unlike the
-# clock, send a table the same way on every machine, and job shares are
-# stable across sizes.
+# With each job one call of the compiled walk, best of 16, threads=2, inline
+# against pooled: {1324} at (18, 12) (5,562 indecomposables) 0.009 s and
+# 0.022 s, at (21, 14) (15,803) 0.026 s and 0.028 s; {1324,21354} at
+# (20, 14) (8,764) 0.022 s and 0.023 s; {1324,1342} at (30, 20) (78,884)
+# 0.145 s and 0.109 s. On that VM the crossover lies between about 9,000
+# and 16,000, while an earlier measurement on another saw the pool win at
+# (20, 14) (0.046 s and 0.039 s): it moves with the machine more than with
+# the walk, so the value stays. Tallies, unlike the clock, send a table the
+# same way on every machine, and job shares are stable across sizes.
 _POOL_MIN_TALLY = 5000
 
 
@@ -749,10 +823,15 @@ def _tally_subtree(args):
     """The tally of one job, (node, plans, depth, k_max): every
     indecomposable below node in the pruned walk to length depth, counted
     by (length, inv, seen) as `_tally` counts `_walk`'s nodes, but by one
-    call of _children in tally mode, which builds no leaf."""
+    call of the basis's compiled walk (`_walk_kernel`), which builds no
+    leaf. The node's (i, mask) list becomes one slot per tracked pattern."""
     node, plans, depth, k_max = args
+    *state, masks = node
+    slots = [None] * len(plans[1])
+    for i, mask in masks:
+        slots[i] = mask
     tally = Counter()
-    _children([node], _spec(plans), depth, k_max, tally)
+    _walk_kernel(plans)([(*state, *slots)], depth, k_max, tally)
     return tally
 
 
@@ -785,7 +864,7 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         spec = _spec(plans)
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
-                        for child in _children([parent], spec, depth, k_max)]
+                        for child in _children(parent, spec, depth, k_max)]
             parts.append(_tally(frontier))
             frontier = [node for node in frontier if node[2] is not None]
     jobs = [(node, plans, depth, k_max) for node in frontier]

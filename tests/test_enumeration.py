@@ -1,3 +1,5 @@
+import ast
+import builtins
 import concurrent.futures
 import hashlib
 import itertools
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import permseq.enumeration as enumeration
+import permseq.perms as perms
 from permseq.enumeration import (
     MAX_LENGTH,
     REPRESENTATIVE_PARTNERS,
@@ -573,16 +576,19 @@ def test_iter_avoiders_upto_streams(monkeypatch):
                          [("1324", 16, 12), ("1324,2143", 10, 10), ("12453,321", 12, 9)])
 def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch):
     # a child at the budget has floor len(child) + 1 and is a leaf of the
-    # pruned walk, so count_table never fills it; in tally mode it is not
-    # built either: every child built gets its basis fill
+    # pruned walk, so count_table never fills it, nor builds it: every child
+    # built gets its basis fill. The fills are written into the compiled
+    # walk, so the first basis block of a walk compiled here records the
+    # (t, floor) of each fill it runs, and the walk builds each child with
+    # the BYTE table it finds at compile time
     basis = parse_basis(basis_text)
-    basis_plans = _start(basis)[0][0]
     fills = []
     built = []
+    real_block = enumeration._block
 
-    def record(plans, tau, floor, bad, out):
-        if plans == basis_plans:
-            fills.append((len(tau), floor))
+    def block(plan, name, helpers):
+        lines = real_block(plan, name, helpers)
+        return ["    FILLS.append((t, floor))", *lines] if name == "fill0" else lines
 
     real = enumeration.BYTE
 
@@ -591,9 +597,14 @@ def test_count_table_fills_no_budget_leaf(basis_text, n_max, k_max, monkeypatch)
             built.append(r)
             return real[r]
 
-    _spy_kernels(monkeypatch, record)
+    monkeypatch.setattr(enumeration, "_block", block)
     monkeypatch.setattr(enumeration, "BYTE", RecordingBytes())
-    count_table(basis, n_max, k_max)
+    monkeypatch.setattr(builtins, "FILLS", fills, raising=False)
+    enumeration._walk_kernel.cache_clear()
+    try:
+        count_table(basis, n_max, k_max)
+    finally:
+        enumeration._walk_kernel.cache_clear()
     assert fills
     assert all(floor <= t for t, floor in fills), max(fills, key=lambda f: f[1] - f[0])
     assert len(built) == len(fills)
@@ -622,9 +633,9 @@ def tally_case_st(draw):
 @example(([parse_perm("1234")], 12, 10))
 @example(([parse_perm("1324"), parse_perm("21354"), parse_perm("1234")], 11, 10))
 def test_tally_mode_matches_the_walk(case):
-    # one tally-mode call of _children against _tally over the nodes _walk
-    # yields, class by class, from the root and from every node of the first
-    # two levels that has children
+    # one call of the compiled tally walk against _tally over the nodes
+    # _walk yields, class by class, from the root and from every node of
+    # the first two levels that has children
     patterns, n_max, k_max = case
     basis = frozenset(patterns)
     tracked = tuple(_plan(q) for q in _automaton(basis)[0])
@@ -635,6 +646,68 @@ def test_tally_mode_matches_the_walk(case):
         want = _tally(_walk(node, plans, n_max, k_max))
         got = _tally_subtree((node, plans, n_max, k_max))
         assert dict(got) == dict(want), node[0]
+
+
+def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
+    # (2 3 ... 21 1) (+) 1 is a basis pattern, so its first component, of
+    # length 21, is a tracked sum whose fill block (a body of 20 roles) runs
+    # on in helper functions inside the compiled walk. The full walk
+    # (iter_avoiders_upto), which tracks no sums and calls the basis kernel
+    # one node at a time, is the reference
+    q = direct_sum(Perm([*range(2, 22), 1]), Perm((1,)))
+    basis = [parse_perm("132"), q]
+    tracked = _automaton(frozenset(basis))[0]
+    # a sum of length m loops over m - 3 roles
+    assert max(map(len, tracked)) - 3 > enumeration._NESTED
+    rows = count_table(basis, 24, 22).rows
+    assert rows == _walk_tallies(basis, 24, 22)
+    # and q, which spreads over two components, changes some cells
+    assert rows != count_table(basis[:1], 24, 22).rows
+
+
+def test_count_table_compiles_one_walk_kernel_per_basis():
+    # a basis in any order and any form, at any size, maps to one compiled
+    # walk: the plans of its patterns and of its tracked sums are its key
+    basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
+    want = count_table(basis, 9, 8).rows
+    enumeration._walk_kernel.cache_clear()
+    texts = ["".join(map(str, q)) for q in basis]
+    for forms in (texts, basis, *([kind(q) for q in basis] for kind in (list, tuple, bytes))):
+        for b in (forms, forms[::-1], tuple(forms), iter(forms), forms + forms[:1]):
+            assert count_table(b, 9, 8).rows == want
+    wider = count_table(frozenset(basis), 12, 8).rows
+    assert count_table(texts, 12, 5).rows == tuple(row[:6] for row in wider)
+    info = enumeration._walk_kernel.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.maxsize
+
+
+def test_generated_source_has_no_assert(monkeypatch):
+    # python -O strips assert statements, and CI's grep for them reads only
+    # the library's files: here the source of every fill, walk and
+    # containment kernel of S_3, S_4, the golden bases and a basis whose
+    # blocks need helper functions is parsed, as it is compiled
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append((filename.split()[0].lstrip("<"), source))
+        return compile(source, filename, mode)
+
+    for module in (enumeration, perms):
+        monkeypatch.setattr(module, "compile", spy, raising=False)
+    for cache in (enumeration._kernel, enumeration._walk_kernel, perms._kernel, perms._basis_kernel):
+        cache.cache_clear()
+    bases = [[q] for q in S3_S4]
+    bases += [[parse_perm("1324"), parse_perm(p)] for p in REPRESENTATIVE_PARTNERS[1:]]
+    bases.append([parse_perm("132"), direct_sum(Perm([*range(2, 22), 1]), Perm((1,)))])
+    for basis in map(frozenset, bases):
+        plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
+        enumeration._spec(plans)
+        enumeration._walk_kernel(plans)
+        avoids(Perm(()), basis)
+    assert {kind for kind, _ in sources} == {"fill", "walk", "avoids"}
+    for kind, source in sources:
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source))), kind
 
 
 def _lehmer_decode(code):
