@@ -96,27 +96,33 @@ the pruned walk finds with two more fields per node:
   per sum instead, None once the sum is contained, and fills each with the
   sum's block.
 
-Each indecomposable is tallied by (length, inv, contained tracked sums).
-For every decomposable basis pattern, a sequence of components is read by
-the greedy prefix automaton: from state j a component moves to the largest
-j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and reaching s
-means q is contained. A DP over (state, n, k) then sums the sequences of
-components for every row, so the walk never goes deeper than k_max+1 and
-the table costs about the same for any n_max. count_table walks one list
-of subtree jobs: the root alone with one worker or a shallow walk, else
-the subtrees below depth _SPLIT_DEPTH. It walks them inline while their
-tallies project a small table, and only then starts a process pool of
-min(threads, CPU count, jobs left) workers for the rest (see
-_POOL_MIN_TALLY).
+Each indecomposable is tallied by its class (length, inv, contained tracked
+sums). For every decomposable basis pattern, a sequence of components is
+read by the greedy prefix automaton: from state j a component moves to the
+largest j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and
+reaching s means q is contained. A DP over (state, n, k) then sums the
+sequences of components for every row, so the walk never goes deeper than
+k_max+1 and the table costs about the same for any n_max. count_table
+walks one list of subtree jobs: the root alone with one worker or a
+shallow walk, else the subtrees below depth _SPLIT_DEPTH. It walks them
+inline while their tallies project a small table, and only then starts a
+process pool of min(threads, CPU count, jobs left) workers for the rest
+(see _POOL_MIN_TALLY). The whole table has one flat tally: class (length,
+inv, seen) counts at index ((length * (k_max + 1) + inv) << T) | seen, T
+being the number of tracked sums, in a list or, past _DENSE_SLOTS slots,
+an int-keyed dict (`_new_tally`). The compiled walk, the levels above the
+split depth and the inline jobs count into it directly, the pool's workers
+send back their nonzero classes, and the DP decodes each index once.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 from .perms import (
@@ -508,8 +514,10 @@ def _walk_kernel(plans):
     """The pruned walk's child rule for the plans (basis plans, tracked
     plans) from `_start`, compiled into one function
     walk(stack, n_max, k_max, tally) that expands every node on `stack`
-    down to its whole subtree and adds each indecomposable below those
-    nodes to the Counter `tally` by (length, inv, seen).
+    down to its whole subtree and counts each indecomposable below those
+    nodes as `tally[i] += 1`, i being the index of its class (length, inv,
+    seen) in a tally from `_new_tally`; the number of tracked patterns is
+    written into the source, and a list and a dict take the same source.
 
     The rule is `_children`' for the pruned walk, with the fill block of
     every basis plan and of every tracked plan written in (`_block`); t in
@@ -527,13 +535,23 @@ def _walk_kernel(plans):
     plans, which pool jobs carry instead.
     """
     basis_plans, tracked = plans
-    slots = "".join(f", m{i}" for i in range(len(tracked)))
-    kids = "".join(f", c{i}" for i in range(len(tracked)))
+    bits = len(tracked)
+
+    def index(base):
+        # source of the class index of a child of seen child_seen (see _new_tally)
+        return f"({base}) << {bits} | child_seen" if bits else base
+
+    slots = "".join(f", m{i}" for i in range(bits))
+    kids = "".join(f", c{i}" for i in range(bits))
     lines = f"""\
 def walk(stack, n_max, k_max, tally):
+    width = k_max + 1
+    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max
+    closed = width + k_max
     while stack:
         vals, inv, pbad, split, seen{slots} = stack.pop()
         t = len(vals) + 1
+        base = t * width
         start = t - k_max + inv
         if start < 1:
             start = 1
@@ -557,11 +575,11 @@ def walk(stack, n_max, k_max, tally):
             else:
                 child_split = t
             child_seen = seen""".split("\n")
-    for i in range(len(tracked)):
+    for i in range(bits):
         lines += [f"            if m{i} is not None and m{i} >> r & 1:",
                   f"                child_seen |= {1 << i}"]
     lines += ["            if last or added == k_max:",
-              "                tally[t, added, child_seen] += 1",
+              f"                tally[{index('base + added')}] += 1",
               "                continue",
               "            tau = vals.translate(INSERT_RANK[r]) + BYTE[r]",
               "            anchor = r",
@@ -577,7 +595,7 @@ def walk(stack, n_max, k_max, tally):
               "            child_bad = bad",
               "            close = False",
               "            if child_split == t:",
-              "                tally[t, added, child_seen] += 1",
+              f"                tally[{index('base + added')}] += 1",
               "                if added == k_max - 1:",
               "                    # closed here: its one live child is the leaf at rank t",
               "                    if bad >> t & 1:",
@@ -591,10 +609,10 @@ def walk(stack, n_max, k_max, tally):
                   *("            " + line for line in _block(plan, f"track{i}", helpers)),
                   f"                c{i} = bad"]
     lines.append("            if close:")
-    for i in range(len(tracked)):
+    for i in range(bits):
         lines += [f"                if c{i} is not None and c{i} >> t & 1:",
                   f"                    child_seen |= {1 << i}"]
-    lines += ["                tally[t + 1, k_max, child_seen] += 1",
+    lines += [f"                tally[{index('base + closed')}] += 1",
               "                continue"]
     lines.append(f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))")
     name = f"<walk kernel {hash(plans) & 0xFFFFFFFF:08x}>"
@@ -723,8 +741,9 @@ def _automaton(basis):
     return tracked, (0,) * len(chains), step
 
 
-def _component_rows(start, step, tally, n_max, k_max):
-    """Rows 1..n_max of the table from the class tally of the indecomposables.
+def _component_rows(start, step, tally, bits, n_max, k_max):
+    """Rows 1..n_max of the table from the class tally of the indecomposables,
+    a tally from `_new_tally` with `bits` tracked patterns.
 
     f[state][n] counts the component sequences of total length n that leave
     the automaton in `state`, one count per inversion number. A row over k is
@@ -737,23 +756,28 @@ def _component_rows(start, step, tally, n_max, k_max):
     # the classes sharing a `seen` move every state alike, so step runs once
     # per (state, distinct seen): by_seen[seen][length] is their packed count
     by_seen = {}
-    for (length, inv, seen), count in tally.items():
+    for index, count in _counts(tally):
+        length, inv = divmod(index >> bits, k_max + 1)
+        seen = index & ((1 << bits) - 1)
         by_length = by_seen.get(seen)
         if by_length is None:
-            by_length = by_seen[seen] = Counter()
+            by_length = by_seen[seen] = [0] * (n_max + 1)
         by_length[length] += count << (width * inv)
     moves = {}
     todo = [start]
     while todo:
         state = todo.pop()
-        polys = Counter()
+        polys = {}
         for seen, by_length in by_seen.items():
             target = step(state, seen)
             if target is not None:
-                for length, poly in by_length.items():
-                    polys[target, length] += poly
-        moves[state] = sorted(polys.items(), key=lambda item: item[0][1])
-        todo.extend({target for target, _ in polys} - moves.keys() - set(todo))
+                row = polys.setdefault(target, [0] * (n_max + 1))
+                for length, poly in enumerate(by_length):
+                    row[length] += poly
+        # by ascending length, which the DP below stops at
+        moves[state] = [(target, length, row[length]) for length in range(1, n_max + 1)
+                        for target, row in polys.items() if row[length]]
+        todo.extend(polys.keys() - moves.keys() - set(todo))
     f = {state: [0] * (n_max + 1) for state in moves}
     f[start][0] = 1
     for n in range(n_max):
@@ -761,7 +785,7 @@ def _component_rows(start, step, tally, n_max, k_max):
             src = row[n] & kept
             if not src:
                 continue
-            for (target, length), poly in moves[state]:
+            for target, length, poly in moves[state]:
                 if n + length > n_max:
                     break
                 f[target][n + length] += src * poly
@@ -801,38 +825,79 @@ _SPLIT_DEPTH = 4
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
 # 2-core VM, which the split walk repays only from several thousand on, at
 # a cost per indecomposable that depends on the basis and on the machine.
-# With each job one call of the compiled walk, best of 16, threads=2, inline
-# against pooled: {1324} at (18, 12) (5,562 indecomposables) 0.009 s and
-# 0.022 s, at (21, 14) (15,803) 0.026 s and 0.028 s; {1324,21354} at
-# (20, 14) (8,764) 0.022 s and 0.023 s; {1324,1342} at (30, 20) (78,884)
-# 0.145 s and 0.109 s. On that VM the crossover lies between about 9,000
-# and 16,000, while an earlier measurement on another saw the pool win at
+# With each job one call of the compiled walk into the flat tally, best of
+# 16 in each of three runs, threads=2, inline against pooled: {1324} at
+# (18, 12) (5,562 indecomposables) 0.008 s and 0.016 s, at (21, 14)
+# (15,803) 0.021 s and 0.022 s; {1324,21354} at (20, 14) (8,764) 0.020 s
+# and 0.023 s; {1324,1342} at (30, 20) (78,884) 0.120 s and 0.080 s. On
+# that VM the crossover lies between about 9,000 and 16,000, while an earlier measurement on another saw the pool win at
 # (20, 14) (0.046 s and 0.039 s): it moves with the machine more than with
 # the walk, so the value stays. Tallies, unlike the clock, send a table the
 # same way on every machine, and job shares are stable across sizes.
 _POOL_MIN_TALLY = 5000
 
 
-def _tally(nodes):
-    """Count the indecomposables among pruned-walk nodes by (length, inv, seen)."""
-    return Counter((len(vals), inv, seen) for vals, inv, _, split, seen, _ in nodes
-                   if split == len(vals))
+# count_table's tally is a list while it needs at most this many slots, else
+# a dict: {123456789, 213465879} has 20 tracked sums, and at (12, 10) a list
+# would take 13 * 11 << 20 slots.
+_DENSE_SLOTS = 1 << 20
 
 
-def _tally_subtree(args):
-    """The tally of one job, (node, plans, depth, k_max): every
-    indecomposable below node in the pruned walk to length depth, counted
-    by (length, inv, seen) as `_tally` counts `_walk`'s nodes, but by one
-    call of the basis's compiled walk (`_walk_kernel`), which builds no
-    leaf. The node's (i, mask) list becomes one slot per tracked pattern."""
-    node, plans, depth, k_max = args
+def _new_tally(depth, k_max, bits):
+    """An empty tally of the indecomposables of a walk to length `depth`
+    with `bits` tracked patterns, by class (length, inv, seen).
+
+    Class (length, inv, seen) counts at index
+    ((length * (k_max + 1) + inv) << bits) | seen, in a list of
+    (depth + 1) * (k_max + 1) << bits slots when that is at most
+    _DENSE_SLOTS, else in an int-keyed dict that starts every class at 0.
+    Both take `tally[i] += count`, so the compiled walk writes either.
+    """
+    size = (depth + 1) * (k_max + 1) << bits
+    return [0] * size if size <= _DENSE_SLOTS else defaultdict(int)
+
+
+def _counts(tally):
+    """The (index, count) pairs of a tally's classes with a nonzero count."""
+    if isinstance(tally, list):
+        return [(i, tally[i]) for i in compress(range(len(tally)), tally)]
+    return list(tally.items())
+
+
+def _total(tally):
+    """The number of indecomposables a tally counts."""
+    return sum(tally) if isinstance(tally, list) else sum(tally.values())
+
+
+def _tally(nodes, tally, k_max, bits):
+    """Count the indecomposables among pruned-walk nodes in `tally`, from
+    `_new_tally` with `bits` tracked patterns."""
+    for vals, inv, _, split, seen, _ in nodes:
+        if split == len(vals):
+            tally[(len(vals) * (k_max + 1) + inv) << bits | seen] += 1
+
+
+def _tally_subtree(job, tally):
+    """Count one job, (node, plans, depth, k_max), in `tally`, from
+    `_new_tally`: every indecomposable below node in the pruned walk to
+    length depth, as `_tally` counts `_walk`'s nodes, but by one call of the
+    basis's compiled walk (`_walk_kernel`), which builds no leaf. The node's
+    (i, mask) list becomes one slot per tracked pattern."""
+    node, plans, depth, k_max = job
     *state, masks = node
     slots = [None] * len(plans[1])
     for i, mask in masks:
         slots[i] = mask
-    tally = Counter()
     _walk_kernel(plans)([(*state, *slots)], depth, k_max, tally)
-    return tally
+
+
+def _pool_tally(job):
+    """The nonzero (index, count) pairs of one job's tally, which is all a
+    pool worker sends back."""
+    _, plans, depth, k_max = job
+    tally = _new_tally(depth, k_max, len(plans[1]))
+    _tally_subtree(job, tally)
+    return _counts(tally)
 
 
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
@@ -843,7 +908,9 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     depth _SPLIT_DEPTH. Jobs are walked inline, in order, until the
     indecomposables found so far, times the number of jobs over the jobs
     walked, exceed _POOL_MIN_TALLY; the jobs left go to a process pool of
-    min(threads, CPU count, jobs left) workers. The table is the same
+    min(threads, CPU count, jobs left) workers. All of them count into one
+    tally (`_new_tally`): the inline jobs directly, the pool's by merging
+    the nonzero classes each worker sends back. The table is the same
     either way.
     """
     basis = pattern_basis(basis)
@@ -853,9 +920,10 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     plans, node = _start(basis, tracked)
     # an indecomposable with at most k_max inversions has length <= k_max + 1
     depth = min(n_max, k_max + 1)
+    bits = len(tracked)
+    tally = _new_tally(depth, k_max, bits)
     # the pool starts every worker at once, so never ask for more than the CPUs
     workers = min(threads, os.cpu_count() or 1)
-    parts = []
     frontier = [node]
     # one worker walks the root as its one job: depth-4 jobs were 2-9 % slower (2-core VM)
     if workers > 1 and depth > _SPLIT_DEPTH:
@@ -865,13 +933,15 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         for _ in range(_SPLIT_DEPTH):
             frontier = [child for parent in frontier
                         for child in _children(parent, spec, depth, k_max)]
-            parts.append(_tally(frontier))
+            _tally(frontier, tally, k_max, bits)
             frontier = [node for node in frontier if node[2] is not None]
     jobs = [(node, plans, depth, k_max) for node in frontier]
+    # the projection counts the jobs' indecomposables, not the levels above them
+    above = _total(tally)
     found = walked = 0
     while walked < len(jobs) and found * len(jobs) <= _POOL_MIN_TALLY * walked:
-        parts.append(_tally_subtree(jobs[walked]))
-        found += parts[-1].total()
+        _tally_subtree(jobs[walked], tally)
+        found = _total(tally) - above
         walked += 1
     jobs = jobs[walked:]
     workers = min(workers, len(jobs))
@@ -879,13 +949,13 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts += pool.map(_tally_subtree, jobs, chunksize=1)
+            for counts in pool.map(_pool_tally, jobs, chunksize=1):
+                for i, count in counts:
+                    tally[i] += count
     else:
-        parts += map(_tally_subtree, jobs)
-    tally = Counter()
-    for part in parts:
-        tally.update(part)
-    rows = _component_rows(start, step, tally, n_max, k_max)
+        for job in jobs:
+            _tally_subtree(job, tally)
+    rows = _component_rows(start, step, tally, bits, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 
 

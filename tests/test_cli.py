@@ -916,10 +916,11 @@ def test_pool_takes_the_jobs_left_unwalked(serial_pool, monkeypatch):
     real = enumeration._tally_subtree
     calls = []  # (job's permutation, its tally's total, run by the pool)
 
-    def spy(job):
-        part = real(job)
-        calls.append((job[0][0], part.total(), bool(serial_pool)))
-        return part
+    def spy(job, tally):
+        # inline jobs share the table's tally, so a job's total is its increase
+        before = enumeration._total(tally)
+        real(job, tally)
+        calls.append((job[0][0], enumeration._total(tally) - before, bool(serial_pool)))
 
     monkeypatch.setattr(enumeration, "_tally_subtree", spy)
     basis = parse_basis("1324")
@@ -962,9 +963,9 @@ def test_one_worker_walks_the_root_as_its_one_job(serial_pool, monkeypatch,
     real = enumeration._tally_subtree
     jobs = []
 
-    def spy(job):
+    def spy(job, tally):
         jobs.append(job)
-        return real(job)
+        real(job, tally)
 
     monkeypatch.setattr(enumeration, "_tally_subtree", spy)
     assert count_table(basis, n_max, k_max, threads=threads) == want

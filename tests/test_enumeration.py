@@ -6,6 +6,7 @@ import itertools
 import multiprocessing
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,9 @@ from permseq.enumeration import (
     TAIL_WINDOW,
     CountTable,
     _automaton,
+    _counts,
     _kernel,
+    _new_tally,
     _plan,
     _start,
     _tally,
@@ -642,10 +645,21 @@ def test_tally_mode_matches_the_walk(case):
     plans, root = _start(basis, tracked)
     jobs = [root] + [node for node in _walk(root, plans, n_max, k_max)
                      if len(node[0]) <= 2 and node[2] is not None]
+    bits = len(tracked)
     for node in jobs:
-        want = _tally(_walk(node, plans, n_max, k_max))
-        got = _tally_subtree((node, plans, n_max, k_max))
-        assert dict(got) == dict(want), node[0]
+        nodes = list(_walk(node, plans, n_max, k_max))
+        want = Counter((len(vals), inv, seen) for vals, inv, _, split, seen, _ in nodes
+                       if split == len(vals))
+        got = _new_tally(n_max, k_max, bits)
+        _tally_subtree((node, plans, n_max, k_max), got)
+        # the class index is ((length * (k_max + 1) + inv) << bits) | seen
+        decoded = {(*divmod(i >> bits, k_max + 1), i & ((1 << bits) - 1)): count
+                   for i, count in _counts(got)}
+        assert decoded == dict(want), node[0]
+        # and the frontier levels' tally writes the walk's index
+        ref = _new_tally(n_max, k_max, bits)
+        _tally(nodes, ref, k_max, bits)
+        assert ref == got, node[0]
 
 
 def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
@@ -663,6 +677,45 @@ def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
     assert rows == _walk_tallies(basis, 24, 22)
     # and q, which spreads over two components, changes some cells
     assert rows != count_table(basis[:1], 24, 22).rows
+
+
+def test_count_table_tallies_past_the_dense_cap_in_a_dict(monkeypatch):
+    # 20 tracked sums put the list past _DENSE_SLOTS, so the walk, the
+    # frontier levels and the pool's merge all count into the dict, by the
+    # same index; a golden basis stays a list
+    basis = parse_basis("123456789,213465879")
+    bits = len(_automaton(basis)[0])
+    assert bits == 20
+    assert (11 + 1) * (10 + 1) << bits > enumeration._DENSE_SLOTS
+    golden = parse_basis("1324,1243")
+    assert (10 + 1) * (10 + 1) << len(_automaton(golden)[0]) <= enumeration._DENSE_SLOTS
+    made = []
+    real = enumeration._new_tally
+
+    def spy(depth, k_max, bits):
+        tally = real(depth, k_max, bits)
+        made.append(type(tally).__name__)
+        return tally
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_new_tally", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # every job after the first that counts anything goes to the pool
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
+    rows = count_table(basis, 12, 10).rows
+    assert rows == _walk_tallies(basis, 12, 10)
+    assert count_table(basis, 12, 10, threads=2).rows == rows
+    assert started == [2]
+    count_table(golden, 10, 10)
+    # the pool's workers make their own, out of this process
+    assert made == ["defaultdict", "defaultdict", "list"]
 
 
 def test_count_table_compiles_one_walk_kernel_per_basis():
@@ -685,8 +738,9 @@ def test_count_table_compiles_one_walk_kernel_per_basis():
 def test_generated_source_has_no_assert(monkeypatch):
     # python -O strips assert statements, and CI's grep for them reads only
     # the library's files: here the source of every fill, walk and
-    # containment kernel of S_3, S_4, the golden bases and a basis whose
-    # blocks need helper functions is parsed, as it is compiled
+    # containment kernel of S_3, S_4, the golden bases, a basis whose blocks
+    # need helper functions and one with 20 tracked sums is parsed, as it is
+    # compiled
     sources = []
 
     def spy(source, filename, mode):
@@ -700,6 +754,7 @@ def test_generated_source_has_no_assert(monkeypatch):
     bases = [[q] for q in S3_S4]
     bases += [[parse_perm("1324"), parse_perm(p)] for p in REPRESENTATIVE_PARTNERS[1:]]
     bases.append([parse_perm("132"), direct_sum(Perm([*range(2, 22), 1]), Perm((1,)))])
+    bases.append([parse_perm("123456789"), parse_perm("213465879")])
     for basis in map(frozenset, bases):
         plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
         enumeration._spec(plans)
