@@ -8,17 +8,21 @@ yields the nodes below a given node in preorder, children in ascending
 rank order, each as (values, inv, bad, split, seen, masks). values is the
 byte form of `perms`, one byte per entry, so a child is one translate of
 its parent's values plus one byte. `iter_avoiders_upto`
-streams that preorder and `generate_avoiders` keeps one length of it.
-`indecomposables_upto` reads the pruned walk, which yields only the part
-of the tree that leads to indecomposable avoiders, and `count_table`
-tallies it, then counts the rest by direct sums (below). bad and masks are
-None at the leaves, where the walk does not descend: at the last length
-and, in the pruned walk, at the budget. `_children` holds the child rule,
-and `_walk` calls it one node at a time. `count_table` runs the pruned
-walk's rule compiled into one function per basis instead (`_walk_kernel`),
-once per subtree job, and it counts the leaves and the indecomposables
-with one inversion left at their parents without building them. A walk
-past MAX_LENGTH entries is a ValueError (`perms.check_length`).
+streams that preorder. The pruned walk yields only the part of the tree
+that leads to indecomposable avoiders; `count_table` tallies its
+indecomposables, then counts the rest by direct sums (below). bad and
+masks are None at the leaves, where the walk does not descend: at the
+last length and, in the pruned walk, at the budget. `_children` holds the
+child rule, and `_walk` calls it one node at a time. The rule is also
+compiled into one function per basis and mode (`_walk_kernel`), which
+expands whole subtrees on its own stack and builds no node tuple:
+`count_table` runs its tally mode once per subtree job, counting the
+leaves and the indecomposables with one inversion left at their parents
+without building them; `indecomposables_upto` runs its collecting mode,
+which gathers the pruned walk's indecomposables as byte forms by
+inversion number, and `generate_avoiders` its full walk, which gathers
+the length-n byte forms. A walk past MAX_LENGTH entries is a ValueError
+(`perms.check_length`), raised before any kernel is compiled.
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -40,8 +44,8 @@ last position. A child is derived from its parent's mask, not recomputed:
   most) a fixed offset from the anchor. A fill returns at once when its
   reach is empty or already all bad. The fill runs a kernel compiled for
   the basis (`_kernel`), one block of Python source per pattern with its
-  roles written in as constants (`_block`); count_table's compiled walk
-  writes the same blocks into its own function. Roles m1-2 .. 1 are nested
+  roles written in as constants (`_block`); the compiled walks write the
+  same blocks into their own functions. Roles m1-2 .. 1 are nested
   loops over positions, each within its nearest placed neighbours in
   value, 0 and t+1 standing for "no neighbour below" and "none above";
   each complete placement ORs in its interval and returns to the lowest
@@ -448,8 +452,8 @@ def _children(node, spec, n_max, k_max):
     of the pruned walk is indecomposable.
 
     `_walk` and count_table's split frontier expand one node at a time by
-    this rule. count_table's jobs run the pruned walk's rule compiled
-    instead (`_walk_kernel`).
+    this rule. count_table's jobs, indecomposables_upto and
+    generate_avoiders run it compiled instead (`_walk_kernel`).
     """
     fill, fills = spec
     tau, inv, bad, split, seen, masks = node
@@ -510,78 +514,101 @@ def _children(node, spec, n_max, k_max):
 
 
 @lru_cache(maxsize=128)
-def _walk_kernel(plans):
-    """The pruned walk's child rule for the plans (basis plans, tracked
-    plans) from `_start`, compiled into one function
-    walk(stack, n_max, k_max, tally) that expands every node on `stack`
-    down to its whole subtree and counts each indecomposable below those
-    nodes as `tally[i] += 1`, i being the index of its class (length, inv,
-    seen) in a tally from `_new_tally`; the number of tracked patterns is
-    written into the source, and a list and a dict take the same source.
+def _walk_kernel(plans, mode):
+    """The walk's child rule for the plans (basis plans, tracked plans) from
+    `_start`, compiled into one function walk(stack, n_max, k_max, sink)
+    that expands every node on `stack` down to its whole subtree. `mode`
+    picks what it does with the nodes below:
 
-    The rule is `_children`' for the pruned walk, with the fill block of
-    every basis plan and of every tracked plan written in (`_block`); t in
-    the source is the children's length and floor a child's floor, as in a
-    fill. A node on the kernel's stack is (values, inv, bad, split, seen,
-    m0, m1, ...), with one slot per tracked pattern holding its mask, or
-    None once the node contains the pattern. Every child is counted at its
-    parent. A leaf, at length n_max or at the budget, is counted and never
-    built. An indecomposable child with one inversion left is closed at its
-    parent too: its floor is t, so its only children are the leaf at rank t
-    and the decomposable child at rank t+1, which is dropped, its floor t+1
-    being above its split t. Its filled bad mask says whether that leaf is
-    live, and only then are its tracked masks filled, to read the leaf's
-    seen from bit t. Kernels are compiled on first use and cached by their
-    plans, which pool jobs carry instead.
+    - "tally": the pruned walk, counting each indecomposable as
+      `sink[i] += 1`, i being the index of its class (length, inv, seen) in
+      a tally from `_new_tally`; the number of tracked patterns is written
+      into the source, and a list and a dict take the same source.
+    - "collect": the pruned walk, appending each indecomposable's byte form
+      to `sink[inv]` where the tally counts it; it builds the leaves and
+      the closed leaves for that.
+    - "full": the full walk, appending to `sink` the byte form of every
+      avoider of length n_max, with no split and no pruning; a node on its
+      stack is (values, inv, bad).
+
+    The rule is `_children`', with the fill block of every basis plan and
+    of every tracked plan written in (`_block`); t in the source is the
+    children's length and floor a child's floor, as in a fill. A node on
+    the pruned walk's stack is (values, inv, bad, split, seen, m0, m1,
+    ...), with one slot per tracked pattern holding its mask, or None once
+    the node contains the pattern. Every child is counted at its parent. A
+    leaf, at length n_max or in the pruned walk at the budget, is counted
+    there and never pushed. An indecomposable child with one inversion left
+    is closed at its parent too: its floor is t, so its only children are
+    the leaf at rank t and the decomposable child at rank t+1, which is
+    dropped, its floor t+1 being above its split t. Its filled bad mask
+    says whether that leaf is live, and only then are its tracked masks
+    filled, to read the leaf's seen from bit t. Kernels are compiled on
+    first use and cached by their plans and mode, which pool jobs carry
+    instead.
     """
     basis_plans, tracked = plans
     bits = len(tracked)
+    tally = mode == "tally"
 
     def index(base):
         # source of the class index of a child of seen child_seen (see _new_tally)
         return f"({base}) << {bits} | child_seen" if bits else base
 
+    def sink(base, inv, child):
+        # source of one indecomposable child's count or its collection: its
+        # class index from `base`, its inversions `inv` and its values `child`
+        return f"tally[{index(base)}] += 1" if tally else f"out[{inv}].append({child})"
+
     slots = "".join(f", m{i}" for i in range(bits))
     kids = "".join(f", c{i}" for i in range(bits))
-    lines = f"""\
-def walk(stack, n_max, k_max, tally):
-    width = k_max + 1
-    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max
-    closed = width + k_max
-    while stack:
-        vals, inv, pbad, split, seen{slots} = stack.pop()
-        t = len(vals) + 1
-        base = t * width
-        start = t - k_max + inv
-        if start < 1:
-            start = 1
-        last = t == n_max
-        for r in range(start, t + 1):
-            if pbad >> r & 1:
-                continue
-            added = inv + t - r
-            floor = t + 1 - k_max + added
-            if floor < 1:
-                floor = 1
-            dead = 0
-            if split < r:
-                # see the module docstring
-                if last or floor > split:
-                    continue
-                dead = (2 << split) - (1 << floor)
-                if pbad & dead == dead:
-                    continue
-                child_split = split
-            else:
-                child_split = t
-            child_seen = seen""".split("\n")
-    for i in range(bits):
-        lines += [f"            if m{i} is not None and m{i} >> r & 1:",
-                  f"                child_seen |= {1 << i}"]
-    lines += ["            if last or added == k_max:",
-              f"                tally[{index('base + added')}] += 1",
+    lines = [f"def walk(stack, n_max, k_max, {'tally' if tally else 'out'}):"]
+    if tally:
+        lines += ["    width = k_max + 1",
+                  "    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max",
+                  "    closed = width + k_max"]
+    node = "vals, inv, pbad" if mode == "full" else f"vals, inv, pbad, split, seen{slots}"
+    lines += ["    while stack:",
+              f"        {node} = stack.pop()",
+              "        t = len(vals) + 1"]
+    if tally:
+        lines.append("        base = t * width")
+    lines += ["        start = t - k_max + inv",
+              "        if start < 1:",
+              "            start = 1",
+              "        last = t == n_max",
+              "        for r in range(start, t + 1):",
+              "            if pbad >> r & 1:",
               "                continue",
-              "            tau = vals.translate(INSERT_RANK[r]) + BYTE[r]",
+              "            added = inv + t - r"]
+    if mode == "full":
+        lines += ["            if last:",
+                  "                out.append(vals.translate(INSERT_RANK[r]) + BYTE[r])",
+                  "                continue"]
+    lines += ["            floor = t + 1 - k_max + added",
+              "            if floor < 1:",
+              "                floor = 1"]
+    if mode != "full":
+        lines += ["            dead = 0",
+                  "            if split < r:",
+                  "                # see the module docstring",
+                  "                if last or floor > split:",
+                  "                    continue",
+                  "                dead = (2 << split) - (1 << floor)",
+                  "                if pbad & dead == dead:",
+                  "                    continue",
+                  "                child_split = split",
+                  "            else:",
+                  "                child_split = t",
+                  "            child_seen = seen"]
+        for i in range(bits):
+            lines += [f"            if m{i} is not None and m{i} >> r & 1:",
+                      f"                child_seen |= {1 << i}"]
+        lines += ["            if last or added == k_max:",
+                  "                " + sink("base + added", "added",
+                                            "vals.translate(INSERT_RANK[r]) + BYTE[r]"),
+                  "                continue"]
+    lines += ["            tau = vals.translate(INSERT_RANK[r]) + BYTE[r]",
               "            anchor = r",
               "            kept = (1 << r) - 1",
               "            bad = (pbad & kept) | (pbad >> r << (r + 1))"]
@@ -590,32 +617,38 @@ def walk(stack, n_max, k_max, tally):
     helpers = []
     for i, plan in enumerate(basis_plans):
         lines += ["        " + line for line in _block(plan, f"fill{i}", helpers)]
-    lines += ["            if dead and bad & dead == dead:",
-              "                continue",
-              "            child_bad = bad",
-              "            close = False",
-              "            if child_split == t:",
-              f"                tally[{index('base + added')}] += 1",
-              "                if added == k_max - 1:",
-              "                    # closed here: its one live child is the leaf at rank t",
-              "                    if bad >> t & 1:",
-              "                        continue",
-              "                    close = True"]
-    for i, plan in enumerate(tracked):
-        lines += [f"            if child_seen & {1 << i}:",
-                  f"                c{i} = None",
-                  "            else:",
-                  f"                bad = (m{i} & kept) | (m{i} >> r << (r + 1))",
-                  *("            " + line for line in _block(plan, f"track{i}", helpers)),
-                  f"                c{i} = bad"]
-    lines.append("            if close:")
-    for i in range(bits):
-        lines += [f"                if c{i} is not None and c{i} >> t & 1:",
-                  f"                    child_seen |= {1 << i}"]
-    lines += [f"                tally[{index('base + closed')}] += 1",
-              "                continue"]
-    lines.append(f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))")
-    name = f"<walk kernel {hash(plans) & 0xFFFFFFFF:08x}>"
+    if mode == "full":
+        lines.append("            stack.append((tau, added, bad))")
+    else:
+        lines += ["            if dead and bad & dead == dead:",
+                  "                continue",
+                  "            child_bad = bad",
+                  "            close = False",
+                  "            if child_split == t:",
+                  "                " + sink("base + added", "added", "tau"),
+                  "                if added == k_max - 1:",
+                  "                    # closed here: its one live child is the leaf at rank t",
+                  "                    if bad >> t & 1:",
+                  "                        continue",
+                  "                    close = True"]
+        for i, plan in enumerate(tracked):
+            lines += [f"            if child_seen & {1 << i}:",
+                      f"                c{i} = None",
+                      "            else:",
+                      f"                bad = (m{i} & kept) | (m{i} >> r << (r + 1))",
+                      *("            " + line for line in _block(plan, f"track{i}", helpers)),
+                      f"                c{i} = bad"]
+        lines.append("            if close:")
+        for i in range(bits):
+            lines += [f"                if c{i} is not None and c{i} >> t & 1:",
+                      f"                    child_seen |= {1 << i}"]
+        lines += ["                " + sink("base + closed", "k_max",
+                                            "tau.translate(INSERT_RANK[t]) + BYTE[t]"),
+                  "                continue",
+                  f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))"]
+    # a file name per mode, so that profilers tell the kernels apart
+    kind = {"tally": "walk", "collect": "collect walk", "full": "full walk"}[mode]
+    name = f"<{kind} kernel {hash(plans) & 0xFFFFFFFF:08x}>"
     names = {"INSERT_RANK": INSERT_RANK, "BYTE": BYTE}
     exec(compile("\n".join(lines + helpers), name, "exec"), names)
     return names["walk"]
@@ -627,10 +660,10 @@ def _walk(node, plans, n_max, k_max):
     plans are (basis plans, tracked plans) from `_start`; the walk looks
     up their kernels once. Children come in ascending rank order (see
     _children for the node shape; values are bytes, which
-    iter_avoiders_upto and indecomposables_upto hand out as Perms), and the
-    walk descends into every node that has a bad mask: all but the leaves
-    at length n_max and, in the pruned walk, at the budget. It calls
-    _children one node at a time. The stack holds one iterator over the
+    iter_avoiders_upto hands out as Perms), and the walk descends into
+    every node that has a bad mask: all but the leaves at length n_max
+    and, in the pruned walk, at the budget. It calls _children one node at
+    a time. The stack holds one iterator over the
     pending siblings per level of the current path, never the tree, so the
     first node arrives at once however large the tree is.
     """
@@ -653,6 +686,8 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     """All basis-avoiding permutations of length n with at most k_max inversions.
 
     Deterministic output: sorted lexicographically by one-line notation.
+    The compiled full walk collects the length-n byte forms; they sort as
+    their Perms do, and each becomes one once sorted.
     """
     basis = pattern_basis(basis)
     if n < 0:
@@ -661,7 +696,13 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
         raise ValueError("inversion budget must be nonnegative")
     if n == 0:
         return [Perm()]
-    return sorted(p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n)
+    check_length(n)
+    plans, root = _start(basis)
+    found = []
+    # a full walk kernel's node is (values, inv, bad)
+    _walk_kernel(plans, "full")([root[:3]], n, k_max, found)
+    found.sort()
+    return [tuple.__new__(Perm, vals) for vals in found]
 
 
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
@@ -675,21 +716,36 @@ def iter_avoiders_upto(basis, n_max: int, k_max: int):
         yield tuple.__new__(Perm, vals), inv
 
 
+def _indecomposable_bytes(basis, k_max: int) -> list[list[bytes]]:
+    """[I_0, ..., I_{k_max}] as byte forms in the compiled walk's order.
+
+    An indecomposable permutation of length n has at least n - 1
+    inversions, so one collecting pruned walk to length k_max + 1 fills
+    every bucket.
+    """
+    if k_max < 0:
+        return []
+    check_length(k_max + 1)
+    plans, root = _start(pattern_basis(basis), ())
+    buckets = [[] for _ in range(k_max + 1)]
+    # no tracked pattern: the kernel's node is the root without its mask list
+    _walk_kernel(plans, "collect")([root[:5]], k_max + 1, k_max, buckets)
+    return buckets
+
+
 def indecomposables_upto(basis, k_max: int) -> list[list[Perm]]:
     """[I_0, ..., I_{k_max}]: I_k holds the indecomposable basis-avoiders
     with exactly k inversions, ordered by length, then lexicographically.
 
-    An indecomposable permutation of length n has at least n - 1
-    inversions, so one pruned walk to length k_max + 1 fills every bucket.
+    The buckets are `_indecomposable_bytes`' byte forms, sorted as their
+    Perms would be (bytes by value, then stably by length) and converted
+    once.
     """
-    plans, root = _start(pattern_basis(basis), ())
-    buckets: list[list[Perm]] = [[] for _ in range(k_max + 1)]
-    for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max):
-        if split == len(vals):
-            buckets[inv].append(tuple.__new__(Perm, vals))
+    buckets = _indecomposable_bytes(basis, k_max)
     for bucket in buckets:
-        bucket.sort(key=lambda p: (len(p), p))
-    return buckets
+        bucket.sort()
+        bucket.sort(key=len)
+    return [[tuple.__new__(Perm, vals) for vals in bucket] for bucket in buckets]
 
 
 # -- the component automaton ----------------------------------------------
@@ -888,7 +944,7 @@ def _tally_subtree(job, tally):
     slots = [None] * len(plans[1])
     for i, mask in masks:
         slots[i] = mask
-    _walk_kernel(plans)([(*state, *slots)], depth, k_max, tally)
+    _walk_kernel(plans, "tally")([(*state, *slots)], depth, k_max, tally)
 
 
 def _pool_tally(job):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .enumeration import indecomposables_upto
+from .enumeration import _indecomposable_bytes, indecomposables_upto
 from .perms import (
     Perm,
     avoids,
@@ -194,13 +194,19 @@ def family_sides(partner: str, rule, k_max: int) -> Iterator[tuple[set, set]]:
     """Yield, for k = 0..k_max, Lambda(I_k(132, partner)) and the partitions
     of k that the family rule generates.
 
-    Both sides are produced independently: the left from one walk over the
-    132- and partner-avoiders, the right by `family_partitions`.
+    Both sides are produced independently: the left from one collecting
+    walk over the 132- and partner-avoiders, the right by
+    `family_partitions`. The walk's buckets stay byte forms; each k's
+    bucket becomes Perms one at a time for the checked `lambda_map`, and is
+    released once its side is built.
     """
     basis = [_P132, parse_perm(partner)]
     right = family_partitions(rule, k_max)
-    for k, bucket in enumerate(indecomposables_upto(basis, k_max)):
-        yield {lambda_map(p) for p in bucket}, right[k]
+    buckets = _indecomposable_bytes(basis, k_max)
+    for k in range(k_max + 1):
+        bucket, buckets[k] = buckets[k], None
+        # a walk output is a permutation, so skip Perm's check
+        yield {lambda_map(tuple.__new__(Perm, vals)) for vals in bucket}, right[k]
 
 
 def verify_transfer_213_2431(k_max: int) -> list[tuple[int, bool]]:

@@ -221,6 +221,53 @@ def test_generate_avoiders_is_one_length_of_the_stream(basis, n, k_max):
     assert all(type(p) is Perm and inv_count(p) <= k_max and avoids(p, basis) for p in got)
 
 
+# the bases of the deterministic differential test below: five small ones,
+# the 11 golden pairs, and 132 with (2 3 ... 21 1) (+) 1, whose fill blocks
+# call helper functions
+COLLECT_BASES = [
+    *map(parse_basis, ("1", "12", "21", "132", "1324,231")),
+    *(parse_basis(f"1324,{p}") for p in REPRESENTATIVE_PARTNERS[1:]),
+    frozenset({parse_perm("132"), direct_sum(Perm([*range(2, 22), 1]), Perm((1,)))}),
+]
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 4])
+@pytest.mark.parametrize("basis", COLLECT_BASES)
+def test_collecting_walks_match_the_node_stream(basis, k_max):
+    # the compiled collecting kernels against _walk's interpreted stream, on
+    # fixed cases: the Hypothesis tests draw theirs afresh on every run. At
+    # k_max = 4 a bucket holds several lengths and a child is closed below
+    # the last length
+    for n in (0, 1, k_max + 1):
+        stream = sorted(p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n)
+        got = generate_avoiders(basis, n, k_max)
+        assert got == (stream if n else [Perm()])
+        assert all(type(p) is Perm for p in got)
+    plans, root = _start(basis, ())
+    want = [[] for _ in range(k_max + 1)]
+    for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max):
+        if split == len(vals):
+            want[inv].append(Perm(vals))
+    for bucket in want:
+        bucket.sort(key=lambda p: (len(p), p))
+    got = indecomposables_upto(basis, k_max)
+    assert got == want
+    assert all(type(p) is Perm for bucket in got for p in bucket)
+
+
+def test_collecting_walks_check_the_length_before_compiling(monkeypatch):
+    assert generate_avoiders(["21"], MAX_LENGTH, 0) == [identity(MAX_LENGTH)]
+    compiled = []
+    monkeypatch.setattr(enumeration, "compile", lambda *args: compiled.append(args),
+                        raising=False)
+    enumeration._walk_kernel.cache_clear()
+    for call in (lambda: generate_avoiders(["21"], MAX_LENGTH + 1, 0),
+                 lambda: indecomposables_upto(["12"], MAX_LENGTH)):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            call()
+    assert compiled == []
+
+
 @pytest.mark.parametrize(
     "basis_text",
     ["132", "1324,1243", "1324,1342", "1324,321", "213,231", "1234", "1324,2413"],
@@ -735,12 +782,33 @@ def test_count_table_compiles_one_walk_kernel_per_basis():
     assert info.maxsize
 
 
+def test_collecting_walks_compile_one_kernel_per_basis_and_mode():
+    # generate_avoiders runs the full walk's kernel and indecomposables_upto
+    # the collecting pruned walk's, each compiled once for a basis in any
+    # order and form and at any size; count_table's tally kernel is a third
+    basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
+    want = {n: generate_avoiders(basis, n, 9) for n in (5, 7)}
+    buckets = indecomposables_upto(basis, 8)
+    enumeration._walk_kernel.cache_clear()
+    texts = ["".join(map(str, q)) for q in basis]
+    for forms in (texts, basis, *([kind(q) for q in basis] for kind in (list, tuple, bytes))):
+        for b in (forms, forms[::-1], tuple(forms), forms + forms[:1]):
+            for n in (5, 7):
+                assert generate_avoiders(b, n, 9) == want[n]
+            assert indecomposables_upto(b, 8) == buckets
+            assert indecomposables_upto(b, 5) == buckets[:6]
+    count_table(basis, 9, 8)
+    info = enumeration._walk_kernel.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert info.maxsize is not None
+
+
 def test_generated_source_has_no_assert(monkeypatch):
     # python -O strips assert statements, and CI's grep for them reads only
-    # the library's files: here the source of every fill, walk and
-    # containment kernel of S_3, S_4, the golden bases, a basis whose blocks
-    # need helper functions and one with 20 tracked sums is parsed, as it is
-    # compiled
+    # the library's files: here the source of every fill, walk (tally,
+    # collecting and full) and containment kernel of S_3, S_4, the golden
+    # bases, a basis whose blocks need helper functions and one with 20
+    # tracked sums is parsed, as it is compiled
     sources = []
 
     def spy(source, filename, mode):
@@ -758,9 +826,11 @@ def test_generated_source_has_no_assert(monkeypatch):
     for basis in map(frozenset, bases):
         plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
         enumeration._spec(plans)
-        enumeration._walk_kernel(plans)
+        enumeration._walk_kernel(plans, "tally")
+        for mode in ("collect", "full"):
+            enumeration._walk_kernel(_start(basis, ())[0], mode)
         avoids(Perm(()), basis)
-    assert {kind for kind, _ in sources} == {"fill", "walk", "avoids"}
+    assert {kind for kind, _ in sources} == {"fill", "walk", "collect", "full", "avoids"}
     for kind, source in sources:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source))), kind
 
