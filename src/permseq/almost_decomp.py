@@ -21,12 +21,13 @@ split and those of p with its first entry, value 1, last entry or value n
 deleted. They decide the case with no scan. A deletion is one
 `DELETE_VALUE` translate, and an insertion one `INSERT_RANK` translate
 plus a slice. `compat_table_row` reads the five lengths off `_split_walk`,
-which takes the first split from the walk of Av(1324) and carries the four
-deletion lengths down it from parent to child, so the sweep builds a `Perm`
-only for its patterns and their witnesses. The checked `Perm` entry points
-(`f_map`, `f_domain`, `almost_decomposable`, and `compat_search`,
-`check_1342_bound` and `difference_sets` through `_image`) scan the five
-with `perms.first_split` (`_splits`). `classify` reads both classification
+which takes the first split from the compiled walk of Av(1324) (its node
+mode, `enumeration._walk_kernel`) and carries the four deletion lengths
+down it from parent to child, so the sweep builds a `Perm` only for its
+patterns and their witnesses. The checked `Perm` entry points (`f_map`,
+`f_domain`, `almost_decomposable`, and `compat_search`, `check_1342_bound`
+and `difference_sets` through `_image`) scan the five with
+`perms.first_split` (`_splits`). `classify` reads both classification
 theorems off one pass over a pattern's orbit under `perms.SYMMETRIES`.
 
 `compat_table_row` reads the patterns each image gains off `Subpatterns`
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .enumeration import _start, _walk, iter_avoiders_upto
+from .enumeration import _nodes, iter_avoiders_upto
 from .perms import (
     BYTE,
     DELETE_VALUE,
@@ -56,7 +57,6 @@ from .perms import (
     is_decomposable,
     max_inversions,
     parse_perm,
-    pattern_basis,
 )
 
 _P1324 = parse_perm("1324")
@@ -162,14 +162,16 @@ def f_domain(p: Perm) -> bool:
 
 def _split_walk(basis, m_max: int, k_max: int):
     """Yield (values, split, first, one, last, top) for every node of the
-    walk of Av_{<=m_max}^{<=k_max}(basis), in its preorder
-    (enumeration._walk): values is the node's byte form and the rest are
-    its five split lengths (`_splits`). split is the walk's own; the four
-    deletion lengths are carried down from the parent, not scanned.
+    walk of Av_{<=m_max}^{<=k_max}(basis), in its preorder: values is the
+    node's byte form and the rest are its five split lengths (`_splits`).
+    The nodes and their splits come from the compiled full walk
+    (enumeration._nodes); the four deletion lengths are carried down from
+    the parent, not scanned.
 
     A child of length m appending rank r keeps a split below a cutoff and
-    otherwise splits at its full length, the walk's rule (enumeration
-    `_children`) applied to the child less one entry. Deleting the child's
+    otherwise splits at its full length, the walk's split rule (the
+    enumeration module docstring) applied to the child less one entry.
+    Deleting the child's
     - last entry: leaves the parent, so the parent's split;
     - value 1: leaves the parent if r = 1, else the parent less its value 1
       with rank r - 1 appended: its split if below r - 1, else m - 1;
@@ -181,11 +183,10 @@ def _split_walk(basis, m_max: int, k_max: int):
     The deletions of the one-entry node are empty and split at 0, but for
     its children they split at no cutoff.
     """
-    plans, root = _start(pattern_basis(basis))
     # level[t]: the splits of the last node of length t, split first, then
     # those with the first entry, value 1 and value t deleted
     level = [None] * (m_max + 1)
-    for values, _, _, split, _, _ in _walk(root, plans, m_max, k_max):
+    for values, _, _, split in _nodes(basis, m_max, k_max):
         m = len(values)
         if m == 1:
             level[1] = (split, 2, 2, 2)  # 2: at or above every cutoff of a length-2 child

@@ -3,26 +3,30 @@
 The engine walks the tree whose nodes are exactly the avoiders with at most
 k_max inversions: the children of a length-t avoider are obtained by
 appending a new last entry of rank r (existing values >= r shift up), which
-adds t+1-r inversions. `_walk` is a generator over an explicit stack: it
-yields the nodes below a given node in preorder, children in ascending
-rank order, each as (values, inv, bad, split, seen, masks). values is the
-byte form of `perms`, one byte per entry, so a child is one translate of
-its parent's values plus one byte. `iter_avoiders_upto`
-streams that preorder. The pruned walk yields only the part of the tree
-that leads to indecomposable avoiders; `count_table` tallies its
-indecomposables, then counts the rest by direct sums (below). bad and
-masks are None at the leaves, where the walk does not descend: at the
-last length and, in the pruned walk, at the budget. `_children` holds the
-child rule, and `_walk` calls it one node at a time. The rule is also
-compiled into one function per basis and mode (`_walk_kernel`), which
-expands whole subtrees on its own stack and builds no node tuple:
-`count_table` runs its tally mode once per subtree job, counting the
-leaves and the indecomposables with one inversion left at their parents
-without building them; `indecomposables_upto` runs its collecting mode,
-which gathers the pruned walk's indecomposables as byte forms by
-inversion number, and `generate_avoiders` its full walk, which gathers
-the length-n byte forms. A walk past MAX_LENGTH entries is a ValueError
-(`perms.check_length`), raised before any kernel is compiled.
+adds t+1-r inversions. A node is (values, inv, bad, split, seen, m0, m1,
+...): values is the byte form of `perms`, one byte per entry, so a child is
+one translate of its parent's values plus one byte; bad and split are
+described below, and seen and the slots m0, m1, ... belong to the pruned
+walk only. There is one walker: the child rule is compiled into one
+function per basis and mode (`_walk_kernel`), which expands whole subtrees
+on its own stack.
+
+- The full walk's node mode streams every node in preorder, children in
+  ascending rank order, for `iter_avoiders_upto` and almost_decomp's split
+  walk; its full mode gathers the length-n byte forms for
+  `generate_avoiders`.
+- The pruned walk yields only the part of the tree that leads to
+  indecomposable avoiders. `count_table` tallies its indecomposables by
+  class without building its leaves (tally mode, and frontier mode for the
+  levels above its pool jobs), then counts the rest by direct sums
+  (below); `indecomposables_upto` collects them by inversion number
+  (collect mode).
+
+bad is None at the leaves, where the walk does not descend: at the last
+length and, in the pruned walk, at the budget. A walk past MAX_LENGTH
+entries is a ValueError (`perms.check_length`), raised before any kernel is
+compiled. The tests check the kernels against an interpreted walk that
+fills every mask by a backtracking loop.
 
 Each node carries its bad ranks as a bit mask: bit r is set when appending
 rank r would complete an occurrence of a forbidden pattern ending at the new
@@ -42,10 +46,9 @@ last position. A child is derived from its parent's mask, not recomputed:
   roles valued between q[-2] and q[-1] need distinct values between the
   anchor's and the new entry's, which puts the new rank at least (or at
   most) a fixed offset from the anchor. A fill returns at once when its
-  reach is empty or already all bad. The fill runs a kernel compiled for
-  the basis (`_kernel`), one block of Python source per pattern with its
-  roles written in as constants (`_block`); the compiled walks write the
-  same blocks into their own functions. Roles m1-2 .. 1 are nested
+  reach is empty or already all bad. A fill is one block of Python source
+  per pattern with its roles written in as constants (`_block`), which the
+  compiled walks write into their own functions. Roles m1-2 .. 1 are nested
   loops over positions, each within its nearest placed neighbours in
   value, 0 and t+1 standing for "no neighbour below" and "none above";
   each complete placement ORs in its interval and returns to the lowest
@@ -94,11 +97,9 @@ the pruned walk finds with two more fields per node:
   q_j (+) ... (+) q_j'. Each such sum of length >= 2 that is not itself in
   the basis gets its own bad-rank mask, inherited and filled as above, and
   each node a "contains" bit for it; once the bit is set the mask is
-  dropped. A node lists (i, mask) for the sums it does not contain yet, so
-  its children read their new bits and fill their masks, each with its
-  sum's own kernel, from that list alone. The compiled walk keeps one slot
-  per sum instead, None once the sum is contained, and fills each with the
-  sum's block.
+  dropped. A node keeps one slot per sum, None once the sum is contained,
+  so its children read their new bits and fill their masks, each with its
+  sum's block, from those slots alone.
 
 Each indecomposable is tallied by its class (length, inv, contained tracked
 sums). For every decomposable basis pattern, a sequence of components is
@@ -108,15 +109,16 @@ reaching s means q is contained. A DP over (state, n, k) then sums the
 sequences of components for every row, so the walk never goes deeper than
 k_max+1 and the table costs about the same for any n_max. count_table
 walks one list of subtree jobs: the root alone with one worker or a
-shallow walk, else the subtrees below depth _SPLIT_DEPTH. It walks them
+shallow walk, else the subtrees below the nodes at depth _SPLIT_DEPTH,
+which the frontier walk of the levels above lists. It walks them
 inline while their tallies project a small table, and only then starts a
 process pool of min(threads, CPU count, jobs left) workers for the rest
 (see _POOL_MIN_TALLY). The whole table has one flat tally: class (length,
 inv, seen) counts at index ((length * (k_max + 1) + inv) << T) | seen, T
 being the number of tracked sums, in a list or, past _DENSE_SLOTS slots,
-an int-keyed dict (`_new_tally`). The compiled walk, the levels above the
-split depth and the inline jobs count into it directly, the pool's workers
-send back their nonzero classes, and the DP decodes each index once.
+an int-keyed dict (`_new_tally`). The frontier walk and the inline jobs
+count into it directly, the pool's workers send back their nonzero
+classes, and the DP decodes each index once.
 """
 
 from __future__ import annotations
@@ -378,178 +380,73 @@ def _block(plan, name, helpers):
     return out
 
 
-@lru_cache(maxsize=256)
-def _kernel(plans):
-    """The fill of every plan in `plans`, compiled into one function
-    fill(tau, floor, bad) that ORs into the mask `bad` the ranks >= floor
-    completing an occurrence of a planned pattern in which tau's last entry
-    is the last body role.
-
-    Each plan runs its own block of generated source (`_block`), with its
-    roles written in as constants. t, the anchor and the mask of the values
-    left of the anchor are computed once for all the blocks. Kernels are
-    compiled on first use and cached by their plans, which pool jobs carry
-    instead.
-    """
-    lines = ["def fill(tau, floor, bad):", "    t = len(tau)", "    anchor = tau[-1]"]
-    if any(plan[0] > 1 for plan in plans):
-        lines.append("    left = (2 << t) - 2 - (1 << anchor)")
-    helpers = []
-    for i, plan in enumerate(plans):
-        lines += _block(plan, f"fill{i}", helpers)
-    lines.append("    return bad")
-    # a file name of its own, so that profilers tell the kernels apart
-    name = f"<fill kernel {hash(plans) & 0xFFFFFFFF:08x}>"
-    names = {}
-    exec(compile("\n".join(lines + helpers), name, "exec"), names)
-    return names["fill"]
-
-
-def _spec(plans):
-    """The kernels of a walk's plans, (basis plans, tracked plans): one for
-    the basis and one for each tracked pattern."""
-    basis_plans, tracked = plans
-    return _kernel(basis_plans), tuple(_kernel((plan,)) for plan in tracked)
-
-
 # -- the tree walk --------------------------------------------------------
 
-def _start(basis, tracked=None):
+def _start(basis, tracked=()):
     """The plans of a walk and its root node.
 
-    The plans are (basis plans, tracked plans), which `_spec` turns into
-    kernels. Rank 1 is bad at the root iff 1 is in the basis. With `tracked`
-    (fill plans) the root starts the pruned walk, with an empty mask for
-    every tracked pattern.
+    The plans are (basis plans, tracked plans), `tracked` being fill plans.
+    The root has the pruned walk's slot shape (values, inv, bad, split,
+    seen, m0, m1, ...), with an empty mask for every tracked pattern; the
+    full walks take its first three or four fields. Rank 1 is bad at the
+    root iff 1 is in the basis, and split 1 is at or above the one rank the
+    root appends, so its child, the one-entry node, is indecomposable.
     """
     plans = tuple(_plan(q) for q in sorted(basis) if len(q) > 1)
     bad = 2 if any(len(q) == 1 for q in basis) else 0
-    masks = None if tracked is None else tuple((i, 0) for i in range(len(tracked)))
-    # split 1 is at or above the one rank the root appends, so its child,
-    # the one-entry node, is indecomposable
-    return (plans, tracked or ()), (b"", 0, bad, 1, 0, masks)
-
-
-def _children(node, spec, n_max, k_max):
-    """The children of `node`, which has a bad mask, in ascending rank order.
-
-    A node is (values, inv, bad, split, seen, masks), values being the
-    byte form (perms.INSERT_RANK); a child's values are its parent's with
-    every byte >= r raised by one, then the byte r. split is the length of
-    the first direct-sum component, the node's length when it is
-    indecomposable. In the full walk, where masks is None, every avoider
-    within the budget is a child, with seen = 0. The pruned walk yields only
-    the nodes that lead to indecomposable avoiders: bit i of seen is set
-    when the node contains tracked pattern i, masks lists (i, mask) with its
-    bad-rank mask for every tracked pattern i it does not contain, and a
-    decomposable child is dropped at the last length or once every rank
-    from its floor to its split is bad, since then no descendant of it is
-    indecomposable. spec is (fill, fills) from `_spec`: a child's bad mask
-    is filled by the basis kernel and its mask i by fills[i]. A child is a
-    leaf, with bad = masks = None and no fill, at length n_max and, in the
-    pruned walk, at the budget: a leaf there can only append rank t+2,
-    which gives a decomposable child that is always dropped. So every leaf
-    of the pruned walk is indecomposable.
-
-    `_walk` and count_table's split frontier expand one node at a time by
-    this rule. count_table's jobs, indecomposables_upto and
-    generate_avoiders run it compiled instead (`_walk_kernel`).
-    """
-    fill, fills = spec
-    tau, inv, bad, split, seen, masks = node
-    t = len(tau)
-    floor = t + 1 - (k_max - inv)
-    if floor < 1:
-        floor = 1
-    last = t + 1 == n_max
-    pruned = masks is not None
-    child_seen = 0
-    kids = []
-    for r in range(floor, t + 2):
-        if bad >> r & 1:
-            continue
-        added = inv + t + 1 - r
-        child_floor = t + 2 - (k_max - added)
-        if child_floor < 1:
-            child_floor = 1
-        dead = 0  # the ranks that, all bad, drop a decomposable child
-        if split < r:
-            # the child splits where its parent does; the pruned walk drops
-            # it unless some rank in child_floor..split, which it keeps
-            # from its parent, is still free (see the module docstring)
-            if pruned:
-                if last or child_floor > split:
-                    continue
-                dead = (2 << split) - (1 << child_floor)
-                if bad & dead == dead:
-                    continue
-            child_split = split
-        else:
-            child_split = t + 1
-        if pruned:
-            child_seen = seen
-            for i, mask in masks:
-                if mask >> r & 1:
-                    child_seen |= 1 << i
-        child = tau.translate(INSERT_RANK[r]) + BYTE[r]
-        child_bad = child_masks = None
-        if not last and not (pruned and added == k_max):
-            # bits >= r move up one; bit r stays clear, as it was in the parent
-            low = (1 << r) - 1
-            child_bad = (bad & low) | (bad >> r << (r + 1))
-            child_bad = fill(child, child_floor, child_bad)
-            if dead and child_bad & dead == dead:
-                continue
-            if pruned:
-                # tracked masks: perms.contains per indecomposable was 3.2-5.0x
-                # slower (2-core VM)
-                # a tracked pattern the child contains needs no mask
-                child_masks = []
-                for i, mask in masks:
-                    if not child_seen >> i & 1:
-                        mask = (mask & low) | (mask >> r << (r + 1))
-                        child_masks.append((i, fills[i](child, child_floor, mask)))
-        kids.append((child, added, child_bad, child_split, child_seen, child_masks))
-    return kids
+    return (plans, tracked), (b"", 0, bad, 1, 0) + (0,) * len(tracked)
 
 
 @lru_cache(maxsize=128)
 def _walk_kernel(plans, mode):
     """The walk's child rule for the plans (basis plans, tracked plans) from
-    `_start`, compiled into one function walk(stack, n_max, k_max, sink)
-    that expands every node on `stack` down to its whole subtree. `mode`
-    picks what it does with the nodes below:
+    `_start`, compiled into one function that expands every node on `stack`
+    down to its whole subtree. `mode` picks what it does with the nodes
+    below:
 
-    - "tally": the pruned walk, counting each indecomposable as
-      `sink[i] += 1`, i being the index of its class (length, inv, seen) in
-      a tally from `_new_tally`; the number of tracked patterns is written
-      into the source, and a list and a dict take the same source.
-    - "collect": the pruned walk, appending each indecomposable's byte form
-      to `sink[inv]` where the tally counts it; it builds the leaves and
-      the closed leaves for that.
-    - "full": the full walk, appending to `sink` the byte form of every
-      avoider of length n_max, with no split and no pruning; a node on its
-      stack is (values, inv, bad).
+    - "tally", walk(stack, n_max, k_max, tally): the pruned walk, counting
+      each indecomposable as `tally[i] += 1`, i being the index of its
+      class (length, inv, seen) in a tally from `_new_tally`; the number
+      of tracked patterns is written into the source, and a list and a
+      dict take the same source.
+    - "frontier", walk(stack, n_max, k_max, tally, jobs, split_depth): the
+      tally walk, except that a node popped at length split_depth is
+      appended to `jobs` instead of being expanded. Its ranks run
+      descending, so the lowest rank pops first and the jobs come in
+      preorder, the order in which expanding one level at a time lists
+      them.
+    - "collect", walk(stack, n_max, k_max, out): the pruned walk, appending
+      each indecomposable's byte form to `out[inv]` where the tally counts
+      it; it builds the leaves and the closed leaves for that.
+    - "nodes", walk(stack, n_max, k_max): a generator over the full walk,
+      with no pruning. It yields every node it pops as (values, inv, bad,
+      split), starting with those on `stack`, and expands all but the
+      leaves at length n_max, which it pushes with bad None. Its ranks run
+      descending, so it yields in preorder, children by ascending rank.
+    - "full", walk(stack, n_max, k_max, out): the full walk, appending to
+      `out` the byte form of every avoider of length n_max; its nodes are
+      (values, inv, bad), with no split.
 
-    The rule is `_children`', with the fill block of every basis plan and
-    of every tracked plan written in (`_block`); t in the source is the
-    children's length and floor a child's floor, as in a fill. A node on
-    the pruned walk's stack is (values, inv, bad, split, seen, m0, m1,
-    ...), with one slot per tracked pattern holding its mask, or None once
-    the node contains the pattern. Every child is counted at its parent. A
-    leaf, at length n_max or in the pruned walk at the budget, is counted
-    there and never pushed. An indecomposable child with one inversion left
-    is closed at its parent too: its floor is t, so its only children are
-    the leaf at rank t and the decomposable child at rank t+1, which is
-    dropped, its floor t+1 being above its split t. Its filled bad mask
-    says whether that leaf is live, and only then are its tracked masks
-    filled, to read the leaf's seen from bit t. Kernels are compiled on
-    first use and cached by their plans and mode, which pool jobs carry
-    instead.
+    The fill block of every basis plan and of every tracked plan is written
+    in (`_block`); t in the source is the children's length and floor a
+    child's floor, as in a fill. A node on the pruned walk's stack is
+    (values, inv, bad, split, seen, m0, m1, ...), with one slot per tracked
+    pattern holding its mask, or None once the node contains the pattern.
+    Every child of the pruned walk is counted at its parent. A leaf, at
+    length n_max or in the pruned walk at the budget, is counted there and
+    never pushed. An indecomposable child with one inversion left is closed
+    at its parent too: its floor is t, so its only children are the leaf
+    at rank t and the decomposable child at rank t+1, which is dropped, its
+    floor t+1 being above its split t. Its filled bad mask says whether
+    that leaf is live, and only then are its tracked masks filled, to read
+    the leaf's seen from bit t. Kernels are compiled on first use and
+    cached by their plans and mode, which pool jobs carry instead.
     """
     basis_plans, tracked = plans
     bits = len(tracked)
-    tally = mode == "tally"
+    counts = mode in ("tally", "frontier")
+    preorder = mode in ("nodes", "frontier")
+    ranks = "range(t, start - 1, -1)" if preorder else "range(start, t + 1)"
 
     def index(base):
         # source of the class index of a child of seen child_seen (see _new_tally)
@@ -558,37 +455,53 @@ def _walk_kernel(plans, mode):
     def sink(base, inv, child):
         # source of one indecomposable child's count or its collection: its
         # class index from `base`, its inversions `inv` and its values `child`
-        return f"tally[{index(base)}] += 1" if tally else f"out[{inv}].append({child})"
+        return f"tally[{index(base)}] += 1" if counts else f"out[{inv}].append({child})"
 
     slots = "".join(f", m{i}" for i in range(bits))
     kids = "".join(f", c{i}" for i in range(bits))
-    lines = [f"def walk(stack, n_max, k_max, {'tally' if tally else 'out'}):"]
-    if tally:
+    args = {"tally": ", tally", "frontier": ", tally, jobs, split_depth", "nodes": ""}
+    lines = [f"def walk(stack, n_max, k_max{args.get(mode, ', out')}):"]
+    if counts:
         lines += ["    width = k_max + 1",
                   "    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max",
                   "    closed = width + k_max"]
-    node = "vals, inv, pbad" if mode == "full" else f"vals, inv, pbad, split, seen{slots}"
+    fields = {"full": "vals, inv, pbad", "nodes": "vals, inv, pbad, split"}.get(
+        mode, f"vals, inv, pbad, split, seen{slots}")
     lines += ["    while stack:",
-              f"        {node} = stack.pop()",
-              "        t = len(vals) + 1"]
-    if tally:
+              f"        {fields} = {'node = ' if preorder else ''}stack.pop()"]
+    if mode == "nodes":
+        lines += ["        yield node",
+                  "        if pbad is None:",
+                  "            continue"]
+    lines.append("        t = len(vals) + 1")
+    if mode == "frontier":
+        lines += ["        if t > split_depth:",
+                  "            jobs.append(node)",
+                  "            continue"]
+    if counts:
         lines.append("        base = t * width")
     lines += ["        start = t - k_max + inv",
               "        if start < 1:",
               "            start = 1",
               "        last = t == n_max",
-              "        for r in range(start, t + 1):",
+              f"        for r in {ranks}:",
               "            if pbad >> r & 1:",
               "                continue",
               "            added = inv + t - r"]
-    if mode == "full":
+    if mode == "nodes":
+        lines += ["            child_split = split if split < r else t",
+                  "            if last:",
+                  "                leaf = vals.translate(INSERT_RANK[r]) + BYTE[r]",
+                  "                stack.append((leaf, added, None, child_split))",
+                  "                continue"]
+    elif mode == "full":
         lines += ["            if last:",
                   "                out.append(vals.translate(INSERT_RANK[r]) + BYTE[r])",
                   "                continue"]
     lines += ["            floor = t + 1 - k_max + added",
               "            if floor < 1:",
               "                floor = 1"]
-    if mode != "full":
+    if mode not in ("nodes", "full"):
         lines += ["            dead = 0",
                   "            if split < r:",
                   "                # see the module docstring",
@@ -617,7 +530,9 @@ def _walk_kernel(plans, mode):
     helpers = []
     for i, plan in enumerate(basis_plans):
         lines += ["        " + line for line in _block(plan, f"fill{i}", helpers)]
-    if mode == "full":
+    if mode == "nodes":
+        lines.append("            stack.append((tau, added, bad, child_split))")
+    elif mode == "full":
         lines.append("            stack.append((tau, added, bad))")
     else:
         lines += ["            if dead and bad & dead == dead:",
@@ -647,39 +562,27 @@ def _walk_kernel(plans, mode):
                   "                continue",
                   f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))"]
     # a file name per mode, so that profilers tell the kernels apart
-    kind = {"tally": "walk", "collect": "collect walk", "full": "full walk"}[mode]
+    kind = {"tally": "walk", "frontier": "frontier walk", "collect": "collect walk",
+            "nodes": "node walk", "full": "full walk"}[mode]
     name = f"<{kind} kernel {hash(plans) & 0xFFFFFFFF:08x}>"
     names = {"INSERT_RANK": INSERT_RANK, "BYTE": BYTE}
     exec(compile("\n".join(lines + helpers), name, "exec"), names)
     return names["walk"]
 
 
-def _walk(node, plans, n_max, k_max):
-    """Yield every node below `node`, down to length n_max, in preorder.
-
-    plans are (basis plans, tracked plans) from `_start`; the walk looks
-    up their kernels once. Children come in ascending rank order (see
-    _children for the node shape; values are bytes, which
-    iter_avoiders_upto hands out as Perms), and the walk descends into
-    every node that has a bad mask: all but the leaves at length n_max
-    and, in the pruned walk, at the budget. It calls _children one node at
-    a time. The stack holds one iterator over the
-    pending siblings per level of the current path, never the tree, so the
-    first node arrives at once however large the tree is.
-    """
+def _nodes(basis, n_max: int, k_max: int):
+    """An iterator over the nodes below the root of the full walk of
+    Av_{<=n_max}^{<=k_max}(basis), (values, inv, bad, split) in preorder,
+    children by ascending rank: the node kernel (`_walk_kernel`), past the
+    root it starts from. It expands one node per step on its own stack, so
+    the first node arrives at once however large the tree is."""
     check_length(n_max)
-    spec = _spec(plans)
-    stack = []
-    if len(node[0]) < n_max:
-        stack.append(iter(_children(node, spec, n_max, k_max)))
-    while stack:
-        for node in stack[-1]:
-            yield node
-            if node[2] is not None:
-                stack.append(iter(_children(node, spec, n_max, k_max)))
-                break
-        else:
-            stack.pop()
+    if n_max < 1:
+        return iter(())
+    plans, root = _start(pattern_basis(basis))
+    nodes = _walk_kernel(plans, "nodes")([root[:4]], n_max, k_max)
+    next(nodes)
+    return nodes
 
 
 def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
@@ -699,7 +602,6 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     check_length(n)
     plans, root = _start(basis)
     found = []
-    # a full walk kernel's node is (values, inv, bad)
     _walk_kernel(plans, "full")([root[:3]], n, k_max, found)
     found.sort()
     return [tuple.__new__(Perm, vals) for vals in found]
@@ -708,10 +610,9 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
 def iter_avoiders_upto(basis, n_max: int, k_max: int):
     """Yield (perm, inv) for every avoider of length 1..n_max with inv <= k_max.
 
-    The order is the walk's preorder, and the walk streams (see _walk).
+    The order is the walk's preorder, and the walk streams (see _nodes).
     """
-    plans, root = _start(pattern_basis(basis))
-    for vals, inv, _, _, _, _ in _walk(root, plans, n_max, k_max):
+    for vals, inv, _, _ in _nodes(basis, n_max, k_max):
         # a rank insertion keeps 1..t a permutation, so skip Perm's check
         yield tuple.__new__(Perm, vals), inv
 
@@ -726,10 +627,9 @@ def _indecomposable_bytes(basis, k_max: int) -> list[list[bytes]]:
     if k_max < 0:
         return []
     check_length(k_max + 1)
-    plans, root = _start(pattern_basis(basis), ())
+    plans, root = _start(pattern_basis(basis))
     buckets = [[] for _ in range(k_max + 1)]
-    # no tracked pattern: the kernel's node is the root without its mask list
-    _walk_kernel(plans, "collect")([root[:5]], k_max + 1, k_max, buckets)
+    _walk_kernel(plans, "collect")([root], k_max + 1, k_max, buckets)
     return buckets
 
 
@@ -886,7 +786,8 @@ _SPLIT_DEPTH = 4
 # (18, 12) (5,562 indecomposables) 0.008 s and 0.016 s, at (21, 14)
 # (15,803) 0.021 s and 0.022 s; {1324,21354} at (20, 14) (8,764) 0.020 s
 # and 0.023 s; {1324,1342} at (30, 20) (78,884) 0.120 s and 0.080 s. On
-# that VM the crossover lies between about 9,000 and 16,000, while an earlier measurement on another saw the pool win at
+# that VM the crossover lies between about 9,000 and 16,000, while an
+# earlier measurement on another saw the pool win at
 # (20, 14) (0.046 s and 0.039 s): it moves with the machine more than with
 # the walk, so the value stays. Tallies, unlike the clock, send a table the
 # same way on every machine, and job shares are stable across sizes.
@@ -925,26 +826,13 @@ def _total(tally):
     return sum(tally) if isinstance(tally, list) else sum(tally.values())
 
 
-def _tally(nodes, tally, k_max, bits):
-    """Count the indecomposables among pruned-walk nodes in `tally`, from
-    `_new_tally` with `bits` tracked patterns."""
-    for vals, inv, _, split, seen, _ in nodes:
-        if split == len(vals):
-            tally[(len(vals) * (k_max + 1) + inv) << bits | seen] += 1
-
-
 def _tally_subtree(job, tally):
     """Count one job, (node, plans, depth, k_max), in `tally`, from
     `_new_tally`: every indecomposable below node in the pruned walk to
-    length depth, as `_tally` counts `_walk`'s nodes, but by one call of the
-    basis's compiled walk (`_walk_kernel`), which builds no leaf. The node's
-    (i, mask) list becomes one slot per tracked pattern."""
+    length depth, by one call of the basis's compiled tally walk
+    (`_walk_kernel`), which builds no leaf."""
     node, plans, depth, k_max = job
-    *state, masks = node
-    slots = [None] * len(plans[1])
-    for i, mask in masks:
-        slots[i] = mask
-    _walk_kernel(plans, "tally")([(*state, *slots)], depth, k_max, tally)
+    _walk_kernel(plans, "tally")([node], depth, k_max, tally)
 
 
 def _pool_tally(job):
@@ -973,24 +861,20 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     check_table_bounds(n_max, k_max)
     patterns, start, step = _automaton(basis)
     tracked = tuple(_plan(q) for q in patterns)
-    plans, node = _start(basis, tracked)
+    plans, root = _start(basis, tracked)
     # an indecomposable with at most k_max inversions has length <= k_max + 1
     depth = min(n_max, k_max + 1)
     bits = len(tracked)
     tally = _new_tally(depth, k_max, bits)
     # the pool starts every worker at once, so never ask for more than the CPUs
     workers = min(threads, os.cpu_count() or 1)
-    frontier = [node]
+    frontier = [root]
     # one worker walks the root as its one job: depth-4 jobs were 2-9 % slower (2-core VM)
     if workers > 1 and depth > _SPLIT_DEPTH:
-        # the levels above the split depth run inline, where the leaves at
-        # the budget are tallied and dropped; the rest are the jobs
-        spec = _spec(plans)
-        for _ in range(_SPLIT_DEPTH):
-            frontier = [child for parent in frontier
-                        for child in _children(parent, spec, depth, k_max)]
-            _tally(frontier, tally, k_max, bits)
-            frontier = [node for node in frontier if node[2] is not None]
+        # the levels above the split depth are tallied inline, and their
+        # nodes at the split depth are the jobs
+        frontier = []
+        _walk_kernel(plans, "frontier")([root], depth, k_max, tally, frontier, _SPLIT_DEPTH)
     jobs = [(node, plans, depth, k_max) for node in frontier]
     # the projection counts the jobs' indecomposables, not the levels above them
     above = _total(tally)

@@ -130,9 +130,9 @@ def backtracking_fill(tau, plan, floor, bad):
     complete placement returns; a body of length 1 has no role to place,
     so its loop starts complete.
 
-    The reference for the compiled fill kernels (`enumeration._kernel`),
+    The reference for the compiled fill blocks (`enumeration._block`),
     which follow the same placements with the roles written in as
-    constants.
+    constants, and the fill of `reference_children`.
     """
     m1, below, above, lift, lo_role, hi_role, decided, lo_off, hi_off = plan
     t = len(tau)
@@ -192,6 +192,86 @@ def backtracking_fill(tau, plan, floor, bad):
         nxt[j] = p - 1
         j -= 1
         nxt[j] = p - 1
+
+
+def _spread(mask, r):
+    """A parent's mask as its child appending rank r inherits it: bits >= r
+    move up one, and bit r stays clear."""
+    return (mask & ((1 << r) - 1)) | (mask >> r << (r + 1))
+
+
+def reference_children(node, plans, n_max, k_max):
+    """The children of a walk node with a bad mask, in ascending rank order.
+
+    The walk's child rule (the `enumeration` module docstring), applied one
+    node at a time with every mask filled by `backtracking_fill`: the
+    reference for the compiled walks (`enumeration._walk_kernel`), with
+    which it shares no generated code. plans are (basis plans, tracked
+    plans) from `enumeration._start`, and a node has the compiled walk's
+    shape: (values, inv, bad, split) in the full walk, and (values, inv,
+    bad, split, seen, m0, m1, ...) in the pruned walk, with one slot per
+    tracked plan, None once the node contains its pattern. A child's values
+    are its parent's with every entry >= r raised by one, then r. In the
+    full walk every avoider within the budget is a child. The pruned walk
+    drops a decomposable child at the last length, and once every rank from
+    its floor to its split is bad. A leaf, at length n_max and in the
+    pruned walk at the budget, has bad and every slot None.
+    """
+    basis_plans, tracked = plans
+    tau, inv, bad, split, *state = node
+    pruned = bool(state)
+    seen, *masks = state or (0,)
+    t = len(tau)
+    floor = max(1, t + 1 - (k_max - inv))
+    last = t + 1 == n_max
+    kids = []
+    for r in range(floor, t + 2):
+        if bad >> r & 1:
+            continue
+        added = inv + t + 1 - r
+        child_floor = max(1, t + 2 - (k_max - added))
+        dead = 0  # the ranks that, all bad, drop a decomposable child
+        if split < r:
+            if pruned:
+                if last or child_floor > split:
+                    continue
+                dead = (2 << split) - (1 << child_floor)
+                if bad & dead == dead:
+                    continue
+            child_split = split
+        else:
+            child_split = t + 1
+        child_seen = seen
+        for i, mask in enumerate(masks):
+            if mask is not None and mask >> r & 1:
+                child_seen |= 1 << i
+        child = bytes(v + 1 if v >= r else v for v in tau) + bytes((r,))
+        child_bad = None
+        child_masks = [None] * len(masks)
+        if not (last or pruned and added == k_max):
+            child_bad = _spread(bad, r)
+            for plan in basis_plans:
+                child_bad = backtracking_fill(child, plan, child_floor, child_bad)
+            if dead and child_bad & dead == dead:
+                continue
+            child_masks = [None if child_seen >> i & 1
+                           else backtracking_fill(child, plan, child_floor, _spread(mask, r))
+                           for i, (plan, mask) in enumerate(zip(tracked, masks))]
+        pruned_fields = (child_seen, *child_masks) if pruned else ()
+        kids.append((child, added, child_bad, child_split, *pruned_fields))
+    return kids
+
+
+def reference_walk(node, plans, n_max, k_max):
+    """Yield every node below `node`, down to length n_max, in preorder: a
+    node before its subtree, children by ascending rank
+    (`reference_children`). The walk descends into every node with a bad
+    mask."""
+    if len(node[0]) < n_max:
+        for child in reference_children(node, plans, n_max, k_max):
+            yield child
+            if child[2] is not None:
+                yield from reference_walk(child, plans, n_max, k_max)
 
 
 def backtracking_search(p: Sequence[int], q: Sequence[int]) -> bool:

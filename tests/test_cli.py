@@ -19,6 +19,8 @@ from permseq.cli import (
 import permseq.enumeration as enumeration
 from permseq.enumeration import ENGINE_VERSION, count_table, row_differences
 from permseq.perms import identity, parse_basis
+
+from oracles import reference_walk
 from permseq.tableio import (
     csv_to_cells,
     diffs_to_csv,
@@ -937,6 +939,46 @@ def test_pool_takes_the_jobs_left_unwalked(serial_pool, monkeypatch):
     assert sum(walked) * len(calls) > 500 * len(walked)
     assert 1 < len(walked) < len(calls) - 1
     assert table == count_table(basis, 10, 9)
+
+
+@pytest.mark.parametrize("basis_text, n_max, k_max, tally", [
+    ("1324", 12, 5, "list"),
+    ("1324", 12, 6, "list"),
+    ("1324,21354", 12, 7, "list"),
+    ("123456789,213465879", 12, 6, "defaultdict"),
+])
+def test_frontier_jobs_are_the_reference_walks_nodes(serial_pool, monkeypatch,
+                                                     basis_text, n_max, k_max, tally):
+    # the frontier walk tallies the levels above the split depth and lists
+    # the jobs: the reference walk's non-leaf nodes at that depth, in its
+    # order and with every mask, except the indecomposables with one
+    # inversion left, which it closes at their parent and tallies there
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    real = enumeration._tally_subtree
+    jobs = []
+
+    def spy(job, tally):
+        jobs.append(job[0])
+        real(job, tally)
+
+    monkeypatch.setattr(enumeration, "_tally_subtree", spy)
+    basis = parse_basis(basis_text)
+    want = count_table(basis, n_max, k_max, threads=1)
+    jobs.clear()
+    assert count_table(basis, n_max, k_max, threads=2) == want
+    [(workers, pooled)] = serial_pool
+    assert workers == 2 and 0 < pooled < len(jobs)
+    tracked = tuple(enumeration._plan(q) for q in enumeration._automaton(basis)[0])
+    plans, root = enumeration._start(basis, tracked)
+    depth = min(n_max, k_max + 1)
+    assert type(enumeration._new_tally(depth, k_max, len(tracked))).__name__ == tally
+    split = enumeration._SPLIT_DEPTH
+    nodes = [node for node in reference_walk(root, plans, depth, k_max)
+             if len(node[0]) == split and node[2] is not None]
+    closed = [node for node in nodes if node[3] == split and node[1] == k_max - 1]
+    assert closed
+    assert jobs == [node for node in nodes if node not in closed]
 
 
 def test_one_cpu_builds_no_pool(serial_pool, monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import permseq.enumeration as enumeration
 import permseq.perms as perms
+from permseq.almost_decomp import _split_walk
 from permseq.enumeration import (
     MAX_LENGTH,
     REPRESENTATIVE_PARTNERS,
@@ -20,13 +22,12 @@ from permseq.enumeration import (
     CountTable,
     _automaton,
     _counts,
-    _kernel,
     _new_tally,
+    _nodes,
     _plan,
     _start,
-    _tally,
     _tally_subtree,
-    _walk,
+    _walk_kernel,
     count_table,
     diagonal_limit,
     generate_avoiders,
@@ -60,7 +61,7 @@ from permseq.perms import (
 from permseq.series import av_1324_1342
 from permseq.tableio import diffs_to_csv, table_to_csv, table_to_markdown
 
-from oracles import all_perms, backtracking_fill, backtracking_search
+from oracles import all_perms, backtracking_fill, backtracking_search, reference_walk
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -121,22 +122,36 @@ def _anchored_brute(tau, q, floor):
     return ranks
 
 
-def _spy_kernels(mp, record):
-    """Patch enumeration._kernel so that every kernel a walk builds calls
-    record(plans, tau, floor, bad, result) after each fill."""
-    real = enumeration._kernel
+@functools.lru_cache(maxsize=None)
+def _fill_kernel(plans):
+    """The fill blocks of `plans` (`enumeration._block`) compiled into one
+    function fill(tau, floor, bad), as the compiled walks write them in: it
+    ORs into `bad` the ranks >= floor completing an occurrence of a planned
+    pattern in which tau's last entry is the last body role."""
+    lines = ["def fill(tau, floor, bad):", "    t = len(tau)", "    anchor = tau[-1]",
+             "    left = (2 << t) - 2 - (1 << anchor)"]
+    helpers = []
+    for i, plan in enumerate(plans):
+        lines += enumeration._block(plan, f"fill{i}", helpers)
+    names = {}
+    exec("\n".join(lines + ["    return bad"] + helpers), names)
+    return names["fill"]
 
-    def kernel(plans):
-        fill = real(plans)
 
-        def spy(tau, floor, bad):
-            out = fill(tau, floor, bad)
-            record(plans, tau, floor, bad, out)
-            return out
+def _frontier(plans, root, n_max, k_max, depth):
+    """The jobs of the frontier walk from `root` cut at length `depth`."""
+    jobs = []
+    tally = _new_tally(n_max, k_max, len(plans[1]))
+    _walk_kernel(plans, "frontier")([root], n_max, k_max, tally, jobs, depth)
+    return jobs
 
-        return spy
 
-    mp.setattr(enumeration, "_kernel", kernel)
+def _pushed(nodes, depth, k_max):
+    """The reference walk's nodes at length `depth` that the compiled pruned
+    walk pushes: all but the leaves and the indecomposables with one
+    inversion left, which it closes at their parent."""
+    return [node for node in nodes if len(node[0]) == depth and node[2] is not None
+            and not (node[3] == depth and node[1] == k_max - 1)]
 
 
 def _walk_tallies(patterns, n_max, k_max):
@@ -234,7 +249,7 @@ COLLECT_BASES = [
 @pytest.mark.parametrize("k_max", [0, 1, 4])
 @pytest.mark.parametrize("basis", COLLECT_BASES)
 def test_collecting_walks_match_the_node_stream(basis, k_max):
-    # the compiled collecting kernels against _walk's interpreted stream, on
+    # the compiled collecting kernels against the reference walk, on
     # fixed cases: the Hypothesis tests draw theirs afresh on every run. At
     # k_max = 4 a bucket holds several lengths and a child is closed below
     # the last length
@@ -243,9 +258,9 @@ def test_collecting_walks_match_the_node_stream(basis, k_max):
         got = generate_avoiders(basis, n, k_max)
         assert got == (stream if n else [Perm()])
         assert all(type(p) is Perm for p in got)
-    plans, root = _start(basis, ())
+    plans, root = _start(basis)
     want = [[] for _ in range(k_max + 1)]
-    for vals, inv, _, split, _, _ in _walk(root, plans, k_max + 1, k_max):
+    for vals, inv, _, split, _ in reference_walk(root, plans, k_max + 1, k_max):
         if split == len(vals):
             want[inv].append(Perm(vals))
     for bucket in want:
@@ -323,10 +338,10 @@ def test_count_table_matches_brute_random(patterns, n_max, k_max):
 def test_inherited_bad_ranks_match_oracle(patterns, n_max, k_max):
     # every node's mask agrees with the brute-force scan at the ranks the
     # walk can still append, those at or above the node's budget floor, and
-    # every node the walk yields carries its first split
+    # every node the full walk yields carries its first split
     basis = frozenset(patterns)
-    plans, root = _start(basis)
-    for tau, inv, bad, split, _, _ in [root, *_walk(root, plans, n_max, k_max)]:
+    _, root = _start(basis)
+    for tau, inv, bad, split in [root[:4], *_nodes(basis, n_max, k_max)]:
         # the root's split stays 1, at or above the one rank it appends
         assert split == (first_split(tau) if tau else 1), tau
         if bad is None:
@@ -363,6 +378,20 @@ def test_iter_avoiders_upto_matches_preorder_oracle(patterns, n_max, k_max):
     got = list(iter_avoiders_upto(patterns, n_max, k_max))
     assert got == _preorder_oracle(patterns, n_max, k_max)
     assert all(type(p) is Perm for p, _ in got)
+
+
+def test_walk_order_is_pinned():
+    # compat witnesses are the first ones found in walk order, and the split
+    # walk carries its deletion lengths down that order: the streams of the
+    # golden pairs and of Av(1324), hashed node by node
+    digest = hashlib.sha256()
+    for p in REPRESENTATIVE_PARTNERS[1:]:
+        for perm, inv in iter_avoiders_upto(["1324", p], 9, 12):
+            digest.update(bytes(perm) + bytes((0, inv)))
+    for values, *splits in _split_walk(["1324"], 9, 36):
+        digest.update(values + bytes((0, *splits)))
+    assert digest.hexdigest() == (
+        "b4ef658faa02f572b767978f5adf5e645ff57a58352c4afdf305dc563de3b45a")
 
 
 @pytest.mark.parametrize("basis_text, k_max", [("1324", 0), ("1324", 5), ("12", 3)])
@@ -423,12 +452,12 @@ def fill_case_st(draw):
 @example((Perm((3, 1, 2)), bytes((3, 1, 4, 2)), 1, 0))
 @example((Perm((3, 1, 4, 2)), bytes((2, 4, 3, 1, 5)), 1, 0))
 def test_fill_matches_anchored_oracle(case):
-    # the backtracking loop (the tests' reference) and the compiled kernel
+    # the backtracking loop (the tests' reference) and the compiled block
     q, tau, floor, bad = case
     below = (1 << floor) - 1
     want = (bad | _anchored_brute(tau, q, floor)) >> floor
     for got in (backtracking_fill(tau, _plan(q), floor, bad),
-                _kernel((_plan(q),))(tau, floor, bad)):
+                _fill_kernel((_plan(q),))(tau, floor, bad)):
         assert got & below == bad & below
         assert got >> floor == want
 
@@ -459,13 +488,13 @@ def _by_decider(m, seed):
     *([q] for m in (6, 7) for q in _by_decider(m, m)),
 ], ids=lambda basis: ",".join("".join(map(str, q)) for q in basis))
 def test_kernel_matches_fill_on_every_node(basis):
-    # the basis kernel on every node of the full walk of S_<=7, at every
+    # the basis's fill blocks compiled together, on every node of the full walk of S_<=7, at every
     # floor, with no, all but one and two random bad ranks coming in: equal
     # to the backtracking loop over each plan and to the brute-force fill.
     # Bodies of length >= 4 (patterns of S_5 and longer) nest a loop per
     # role between the anchor and role 0
     plans = [_plan(q) for q in sorted(basis)]
-    kernel = _kernel(tuple(plans))
+    kernel = _fill_kernel(tuple(plans))
     rng = random.Random(",".join(map(str, basis)))
     for tau, _ in iter_avoiders_upto(basis, 7, 21):
         t = len(tau)
@@ -502,7 +531,7 @@ def test_kernel_matches_fill_past_the_nesting_limit(m):
     for _ in range(10):
         q = _seeded_perm(m, rng)
         plan = _plan(q)
-        kernel = _kernel((plan,))
+        kernel = _fill_kernel((plan,))
         body = standardize(q[:-1])
         nodes = [body, _seeded_perm(m - 1, rng)]
         if m < MAX_LENGTH:
@@ -529,22 +558,16 @@ def test_count_table_equal_on_symmetric_images(p):
 @settings(max_examples=100, deadline=None)
 @given(component_basis_st, st.integers(1, 8), st.integers(0, 12))
 def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
-    # every node of the pruned walk: its first direct-sum split, the tracked
-    # patterns it contains, and the masks of the basis and of the tracked
-    # patterns it does not yet contain, which only the leaves lack
+    # every node of the reference pruned walk: its first direct-sum split,
+    # the tracked patterns it contains, and the masks of the basis and of
+    # the tracked patterns it does not yet contain, which only the leaves
+    # lack. The compiled frontier walk, cut at each length, lists the nodes
+    # there that it pushes, in the reference walk's order and state
     basis = frozenset(patterns)
     tracked = _automaton(basis)[0]
-    plans_tracked = tuple(_plan(q) for q in tracked)
-    plans, root = _start(basis, plans_tracked)
-    filled = {}  # (child, kernel's plans) -> the mask that kernel returned
-
-    def record(kernel_plans, tau, floor, bad, out):
-        filled[tau, kernel_plans] = out
-
-    with pytest.MonkeyPatch.context() as mp:
-        _spy_kernels(mp, record)
-        nodes = list(_walk(root, plans, n_max, k_max))
-    for tau, inv, bad, split, seen, masks in nodes:
+    plans, root = _start(basis, tuple(_plan(q) for q in tracked))
+    nodes = list(reference_walk(root, plans, n_max, k_max))
+    for tau, inv, bad, split, seen, *masks in nodes:
         t = len(tau)
         assert split == first_split(tau), tau
         # the pruned walk yields only indecomposables at the last length
@@ -554,8 +577,9 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
             assert bool(seen >> i & 1) == contains(tau, q), (tau, q)
         # a leaf, at the last length or at the budget, gets no masks
         leaf = t == n_max or inv == k_max
-        assert (bad is None) is (masks is None) is leaf, (tau, inv)
+        assert (bad is None) is leaf, (tau, inv)
         if leaf:
+            assert masks == [None] * len(tracked), tau
             continue
         floor = max(1, t + 1 - (k_max - inv))
         want = _bad_ranks_brute(tau, basis, t)
@@ -564,14 +588,16 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
         # a decomposable node still has a free rank that would make it
         # indecomposable
         assert split == t or not all(want[floor:split + 1]), (tau, inv)
-        assert filled[tau, plans[0]] == bad
-        assert [i for i, _ in masks] == [i for i in range(len(tracked)) if not seen >> i & 1]
-        for i, mask in masks:
-            # mask i is the one the kernel of tracked pattern i filled
-            assert filled[tau, (plans_tracked[i],)] == mask
+        assert [mask is not None for mask in masks] == [
+            not seen >> i & 1 for i in range(len(tracked))]
+        for i, mask in enumerate(masks):
+            if mask is None:
+                continue
             want = _bad_ranks_brute(tau, [tracked[i]], t)
             for r in range(floor, t + 2):
                 assert bool(mask >> r & 1) == want[r], (tau, tracked[i], r)
+    for depth in range(1, n_max):
+        assert _frontier(plans, root, n_max, k_max, depth) == _pushed(nodes, depth, k_max), depth
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,14 +605,14 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
 @example([Perm((1, 3, 2)), Perm((3, 4, 1, 2))], 9, 9)
 @example([Perm((1, 3, 2, 4))], 9, 9)
 def test_pruned_walk_keeps_exactly_the_live_prefixes(patterns, n_max, k_max):
-    # the full walk is the oracle: the pruned walk yields a decomposable
+    # the full walk is the oracle: the reference pruned walk yields a decomposable
     # node iff an indecomposable avoider within the length and the budget
     # extends it, and indecomposables_upto lists the full walk's
     # indecomposables
     basis = frozenset(patterns)
     tracked = tuple(_plan(q) for q in _automaton(basis)[0])
     plans, root = _start(basis, tracked)
-    got = [Perm(node[0]) for node in _walk(root, plans, n_max, k_max)]
+    got = [Perm(node[0]) for node in reference_walk(root, plans, n_max, k_max)]
     full = list(iter_avoiders_upto(basis, max(n_max, k_max + 1), k_max))
     indecomposables = [(p, inv) for p, inv in full if first_split(p) == len(p)]
     want = set()
@@ -606,20 +632,27 @@ def test_pruned_walk_keeps_exactly_the_live_prefixes(patterns, n_max, k_max):
 def test_iter_avoiders_upto_streams(monkeypatch):
     # Av_{<=14}(1324) is far too large to list: the first avoider must come
     # after the root's one child is filled, and reaching length 14 may fill
-    # only the children of the nodes on the path there, one level each
-    calls = 0
+    # only the children of the nodes on the path there, one level each. The
+    # fills are written into the compiled walk, so its basis block, compiled
+    # here, counts the fills it runs
+    calls = []
+    real_block = enumeration._block
 
-    def record(*_):
-        nonlocal calls
-        calls += 1
+    def block(plan, name, helpers):
+        return ["    FILLS.append(t)", *real_block(plan, name, helpers)]
 
-    _spy_kernels(monkeypatch, record)
-    walk = iter_avoiders_upto(["1324"], 14, 91)
-    assert next(walk) == (Perm((1,)), 0)
-    assert calls == 1
-    assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
+    monkeypatch.setattr(enumeration, "_block", block)
+    monkeypatch.setattr(builtins, "FILLS", calls, raising=False)
+    enumeration._walk_kernel.cache_clear()
+    try:
+        walk = iter_avoiders_upto(["1324"], 14, 91)
+        assert next(walk) == (Perm((1,)), 0)
+        assert len(calls) == 1
+        assert [len(p) for p, _ in itertools.islice(walk, 13)] == list(range(2, 15))
+    finally:
+        enumeration._walk_kernel.cache_clear()
     # a length-t node has at most t + 1 children; those at length 14 need no fill
-    assert calls <= sum(t + 1 for t in range(13))
+    assert len(calls) <= sum(t + 1 for t in range(13))
 
 
 @pytest.mark.parametrize("basis_text, n_max, k_max",
@@ -683,38 +716,40 @@ def tally_case_st(draw):
 @example(([parse_perm("1234")], 12, 10))
 @example(([parse_perm("1324"), parse_perm("21354"), parse_perm("1234")], 11, 10))
 def test_tally_mode_matches_the_walk(case):
-    # one call of the compiled tally walk against _tally over the nodes
-    # _walk yields, class by class, from the root and from every node of
-    # the first two levels that has children
+    # one call of the compiled tally walk against the nodes the reference
+    # walk yields, class by class, from the root and from every node of the
+    # first two levels that has children; and the frontier walk cut one
+    # level down tallies that level and lists the nodes whose tally walks
+    # count the rest, into the same tally
     patterns, n_max, k_max = case
     basis = frozenset(patterns)
     tracked = tuple(_plan(q) for q in _automaton(basis)[0])
     plans, root = _start(basis, tracked)
-    jobs = [root] + [node for node in _walk(root, plans, n_max, k_max)
+    jobs = [root] + [node for node in reference_walk(root, plans, n_max, k_max)
                      if len(node[0]) <= 2 and node[2] is not None]
     bits = len(tracked)
     for node in jobs:
-        nodes = list(_walk(node, plans, n_max, k_max))
-        want = Counter((len(vals), inv, seen) for vals, inv, _, split, seen, _ in nodes
-                       if split == len(vals))
+        want = Counter((len(vals), inv, seen) for vals, inv, _, split, seen, *_
+                       in reference_walk(node, plans, n_max, k_max) if split == len(vals))
         got = _new_tally(n_max, k_max, bits)
         _tally_subtree((node, plans, n_max, k_max), got)
         # the class index is ((length * (k_max + 1) + inv) << bits) | seen
         decoded = {(*divmod(i >> bits, k_max + 1), i & ((1 << bits) - 1)): count
                    for i, count in _counts(got)}
         assert decoded == dict(want), node[0]
-        # and the frontier levels' tally writes the walk's index
-        ref = _new_tally(n_max, k_max, bits)
-        _tally(nodes, ref, k_max, bits)
-        assert ref == got, node[0]
+        split = _new_tally(n_max, k_max, bits)
+        below = []
+        _walk_kernel(plans, "frontier")([node], n_max, k_max, split, below, len(node[0]) + 1)
+        for job in below:
+            _tally_subtree((job, plans, n_max, k_max), split)
+        assert split == got, node[0]
 
 
 def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
     # (2 3 ... 21 1) (+) 1 is a basis pattern, so its first component, of
     # length 21, is a tracked sum whose fill block (a body of 20 roles) runs
     # on in helper functions inside the compiled walk. The full walk
-    # (iter_avoiders_upto), which tracks no sums and calls the basis kernel
-    # one node at a time, is the reference
+    # (iter_avoiders_upto), which tracks no sums, is the reference
     q = direct_sum(Perm([*range(2, 22), 1]), Perm((1,)))
     basis = [parse_perm("132"), q]
     tracked = _automaton(frozenset(basis))[0]
@@ -782,12 +817,16 @@ def test_count_table_compiles_one_walk_kernel_per_basis():
     assert info.maxsize
 
 
-def test_collecting_walks_compile_one_kernel_per_basis_and_mode():
-    # generate_avoiders runs the full walk's kernel and indecomposables_upto
-    # the collecting pruned walk's, each compiled once for a basis in any
-    # order and form and at any size; count_table's tally kernel is a third
+def test_collecting_walks_compile_one_kernel_per_basis_and_mode(monkeypatch):
+    # generate_avoiders runs the full walk's kernel, iter_avoiders_upto the
+    # node walk's and indecomposables_upto the collecting pruned walk's,
+    # each compiled once for a basis in any order and form and at any size;
+    # count_table's tally kernel is a fourth, and on two workers its
+    # frontier kernel a fifth
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
     want = {n: generate_avoiders(basis, n, 9) for n in (5, 7)}
+    stream = list(iter_avoiders_upto(basis, 7, 9))
     buckets = indecomposables_upto(basis, 8)
     enumeration._walk_kernel.cache_clear()
     texts = ["".join(map(str, q)) for q in basis]
@@ -795,20 +834,27 @@ def test_collecting_walks_compile_one_kernel_per_basis_and_mode():
         for b in (forms, forms[::-1], tuple(forms), forms + forms[:1]):
             for n in (5, 7):
                 assert generate_avoiders(b, n, 9) == want[n]
+            assert list(iter_avoiders_upto(b, 7, 9)) == stream
+            shorter = [p for p, _ in iter_avoiders_upto(b, 5, 9)]
+            assert shorter == [p for p, _ in stream if len(p) <= 5]
             assert indecomposables_upto(b, 8) == buckets
             assert indecomposables_upto(b, 5) == buckets[:6]
     count_table(basis, 9, 8)
     info = enumeration._walk_kernel.cache_info()
-    assert (info.misses, info.currsize) == (3, 3)
+    assert (info.misses, info.currsize) == (4, 4)
+    count_table(basis, 9, 8, threads=2)
+    count_table(texts, 12, 7, threads=2)
+    info = enumeration._walk_kernel.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
     assert info.maxsize is not None
 
 
 def test_generated_source_has_no_assert(monkeypatch):
     # python -O strips assert statements, and CI's grep for them reads only
-    # the library's files: here the source of every fill, walk (tally,
-    # collecting and full) and containment kernel of S_3, S_4, the golden
-    # bases, a basis whose blocks need helper functions and one with 20
-    # tracked sums is parsed, as it is compiled
+    # the library's files: here the source of every walk (tally, frontier,
+    # collecting, node and full) and containment kernel of S_3, S_4, the
+    # golden bases, a basis whose blocks need helper functions and one with
+    # 20 tracked sums is parsed, as it is compiled
     sources = []
 
     def spy(source, filename, mode):
@@ -817,7 +863,7 @@ def test_generated_source_has_no_assert(monkeypatch):
 
     for module in (enumeration, perms):
         monkeypatch.setattr(module, "compile", spy, raising=False)
-    for cache in (enumeration._kernel, enumeration._walk_kernel, perms._kernel, perms._basis_kernel):
+    for cache in (enumeration._walk_kernel, perms._kernel, perms._basis_kernel):
         cache.cache_clear()
     bases = [[q] for q in S3_S4]
     bases += [[parse_perm("1324"), parse_perm(p)] for p in REPRESENTATIVE_PARTNERS[1:]]
@@ -825,12 +871,13 @@ def test_generated_source_has_no_assert(monkeypatch):
     bases.append([parse_perm("123456789"), parse_perm("213465879")])
     for basis in map(frozenset, bases):
         plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
-        enumeration._spec(plans)
-        enumeration._walk_kernel(plans, "tally")
-        for mode in ("collect", "full"):
-            enumeration._walk_kernel(_start(basis, ())[0], mode)
+        for mode in ("tally", "frontier"):
+            enumeration._walk_kernel(plans, mode)
+        for mode in ("collect", "nodes", "full"):
+            enumeration._walk_kernel(_start(basis)[0], mode)
         avoids(Perm(()), basis)
-    assert {kind for kind, _ in sources} == {"fill", "walk", "collect", "full", "avoids"}
+    assert {kind for kind, _ in sources} == {
+        "walk", "frontier", "collect", "node", "full", "avoids"}
     for kind, source in sources:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source))), kind
 
