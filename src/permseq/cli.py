@@ -7,7 +7,8 @@ table commands, `--k` in 0..MAX_BUDGET on them and on gf, `--threads` at
 least 1, `compat --length` in 1..MAX_LENGTH - 3, `bijection --k` in
 0..MAX_LENGTH - 1, since an indecomposable with k inversions has up to k+1
 entries), so a value out of range is a usage error naming the flag;
-`count_table`, not the CLI, caps `--threads`.
+`count_table`, not the CLI, caps `--threads` at the CPUs the process may
+run on (its affinity set where the platform has one) and the jobs left.
 A cache entry is exactly `table --format json` output, in a file named by
 basis, bounds and engine version, so an entry from another engine version
 is never read. A request is answered from its exact entry, else sliced from

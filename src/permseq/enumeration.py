@@ -17,10 +17,9 @@ on its own stack.
   `generate_avoiders`.
 - The pruned walk yields only the part of the tree that leads to
   indecomposable avoiders. `count_table` tallies its indecomposables by
-  class without building its leaves (tally mode, and frontier mode for the
-  levels above its pool jobs), then counts the rest by direct sums
-  (below); `indecomposables_upto` collects them by inversion number
-  (collect mode).
+  class without building its leaves (tally mode, which also cuts the pool
+  jobs), then counts the rest by direct sums (below);
+  `indecomposables_upto` collects them by inversion number (collect mode).
 
 bad is None at the leaves, where the walk does not descend: at the last
 length and, in the pruned walk, at the budget. A walk past MAX_LENGTH
@@ -108,17 +107,17 @@ largest j' such that q_{j+1} (+) ... (+) q_{j'} is contained in it, and
 reaching s means q is contained. A DP over (state, n, k) then sums the
 sequences of components for every row, so the walk never goes deeper than
 k_max+1 and the table costs about the same for any n_max. count_table
-walks one list of subtree jobs: the root alone with one worker or a
-shallow walk, else the subtrees below the nodes at depth _SPLIT_DEPTH,
-which the frontier walk of the levels above lists. It walks them
-inline while their tallies project a small table, and only then starts a
-process pool of min(threads, CPU count, jobs left) workers for the rest
-(see _POOL_MIN_TALLY). The whole table has one flat tally: class (length,
-inv, seen) counts at index ((length * (k_max + 1) + inv) << T) | seen, T
-being the number of tracked sums, in a list or, past _DENSE_SLOTS slots,
-an int-keyed dict (`_new_tally`). The frontier walk and the inline jobs
-count into it directly, the pool's workers send back their nonzero
-classes, and the DP decodes each index once.
+makes one tally-walk call from the root: with one worker it walks the
+whole table, else it cuts the walk at depth _SPLIT_DEPTH and lists the
+nodes there as subtree jobs. It walks those inline while their tallies
+project a small table, and only then starts a process pool of
+min(threads, CPUs this process may run on, jobs left) workers for the
+rest (see _POOL_MIN_TALLY). The whole table has one flat tally: class
+(length, inv, seen) counts at index ((length * (k_max + 1) + inv) << T) |
+seen, T being the number of tracked sums, in a list or, past _DENSE_SLOTS
+slots, an int-keyed dict (`_new_tally`). The root's call and the inline jobs count
+into it directly, the pool's workers send back their nonzero classes, and
+the DP decodes each index once.
 """
 
 from __future__ import annotations
@@ -404,28 +403,29 @@ def _walk_kernel(plans, mode):
     down to its whole subtree. `mode` picks what it does with the nodes
     below:
 
-    - "tally", walk(stack, n_max, k_max, tally): the pruned walk, counting
-      each indecomposable as `tally[i] += 1`, i being the index of its
-      class (length, inv, seen) in a tally from `_new_tally`; the number
-      of tracked patterns is written into the source, and a list and a
-      dict take the same source.
-    - "frontier", walk(stack, n_max, k_max, tally, jobs, split_depth): the
-      tally walk, except that a node popped at length split_depth is
-      appended to `jobs` instead of being expanded. Its ranks run
-      descending, so the lowest rank pops first and the jobs come in
-      preorder, the order in which expanding one level at a time lists
-      them.
+    - "tally", walk(stack, n_max, k_max, tally, jobs, cut): the pruned
+      walk, counting each indecomposable as `tally[i] += 1`, i being the
+      index of its class (length, inv, seen) in a tally from `_new_tally`;
+      the number of tracked patterns is written into the source, and a list
+      and a dict take the same source. A node popped at length `cut` is
+      appended to `jobs` instead of being expanded, so cut = n_max, a
+      length at which nothing is pushed, lists no job.
     - "collect", walk(stack, n_max, k_max, out): the pruned walk, appending
       each indecomposable's byte form to `out[inv]` where the tally counts
       it; it builds the leaves and the closed leaves for that.
     - "nodes", walk(stack, n_max, k_max): a generator over the full walk,
       with no pruning. It yields every node it pops as (values, inv, bad,
       split), starting with those on `stack`, and expands all but the
-      leaves at length n_max, which it pushes with bad None. Its ranks run
-      descending, so it yields in preorder, children by ascending rank.
+      leaves at length n_max, which it pushes with bad None.
     - "full", walk(stack, n_max, k_max, out): the full walk, appending to
       `out` the byte form of every avoider of length n_max; its nodes are
       (values, inv, bad), with no split.
+
+    Every mode loops over the ranks in descending order, so the lowest rank
+    pops first: the node walk yields in preorder, children by ascending
+    rank, and the tally walk lists its jobs in the order in which expanding
+    one level at a time lists them. The collecting modes' callers sort what
+    they gather, and a tally does not depend on the order.
 
     The fill block of every basis plan and of every tracked plan is written
     in (`_block`); t in the source is the children's length and floor a
@@ -444,47 +444,42 @@ def _walk_kernel(plans, mode):
     """
     basis_plans, tracked = plans
     bits = len(tracked)
-    counts = mode in ("tally", "frontier")
-    preorder = mode in ("nodes", "frontier")
-    ranks = "range(t, start - 1, -1)" if preorder else "range(start, t + 1)"
-
-    def index(base):
-        # source of the class index of a child of seen child_seen (see _new_tally)
-        return f"({base}) << {bits} | child_seen" if bits else base
 
     def sink(base, inv, child):
-        # source of one indecomposable child's count or its collection: its
-        # class index from `base`, its inversions `inv` and its values `child`
-        return f"tally[{index(base)}] += 1" if counts else f"out[{inv}].append({child})"
+        # source of one indecomposable child's count at its class index
+        # from `base` (see _new_tally), or of its collection: its
+        # inversions `inv` and its values `child`
+        if mode == "tally":
+            return f"tally[({base}) << {bits} | child_seen] += 1" if bits else f"tally[{base}] += 1"
+        return f"out[{inv}].append({child})"
 
     slots = "".join(f", m{i}" for i in range(bits))
     kids = "".join(f", c{i}" for i in range(bits))
-    args = {"tally": ", tally", "frontier": ", tally, jobs, split_depth", "nodes": ""}
+    args = {"tally": ", tally, jobs, cut", "nodes": ""}
     lines = [f"def walk(stack, n_max, k_max{args.get(mode, ', out')}):"]
-    if counts:
+    if mode == "tally":
         lines += ["    width = k_max + 1",
                   "    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max",
                   "    closed = width + k_max"]
     fields = {"full": "vals, inv, pbad", "nodes": "vals, inv, pbad, split"}.get(
         mode, f"vals, inv, pbad, split, seen{slots}")
     lines += ["    while stack:",
-              f"        {fields} = {'node = ' if preorder else ''}stack.pop()"]
+              f"        {fields} = {'node = ' if mode == 'nodes' else ''}stack.pop()"]
     if mode == "nodes":
         lines += ["        yield node",
                   "        if pbad is None:",
                   "            continue"]
     lines.append("        t = len(vals) + 1")
-    if mode == "frontier":
-        lines += ["        if t > split_depth:",
-                  "            jobs.append(node)",
-                  "            continue"]
-    if counts:
-        lines.append("        base = t * width")
+    if mode == "tally":
+        lines += ["        if t > cut:",
+                  f"            jobs.append(({fields}))",
+                  "            continue",
+                  "        base = t * width"]
     lines += ["        start = t - k_max + inv",
               "        if start < 1:",
               "            start = 1",
               "        last = t == n_max",
-              f"        for r in {ranks}:",
+              "        for r in range(t, start - 1, -1):",
               "            if pbad >> r & 1:",
               "                continue",
               "            added = inv + t - r"]
@@ -562,9 +557,7 @@ def _walk_kernel(plans, mode):
                   "                continue",
                   f"            stack.append((tau, added, child_bad, child_split, child_seen{kids}))"]
     # a file name per mode, so that profilers tell the kernels apart
-    kind = {"tally": "walk", "frontier": "frontier walk", "collect": "collect walk",
-            "nodes": "node walk", "full": "full walk"}[mode]
-    name = f"<{kind} kernel {hash(plans) & 0xFFFFFFFF:08x}>"
+    name = f"<{mode} walk kernel {hash(plans) & 0xFFFFFFFF:08x}>"
     names = {"INSERT_RANK": INSERT_RANK, "BYTE": BYTE}
     exec(compile("\n".join(lines + helpers), name, "exec"), names)
     return names["walk"]
@@ -781,9 +774,9 @@ _SPLIT_DEPTH = 4
 # inline (see count_table). The pool's workers take 15-20 ms to start on a
 # 2-core VM, which the split walk repays only from several thousand on, at
 # a cost per indecomposable that depends on the basis and on the machine.
-# With each job one call of the compiled walk into the flat tally, best of
-# 16 in each of three runs, threads=2, inline against pooled: {1324} at
-# (18, 12) (5,562 indecomposables) 0.008 s and 0.016 s, at (21, 14)
+# Measured with each job one call of the tally walk into the flat tally,
+# best of 16 in each of three runs, threads=2, inline against pooled:
+# {1324} at (18, 12) (5,562 indecomposables) 0.008 s and 0.016 s, at (21, 14)
 # (15,803) 0.021 s and 0.022 s; {1324,21354} at (20, 14) (8,764) 0.020 s
 # and 0.023 s; {1324,1342} at (30, 20) (78,884) 0.120 s and 0.080 s. On
 # that VM the crossover lies between about 9,000 and 16,000, while an
@@ -830,9 +823,10 @@ def _tally_subtree(job, tally):
     """Count one job, (node, plans, depth, k_max), in `tally`, from
     `_new_tally`: every indecomposable below node in the pruned walk to
     length depth, by one call of the basis's compiled tally walk
-    (`_walk_kernel`), which builds no leaf."""
+    (`_walk_kernel`), which builds no leaf. Its cut is depth, so it lists
+    no job."""
     node, plans, depth, k_max = job
-    _walk_kernel(plans, "tally")([node], depth, k_max, tally)
+    _walk_kernel(plans, "tally")([node], depth, k_max, tally, None, depth)
 
 
 def _pool_tally(job):
@@ -847,15 +841,16 @@ def _pool_tally(job):
 def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     """Exact table of av_n^k(basis) for n <= n_max, k <= k_max.
 
-    The walk is split into a list of subtree jobs: the root alone with one
-    worker or a walk no deeper than _SPLIT_DEPTH, else the subtrees below
-    depth _SPLIT_DEPTH. Jobs are walked inline, in order, until the
-    indecomposables found so far, times the number of jobs over the jobs
-    walked, exceed _POOL_MIN_TALLY; the jobs left go to a process pool of
-    min(threads, CPU count, jobs left) workers. All of them count into one
-    tally (`_new_tally`): the inline jobs directly, the pool's by merging
-    the nonzero classes each worker sends back. The table is the same
-    either way.
+    One call of the tally walk from the root counts the table: with one
+    worker (threads=1, or one CPU this process may run on) all of it, else
+    the levels above depth _SPLIT_DEPTH, listing the nodes at that depth
+    as subtree jobs (none for a walk no deeper). Jobs are walked inline,
+    in order, until the indecomposables they found, times the number of
+    jobs over the jobs walked, exceed _POOL_MIN_TALLY; the jobs left go to
+    a process pool of min(threads, CPUs, jobs left) workers. All of
+    them count into one tally (`_new_tally`): the root's call and the
+    inline jobs directly, the pool's by merging the nonzero classes each
+    worker sends back. The table is the same either way.
     """
     basis = pattern_basis(basis)
     check_table_bounds(n_max, k_max)
@@ -866,15 +861,14 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     depth = min(n_max, k_max + 1)
     bits = len(tracked)
     tally = _new_tally(depth, k_max, bits)
-    # the pool starts every worker at once, so never ask for more than the CPUs
-    workers = min(threads, os.cpu_count() or 1)
-    frontier = [root]
-    # one worker walks the root as its one job: depth-4 jobs were 2-9 % slower (2-core VM)
-    if workers > 1 and depth > _SPLIT_DEPTH:
-        # the levels above the split depth are tallied inline, and their
-        # nodes at the split depth are the jobs
-        frontier = []
-        _walk_kernel(plans, "frontier")([root], depth, k_max, tally, frontier, _SPLIT_DEPTH)
+    # the pool starts every worker at once, so never ask for more than the
+    # CPUs this process may run on: its affinity set where the platform has one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1)
+    # one worker walks the whole table uncut: depth-4 jobs were 2-9 % slower (2-core VM)
+    frontier = []
+    cut = _SPLIT_DEPTH if workers > 1 else depth
+    _walk_kernel(plans, "tally")([root], depth, k_max, tally, frontier, cut)
     jobs = [(node, plans, depth, k_max) for node in frontier]
     # the projection counts the jobs' indecomposables, not the levels above them
     above = _total(tally)

@@ -71,7 +71,10 @@ def table_to_json(table: CountTable) -> str:
 def table_from_json(text: str) -> CountTable:
     """The table written by table_to_json. Raises ValueError unless the text
     holds a basis string and n_max rows of k_max + 1 integer cells."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("a stored table is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("basis"), str):
         raise ValueError("a stored table needs a basis string")
     n_max, k_max, rows = payload.get("n_max"), payload.get("k_max"), payload.get("rows")

@@ -151,6 +151,21 @@ def test_cache_mismatch_is_a_miss(tmp_path, edit):
     assert table_from_json(path.read_text()) == want
 
 
+# deeper than the JSON parser recurses
+_NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_deeply_nested_entry_is_a_miss(tmp_path):
+    want = count_table(parse_basis("1324,1342"), 5, 5)
+    cached_count_table("1324,1342", 5, 5, str(tmp_path))
+    [path] = tmp_path.glob("table_*.json")
+    path.write_text(_NESTED_JSON)
+    with pytest.raises(ValueError):
+        table_from_json(_NESTED_JSON)
+    assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == want
+    assert table_from_json(path.read_text()) == want
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Counts the walks cached_count_table starts; returns the list of their
@@ -229,17 +244,18 @@ def test_covering_lookup_reads_the_smallest_entry_first(tmp_path, walks, monkeyp
     (f"table_1324_n12_k10_v{ENGINE_VERSION}.json", ("1324", 12, 10)),
     (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", ("1324,1342", 13, 10)),
     (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", ("1243,1324", 12, 10)),
-    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", None),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", '{"basis": "1324,1342"'),
+    (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json", _NESTED_JSON),
     (f"table_1324-1342_n12.0_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
     (f"table_1324-1342_nX_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
     (f"table_1324-1342_n012_k10_v{ENGINE_VERSION}.json", ("1324,1342", 12, 10)),
     (f"table_1324-1342_n12_k10_v{ENGINE_VERSION}.json.bak", ("1324,1342", 12, 10)),
     (f".table_1324-1342_n12_k10_v{ENGINE_VERSION}.json.1-2.tmp", ("1324,1342", 12, 10)),
 ], ids=["other-version", "other-basis", "bounds-disagree", "basis-disagrees", "corrupt",
-        "float-bound", "text-bound", "leading-zero", "suffix", "temp-file"])
+        "nested", "float-bound", "text-bound", "leading-zero", "suffix", "temp-file"])
 def test_unusable_covering_entry_is_skipped_and_untouched(name, stored, tmp_path, walks):
-    # each holds a table that would show if read; None is a truncated entry
-    (tmp_path / name).write_text('{"basis": "1324,1342"' if stored is None else _wrong_json(*stored))
+    # each holds a table that would show if read, or raw text that no parse reads
+    (tmp_path / name).write_text(stored if isinstance(stored, str) else _wrong_json(*stored))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert cached_count_table("1324,1342", 5, 5, str(tmp_path)) == \
         count_table(parse_basis("1324,1342"), 5, 5)
@@ -881,7 +897,7 @@ def serial_pool(monkeypatch):
 def test_threads_clamped_to_cpu_count(serial_pool, monkeypatch, capsys):
     # a table this small is walked inline unless the pool threshold is 0
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     argv = ["table", "--basis", "1324", "--n", "7", "--k", "6"]
     assert main([*argv, "--threads", "100000"]) == 0
     pooled = capsys.readouterr().out
@@ -896,7 +912,7 @@ def test_threads_clamped_to_cpu_count(serial_pool, monkeypatch, capsys):
 
 def test_library_threads_clamped_to_jobs(serial_pool, monkeypatch):
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     basis = parse_basis("1324,1342")
     table = count_table(basis, 9, 8, threads=1000)
     [(workers, jobs)] = serial_pool
@@ -906,14 +922,14 @@ def test_library_threads_clamped_to_jobs(serial_pool, monkeypatch):
 
 def test_small_table_builds_no_pool(serial_pool, monkeypatch):
     # 2,736 indecomposables over 22 jobs: the first job projects about 2,400
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     basis = parse_basis("1324,1342")
     assert count_table(basis, 18, 12, threads=2) == count_table(basis, 18, 12)
     assert serial_pool == []
 
 
 def test_pool_takes_the_jobs_left_unwalked(serial_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 500)
     real = enumeration._tally_subtree
     calls = []  # (job's permutation, its tally's total, run by the pool)
@@ -949,12 +965,13 @@ def test_pool_takes_the_jobs_left_unwalked(serial_pool, monkeypatch):
 ])
 def test_frontier_jobs_are_the_reference_walks_nodes(serial_pool, monkeypatch,
                                                      basis_text, n_max, k_max, tally):
-    # the frontier walk tallies the levels above the split depth and lists
-    # the jobs: the reference walk's non-leaf nodes at that depth, in its
-    # order and with every mask, except the indecomposables with one
-    # inversion left, which it closes at their parent and tallies there
+    # the root's tally walk, cut at the split depth, tallies the levels
+    # above it and lists the jobs: the reference walk's non-leaf nodes at
+    # that depth, in its order and with every mask, except the
+    # indecomposables with one inversion left, which it closes at their
+    # parent and tallies there
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     real = enumeration._tally_subtree
     jobs = []
 
@@ -982,10 +999,19 @@ def test_frontier_jobs_are_the_reference_walks_nodes(serial_pool, monkeypatch,
 
 
 def test_one_cpu_builds_no_pool(serial_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    # every job after the first would go to the pool if a second CPU were usable
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     basis = parse_basis("1324")
-    assert count_table(basis, 7, 6, threads=2) == count_table(basis, 7, 6)
+    want = count_table(basis, 7, 6)
+    # the affinity set allows one of the machine's two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert count_table(basis, 7, 6, threads=2) == want
     assert main(["golden", "--partner", "1342", "--threads", "2"]) == 0
+    # where the platform has no affinity set, the CPU count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert count_table(basis, 7, 6, threads=2) == want
     assert serial_pool == []
 
 
@@ -999,19 +1025,26 @@ def test_one_worker_walks_the_root_as_its_one_job(serial_pool, monkeypatch,
                                                  threads, cpus, n_max, k_max):
     basis = parse_basis("1324,2143")
     # the reference on two workers, which split a walk deeper than 4 into depth-4 jobs
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     want = count_table(basis, n_max, k_max, threads=2)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    real = enumeration._tally_subtree
-    jobs = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    real = enumeration._walk_kernel
+    calls = []  # (stack, n_max, k_max, cut, jobs listed) of each tally-walk call
 
-    def spy(job, tally):
-        jobs.append(job)
-        real(job, tally)
+    def kernel(plans, mode):
+        walk = real(plans, mode)
 
-    monkeypatch.setattr(enumeration, "_tally_subtree", spy)
+        def spy(stack, n_max, k_max, tally, jobs, cut):
+            calls.append((list(stack), n_max, k_max, cut, jobs))
+            walk(stack, n_max, k_max, tally, jobs, cut)
+
+        return spy
+
+    monkeypatch.setattr(enumeration, "_walk_kernel", kernel)
     assert count_table(basis, n_max, k_max, threads=threads) == want
-    # one call, on the root: no entries, no inversions, no tracked pattern seen
-    [(node, _, depth, budget)] = jobs
+    # one call, on the root (no entries, no inversions, no tracked pattern
+    # seen), cut at the walk's own depth, so it lists no job
+    [([node], depth, budget, cut, listed)] = calls
     assert node[:2] == (b"", 0) and node[4] == 0
+    assert depth == cut and listed == []
     assert (depth, budget) == (min(n_max, k_max + 1), k_max)

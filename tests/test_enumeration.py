@@ -139,10 +139,10 @@ def _fill_kernel(plans):
 
 
 def _frontier(plans, root, n_max, k_max, depth):
-    """The jobs of the frontier walk from `root` cut at length `depth`."""
+    """The jobs the tally walk from `root` lists when cut at length `depth`."""
     jobs = []
     tally = _new_tally(n_max, k_max, len(plans[1]))
-    _walk_kernel(plans, "frontier")([root], n_max, k_max, tally, jobs, depth)
+    _walk_kernel(plans, "tally")([root], n_max, k_max, tally, jobs, depth)
     return jobs
 
 
@@ -561,7 +561,7 @@ def test_pruned_walk_node_state_matches_oracle(patterns, n_max, k_max):
     # every node of the reference pruned walk: its first direct-sum split,
     # the tracked patterns it contains, and the masks of the basis and of
     # the tracked patterns it does not yet contain, which only the leaves
-    # lack. The compiled frontier walk, cut at each length, lists the nodes
+    # lack. The compiled tally walk, cut at each length, lists the nodes
     # there that it pushes, in the reference walk's order and state
     basis = frozenset(patterns)
     tracked = _automaton(basis)[0]
@@ -718,8 +718,8 @@ def tally_case_st(draw):
 def test_tally_mode_matches_the_walk(case):
     # one call of the compiled tally walk against the nodes the reference
     # walk yields, class by class, from the root and from every node of the
-    # first two levels that has children; and the frontier walk cut one
-    # level down tallies that level and lists the nodes whose tally walks
+    # first two levels that has children; and the tally walk cut one level
+    # down tallies that level and lists the nodes whose uncut tally walks
     # count the rest, into the same tally
     patterns, n_max, k_max = case
     basis = frozenset(patterns)
@@ -739,10 +739,39 @@ def test_tally_mode_matches_the_walk(case):
         assert decoded == dict(want), node[0]
         split = _new_tally(n_max, k_max, bits)
         below = []
-        _walk_kernel(plans, "frontier")([node], n_max, k_max, split, below, len(node[0]) + 1)
+        _walk_kernel(plans, "tally")([node], n_max, k_max, split, below, len(node[0]) + 1)
         for job in below:
             _tally_subtree((job, plans, n_max, k_max), split)
         assert split == got, node[0]
+
+
+@pytest.mark.parametrize("basis_text, n_max, k_max", [
+    *((f"1324,{p}", 10, 10) for p in REPRESENTATIVE_PARTNERS[1:]),
+    # 20 tracked sums: a dict tally
+    ("123456789,213465879", 12, 8),
+])
+def test_tally_walk_cut_at_any_length_tallies_the_uncut_walk(basis_text, n_max, k_max):
+    # cut = n_max lists no job; a cut at any shorter length, the root's
+    # included, tallies the levels above it and lists the jobs whose uncut
+    # walks count the rest, into the same tally
+    basis = parse_basis(basis_text)
+    tracked = tuple(_plan(q) for q in _automaton(basis)[0])
+    plans, root = _start(basis, tracked)
+    walk = _walk_kernel(plans, "tally")
+    depth = min(n_max, k_max + 1)
+    want = _new_tally(depth, k_max, len(tracked))
+    jobs = []
+    walk([root], depth, k_max, want, jobs, depth)
+    assert jobs == []
+    assert type(want).__name__ == ("defaultdict" if len(tracked) == 20 else "list")
+    for cut in range(depth):
+        got = _new_tally(depth, k_max, len(tracked))
+        walk([root], depth, k_max, got, jobs, cut)
+        assert jobs or cut > 0
+        for node in jobs:
+            _tally_subtree((node, plans, depth, k_max), got)
+        assert got == want, cut
+        jobs.clear()
 
 
 def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
@@ -763,7 +792,7 @@ def test_tally_walk_fills_a_tracked_sum_past_the_nesting_limit():
 
 def test_count_table_tallies_past_the_dense_cap_in_a_dict(monkeypatch):
     # 20 tracked sums put the list past _DENSE_SLOTS, so the walk, the
-    # frontier levels and the pool's merge all count into the dict, by the
+    # levels above the cut and the pool's merge all count into the dict, by the
     # same index; a golden basis stays a list
     basis = parse_basis("123456789,213465879")
     bits = len(_automaton(basis)[0])
@@ -788,7 +817,7 @@ def test_count_table_tallies_past_the_dense_cap_in_a_dict(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_new_tally", spy)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     # every job after the first that counts anything goes to the pool
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     rows = count_table(basis, 12, 10).rows
@@ -800,9 +829,10 @@ def test_count_table_tallies_past_the_dense_cap_in_a_dict(monkeypatch):
     assert made == ["defaultdict", "defaultdict", "list"]
 
 
-def test_count_table_compiles_one_walk_kernel_per_basis():
-    # a basis in any order and any form, at any size, maps to one compiled
-    # walk: the plans of its patterns and of its tracked sums are its key
+def test_count_table_compiles_one_walk_kernel_per_basis(monkeypatch):
+    # a basis in any order and any form, at any size and on any number of
+    # workers, maps to one compiled walk: the plans of its patterns and of
+    # its tracked sums are its key
     basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
     want = count_table(basis, 9, 8).rows
     enumeration._walk_kernel.cache_clear()
@@ -812,6 +842,8 @@ def test_count_table_compiles_one_walk_kernel_per_basis():
             assert count_table(b, 9, 8).rows == want
     wider = count_table(frozenset(basis), 12, 8).rows
     assert count_table(texts, 12, 5).rows == tuple(row[:6] for row in wider)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    assert count_table(texts, 12, 8, threads=2).rows == wider
     info = enumeration._walk_kernel.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.maxsize
@@ -821,9 +853,9 @@ def test_collecting_walks_compile_one_kernel_per_basis_and_mode(monkeypatch):
     # generate_avoiders runs the full walk's kernel, iter_avoiders_upto the
     # node walk's and indecomposables_upto the collecting pruned walk's,
     # each compiled once for a basis in any order and form and at any size;
-    # count_table's tally kernel is a fourth, and on two workers its
-    # frontier kernel a fifth
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # count_table's tally kernel is a fourth, which also cuts the pool's jobs
+    # on two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
     want = {n: generate_avoiders(basis, n, 9) for n in (5, 7)}
     stream = list(iter_avoiders_upto(basis, 7, 9))
@@ -845,13 +877,13 @@ def test_collecting_walks_compile_one_kernel_per_basis_and_mode(monkeypatch):
     count_table(basis, 9, 8, threads=2)
     count_table(texts, 12, 7, threads=2)
     info = enumeration._walk_kernel.cache_info()
-    assert (info.misses, info.currsize) == (5, 5)
+    assert (info.misses, info.currsize) == (4, 4)
     assert info.maxsize is not None
 
 
 def test_generated_source_has_no_assert(monkeypatch):
     # python -O strips assert statements, and CI's grep for them reads only
-    # the library's files: here the source of every walk (tally, frontier,
+    # the library's files: here the source of every walk (tally,
     # collecting, node and full) and containment kernel of S_3, S_4, the
     # golden bases, a basis whose blocks need helper functions and one with
     # 20 tracked sums is parsed, as it is compiled
@@ -871,13 +903,11 @@ def test_generated_source_has_no_assert(monkeypatch):
     bases.append([parse_perm("123456789"), parse_perm("213465879")])
     for basis in map(frozenset, bases):
         plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
-        for mode in ("tally", "frontier"):
-            enumeration._walk_kernel(plans, mode)
+        enumeration._walk_kernel(plans, "tally")
         for mode in ("collect", "nodes", "full"):
             enumeration._walk_kernel(_start(basis)[0], mode)
         avoids(Perm(()), basis)
-    assert {kind for kind, _ in sources} == {
-        "walk", "frontier", "collect", "node", "full", "avoids"}
+    assert {kind for kind, _ in sources} == {"tally", "collect", "nodes", "full", "avoids"}
     for kind, source in sources:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source))), kind
 
@@ -988,7 +1018,7 @@ def test_pool_jobs_run_in_spawned_workers(basis_text, n_max, k_max, monkeypatch)
             super().__init__(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     basis = parse_basis(basis_text)
     rows = count_table(basis, n_max, k_max).rows
@@ -1009,7 +1039,7 @@ def test_length_5_basis_table_is_pinned(threads, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     table = count_table(parse_basis("1324,21354"), 20, 14, threads=threads)
     assert hashlib.sha256(table_to_csv(table).encode()).hexdigest() == (
         "78c03efe9cbc95a765332e915319e2502f30f3abb09ed96c1dbb712ac1f8b484")
