@@ -109,15 +109,17 @@ sequences of components for every row, so the walk never goes deeper than
 k_max+1 and the table costs about the same for any n_max. count_table
 makes one tally-walk call from the root: with one worker it walks the
 whole table, else it cuts the walk at depth _SPLIT_DEPTH and lists the
-nodes there as subtree jobs. It walks those inline while their tallies
-project a small table, and only then starts a process pool of
-min(threads, CPUs this process may run on, jobs left) workers for the
-rest (see _POOL_MIN_TALLY). The whole table has one flat tally: class
-(length, inv, seen) counts at index ((length * (k_max + 1) + inv) << T) |
-seen, T being the number of tracked sums, in a list or, past _DENSE_SLOTS
-slots, an int-keyed dict (`_new_tally`). The root's call and the inline jobs count
-into it directly, the pool's workers send back their nonzero classes, and
-the DP decodes each index once.
+nodes there as subtree jobs. The same compiled walk, uncut, runs every
+job: inline while their tallies project a small table, and always for the
+last job; only then does a process pool of min(threads, CPUs this process
+may run on, jobs left) workers take the rest, each worker walking its job
+into a tally of its own (see _POOL_MIN_TALLY, _job_counts). The whole
+table has one flat tally: class (length, inv, seen) counts at index
+((length * (k_max + 1) + inv) << T) | seen, T being the number of tracked
+sums, in a list or, past _DENSE_SLOTS slots, an int-keyed dict
+(`_new_tally`). The root's call and the inline jobs count into it
+directly, the pool's workers send back their nonzero classes, and the DP
+decodes each index once.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from typing import Sequence
 
@@ -819,22 +821,13 @@ def _total(tally):
     return sum(tally) if isinstance(tally, list) else sum(tally.values())
 
 
-def _tally_subtree(job, tally):
-    """Count one job, (node, plans, depth, k_max), in `tally`, from
-    `_new_tally`: every indecomposable below node in the pruned walk to
-    length depth, by one call of the basis's compiled tally walk
-    (`_walk_kernel`), which builds no leaf. Its cut is depth, so it lists
-    no job."""
-    node, plans, depth, k_max = job
-    _walk_kernel(plans, "tally")([node], depth, k_max, tally, None, depth)
-
-
-def _pool_tally(job):
-    """The nonzero (index, count) pairs of one job's tally, which is all a
-    pool worker sends back."""
-    _, plans, depth, k_max = job
+def _job_counts(plans, depth, k_max, node):
+    """The nonzero (index, count) pairs of one pool job's tally, which is
+    all a worker sends back: every indecomposable below node in the pruned
+    walk to length depth, counted by one uncut call of the basis's compiled
+    tally walk (`_walk_kernel`) into a tally of its own (`_new_tally`)."""
     tally = _new_tally(depth, k_max, len(plans[1]))
-    _tally_subtree(job, tally)
+    _walk_kernel(plans, "tally")([node], depth, k_max, tally, None, depth)
     return _counts(tally)
 
 
@@ -844,13 +837,15 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     One call of the tally walk from the root counts the table: with one
     worker (threads=1, or one CPU this process may run on) all of it, else
     the levels above depth _SPLIT_DEPTH, listing the nodes at that depth
-    as subtree jobs (none for a walk no deeper). Jobs are walked inline,
-    in order, until the indecomposables they found, times the number of
-    jobs over the jobs walked, exceed _POOL_MIN_TALLY; the jobs left go to
-    a process pool of min(threads, CPUs, jobs left) workers. All of
-    them count into one tally (`_new_tally`): the root's call and the
-    inline jobs directly, the pool's by merging the nonzero classes each
-    worker sends back. The table is the same either way.
+    as subtree jobs (none for a walk no deeper). The same walk, uncut,
+    counts the jobs inline, in order, while the indecomposables they found,
+    times the number of jobs over the jobs walked, stay at or below
+    _POOL_MIN_TALLY, and it always counts the last job itself; the jobs
+    left, at least two, go to a process pool of min(threads, CPUs, jobs
+    left) workers (`_job_counts`). All of them count into one tally
+    (`_new_tally`): the root's call and the inline jobs directly, the
+    pool's by merging the nonzero classes each worker sends back. The
+    table is the same either way.
     """
     basis = pattern_basis(basis)
     check_table_bounds(n_max, k_max)
@@ -865,30 +860,27 @@ def count_table(basis, n_max: int, k_max: int, threads: int = 1) -> CountTable:
     # CPUs this process may run on: its affinity set where the platform has one
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, cpus or 1)
+    walk = _walk_kernel(plans, "tally")
+    jobs = []
     # one worker walks the whole table uncut: depth-4 jobs were 2-9 % slower (2-core VM)
-    frontier = []
-    cut = _SPLIT_DEPTH if workers > 1 else depth
-    _walk_kernel(plans, "tally")([root], depth, k_max, tally, frontier, cut)
-    jobs = [(node, plans, depth, k_max) for node in frontier]
-    # the projection counts the jobs' indecomposables, not the levels above them
+    walk([root], depth, k_max, tally, jobs, _SPLIT_DEPTH if workers > 1 else depth)
+    # the projection counts the jobs' indecomposables, not the levels above
+    # them; a pool for the last job alone would only add its workers' start
     above = _total(tally)
-    found = walked = 0
-    while walked < len(jobs) and found * len(jobs) <= _POOL_MIN_TALLY * walked:
-        _tally_subtree(jobs[walked], tally)
-        found = _total(tally) - above
+    walked = 0
+    while walked < len(jobs) and (
+            walked == len(jobs) - 1
+            or (_total(tally) - above) * len(jobs) <= _POOL_MIN_TALLY * walked):
+        walk([jobs[walked]], depth, k_max, tally, None, depth)
         walked += 1
-    jobs = jobs[walked:]
-    workers = min(workers, len(jobs))
-    if workers > 1:
+    if walked < len(jobs):
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(_pool_tally, jobs, chunksize=1):
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs) - walked)) as pool:
+            for counts in pool.map(partial(_job_counts, plans, depth, k_max), jobs[walked:],
+                                   chunksize=1):
                 for i, count in counts:
                     tally[i] += count
-    else:
-        for job in jobs:
-            _tally_subtree(job, tally)
     rows = _component_rows(start, step, tally, bits, n_max, k_max)
     return CountTable(basis=basis, n_max=n_max, k_max=k_max, rows=rows)
 

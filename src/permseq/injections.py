@@ -23,6 +23,7 @@ from .perms import (
     delete,
     direct_sum,
     first_split,
+    format_perm,
     insert_value,
     inv_count,
     is_decomposable,
@@ -142,7 +143,7 @@ def inject_1324_231_full(p: Perm) -> InjectionResult:
     above base raised by q.
     """
     if not avoids(p, _BASIS_1324_231):
-        raise ValueError(f"{p!r} does not avoid {{1324, 231}}")
+        raise ValueError(f"{format_perm(p)} does not avoid {{1324, 231}}")
     n = len(p)
     ell = _leading_descent(p)
     if ell == n:  # the reverse identity, the empty permutation included

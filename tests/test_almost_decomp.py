@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import permseq.almost_decomp as almost_decomp
 from permseq.almost_decomp import (
     MAX_PATTERN_LENGTH,
     Subpatterns,
@@ -465,6 +466,54 @@ def test_1342_counterexample_structure():
     for n, entries in cex.items():
         for p, k in entries:
             assert k >= 2 * n - 5, (p, k)
+
+
+def test_theorem_check_reports_every_avoider_off_a_broken_domain(monkeypatch):
+    # with f defined nowhere, every 1324-avoider with inv <= 2n-7 is a
+    # violation: the table's cells up to that budget, row by row
+    monkeypatch.setattr(almost_decomp, "f_domain", lambda p: False)
+    report = theorem_almost_decomp_check(7)
+    rows = count_table(parse_basis("1324"), 7, 7).rows
+    assert [len(bad) for _, bad in report] == [0, 0, 0, 3, 18, 70, 231]
+    assert [len(bad) for _, bad in report] == [sum(rows[n - 1][:max(2 * n - 6, 0)])
+                                               for n in range(1, 8)]
+    assert all(k <= 2 * n - 7 for n, bad in report for k in map(inv_count, bad))
+
+
+def test_1342_bound_sees_a_map_that_drops_1342(monkeypatch):
+    # an identity image contains no 1342, so every 1342-containing pi in
+    # the domain loses it, and none gains it
+    monkeypatch.setattr(almost_decomp, "_image", lambda pi: identity(len(pi) + 1))
+    cex, preserved = check_1342_bound(6)
+    assert preserved is False
+    assert not any(cex.values())
+
+
+def test_difference_sets_reject_a_member_outside_the_families(monkeypatch):
+    # with f's image empty, 123654 is outside R1, R2 and R3
+    monkeypatch.setattr(almost_decomp, "_image", lambda pi: None)
+    with pytest.raises(ValueError, match=r"Perm\('123654'\) escaped the three difference"):
+        difference_sets(5, 3)
+
+
+@pytest.mark.parametrize("extra, guard", [
+    ("1345672", "ends in 2"),
+    ("2145673", "uninverted R3 shape"),
+])
+def test_difference_sets_reject_a_1342_container(extra, guard, monkeypatch):
+    # the two shapes that 1342-avoidance rules out: each member of
+    # Av_7^5(1324) below contains 1342, slipped into the walk's output
+    extra = parse_perm(extra)
+    assert contains(extra, parse_perm("1342")) and inv_count(extra) == 5
+    real = almost_decomp.iter_avoiders_upto
+
+    def walk(basis, n_max, k_max):
+        yield from real(basis, n_max, k_max)
+        yield extra, inv_count(extra)
+
+    monkeypatch.setattr(almost_decomp, "iter_avoiders_upto", walk)
+    with pytest.raises(ValueError, match=guard):
+        difference_sets(6, 5)
 
 
 def test_compatible_pattern_avoidance_preserved():

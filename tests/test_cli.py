@@ -482,6 +482,15 @@ def test_cmd_inject(capsys):
     assert "branch 3: ell=5 m=2 q=2 r=1" in out
 
 
+@pytest.mark.parametrize("perm", ["1324", "1,2,3,4,5,6,7,8,9,11,10,12"])
+def test_inject_names_a_bad_perm_as_written(perm, capsys):
+    # a permutation that contains 1324 is named in one-line notation
+    assert main(["inject", "--perm", perm]) == EXIT_BAD_INPUT == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"permseq: error: {perm} does not avoid {{1324, 231}}\n"
+
+
 def test_cmd_compat(tmp_path, capsys):
     out_file = tmp_path / "verdicts.json"
     rc = main(["compat", "--length", "4", "--out", str(out_file)])
@@ -928,19 +937,33 @@ def test_small_table_builds_no_pool(serial_pool, monkeypatch):
     assert serial_pool == []
 
 
+def spy_job_walks(monkeypatch, record):
+    """Wraps the compiled tally walks so that every call that walks one job
+    uncut (jobs is None), inline or in the serial pool's worker, calls
+    record(job's node, its tally's increase); inline jobs share the table's
+    tally, so a job's total is its increase."""
+    real = enumeration._walk_kernel
+
+    def kernel(plans, mode):
+        walk = real(plans, mode)
+
+        def spy(stack, n_max, k_max, tally, jobs, cut):
+            node, before = stack[0], enumeration._total(tally)
+            walk(stack, n_max, k_max, tally, jobs, cut)
+            if jobs is None:
+                record(node, enumeration._total(tally) - before)
+
+        return spy
+
+    monkeypatch.setattr(enumeration, "_walk_kernel", kernel)
+
+
 def test_pool_takes_the_jobs_left_unwalked(serial_pool, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 500)
-    real = enumeration._tally_subtree
     calls = []  # (job's permutation, its tally's total, run by the pool)
-
-    def spy(job, tally):
-        # inline jobs share the table's tally, so a job's total is its increase
-        before = enumeration._total(tally)
-        real(job, tally)
-        calls.append((job[0][0], enumeration._total(tally) - before, bool(serial_pool)))
-
-    monkeypatch.setattr(enumeration, "_tally_subtree", spy)
+    spy_job_walks(monkeypatch, lambda node, found: calls.append(
+        (node[0], found, bool(serial_pool))))
     basis = parse_basis("1324")
     table = count_table(basis, 10, 9, threads=2)
     walked = [found for _, found, pooled in calls if not pooled]
@@ -972,14 +995,8 @@ def test_frontier_jobs_are_the_reference_walks_nodes(serial_pool, monkeypatch,
     # parent and tallies there
     monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
-    real = enumeration._tally_subtree
     jobs = []
-
-    def spy(job, tally):
-        jobs.append(job[0])
-        real(job, tally)
-
-    monkeypatch.setattr(enumeration, "_tally_subtree", spy)
+    spy_job_walks(monkeypatch, lambda node, found: jobs.append(node))
     basis = parse_basis(basis_text)
     want = count_table(basis, n_max, k_max, threads=1)
     jobs.clear()
@@ -996,6 +1013,21 @@ def test_frontier_jobs_are_the_reference_walks_nodes(serial_pool, monkeypatch,
     closed = [node for node in nodes if node[3] == split and node[1] == k_max - 1]
     assert closed
     assert jobs == [node for node in nodes if node not in closed]
+
+
+def test_last_job_is_walked_inline(serial_pool, monkeypatch):
+    # {132, 231} at (8, 6) cuts two jobs: at a threshold of 0 the first one
+    # found indecomposables, so the second would be the pool's, but a pool
+    # of one job only adds its start, so the inline walk takes it too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    monkeypatch.setattr(enumeration, "_POOL_MIN_TALLY", 0)
+    basis = parse_basis("132,231")
+    want = count_table(basis, 8, 6)
+    jobs = []
+    spy_job_walks(monkeypatch, lambda node, found: jobs.append(found))
+    assert count_table(basis, 8, 6, threads=2) == want
+    assert serial_pool == []
+    assert len(jobs) == 2 and jobs[0] > 0
 
 
 def test_one_cpu_builds_no_pool(serial_pool, monkeypatch):

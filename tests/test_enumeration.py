@@ -26,7 +26,6 @@ from permseq.enumeration import (
     _nodes,
     _plan,
     _start,
-    _tally_subtree,
     _walk_kernel,
     count_table,
     diagonal_limit,
@@ -728,20 +727,21 @@ def test_tally_mode_matches_the_walk(case):
     jobs = [root] + [node for node in reference_walk(root, plans, n_max, k_max)
                      if len(node[0]) <= 2 and node[2] is not None]
     bits = len(tracked)
+    walk = _walk_kernel(plans, "tally")
     for node in jobs:
         want = Counter((len(vals), inv, seen) for vals, inv, _, split, seen, *_
                        in reference_walk(node, plans, n_max, k_max) if split == len(vals))
         got = _new_tally(n_max, k_max, bits)
-        _tally_subtree((node, plans, n_max, k_max), got)
+        walk([node], n_max, k_max, got, None, n_max)
         # the class index is ((length * (k_max + 1) + inv) << bits) | seen
         decoded = {(*divmod(i >> bits, k_max + 1), i & ((1 << bits) - 1)): count
                    for i, count in _counts(got)}
         assert decoded == dict(want), node[0]
         split = _new_tally(n_max, k_max, bits)
         below = []
-        _walk_kernel(plans, "tally")([node], n_max, k_max, split, below, len(node[0]) + 1)
+        walk([node], n_max, k_max, split, below, len(node[0]) + 1)
         for job in below:
-            _tally_subtree((job, plans, n_max, k_max), split)
+            walk([job], n_max, k_max, split, None, n_max)
         assert split == got, node[0]
 
 
@@ -769,7 +769,7 @@ def test_tally_walk_cut_at_any_length_tallies_the_uncut_walk(basis_text, n_max, 
         walk([root], depth, k_max, got, jobs, cut)
         assert jobs or cut > 0
         for node in jobs:
-            _tally_subtree((node, plans, depth, k_max), got)
+            walk([node], depth, k_max, got, None, depth)
         assert got == want, cut
         jobs.clear()
 
