@@ -12,9 +12,8 @@ function per basis and mode (`_walk_kernel`), which expands whole subtrees
 on its own stack.
 
 - The full walk's node mode streams every node in preorder, children in
-  ascending rank order, for `iter_avoiders_upto` and almost_decomp's split
-  walk; its full mode gathers the length-n byte forms for
-  `generate_avoiders`.
+  ascending rank order, for `iter_avoiders_upto`, `generate_avoiders` and
+  almost_decomp's split walk.
 - The pruned walk yields only the part of the tree that leads to
   indecomposable avoiders. `count_table` tallies its indecomposables by
   class without building its leaves (tally mode, which also cuts the pool
@@ -389,9 +388,9 @@ def _start(basis, tracked=()):
     The plans are (basis plans, tracked plans), `tracked` being fill plans.
     The root has the pruned walk's slot shape (values, inv, bad, split,
     seen, m0, m1, ...), with an empty mask for every tracked pattern; the
-    full walks take its first three or four fields. Rank 1 is bad at the
-    root iff 1 is in the basis, and split 1 is at or above the one rank the
-    root appends, so its child, the one-entry node, is indecomposable.
+    full walk takes its first four fields. Rank 1 is bad at the root iff 1
+    is in the basis, and split 1 is at or above the one rank the root
+    appends, so its child, the one-entry node, is indecomposable.
     """
     plans = tuple(_plan(q) for q in sorted(basis) if len(q) > 1)
     bad = 2 if any(len(q) == 1 for q in basis) else 0
@@ -419,30 +418,28 @@ def _walk_kernel(plans, mode):
       with no pruning. It yields every node it pops as (values, inv, bad,
       split), starting with those on `stack`, and expands all but the
       leaves at length n_max, which it pushes with bad None.
-    - "full", walk(stack, n_max, k_max, out): the full walk, appending to
-      `out` the byte form of every avoider of length n_max; its nodes are
-      (values, inv, bad), with no split.
 
     Every mode loops over the ranks in descending order, so the lowest rank
     pops first: the node walk yields in preorder, children by ascending
     rank, and the tally walk lists its jobs in the order in which expanding
-    one level at a time lists them. The collecting modes' callers sort what
-    they gather, and a tally does not depend on the order.
+    one level at a time lists them. `generate_avoiders` and the collect
+    mode's caller sort what they gather, and a tally does not depend on the
+    order.
 
     The fill block of every basis plan and of every tracked plan is written
     in (`_block`); t in the source is the children's length and floor a
     child's floor, as in a fill. A node on the pruned walk's stack is
     (values, inv, bad, split, seen, m0, m1, ...), with one slot per tracked
     pattern holding its mask, or None once the node contains the pattern.
-    Every child of the pruned walk is counted at its parent. A leaf, at
-    length n_max or in the pruned walk at the budget, is counted there and
-    never pushed. An indecomposable child with one inversion left is closed
-    at its parent too: its floor is t, so its only children are the leaf
-    at rank t and the decomposable child at rank t+1, which is dropped, its
-    floor t+1 being above its split t. Its filled bad mask says whether
-    that leaf is live, and only then are its tracked masks filled, to read
-    the leaf's seen from bit t. Kernels are compiled on first use and
-    cached by their plans and mode, which pool jobs carry instead.
+    Every child of the pruned walk is counted at its parent, and its leaves,
+    at length n_max or at the budget, are never pushed. An indecomposable
+    child with one inversion left is closed at its parent too: its floor is
+    t, so its only children are the leaf at rank t and the decomposable
+    child at rank t+1, which is dropped, its floor t+1 being above its split
+    t. Its filled bad mask says whether that leaf is live, and only then are
+    its tracked masks filled, to read the leaf's seen from bit t. Kernels
+    are compiled on first use and cached by their plans and mode, which
+    pool jobs carry instead.
     """
     basis_plans, tracked = plans
     bits = len(tracked)
@@ -463,8 +460,7 @@ def _walk_kernel(plans, mode):
         lines += ["    width = k_max + 1",
                   "    # base + closed is the class of a closed child's leaf: length t + 1, inv k_max",
                   "    closed = width + k_max"]
-    fields = {"full": "vals, inv, pbad", "nodes": "vals, inv, pbad, split"}.get(
-        mode, f"vals, inv, pbad, split, seen{slots}")
+    fields = "vals, inv, pbad, split" + ("" if mode == "nodes" else f", seen{slots}")
     lines += ["    while stack:",
               f"        {fields} = {'node = ' if mode == 'nodes' else ''}stack.pop()"]
     if mode == "nodes":
@@ -491,14 +487,10 @@ def _walk_kernel(plans, mode):
                   "                leaf = vals.translate(INSERT_RANK[r]) + BYTE[r]",
                   "                stack.append((leaf, added, None, child_split))",
                   "                continue"]
-    elif mode == "full":
-        lines += ["            if last:",
-                  "                out.append(vals.translate(INSERT_RANK[r]) + BYTE[r])",
-                  "                continue"]
     lines += ["            floor = t + 1 - k_max + added",
               "            if floor < 1:",
               "                floor = 1"]
-    if mode not in ("nodes", "full"):
+    if mode != "nodes":
         lines += ["            dead = 0",
                   "            if split < r:",
                   "                # see the module docstring",
@@ -529,8 +521,6 @@ def _walk_kernel(plans, mode):
         lines += ["        " + line for line in _block(plan, f"fill{i}", helpers)]
     if mode == "nodes":
         lines.append("            stack.append((tau, added, bad, child_split))")
-    elif mode == "full":
-        lines.append("            stack.append((tau, added, bad))")
     else:
         lines += ["            if dead and bad & dead == dead:",
                   "                continue",
@@ -583,9 +573,8 @@ def _nodes(basis, n_max: int, k_max: int):
 def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
     """All basis-avoiding permutations of length n with at most k_max inversions.
 
-    Deterministic output: sorted lexicographically by one-line notation.
-    The compiled full walk collects the length-n byte forms; they sort as
-    their Perms do, and each becomes one once sorted.
+    Sorted by one-line notation: the length-n nodes of the node stream
+    (`_nodes`), whose byte forms sort as their Perms do, each converted once.
     """
     basis = pattern_basis(basis)
     if n < 0:
@@ -594,11 +583,7 @@ def generate_avoiders(basis, n: int, k_max: int) -> list[Perm]:
         raise ValueError("inversion budget must be nonnegative")
     if n == 0:
         return [Perm()]
-    check_length(n)
-    plans, root = _start(basis)
-    found = []
-    _walk_kernel(plans, "full")([root[:3]], n, k_max, found)
-    found.sort()
+    found = sorted(vals for vals, _, _, _ in _nodes(basis, n, k_max) if len(vals) == n)
     return [tuple.__new__(Perm, vals) for vals in found]
 
 

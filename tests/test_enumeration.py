@@ -226,12 +226,20 @@ def test_generate_avoiders_sorted_deterministic():
     assert out == generate_avoiders(parse_basis("1324,231"), 6, 15)
 
 
+def _reference_avoiders(basis, n, k_max):
+    """The sorted length-n avoiders of the reference full walk."""
+    plans, root = _start(basis)
+    return sorted(Perm(node[0]) for node in reference_walk(root[:4], plans, n, k_max)
+                  if len(node[0]) == n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(basis_st, st.integers(1, 7), st.integers(0, 21))
 def test_generate_avoiders_is_one_length_of_the_stream(basis, n, k_max):
-    stream = [p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n]
+    # generate_avoiders reads the node kernel's stream, so its reference is
+    # the reference walk, which shares no generated code with it
     got = generate_avoiders(basis, n, k_max)
-    assert got == sorted(stream)
+    assert got == _reference_avoiders(frozenset(basis), n, k_max)
     assert all(type(p) is Perm and inv_count(p) <= k_max and avoids(p, basis) for p in got)
 
 
@@ -248,14 +256,13 @@ COLLECT_BASES = [
 @pytest.mark.parametrize("k_max", [0, 1, 4])
 @pytest.mark.parametrize("basis", COLLECT_BASES)
 def test_collecting_walks_match_the_node_stream(basis, k_max):
-    # the compiled collecting kernels against the reference walk, on
-    # fixed cases: the Hypothesis tests draw theirs afresh on every run. At
-    # k_max = 4 a bucket holds several lengths and a child is closed below
-    # the last length
+    # generate_avoiders and the compiled collecting kernel against the
+    # reference walk, on fixed cases: the Hypothesis tests draw theirs
+    # afresh on every run. At k_max = 4 a bucket holds several lengths and
+    # a child is closed below the last length
     for n in (0, 1, k_max + 1):
-        stream = sorted(p for p, _ in iter_avoiders_upto(basis, n, k_max) if len(p) == n)
         got = generate_avoiders(basis, n, k_max)
-        assert got == (stream if n else [Perm()])
+        assert got == (_reference_avoiders(basis, n, k_max) if n else [Perm()])
         assert all(type(p) is Perm for p in got)
     plans, root = _start(basis)
     want = [[] for _ in range(k_max + 1)]
@@ -850,11 +857,10 @@ def test_count_table_compiles_one_walk_kernel_per_basis(monkeypatch):
 
 
 def test_collecting_walks_compile_one_kernel_per_basis_and_mode(monkeypatch):
-    # generate_avoiders runs the full walk's kernel, iter_avoiders_upto the
-    # node walk's and indecomposables_upto the collecting pruned walk's,
-    # each compiled once for a basis in any order and form and at any size;
-    # count_table's tally kernel is a fourth, which also cuts the pool's jobs
-    # on two workers
+    # generate_avoiders and iter_avoiders_upto run the node walk's kernel
+    # and indecomposables_upto the collecting pruned walk's, each compiled
+    # once for a basis in any order and form and at any size; count_table's
+    # tally kernel is a third, which also cuts the pool's jobs on two workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     basis = [parse_perm("1324"), parse_perm("231"), parse_perm("21354")]
     want = {n: generate_avoiders(basis, n, 9) for n in (5, 7)}
@@ -873,18 +879,18 @@ def test_collecting_walks_compile_one_kernel_per_basis_and_mode(monkeypatch):
             assert indecomposables_upto(b, 5) == buckets[:6]
     count_table(basis, 9, 8)
     info = enumeration._walk_kernel.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert (info.misses, info.currsize) == (3, 3)
     count_table(basis, 9, 8, threads=2)
     count_table(texts, 12, 7, threads=2)
     info = enumeration._walk_kernel.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert (info.misses, info.currsize) == (3, 3)
     assert info.maxsize is not None
 
 
 def test_generated_source_has_no_assert(monkeypatch):
     # python -O strips assert statements, and CI's grep for them reads only
     # the library's files: here the source of every walk (tally,
-    # collecting, node and full) and containment kernel of S_3, S_4, the
+    # collecting and node) and containment kernel of S_3, S_4, the
     # golden bases, a basis whose blocks need helper functions and one with
     # 20 tracked sums is parsed, as it is compiled
     sources = []
@@ -904,10 +910,10 @@ def test_generated_source_has_no_assert(monkeypatch):
     for basis in map(frozenset, bases):
         plans = _start(basis, tuple(_plan(q) for q in _automaton(basis)[0]))[0]
         enumeration._walk_kernel(plans, "tally")
-        for mode in ("collect", "nodes", "full"):
+        for mode in ("collect", "nodes"):
             enumeration._walk_kernel(_start(basis)[0], mode)
         avoids(Perm(()), basis)
-    assert {kind for kind, _ in sources} == {"tally", "collect", "nodes", "full", "avoids"}
+    assert {kind for kind, _ in sources} == {"tally", "collect", "nodes", "avoids"}
     for kind, source in sources:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source))), kind
 
